@@ -173,35 +173,104 @@ def _sample_columns(r: UnitaryRep, v: np.ndarray, samples) -> np.ndarray:
     return np.column_stack([monoid_operator(r, s) @ v for s in samples])
 
 
+class _GramFactor:
+    """Sample Gram of a representation-backed function in factored form.
+
+    M = W^H W with W = R U, where U holds the sample columns op(s) v and R is
+    the Cholesky factor of the space Gram, so W is d x n and every spectral
+    fact about M comes from a thin SVD of W at O(n d^2) cost.  ``eigs`` are
+    the eigenvalues of M in ascending order: sigma(W)^2 padded with exact
+    zeros to length n.  They are None when the sample data are not finite.
+    """
+
+    __slots__ = ("u", "gram", "w", "eigs")
+
+    def __init__(self, psi: PDFunction, elements):
+        self.u = _sample_columns(psi.rep, psi.vector, elements)
+        self.gram = psi.rep.inner.gram_dense()
+        self.eigs = None
+        if not np.isfinite(self.gram).all():
+            self.w = np.full(self.u.shape, np.nan, dtype=complex)
+            return
+        self.w = np.linalg.cholesky(self.gram).conj().T @ self.u
+        if np.isfinite(self.w).all():
+            sv = np.linalg.svd(self.w, compute_uv=False)
+            self.eigs = np.zeros(self.w.shape[1])
+            self.eigs[self.eigs.size - sv.size:] = np.sort(sv) ** 2
+
+    def dense(self) -> np.ndarray:
+        return self.w.conj().T @ self.w
+
+
+def _route_disagreement(psi: PDFunction, elements, w: np.ndarray, rng=None,
+                        spot_checks: int = 4) -> float:
+    """Worst gap between psi(s_i* s_j) through the monoid product and W^H W.
+
+    Pairs of different degrees pair to zero on both routes, so each draw
+    takes a random sample s_i, a random sample s_j of the same degree, and
+    compares both (i, j) and the diagonal entry (i, i), which is the squared
+    length of a translate.  A non-finite entry makes the result non-finite.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    degs = [s.degree for s in elements]
+    peers: dict = {}
+    for i, d in enumerate(degs):
+        peers.setdefault(d, []).append(i)
+    gaps = []
+    for _ in range(min(spot_checks, len(elements))):
+        i = int(rng.integers(len(elements)))
+        same = peers[degs[i]]
+        j = same[int(rng.integers(len(same)))]
+        for a, b in ((i, i), (i, j)):
+            direct = psi(_monoid_pair(elements[a], elements[b]))
+            gaps.append(abs(direct - np.vdot(w[:, a], w[:, b])))
+    return float(np.max(gaps)) if gaps else 0.0
+
+
 def sample_gram(psi: PDFunction, samples, rng=None,
                 spot_checks: int = 4) -> tuple[np.ndarray, float]:
     """Gram matrix M[i, j] = psi(s_i* s_j) over the samples.
 
-    Representation-backed functions evaluate through the operators; a few
-    entries are then recomputed through the monoid product as an independent
-    route, and the worst disagreement is returned alongside the matrix.
-    Other functions pay for every entry through the monoid product, and the
+    Representation-backed functions evaluate through the operators, as
+    M = W^H W from the factor W = R U (R the Cholesky factor of the space
+    Gram, U the sample columns); a few same-degree and diagonal entries are
+    then recomputed through the monoid product as an independent route, and
+    the worst disagreement is returned alongside the matrix.  Other
+    functions pay for every entry through the monoid product, and the
     returned disagreement is zero.
     """
     elements = list(samples)
     n = len(elements)
     if psi.rep is not None:
-        u = _sample_columns(psi.rep, psi.vector, elements)
-        g = psi.rep.inner.gram_dense()
-        m = u.conj().T @ g @ u
-        rng = np.random.default_rng(0) if rng is None else rng
-        worst = 0.0
-        for _ in range(min(spot_checks, n * n)):
-            i = int(rng.integers(n))
-            j = int(rng.integers(n))
-            direct = psi(_monoid_pair(elements[i], elements[j]))
-            worst = max(worst, abs(direct - m[i, j]))
-        return m, worst
+        f = _GramFactor(psi, elements)
+        return f.dense(), _route_disagreement(psi, elements, f.w, rng,
+                                              spot_checks)
     m = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
             m[i, j] = psi(_monoid_pair(elements[i], elements[j]))
     return m, 0.0
+
+
+def _gram_spectrum(psi: PDFunction, elements):
+    """The sample Gram and its spectral data, as (gram, eigs, scale).
+
+    Representation-backed functions give a ``_GramFactor`` and its exact
+    spectrum; others give the dense M, the eigenvalues of its Hermitian part
+    and its 2-norm.  ``eigs`` is None when the Gram is not finite, and
+    ``scale`` is max(1, ||M||_2), or 1 when it is not finite.
+    """
+    if psi.rep is not None:
+        f = _GramFactor(psi, elements)
+        if f.eigs is None:
+            return f, None, 1.0
+        # ||M||_2 = sigma_max(W)^2, the last of the ascending eigenvalues
+        return f, f.eigs, max(1.0, float(f.eigs[-1]))
+    m, _ = sample_gram(psi, elements)
+    if not np.isfinite(m).all():
+        return m, None, 1.0
+    return (m, np.linalg.eigvalsh((m + m.conj().T) / 2.0),
+            max(1.0, float(np.linalg.norm(m, 2))))
 
 
 def check_positive_definite(psi: PDFunction, samples,
@@ -210,7 +279,13 @@ def check_positive_definite(psi: PDFunction, samples,
 
     The support condition, the Hermitian symmetry of the Gram matrix, and the
     eigenvalue floor are all certified on the given samples only; the detail
-    strings say so.
+    strings say so.  For representation-backed functions the Gram is kept
+    as M = W^H W, so its Hermitian symmetry and positivity hold by
+    construction, and no n x n matrix is formed: ``gram_norm`` and
+    ``min_eigenvalue`` come from the singular values of W.  What is checked
+    numerically there is the agreement of W^H W with psi evaluated through
+    the monoid product, on sampled same-degree and diagonal entries.
+    Non-finite sample data fail the Gram checks.
     """
     elements = list(samples)
     if not elements:
@@ -230,22 +305,36 @@ def check_positive_definite(psi: PDFunction, samples,
     rep.add("support condition", worst <= tol, worst, tol,
             "verified on sample set" + (f"; worst at {at}" if at else ""))
 
-    m, spot = sample_gram(psi, elements)
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
-    if psi.rep is not None:
+    gram, eigs, scale = _gram_spectrum(psi, elements)
+    factored = isinstance(gram, _GramFactor)
+    if factored:
+        spot = _route_disagreement(psi, elements, gram.w)
         spot_tol = max(tol, 1e-8)
         rep.add("assembly route agreement", spot <= spot_tol, spot, spot_tol,
-                "operator route against monoid-product route, sampled entries")
+                "operator route against monoid-product route, sampled "
+                "same-degree and diagonal entries")
 
-    herm = float(np.linalg.norm(m - m.conj().T, 2))
-    rep.add("gram hermitian", herm <= tol * scale, herm, tol * scale,
-            "verified on sample set")
-
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     floor = tol * scale
+    if eigs is None:
+        for name in ("gram hermitian", "gram positive semidefinite"):
+            rep.add(name, False, None, floor, "non-finite sample data")
+        rep.context["min_eigenvalue"] = None
+        rep.context["gram_norm"] = None
+        return rep
+
+    if factored:
+        rep.add("gram hermitian", True, 0.0, floor,
+                "by construction: M = W^H W")
+    else:
+        herm = float(np.linalg.norm(gram - gram.conj().T, 2))
+        rep.add("gram hermitian", herm <= floor, herm, floor,
+                "verified on sample set")
+
     low = float(eigs.min()) if eigs.size else 0.0
     rep.add("gram positive semidefinite", low >= -floor,
-            max(0.0, -low), floor, "verified on sample set")
+            max(0.0, -low), floor,
+            ("singular values of W, " if factored else "") +
+            "verified on sample set")
     rep.context["min_eigenvalue"] = low
     rep.context["gram_norm"] = scale
     return rep
@@ -303,6 +392,13 @@ def gns_construct(psi: PDFunction, group_samples=None,
     each generator and group sample is expressed on the retained basis.  The
     reconstruction is validated before it is returned.
 
+    For representation-backed functions the Gram of each level is kept as
+    M = W^H W (see ``sample_gram``): its rank and norm are read from the
+    singular values of W, and only the chosen level forms M densely for the
+    per-sector quotient.  Hermitian symmetry and positivity then hold by
+    construction; the route agreement, grading, escape, orthonormality,
+    representation and reproducing checks are numerical.
+
     Raises StabilizationError when the rank is still growing at the cap, when
     a translate escapes the span the rank test certified, or when the
     assembled operators fail validation.  Positivity failures on the sample
@@ -322,11 +418,12 @@ def gns_construct(psi: PDFunction, group_samples=None,
     chosen = None
     for level in range(level_cap + 1):
         ss = build_sample_set(l, group_samples, level)
-        m, spot = sample_gram(psi, ss.elements)
-        scale = max(1.0, float(np.linalg.norm(m, 2)))
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+        gram, eigs, scale = _gram_spectrum(psi, ss.elements)
+        if eigs is None:
+            raise PositivityError(
+                f"the sample Gram at level {level} is not finite")
         rank = int(np.sum(eigs > tol * scale))
-        history[level] = (ss, m, spot)
+        history[level] = (ss, gram, scale)
         if prev_rank is not None and rank == prev_rank:
             chosen = level - 1
             break
@@ -337,7 +434,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
             f"(rank {prev_rank}); the function is not of finite type "
             "within the configured cap")
 
-    samples, m, spot = history[chosen]
+    samples, gram, norm_scale = history[chosen]
     elements = samples.elements
     n = len(elements)
     if not elements[0].is_identity():
@@ -354,7 +451,11 @@ def gns_construct(psi: PDFunction, group_samples=None,
         raise PositivityError(
             "the function fails positive definiteness on the sample set")
 
-    norm_scale = max(1.0, float(np.linalg.norm(m, 2)))
+    u_cols = gram_dense = None
+    if isinstance(gram, _GramFactor):
+        u_cols, gram_dense, m = gram.u, gram.gram, gram.dense()
+    else:
+        m = gram
     degs = [s.degree for s in elements]
 
     # classes of different degrees must be orthogonal already at gram level
@@ -407,12 +508,6 @@ def gns_construct(psi: PDFunction, group_samples=None,
 
     ortho = float(np.linalg.norm(p_mat @ m @ c_mat - np.eye(total), 2))
     report.add("quotient basis orthonormal", ortho <= 1e-8, ortho, 1e-8)
-
-    u_cols = None
-    gram_dense = None
-    if psi.rep is not None:
-        u_cols = _sample_columns(psi.rep, psi.vector, elements)
-        gram_dense = psi.rep.inner.gram_dense()
 
     # one escape budget for everything: discarded spectral mass bounds what an
     # honest translate can lose, so the threshold scales with the sample count
@@ -534,6 +629,7 @@ def check_cyclic(r: UnitaryRep, v, tol: float = _GNS_TOL,
     rank = 0
     prev_rank = None
     level = 0
+    finite = True
     for level in range(level_cap + 1):
         cols = []
         for g in groups:
@@ -543,14 +639,20 @@ def check_cyclic(r: UnitaryRep, v, tol: float = _GNS_TOL,
                 for i in reversed(w):
                     u = r.rho_matrix(i) @ u
                 cols.append(u if pig is None else pig @ u)
-        sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+        cols = np.column_stack(cols)
+        finite = bool(np.isfinite(cols).all())
+        if not finite:
+            rank = 0
+            break
+        sv = np.linalg.svd(cols, compute_uv=False)
         top = float(sv[0]) if sv.size else 0.0
         rank = int(np.sum(sv > tol * max(1.0, top)))
         if rank == total or rank == prev_rank:
             break
         prev_rank = rank
-    rep.add("translates span the space", rank == total,
-            detail=f"rank {rank} of {total} at level {level}")
+    rep.add("translates span the space", finite and rank == total,
+            detail=f"rank {rank} of {total} at level {level}" if finite
+            else f"non-finite translates at level {level}")
     rep.context["rank"] = rank
     rep.context["level"] = level
     return rep

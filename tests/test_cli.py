@@ -1,14 +1,20 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import colorrep
 from colorrep.cli import main
 from colorrep.fileio import load_algebra, load_rep, save_rep, save_table
-from colorrep.generators import clifford_algebra, counterexample_prerep
+from colorrep.generators import (clifford_algebra, clifford_rep,
+                                 counterexample_prerep)
 from colorrep.gns import PDFunction
 from colorrep.reps import PartialRep, UnitaryRep
+from colorrep.spaces import HomogeneousMap
 
 
 def run(capsys, *argv):
@@ -265,6 +271,28 @@ def test_wrong_document_kind(tmp_path, capsys):
     code, _, err = run(capsys, "check-rep", str(cx))
     assert code == 2
     assert "unitary-rep/1" in err
+
+
+@pytest.mark.parametrize("command", ["check-pd", "gns-roundtrip",
+                                     "gns-construct"])
+def test_non_finite_operator_fails_without_traceback(tmp_path, command):
+    # clifford-n1 with one NaN entry in its odd operator
+    r = clifford_rep(1, b=[[1.0]])
+    space = r.inner.space
+    m = r.rho_matrix(1).copy()
+    m[1, 0] = np.nan
+    odd = HomogeneousMap.from_dense(space, space, r.algebra.degrees[1], m)
+    bad = UnitaryRep(r.pair, r.inner, [r.rho[0], odd])
+    path = tmp_path / "nan.json"
+    save_rep(path, bad, cyclic=np.array([1.0, 0.0]))
+    src = os.path.dirname(os.path.dirname(colorrep.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorrep.cli", command, "--rep", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert "FAIL" in proc.stdout
 
 
 def test_axiom_failure_on_load(tmp_path, capsys):

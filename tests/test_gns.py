@@ -146,6 +146,91 @@ def test_orthogonal_off_diagonal_coefficient_fails():
     assert "gram hermitian" in failing_names(rep)
 
 
+def conjugated_four_lines_state():
+    """Four-lines rep in a non-orthonormal basis: a non-trivial space Gram."""
+    r, v0 = four_lines_state()
+    rc = conjugated_rep(r, seed=21)
+    p = _block_change(FOUR_LINES, np.random.default_rng(21), 0.4)
+    return rc, p @ v0
+
+
+def test_route_agreement_catches_a_scaled_monoid_route():
+    r, v0 = conjugated_four_lines_state()
+    # the operator route reads rep and vector, the monoid-product route
+    # reads the evaluator; scale only the latter
+    psi = PDFunction(r.algebra,
+                     lambda s: 1.001 * matrix_coefficient(r, v0, v0, s))
+    psi.rep, psi.vector = r, v0
+    samples = build_sample_set(r.algebra, default_group_samples(r), 1)
+    rep = check_positive_definite(psi, samples)
+    assert "assembly route agreement" in failing_names(rep)
+    assert check_positive_definite(PDFunction.from_rep(r, v0), samples).passed
+
+
+def _route_states():
+    """(rep, vector, group samples, level) for the factored/dense comparison.
+
+    The conjugated states have a non-trivial space Gram.  The last vector
+    lies in one summand of a direct sum: it is not cyclic, so W has zero
+    singular values besides the zero padding.  The four-lines state stays at
+    level 1 because its level-2 Gram costs 145^2 monoid products densely.
+    """
+    rc = clifford_rep(2, seed=3)
+    pc = _block_change(rc.inner.space, np.random.default_rng(21), 0.4)
+    rc = conjugated_rep(rc, seed=21)
+    vc = np.zeros(4, dtype=complex)
+    vc[0] = 1.0
+    rw = clifford_rep(3)
+    vw = np.zeros(6, dtype=complex)
+    vw[0] = 1.0
+    rs = direct_sum_of_cliffords()
+    vs = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    r4, v4 = conjugated_four_lines_state()
+    return [(rc, pc @ vc, default_group_samples(rc), 2),
+            (rw, vw, default_group_samples(rw), 2),
+            (rs, vs, default_group_samples(rs), 2),
+            (r4, v4, [], 1)]
+
+
+def _both_routes(r, v):
+    return (PDFunction.from_rep(r, v),
+            PDFunction(r.algebra, lambda s: matrix_coefficient(r, v, v, s)))
+
+
+def _verdicts(report):
+    # the dense route has no second route to compare against
+    return [(c.name, c.passed) for c in report.checks
+            if not c.name.endswith("assembly route agreement")]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_factored_and_dense_gram_checks_agree(case):
+    r, v, groups, level = _route_states()[case]
+    factored, dense = _both_routes(r, v)
+    samples = build_sample_set(r.algebra, groups, level)
+    pd_f = check_positive_definite(factored, samples)
+    pd_d = check_positive_definite(dense, samples)
+    assert pd_f.passed and _verdicts(pd_f) == _verdicts(pd_d)
+    assert pd_f.context["gram_norm"] == pytest.approx(
+        pd_d.context["gram_norm"], rel=1e-9)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_factored_and_dense_reconstructions_agree(case):
+    r, v, groups, _ = _route_states()[case]
+    factored, dense = _both_routes(r, v)
+    res_f = gns_construct(factored, group_samples=groups)
+    res_d = gns_construct(dense, group_samples=groups)
+    assert _verdicts(res_f.report) == _verdicts(res_d.report)
+    assert res_f.level_used == res_d.level_used
+    assert res_f.rep.space_dim == res_d.rep.space_dim
+    assert sorted(res_f.gram_spectrum) == sorted(res_d.gram_spectrum)
+    for d, spec in res_f.gram_spectrum.items():
+        assert np.allclose(spec["retained"],
+                           res_d.gram_spectrum[d]["retained"],
+                           rtol=1e-9, atol=0.0)
+
+
 def test_empty_sample_set_is_an_error():
     l = one_line_algebra()
     psi = PDFunction.from_table(l, {(): 1.0})
