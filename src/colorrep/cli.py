@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -63,7 +64,7 @@ def _env_defaults() -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise CommandError(f"config file {path}: {e}") from None
     if not isinstance(doc, dict):
         raise CommandError(f"config file {path}: expected an object")
@@ -87,10 +88,7 @@ def _parse_signs(text: str) -> Character:
 
 
 def _load_rep_file(path: str, config: SessionConfig):
-    try:
-        return load_rep(path, validate_algebra=not config.skip_validate)
-    except FileNotFoundError:
-        raise CommandError(f"no such file: {path}") from None
+    return load_rep(path, validate_algebra=not config.skip_validate)
 
 
 def _need_full(rep, path: str) -> UnitaryRep:
@@ -116,11 +114,8 @@ def _function_and_rep(config: SessionConfig, task: Task):
     if (table is None) == (rep_path is None):
         raise CommandError("give exactly one of --table or --rep")
     if table is not None:
-        try:
-            return load_table(
-                table, validate_algebra=not config.skip_validate), None, None
-        except FileNotFoundError:
-            raise CommandError(f"no such file: {table}") from None
+        return load_table(
+            table, validate_algebra=not config.skip_validate), None, None
     rep, stored = _load_rep_file(rep_path, config)
     rep = _need_full(rep, rep_path)
     vec_text = task.params.get("vector")
@@ -150,19 +145,12 @@ def _do_check_grading(config: SessionConfig, task: Task) -> Report:
 
 
 def _do_check_algebra(config: SessionConfig, task: Task) -> Report:
-    try:
-        l = load_algebra(task.inputs["algebra"], validate=False)
-    except FileNotFoundError:
-        raise CommandError(f"no such file: {task.inputs['algebra']}") from None
+    l = load_algebra(task.inputs["algebra"], validate=False)
     return check_axioms(l, **_tol_kw(config))
 
 
 def _do_check_perfect(config: SessionConfig, task: Task) -> Report:
-    try:
-        l = load_algebra(task.inputs["algebra"],
-                         validate=not config.skip_validate)
-    except FileNotFoundError:
-        raise CommandError(f"no such file: {task.inputs['algebra']}") from None
+    l = load_algebra(task.inputs["algebra"], validate=not config.skip_validate)
     return check_perfectness(l, **_tol_kw(config))
 
 
@@ -441,11 +429,22 @@ def _task(args: argparse.Namespace) -> Task:
     return Task(args.command, inputs, params)
 
 
+def _finite_or_null(x):
+    """The value with every non-finite float, at any depth, replaced by None."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _render(report: Report, fmt: str) -> str:
     if fmt == "json":
         doc = {"schema": REPORT_SCHEMA}
         doc.update(report.to_dict())
-        return json.dumps(doc, indent=1, default=str)
+        # standard JSON has no NaN or Infinity; the schema allows null
+        return json.dumps(_finite_or_null(doc), indent=1, default=str,
+                          allow_nan=False)
     return report.to_text()
 
 
@@ -460,6 +459,9 @@ def main(argv=None) -> int:
         report = run_task(config, _task(args))
     except (CommandError, SchemaError, AxiomError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as e:
+        print(f"error: no such file: {e.filename}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PerfectnessError, RankMismatchError
 from .grading import Degree, beta, is_even_like
-from .report import Report
+from .report import Report, worst_residual
 from .spaces import GradedSpace
 
 _AXIOM_TOL = 1e-9
@@ -173,24 +173,25 @@ def check_axioms(l: ColorLieAlgebra, tol: float = _AXIOM_TOL) -> Report:
 
     # (iii) in derivation form: [x,[y,z]] = [[x,y],z] + beta(x,y) [y,[x,z]],
     # the version satisfied by the beta-twisted matrix commutator
-    jac_res = 0.0
-    worst = None
     bt = l.beta_table.astype(float)
-    for i in range(d):
-        lhs = np.einsum("jkm,ml->jkl", c, c[i])
-        t1 = np.einsum("jm,mkl->jkl", c[i], c)
-        t2 = np.einsum("km,jml->kjl", c[i], c).transpose(1, 0, 2)
-        resid = lhs - t1 - bt[i][:, None, None] * t2
-        m = float(np.max(np.abs(resid))) if resid.size else 0.0
-        if m > jac_res:
-            jac_res = m
-            j, k, _ = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
-            worst = (i, int(j), int(k))
-    detail = ""
-    if jac_res > tol and worst:
-        i, j, k = worst
-        detail = f"worst triple ({l.labels[i]}, {l.labels[j]}, {l.labels[k]})"
-    report.add("jacobi", jac_res <= tol, jac_res, tol, detail)
+
+    def entries():
+        for i in range(d):
+            lhs = np.einsum("jkm,ml->jkl", c, c[i])
+            t1 = np.einsum("jm,mkl->jkl", c[i], c)
+            t2 = np.einsum("km,jml->kjl", c[i], c).transpose(1, 0, 2)
+            resid = np.abs(lhs - t1 - bt[i][:, None, None] * t2)
+            at = int(np.argmax(resid))
+            yield float(resid.flat[at]), (i, at)
+
+    def label(key):
+        i, at = key
+        j, k, _ = np.unravel_index(at, (d, d, d))
+        return f"worst triple ({l.labels[i]}, {l.labels[j]}, {l.labels[k]})"
+
+    jac_res, at = worst_residual(entries(), label)
+    report.add("jacobi", jac_res <= tol, jac_res, tol,
+               "" if jac_res <= tol else at)
     return report
 
 
@@ -218,6 +219,14 @@ def odd_pair_columns(l: ColorLieAlgebra, a: Degree):
     return pairs, columns
 
 
+def _relative_rank(columns: np.ndarray, tol: float) -> int:
+    """Singular values above ``tol`` times the largest one; 0 when empty."""
+    if not columns.size:
+        return 0
+    svals = np.linalg.svd(columns, compute_uv=False)
+    return int(np.sum(svals > tol * svals[0])) if svals[0] > 0 else 0
+
+
 def check_perfectness(l: ColorLieAlgebra, tol: float = 1e-9) -> Report:
     """Is every nonzero even-like sector spanned by odd-by-odd brackets?
 
@@ -231,11 +240,7 @@ def check_perfectness(l: ColorLieAlgebra, tol: float = 1e-9) -> Report:
     for a in targets:
         dim_a = l.sector_dim(a)
         _, columns = odd_pair_columns(l, a)
-        if columns.size:
-            svals = np.linalg.svd(columns, compute_uv=False)
-            rank = int(np.sum(svals > tol * svals[0])) if svals[0] > 0 else 0
-        else:
-            rank = 0
+        rank = _relative_rank(columns, tol)
         sectors[str(a)] = {"dim": dim_a, "rank": rank}
         report.add(f"sector-{a}", rank >= dim_a,
                    detail=f"bracket span rank {rank} of dim {dim_a}")
@@ -289,11 +294,7 @@ def decompose_odd(l: ColorLieAlgebra, x: np.ndarray, tol: float = 1e-9,
     rows = l.sector(a)
     pairs, columns = odd_pair_columns(l, a)
     target = x[rows]
-    if columns.size:
-        svals = np.linalg.svd(columns, compute_uv=False)
-        rank = int(np.sum(svals > tol * svals[0])) if svals[0] > 0 else 0
-    else:
-        rank = 0
+    rank = _relative_rank(columns, tol)
     if rank < len(rows):
         raise PerfectnessError(
             f"sector {a} is not spanned by brackets of odd-like elements "

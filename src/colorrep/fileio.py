@@ -8,11 +8,13 @@ Loaders fail with SchemaError naming the offending field.
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 
 import numpy as np
 
 from .colorlie import ColorLieAlgebra
-from .errors import AxiomError, SchemaError
+from .errors import AxiomError, ColorrepError, SchemaError
 from .gns import PDFunction
 from .grading import Degree
 from .hcpair import GroupElement, HCPair
@@ -37,6 +39,17 @@ def _need(doc: dict, key: str, kind, where: str):
     return val
 
 
+@contextmanager
+def _built(where: str):
+    """Constructor errors on loaded data, bar AxiomError, become SchemaError."""
+    try:
+        yield
+    except (AxiomError, SchemaError):
+        raise
+    except (ValueError, ColorrepError) as e:
+        raise SchemaError(f"{where}: {e}") from None
+
+
 def _check_schema(doc: dict, expected: str, where: str) -> None:
     tag = _need(doc, "schema", str, where)
     if tag != expected:
@@ -55,16 +68,27 @@ def _degree_from_json(data, rank: int, where: str) -> Degree:
     return Degree(tuple(int(b) for b in data))
 
 
+def _real_from_json(x, where: str) -> float:
+    """The one reader of numeric leaves: a finite real number or SchemaError."""
+    try:
+        val = float(x) if isinstance(x, (int, float)) else math.nan
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise SchemaError(f"{where}: expected a finite real number, got {x!r}")
+    return val
+
+
 def _complex_to_json(z: complex) -> list:
     z = complex(z)
     return [z.real, z.imag]
 
 
 def _complex_from_json(data, where: str) -> complex:
-    if (not isinstance(data, list) or len(data) != 2
-            or not all(isinstance(x, (int, float)) for x in data)):
+    if not isinstance(data, list) or len(data) != 2:
         raise SchemaError(f"{where}: expected a [re, im] pair")
-    return complex(data[0], data[1])
+    return complex(_real_from_json(data[0], where),
+                   _real_from_json(data[1], where))
 
 
 def _matrix_to_json(m: np.ndarray) -> list:
@@ -72,42 +96,23 @@ def _matrix_to_json(m: np.ndarray) -> list:
     return [[_complex_to_json(z) for z in row] for row in m]
 
 
-def _matrix_from_json(data, where: str) -> np.ndarray:
+def _matrix_from_json(data, where: str, real: bool = False) -> np.ndarray:
+    """A rectangular matrix of [re, im] pairs, or of real numbers if ``real``."""
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{where}: expected a non-empty matrix")
+    entry = _real_from_json if real else _complex_from_json
     rows = []
-    width = None
     for i, row in enumerate(data):
         if not isinstance(row, list):
             raise SchemaError(f"{where}[{i}]: expected a list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if rows and len(row) != len(rows[0]):
             raise SchemaError(f"{where}[{i}]: ragged row of length {len(row)}")
-        rows.append([_complex_from_json(z, f"{where}[{i}][{j}]")
-                     for j, z in enumerate(row)])
-    return np.array(rows, dtype=complex)
+        rows.append([entry(z, f"{where}[{i}][{j}]") for j, z in enumerate(row)])
+    return np.array(rows, dtype=float if real else complex)
 
 
 def _real_matrix_to_json(m: np.ndarray) -> list:
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
-
-
-def _real_matrix_from_json(data, where: str) -> np.ndarray:
-    if not isinstance(data, list) or not data:
-        raise SchemaError(f"{where}: expected a non-empty matrix")
-    rows = []
-    width = None
-    for i, row in enumerate(data):
-        if (not isinstance(row, list)
-                or any(not isinstance(x, (int, float)) for x in row)):
-            raise SchemaError(f"{where}[{i}]: expected a list of real numbers")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise SchemaError(f"{where}[{i}]: ragged row of length {len(row)}")
-        rows.append([float(x) for x in row])
-    return np.array(rows)
 
 
 def _vector_to_json(v: np.ndarray) -> list:
@@ -157,22 +162,20 @@ def algebra_from_doc(doc: dict, validate: bool = True) -> ColorLieAlgebra:
         for name, idx in (("i", i), ("j", j), ("k", k)):
             if not isinstance(idx, int) or not 0 <= idx < dim:
                 raise SchemaError(f"{where}.{name}: index {idx} out of range")
-        if not isinstance(c, (int, float)):
-            raise SchemaError(f"{where}: coefficient must be a real number")
-        structure[i, j, k] = float(c)
-    try:
+        structure[i, j, k] = _real_from_json(c, f"{where}.coefficient")
+    with _built("algebra"):
         return ColorLieAlgebra(rank, labels, degrees, structure,
                                validate=validate)
-    except AxiomError:
-        raise
-    except ValueError as e:
-        raise SchemaError(f"algebra: {e}") from None
+
+
+def _write_doc(path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def save_algebra(path, l: ColorLieAlgebra) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_doc(l), fh, indent=1)
-        fh.write("\n")
+    _write_doc(path, algebra_to_doc(l))
 
 
 def load_algebra(path, validate: bool = True) -> ColorLieAlgebra:
@@ -183,7 +186,8 @@ def _read_doc(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError and UnicodeDecodeError are both ValueErrors
         raise SchemaError(f"{path}: not valid JSON ({e})") from None
 
 
@@ -193,7 +197,8 @@ def _space_to_doc(space: GradedSpace) -> list:
     return [[_degree_to_json(d), space.dims[d]] for d in space.degrees]
 
 
-def _space_from_doc(data, rank: int, where: str) -> GradedSpace:
+def _space_from_doc(data, rank: int, where: str, gram: dict) -> GradedSpace:
+    # sized against the Gram blocks first, so no bogus size gets allocated
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{where}: expected a non-empty list of [degree, dim]")
     dims = {}
@@ -203,6 +208,10 @@ def _space_from_doc(data, rank: int, where: str) -> GradedSpace:
         deg = _degree_from_json(pair[0], rank, f"{where}[{i}]")
         if not isinstance(pair[1], int) or pair[1] < 1:
             raise SchemaError(f"{where}[{i}]: dimension must be a positive int")
+        block = gram.get(deg)
+        if block is None or block.shape != (pair[1], pair[1]):
+            raise SchemaError(f"{where}[{i}]: dimension does not match the "
+                              f"Gram block of degree {deg}")
         dims[deg] = pair[1]
     return GradedSpace(rank, dims)
 
@@ -255,18 +264,16 @@ def rep_from_doc(doc: dict, validate_algebra: bool = True):
                          validate=validate_algebra)
     if l.rank != rank:
         raise SchemaError("rep.rank: differs from the embedded algebra rank")
-    space = _space_from_doc(_need(doc, "space", list, "rep"), rank, "rep.space")
-
     gram = {}
     for i, pair in enumerate(_need(doc, "gram", list, "rep")):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"rep.gram[{i}]: expected [degree, matrix]")
         deg = _degree_from_json(pair[0], rank, f"rep.gram[{i}]")
         gram[deg] = _matrix_from_json(pair[1], f"rep.gram[{i}]")
-    try:
+    space = _space_from_doc(_need(doc, "space", list, "rep"), rank,
+                            "rep.space", gram)
+    with _built("rep.gram"):
         inner = GammaInnerSpace(space, gram)
-    except ValueError as e:
-        raise SchemaError(f"rep.gram: {e}") from None
 
     raw_rho = _need(doc, "rho", list, "rep")
     if len(raw_rho) != l.dim:
@@ -286,12 +293,15 @@ def rep_from_doc(doc: dict, validate_algebra: bool = True):
     for i, g in enumerate(_need(doc, "generators", list, "rep")):
         where = f"rep.generators[{i}]"
         label = _need(g, "label", str, where)
-        ad = _real_matrix_from_json(_need(g, "ad", list, where), f"{where}.ad")
+        ad = _matrix_from_json(_need(g, "ad", list, where), f"{where}.ad",
+                               real=True)
         pi = g.get("pi")
         if pi is not None:
             pi = _matrix_from_json(pi, f"{where}.pi")
-        gens.append(GroupElement(label, ad, pi))
-    pair = HCPair(l, gens, validate=False)
+        with _built(where):
+            gens.append(GroupElement(label, ad, pi))
+    with _built("rep.generators"):
+        pair = HCPair(l, gens, validate=False)
 
     cyclic = None
     if doc.get("cyclic") is not None:
@@ -299,17 +309,16 @@ def rep_from_doc(doc: dict, validate_algebra: bool = True):
         if cyclic.shape != (space.total_dim,):
             raise SchemaError("rep.cyclic: length does not match the space")
 
-    if len(rho) == l.dim:
-        rep = UnitaryRep(pair, inner, [rho[i] for i in range(l.dim)])
-    else:
-        rep = PartialRep(pair, inner, rho)
+    with _built("rep.rho"):
+        if len(rho) == l.dim:
+            rep = UnitaryRep(pair, inner, [rho[i] for i in range(l.dim)])
+        else:
+            rep = PartialRep(pair, inner, rho)
     return rep, cyclic
 
 
 def save_rep(path, r, cyclic=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rep_to_doc(r, cyclic=cyclic), fh, indent=1)
-        fh.write("\n")
+    _write_doc(path, rep_to_doc(r, cyclic=cyclic))
 
 
 def load_rep(path, validate_algebra: bool = True):
@@ -333,8 +342,11 @@ def table_to_doc(psi: PDFunction) -> dict:
 
 def table_from_doc(doc: dict, validate_algebra: bool = True) -> PDFunction:
     _check_schema(doc, TABLE_SCHEMA, "table")
+    rank = _need(doc, "rank", int, "table")
     l = algebra_from_doc(_need(doc, "algebra", dict, "table"),
                          validate=validate_algebra)
+    if l.rank != rank:
+        raise SchemaError("table.rank: differs from the embedded algebra rank")
     values = {}
     for i, pair in enumerate(_need(doc, "values", list, "table")):
         where = f"table.values[{i}]"
@@ -346,16 +358,12 @@ def table_from_doc(doc: dict, validate_algebra: bool = True) -> PDFunction:
                        for x in word)):
             raise SchemaError(f"{where}: word indices out of range")
         values[tuple(word)] = _complex_from_json(val, where)
-    try:
+    with _built("table.values"):
         return PDFunction.from_table(l, values)
-    except ValueError as e:
-        raise SchemaError(f"table.values: {e}") from None
 
 
 def save_table(path, psi: PDFunction) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table_to_doc(psi), fh, indent=1)
-        fh.write("\n")
+    _write_doc(path, table_to_doc(psi))
 
 
 def load_table(path, validate_algebra: bool = True) -> PDFunction:

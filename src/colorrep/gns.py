@@ -17,7 +17,7 @@ from .enveloping import (DEFAULT_LEVEL_CAP, EnvElement, MonoidElement,
 from .errors import EquivalenceError, PositivityError, StabilizationError
 from .grading import Degree
 from .hcpair import GroupElement, HCPair
-from .report import Report
+from .report import Report, worst_residual
 from .reps import (UnitaryRep, check_unitary_rep, exp_group_element,
                    matrix_coefficient, monoid_operator)
 from .spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
@@ -293,15 +293,10 @@ def check_positive_definite(psi: PDFunction, samples,
     rep = Report("positive definiteness",
                  context={"samples": len(elements), "tol": tol})
 
-    worst = 0.0
-    at = ""
-    for s in elements:
-        d = s.degree
-        if d is None or d.is_zero:
-            continue
-        val = abs(psi(s))
-        if val > worst:
-            worst, at = val, f"degree {d}"
+    worst, at = worst_residual(
+        ((abs(psi(s)), s.degree) for s in elements
+         if s.degree is not None and not s.degree.is_zero),
+        lambda d: f"degree {d}")
     rep.add("support condition", worst <= tol, worst, tol,
             "verified on sample set" + (f"; worst at {at}" if at else ""))
 
@@ -456,14 +451,15 @@ def gns_construct(psi: PDFunction, group_samples=None,
         u_cols, gram_dense, m = gram.u, gram.gram, gram.dense()
     else:
         m = gram
-    degs = [s.degree for s in elements]
+    by_degree: dict[Degree, list[int]] = {}
+    for i, s in enumerate(elements):
+        by_degree.setdefault(s.degree, []).append(i)
 
     # classes of different degrees must be orthogonal already at gram level
-    cross = 0.0
-    for i in range(n):
-        for j in range(n):
-            if degs[i] != degs[j]:
-                cross = max(cross, abs(m[i, j]))
+    same = np.zeros((n, n), dtype=bool)
+    for idx in by_degree.values():
+        same[np.ix_(idx, idx)] = True
+    cross = float(np.max(np.abs(np.where(same, 0.0, m))))
     report.add("gram respects the grading", cross <= tol * norm_scale,
                cross, tol * norm_scale, "verified on sample set")
     if cross > tol * norm_scale:
@@ -472,9 +468,6 @@ def gns_construct(psi: PDFunction, group_samples=None,
             f"(leakage {cross:.3e})")
 
     # sector-by-sector spectral quotient
-    by_degree: dict[Degree, list[int]] = {}
-    for i, d in enumerate(degs):
-        by_degree.setdefault(d, []).append(i)
     spectrum = {}
     space_dims: dict[Degree, int] = {}
     basis_cols = []
@@ -512,10 +505,9 @@ def gns_construct(psi: PDFunction, group_samples=None,
     # one escape budget for everything: discarded spectral mass bounds what an
     # honest translate can lose, so the threshold scales with the sample count
     escape_tol = n * max(tol, 1e-8) * norm_scale
-    worst_escape = 0.0
+    strays = []
 
     def translated_matrix(m_left: MonoidElement, what: str) -> np.ndarray:
-        nonlocal worst_escape
         op_left = None
         if psi.rep is not None:
             op_left = monoid_operator(psi.rep, m_left)
@@ -525,7 +517,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
                                       u_cols, gram_dense, op_left)
             kappa[:, s_idx] = p_mat @ w
             stray = n2 - float(np.sum(np.abs(kappa[:, s_idx]) ** 2))
-            worst_escape = max(worst_escape, stray)
+            strays.append((stray, None))
             if stray > escape_tol:
                 raise StabilizationError(
                     f"left translation by {what} leaves the certified span "
@@ -556,8 +548,9 @@ def gns_construct(psi: PDFunction, group_samples=None,
                                   f"pi({g.label})")
         new_gens.append(GroupElement(g.label, g.ad, dense))
 
+    worst_escape, _ = worst_residual(strays)
     report.add("translates stay in the span", worst_escape <= escape_tol,
-               max(0.0, worst_escape), escape_tol)
+               worst_escape, escape_tol)
 
     # cyclic class of the identity sample, cleaned of cross-sector dust
     v0 = p_mat @ m[:, 0]
@@ -586,9 +579,8 @@ def gns_construct(psi: PDFunction, group_samples=None,
     # against the kernel class at s must reproduce evaluation at s
     rng = np.random.default_rng(11)
     picks = [0] + sorted(rng.choice(n, size=min(4, n), replace=False).tolist())
-    worst_repr = 0.0
-    for s_idx in set(picks):
-        s = elements[s_idx]
+
+    def reproducing_gap(s: MonoidElement) -> float:
         adj = s_star(s)
         if psi.rep is not None:
             vec = monoid_operator(psi.rep, adj) @ psi.vector
@@ -600,7 +592,10 @@ def gns_construct(psi: PDFunction, group_samples=None,
         for t_idx, t in enumerate(elements):
             st = s_mul(s, t, level_cap=max(1, s.level + t.level))
             rhs += c_mat[t_idx, :] * psi(st)
-        worst_repr = max(worst_repr, float(np.max(np.abs(lhs - rhs))))
+        return float(np.max(np.abs(lhs - rhs)))
+
+    worst_repr, _ = worst_residual((reproducing_gap(elements[i]), None)
+                                   for i in set(picks))
     report.add("reproducing property", worst_repr <= 1e-8, worst_repr, 1e-8,
                "verified on sample set")
 
@@ -631,15 +626,7 @@ def check_cyclic(r: UnitaryRep, v, tol: float = _GNS_TOL,
     level = 0
     finite = True
     for level in range(level_cap + 1):
-        cols = []
-        for g in groups:
-            pig = None if g.pi is None else np.asarray(g.pi, dtype=complex)
-            for w in normal_words(l, level):
-                u = v
-                for i in reversed(w):
-                    u = r.rho_matrix(i) @ u
-                cols.append(u if pig is None else pig @ u)
-        cols = np.column_stack(cols)
+        cols = _orbit_columns(r, v, groups, l, level)
         finite = bool(np.isfinite(cols).all())
         if not finite:
             rank = 0
@@ -829,10 +816,10 @@ def gns_roundtrip(r: UnitaryRep, v0, level_cap: int = DEFAULT_LEVEL_CAP,
     except EquivalenceError as e:
         rep.add("unitary equivalence", False, detail=str(e))
         return rep
-    worst = max(
-        float(np.linalg.norm(t_mat @ r.rho_matrix(i)
-                             - result.rep.rho_matrix(i) @ t_mat, 2))
-        for i in range(r.algebra.dim)) if r.algebra.dim else 0.0
+    worst, _ = worst_residual(
+        (float(np.linalg.norm(t_mat @ r.rho_matrix(i)
+                              - result.rep.rho_matrix(i) @ t_mat, 2)), None)
+        for i in range(r.algebra.dim))
     rep.add("unitary equivalence", True, worst, eq_tol,
             "intertwiner recovered")
     return rep

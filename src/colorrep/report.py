@@ -2,7 +2,24 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def worst_residual(entries, label=None) -> tuple:
+    """The worst of a stream of (value, key) residuals, as (value, label).
+
+    From (0.0, ""), the first entry strictly above the running worst wins;
+    NaN beats every number, so it cannot hide behind a finite residual.
+    ``label`` formats the winning key only, else the key is the label.
+    """
+    top, at = 0.0, None
+    for value, key in entries:
+        if value > top or (value != value and top == top):
+            top, at = value, key
+    if at is None:
+        return top, ""
+    return top, at if label is None else label(at)
 
 
 @dataclass
@@ -53,7 +70,9 @@ class Report:
 
     def add(self, name: str, passed: bool, residual: float | None = None,
             tolerance: float | None = None, detail: str = "") -> CheckResult:
-        check = CheckResult(name, bool(passed), residual, tolerance, detail)
+        """Record a check; a residual that is given but not finite fails it."""
+        passed = bool(passed) and (residual is None or math.isfinite(residual))
+        check = CheckResult(name, passed, residual, tolerance, detail)
         self.checks.append(check)
         return check
 
@@ -63,8 +82,8 @@ class Report:
                                            c.tolerance, c.detail))
 
     def max_residual(self) -> float:
-        vals = [c.residual for c in self.checks if c.residual is not None]
-        return max(vals) if vals else 0.0
+        return worst_residual((c.residual, None) for c in self.checks
+                              if c.residual is not None)[0]
 
     def to_dict(self) -> dict:
         return {

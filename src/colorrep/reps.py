@@ -16,7 +16,7 @@ from .enveloping import EnvElement, MonoidElement
 from .errors import ExtensionError, PerfectnessError, RankMismatchError
 from .grading import Character, Degree, is_even_like
 from .hcpair import GroupElement, HCPair, ad_operator
-from .report import Report
+from .report import Report, worst_residual
 from .spaces import GammaInnerSpace, HomogeneousMap, dagger_adjoint
 
 _REP_TOL = 1e-9
@@ -33,21 +33,10 @@ def _check_rho_entry(space, degrees, i, t):
             f"rho[{i}] has degree {t.degree}, basis element has {degrees[i]}")
 
 
-class UnitaryRep:
-    """A candidate unitary representation; run check_unitary_rep to verify."""
+class _Rep:
+    """What full and partial representations share: pair, space, operators."""
 
     __slots__ = ("pair", "inner", "rho", "_dense")
-
-    def __init__(self, pair: HCPair, inner: GammaInnerSpace, rho):
-        self.pair = pair
-        self.inner = inner
-        self.rho = list(rho)
-        l = pair.algebra
-        if len(self.rho) != l.dim:
-            raise ValueError(f"need {l.dim} operators, got {len(self.rho)}")
-        for i, t in enumerate(self.rho):
-            _check_rho_entry(inner.space, l.degrees, i, t)
-        self._dense: dict[int, np.ndarray] = {}
 
     @property
     def algebra(self) -> ColorLieAlgebra:
@@ -64,6 +53,23 @@ class UnitaryRep:
             self._dense[i] = m
         return m
 
+
+class UnitaryRep(_Rep):
+    """A candidate unitary representation; run check_unitary_rep to verify."""
+
+    __slots__ = ()
+
+    def __init__(self, pair: HCPair, inner: GammaInnerSpace, rho):
+        self.pair = pair
+        self.inner = inner
+        self.rho = list(rho)
+        l = pair.algebra
+        if len(self.rho) != l.dim:
+            raise ValueError(f"need {l.dim} operators, got {len(self.rho)}")
+        for i, t in enumerate(self.rho):
+            _check_rho_entry(inner.space, l.degrees, i, t)
+        self._dense: dict[int, np.ndarray] = {}
+
     def defined(self, i: int) -> bool:
         return 0 <= i < len(self.rho)
 
@@ -72,10 +78,10 @@ class UnitaryRep:
                 f"space dim={self.space_dim})")
 
 
-class PartialRep:
+class PartialRep(_Rep):
     """Operators on the degree-zero and odd-like sectors only."""
 
-    __slots__ = ("pair", "inner", "rho", "_dense")
+    __slots__ = ()
 
     def __init__(self, pair: HCPair, inner: GammaInnerSpace, rho: dict):
         self.pair = pair
@@ -99,14 +105,6 @@ class PartialRep:
             _check_rho_entry(inner.space, l.degrees, i, t)
         self._dense = {}
 
-    @property
-    def algebra(self) -> ColorLieAlgebra:
-        return self.pair.algebra
-
-    @property
-    def space_dim(self) -> int:
-        return self.inner.space.total_dim
-
     def defined(self, i: int) -> bool:
         return i in self.rho
 
@@ -116,11 +114,7 @@ class PartialRep:
             raise ValueError(
                 f"basis element {l.labels[i]} (sector {l.degrees[i]}) is not "
                 "covered by the partial data")
-        m = self._dense.get(i)
-        if m is None:
-            m = self.rho[i].to_dense()
-            self._dense[i] = m
-        return m
+        return super().rho_matrix(i)
 
     def __repr__(self) -> str:
         return (f"PartialRep(algebra dim={self.algebra.dim}, "
@@ -221,65 +215,61 @@ def _pi_checks(r, rep: Report, tol: float) -> None:
 
 def _bracket_residual(r, pairs) -> tuple[float, str]:
     l = r.algebra
-    worst = 0.0
-    detail = ""
-    for i, j in pairs:
-        lhs = np.zeros((r.space_dim, r.space_dim), dtype=complex)
-        for k in np.flatnonzero(l.structure[i, j]):
-            k = int(k)
-            if not r.defined(k):
-                # structure leaking outside the covered sectors counts as
-                # residual; exact data has exact zeros here
-                leak = abs(float(l.structure[i, j, k]))
-                if leak > worst:
-                    worst = leak
-                    detail = (f"bracket of ({l.labels[i]}, {l.labels[j]}) "
-                              f"leaks onto uncovered {l.labels[k]}")
-                continue
-            lhs += l.structure[i, j, k] * r.rho_matrix(k)
-        mi, mj = r.rho_matrix(i), r.rho_matrix(j)
-        rhs = mi @ mj - float(l.beta_table[i, j]) * (mj @ mi)
-        res = float(np.max(np.abs(lhs - rhs)))
-        if res > worst:
-            worst = res
-            detail = f"worst pair ({l.labels[i]}, {l.labels[j]})"
-    return worst, detail
+
+    def entries():
+        for i, j in pairs:
+            lhs = np.zeros((r.space_dim, r.space_dim), dtype=complex)
+            for k in np.flatnonzero(l.structure[i, j]):
+                k = int(k)
+                if not r.defined(k):
+                    # structure leaking outside the covered sectors counts as
+                    # residual; exact data has exact zeros here
+                    yield abs(float(l.structure[i, j, k])), (i, j, k)
+                    continue
+                lhs += l.structure[i, j, k] * r.rho_matrix(k)
+            mi, mj = r.rho_matrix(i), r.rho_matrix(j)
+            rhs = mi @ mj - float(l.beta_table[i, j]) * (mj @ mi)
+            yield float(np.max(np.abs(lhs - rhs))), (i, j)
+
+    def label(key):
+        a, b, *leak = (l.labels[x] for x in key)
+        return (f"bracket of ({a}, {b}) leaks onto uncovered {leak[0]}"
+                if leak else f"worst pair ({a}, {b})")
+
+    return worst_residual(entries(), label)
 
 
-def _skew_residual(r, indices, twist, tol):
-    worst = 0.0
-    detail = ""
-    for i in indices:
-        dag = dagger_adjoint(r.inner, _rho_hom(r, i), twist=twist)
-        res = dag.distance(_rho_hom(r, i) * (-1.0))
-        if res > worst:
-            worst = res
-            detail = f"worst at {r.algebra.labels[i]}"
-    return worst, detail
+def _skew_residual(r, indices, twist):
+    return worst_residual(
+        ((dagger_adjoint(r.inner, r.rho[i], twist=twist).distance(
+            r.rho[i] * (-1.0)), i) for i in indices),
+        lambda i: f"worst at {r.algebra.labels[i]}")
 
 
-def _rho_hom(r, i: int) -> HomogeneousMap:
-    # works for both rep kinds; list for full, dict for partial
-    return r.rho[i]
+def _zero_skew_residual(r, indices) -> float:
+    """Ordinary skewness of the degree-zero operators, worst over indices."""
+    mats = (r.rho_matrix(i) for i in indices)
+    return worst_residual(
+        (float(np.max(np.abs(ordinary_adjoint(r.inner, m) + m))), None)
+        for m in mats)[0]
 
 
 def _conjugation_residual(r, g: GroupElement, indices) -> tuple[float, str]:
     """pi rho(x) pi^-1 against rho(Ad(g) x), maximized over given indices."""
-    l = r.algebra
     pi = np.asarray(g.pi, dtype=complex)
     pinv = np.linalg.inv(pi)
-    worst, detail = 0.0, ""
-    for i in indices:
+
+    def res(i):
         lhs = pi @ r.rho_matrix(i) @ pinv
         rhs = np.zeros_like(lhs)
         for k in np.flatnonzero(np.abs(g.ad[:, i]) > 1e-300):
             if not r.defined(int(k)):
                 continue
             rhs += g.ad[k, i] * r.rho_matrix(int(k))
-        res = float(np.max(np.abs(lhs - rhs)))
-        if res > worst:
-            worst, detail = res, f"worst at {l.labels[i]}"
-    return worst, detail
+        return float(np.max(np.abs(lhs - rhs)))
+
+    return worst_residual(((res(i), i) for i in indices),
+                          lambda i: f"worst at {r.algebra.labels[i]}")
 
 
 def check_unitary_rep(r: UnitaryRep, tol: float = _REP_TOL,
@@ -295,18 +285,13 @@ def check_unitary_rep(r: UnitaryRep, tol: float = _REP_TOL,
     res, detail = _bracket_residual(r, pairs)
     rep.add("bracket property", res <= tol, res, tol, detail)
 
-    zero = Degree.zero(l.rank)
-    zero_idx = l.sector(zero)
-    worst = 0.0
-    for i in zero_idx:
-        m = r.rho_matrix(i)
-        res = float(np.max(np.abs(ordinary_adjoint(r.inner, m) + m)))
-        worst = max(worst, res)
-    rep.add("degree-zero skewness", worst <= tol, worst, tol,
+    zero_idx = l.sector(Degree.zero(l.rank))
+    res = _zero_skew_residual(r, zero_idx)
+    rep.add("degree-zero skewness", res <= tol, res, tol,
             "exponentials of the degree-zero sector are unitary; the "
             "one-parameter group exists by construction at finite dimension")
 
-    res, detail = _skew_residual(r, range(l.dim), twist, tol)
+    res, detail = _skew_residual(r, range(l.dim), twist)
     rep.add("graded skew-adjointness", res <= tol, res, tol, detail)
 
     for g in r.pair.extra_generators:
@@ -314,17 +299,14 @@ def check_unitary_rep(r: UnitaryRep, tol: float = _REP_TOL,
             continue
         res, detail = _conjugation_residual(r, g, range(l.dim))
         rep.add(f"equivariance: {g.label}", res <= tol, res, tol, detail)
-    worst = 0.0
-    for i0 in zero_idx:
-        coeffs = np.zeros(l.dim)
-        coeffs[i0] = 1.0
-        for t in (0.3, 1.0):
-            g = exp_group_element(r, coeffs, t=t, label=f"exp({t}{l.labels[i0]})")
-            res, _ = _conjugation_residual(r, g, range(l.dim))
-            worst = max(worst, res)
+    samples = [exp_group_element(r, np.eye(l.dim)[i0], t=t,
+                                 label=f"exp({t}{l.labels[i0]})")
+               for i0 in zero_idx for t in (0.3, 1.0)]
     if zero_idx:
+        res, _ = worst_residual((_conjugation_residual(r, g, range(l.dim))[0],
+                                 None) for g in samples)
         rep.add("equivariance: sampled one-parameter elements",
-                worst <= max(tol, 1e-8), worst, max(tol, 1e-8),
+                res <= max(tol, 1e-8), res, max(tol, 1e-8),
                 "redundant with the bracket property; consistency sample")
     return rep
 
@@ -339,32 +321,28 @@ def check_pre_rep(p: PartialRep, tol: float = _REP_TOL,
     _pi_checks(p, rep, tol)
     rep.add("domain density", True, detail="automatic at finite dimension")
 
-    zero = Degree.zero(l.rank)
-    zero_idx = l.sector(zero)
-    worst, detail = 0.0, ""
-    for a in l.odd_degrees():
-        idx = zero_idx + l.sector(a)
-        res, d = _bracket_residual(p, [(i, j) for i in idx for j in idx])
-        if res > worst:
-            worst, detail = res, f"sector {a}, {d}"
-    if zero_idx and not l.odd_degrees():
-        res, detail = _bracket_residual(
-            p, [(i, j) for i in zero_idx for j in zero_idx])
-        worst = max(worst, res)
+    zero_idx = l.sector(Degree.zero(l.rank))
+
+    def square(idx):
+        return [(i, j) for i in idx for j in idx]
+
+    if l.odd_degrees():
+        per_sector = [(a, *_bracket_residual(p, square(zero_idx + l.sector(a))))
+                      for a in l.odd_degrees()]
+        res, detail = worst_residual(((val, f"sector {a}, {d}")
+                                      for a, val, d in per_sector))
+    else:
+        res, detail = _bracket_residual(p, square(zero_idx))
     rep.add("bracket property on even-plus-one-odd subalgebras",
-            worst <= tol, worst, tol, detail)
+            res <= tol, res, tol, detail)
 
     rep.add("essential skew-adjointness", True,
             detail="matrix skewness below carries the content at finite dimension")
 
-    worst = 0.0
-    for i in zero_idx:
-        m = p.rho_matrix(i)
-        res = float(np.max(np.abs(ordinary_adjoint(p.inner, m) + m)))
-        worst = max(worst, res)
-    rep.add("degree-zero skewness", worst <= tol, worst, tol)
+    res = _zero_skew_residual(p, zero_idx)
+    rep.add("degree-zero skewness", res <= tol, res, tol)
 
-    res, detail = _skew_residual(p, sorted(p.rho), twist, tol)
+    res, detail = _skew_residual(p, sorted(p.rho), twist)
     rep.add("graded skew-adjointness", res <= tol, res, tol, detail)
 
     for g in p.pair.extra_generators:

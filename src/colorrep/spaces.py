@@ -333,6 +333,8 @@ class GammaInnerSpace:
             d = space.dims[deg]
             if g.shape != (d, d):
                 raise ValueError(f"Gram at {deg} has shape {g.shape}, expected {(d, d)}")
+            if not np.isfinite(g).all():
+                raise PositivityError(f"Gram at {deg} has non-finite entries")
             herm = float(np.max(np.abs(g - g.conj().T)))
             scale = max(1.0, float(np.max(np.abs(g))))
             if herm > _HERMITIAN_RTOL * scale:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from colorrep.generators import clifford_rep
 from colorrep.grading import Degree, all_degrees
+from colorrep.reps import UnitaryRep
 from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
 
 
@@ -59,3 +61,13 @@ def random_homog_vector(rng, space, degree):
     n = s.stop - s.start
     v[s] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v
+
+
+def spoiled_clifford(value):
+    """clifford_rep(1, b=[[1.0]]) with ``value`` at entry [1, 0] of rho(y)."""
+    r = clifford_rep(1, b=[[1.0]])
+    space = r.inner.space
+    m = r.rho_matrix(1).copy()
+    m[1, 0] = value
+    odd = HomogeneousMap.from_dense(space, space, r.algebra.degrees[1], m)
+    return UnitaryRep(r.pair, r.inner, [r.rho[0], odd])

@@ -14,7 +14,7 @@ from colorrep.generators import (clifford_algebra, clifford_rep,
                                  counterexample_prerep)
 from colorrep.gns import PDFunction
 from colorrep.reps import PartialRep, UnitaryRep
-from colorrep.spaces import HomogeneousMap
+from helpers import spoiled_clifford
 
 
 def run(capsys, *argv):
@@ -273,26 +273,103 @@ def test_wrong_document_kind(tmp_path, capsys):
     assert "unitary-rep/1" in err
 
 
-@pytest.mark.parametrize("command", ["check-pd", "gns-roundtrip",
-                                     "gns-construct"])
-def test_non_finite_operator_fails_without_traceback(tmp_path, command):
-    # clifford-n1 with one NaN entry in its odd operator
-    r = clifford_rep(1, b=[[1.0]])
-    space = r.inner.space
-    m = r.rho_matrix(1).copy()
-    m[1, 0] = np.nan
-    odd = HomogeneousMap.from_dense(space, space, r.algebra.degrees[1], m)
-    bad = UnitaryRep(r.pair, r.inner, [r.rho[0], odd])
+_REP_ARGS = {"check-rep": [], "check-prerep": [], "check-pd": ["--rep"],
+             "gns-roundtrip": ["--rep"], "gns-construct": ["--rep"]}
+
+
+@pytest.mark.parametrize("command", ["check-rep", "check-prerep", "check-pd",
+                                     "gns-roundtrip", "gns-construct"])
+def test_non_finite_operator_fails_without_traceback(tmp_path, capsys,
+                                                     command):
+    # clifford-n1 with one NaN entry in its odd operator: the loader rejects
+    # the number, naming the field, before any checker runs
     path = tmp_path / "nan.json"
-    save_rep(path, bad, cyclic=np.array([1.0, 0.0]))
+    save_rep(path, spoiled_clifford(np.nan), cyclic=np.array([1.0, 0.0]))
     src = os.path.dirname(os.path.dirname(colorrep.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "colorrep.cli", command, "--rep", str(path)],
+        [sys.executable, "-m", "colorrep.cli", command, *_REP_ARGS[command],
+         str(path)],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode != 0
+    assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "FAIL" in proc.stdout
+    assert "rep.rho[1]" in proc.stderr
+    # the same for the other non-finite spellings, in process
+    text = path.read_text()
+    assert "NaN" in text
+    for token in ("Infinity", "-Infinity", "1e999", "-1e999"):
+        path.write_text(text.replace("NaN", token))
+        code, out, err = run(capsys, command, *_REP_ARGS[command], str(path))
+        assert (code, out) == (2, ""), token
+        assert "rep.rho[1]" in err, token
+
+
+def test_non_finite_table_value_is_input_error(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    save_table(path, PDFunction.from_table(clifford_algebra(), {(): 1.0}))
+    doc = json.loads(path.read_text())
+    doc["values"][0][1][1] = float("nan")
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-pd", "--table", str(path))
+    assert (code, out) == (2, "")
+    assert "table.values[0]" in err
+
+
+def _clifford_doc(tmp_path, capsys):
+    return json.loads(open(cliff_file(tmp_path, capsys)).read())
+
+
+@pytest.mark.parametrize("spoil, where", [
+    (lambda d: d["gram"][0].__setitem__(1, [[[-1.0, 0.0]]]), "rep.gram"),
+    (lambda d: d["generators"].append(
+        {"label": "g", "ad": [[1.0, 0.0]], "pi": None}), "rep.generators[0]"),
+    (lambda d: d["generators"].append(
+        {"label": "g", "ad": [[1.0]], "pi": None}), "rep.generators"),
+    (lambda d: d["generators"].append(
+        {"label": "g", "ad": [[1.0, 0.0], [0.0]], "pi": None}),
+     "rep.generators[0].ad[1]"),
+    (lambda d: d["rho"].__setitem__(0, None), "rep.rho"),
+], ids=["gram-not-positive", "ad-not-square", "ad-wrong-size", "ad-ragged",
+        "partial-without-degree-zero"])
+def test_malformed_rep_data_is_input_error(tmp_path, capsys, spoil, where):
+    # non-positive Gram, non-square or mis-sized ad, ragged ad, partial data
+    # without its degree-zero operator
+    doc = _clifford_doc(tmp_path, capsys)
+    spoil(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-rep", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where}")
+
+
+def test_non_utf8_files_are_input_errors(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "check-rep", str(bad))
+    assert (code, out) == (2, "")
+    assert "not valid JSON" in err
+    monkeypatch.setenv("COLORREP_CONFIG", str(bad))
+    code, out, err = run(capsys, "check-grading", "--n", "1")
+    assert (code, out) == (2, "")
+    assert "config file" in err
+
+
+def test_json_report_writes_non_finite_numbers_as_null():
+    from colorrep.cli import _render
+    from colorrep.report import Report
+
+    rep = Report("t", context={"gram_norm": float("inf"), "spectrum": [np.nan]})
+    rep.add("route", True, float("nan"), 1e-8)
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(_render(rep, "json"), parse_constant=refuse)
+    assert doc["passed"] is False
+    assert doc["checks"][0]["residual"] is None
+    assert doc["checks"][0]["tolerance"] == 1e-8
+    assert doc["context"] == {"gram_norm": None, "spectrum": [None]}
 
 
 def test_axiom_failure_on_load(tmp_path, capsys):

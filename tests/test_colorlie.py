@@ -260,3 +260,14 @@ def test_ad_matrix_columns():
     a = l.ad_matrix(2)  # ad of E0_1
     assert np.allclose(a[:, 3], [1.0, 1.0, 0, 0])
     assert np.allclose(a[:, 2], 0)
+
+
+def test_jacobi_fails_on_a_nan_structure_constant():
+    l = glV(GradedSpace(1, {Degree((0,)): 1, Degree((1,)): 1}))
+    c = l.structure.copy()
+    c[0, 0, 0] = np.nan
+    bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c, validate=False)
+    jacobi = next(x for x in check_axioms(bad).checks if x.name == "jacobi")
+    assert not jacobi.passed
+    assert np.isnan(jacobi.residual)
+    assert jacobi.detail.startswith("worst triple")

@@ -7,7 +7,8 @@ from colorrep.colorlie import check_axioms
 from colorrep.errors import AxiomError, SchemaError
 from colorrep.fileio import (algebra_from_doc, algebra_to_doc, load_algebra,
                              load_rep, load_table, rep_from_doc, rep_to_doc,
-                             save_algebra, save_rep, save_table, table_to_doc)
+                             save_algebra, save_rep, save_table, table_from_doc,
+                             table_to_doc)
 from colorrep.generators import (clifford_parity_generator, clifford_rep,
                                  counterexample_algebra, glV,
                                  random_color_algebra, skew_matrix_algebra)
@@ -284,3 +285,35 @@ def test_shipped_schemas_accept_generated_docs():
     assert_valid("unitary-rep-1.schema.json", rep_to_doc(restrict(r4)))
     assert_valid("pd-table-1.schema.json",
                  table_to_doc(PDFunction.from_table(small_glv(), {(): 1.0})))
+
+
+# ------------------------------------------------------------ finite numbers
+
+def _valid_doc(kind):
+    if kind == "algebra":
+        return algebra_from_doc, algebra_to_doc(small_glv())
+    if kind == "table":
+        psi = PDFunction.from_table(small_glv(), {(): 1.0})
+        return table_from_doc, table_to_doc(psi)
+    return rep_from_doc, rep_to_doc(parity_rep(), cyclic=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 10 ** 400, "1.0"],
+                         ids=["nan", "inf", "-inf", "huge-int", "string"])
+@pytest.mark.parametrize("kind, path, where", [
+    ("algebra", ("structure", 0, 3), r"algebra.structure\[0\].coefficient"),
+    ("rep", ("gram", 0, 1, 0, 0, 1), r"rep.gram\[0\]\[0\]\[0\]"),
+    ("rep", ("generators", 0, "ad", 1, 0), r"rep.generators\[0\].ad\[1\]\[0\]"),
+    ("rep", ("generators", 0, "pi", 0, 1, 0), r"rep.generators\[0\].pi\[0\]\[1\]"),
+    ("rep", ("cyclic", 1, 0), r"rep.cyclic\[1\]"),
+    ("table", ("values", 0, 1, 0), r"table.values\[0\]"),
+], ids=["coefficient", "gram", "ad", "pi", "cyclic", "table-value"])
+def test_numeric_fields_must_be_finite_reals(kind, path, where, bad):
+    load, doc = _valid_doc(kind)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    with pytest.raises(SchemaError, match=where):
+        load(doc)

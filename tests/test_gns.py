@@ -29,6 +29,7 @@ from colorrep.grading import Degree
 from colorrep.hcpair import GroupElement, HCPair
 from colorrep.reps import UnitaryRep, check_unitary_rep, matrix_coefficient
 from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
+from helpers import spoiled_clifford
 
 FOUR_LINES = GradedSpace(2, {Degree((0, 0)): 1, Degree((0, 1)): 1,
                              Degree((1, 0)): 1, Degree((1, 1)): 1})
@@ -473,3 +474,27 @@ def test_roundtrip_rejects_inhomogeneous_vectors():
     rep = gns_roundtrip(r, np.array([1.0, 1.0]))
     assert not rep.passed
     assert "vector homogeneous of degree zero" in failing_names(rep)
+
+
+# ------------------------------------------------------------- non-finite data
+
+def test_nan_value_fails_the_support_condition():
+    l = clifford_state()[0].algebra     # y = basis element 1 is odd
+    psi = PDFunction.from_table(l, {(): 1.0, (1,): np.nan})
+    rep = check_positive_definite(psi, build_sample_set(l, [], 1))
+    support = next(c for c in rep.checks if c.name == "support condition")
+    assert not support.passed
+    assert np.isnan(support.residual)
+    assert "worst at degree" in support.detail
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_operator_fails_positivity_in_memory():
+    r = spoiled_clifford(np.nan)
+    psi = PDFunction.from_rep(r, np.array([1.0, 0.0]))
+    samples = build_sample_set(r.algebra, default_group_samples(r), 2)
+    rep = check_positive_definite(psi, samples)
+    assert {"gram hermitian", "gram positive semidefinite"} <= set(
+        failing_names(rep))
+    with pytest.raises(PositivityError):
+        gns_construct(psi)

@@ -37,6 +37,7 @@ from colorrep.reps import (
     twist_rep,
 )
 from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
+from helpers import spoiled_clifford
 
 ONE_ONE = GradedSpace(1, {Degree((0,)): 1, Degree((1,)): 1})
 FOUR_LINES = GradedSpace(2, {Degree((0, 0)): 1, Degree((0, 1)): 1,
@@ -509,3 +510,20 @@ def test_twist_preserves_intertwiners():
     chi = Character((-1,))
     assert intertwining_residual(twist_rep(base, chi),
                                  twist_rep(moved, chi)) < 1e-9
+
+
+# ------------------------------------------------------------- non-finite data
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_operator_fails_both_checkers(value):
+    bad = spoiled_clifford(value)
+    for rep, name in ((check_unitary_rep(bad), "bracket property"),
+                      (check_pre_rep(restrict(bad)),
+                       "bracket property on even-plus-one-odd subalgebras")):
+        assert not rep.passed
+        assert {name, "graded skew-adjointness"} <= set(failing_names(rep))
+        assert np.isnan(rep.max_residual())
+        for c in rep.checks:
+            if c.residual is not None:
+                assert c.passed == bool(np.isfinite(c.residual))

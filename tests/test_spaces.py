@@ -181,6 +181,13 @@ def test_gram_validation_rejects_bad_input():
         GammaInnerSpace(v, {})
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_gram_validation_rejects_non_finite_entries(value):
+    v = _super_space(2, 0)
+    with pytest.raises(PositivityError, match="non-finite"):
+        GammaInnerSpace(v, {_d("0"): np.array([[1.0, 0.0], [0.0, value]])})
+
+
 # ---------------------------------------------------------------- adjoints
 
 
