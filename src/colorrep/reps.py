@@ -299,9 +299,9 @@ def check_unitary_rep(r: UnitaryRep, tol: float = _REP_TOL,
             continue
         res, detail = _conjugation_residual(r, g, range(l.dim))
         rep.add(f"equivariance: {g.label}", res <= tol, res, tol, detail)
-    samples = [exp_group_element(r, np.eye(l.dim)[i0], t=t,
+    samples = (exp_group_element(r, np.eye(l.dim)[i0], t=t,
                                  label=f"exp({t}{l.labels[i0]})")
-               for i0 in zero_idx for t in (0.3, 1.0)]
+               for i0 in zero_idx for t in (0.3, 1.0))
     if zero_idx:
         res, _ = worst_residual((_conjugation_residual(r, g, range(l.dim))[0],
                                  None) for g in samples)

@@ -10,8 +10,7 @@ import pytest
 import colorrep
 from colorrep.cli import main
 from colorrep.fileio import load_algebra, load_rep, save_rep, save_table
-from colorrep.generators import (clifford_algebra, clifford_rep,
-                                 counterexample_prerep)
+from colorrep.generators import clifford_algebra, counterexample_prerep
 from colorrep.gns import PDFunction
 from colorrep.reps import PartialRep, UnitaryRep
 from helpers import spoiled_clifford
