@@ -7,13 +7,15 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import spoiled_clifford
+
 import colorrep
-from colorrep.cli import main
+from colorrep.cli import _render, main
 from colorrep.fileio import load_algebra, load_rep, save_rep, save_table
 from colorrep.generators import clifford_algebra, counterexample_prerep
 from colorrep.gns import PDFunction
+from colorrep.report import Report
 from colorrep.reps import PartialRep, UnitaryRep
-from helpers import spoiled_clifford
 
 
 def run(capsys, *argv):
@@ -315,7 +317,8 @@ def test_non_finite_table_value_is_input_error(tmp_path, capsys):
 
 
 def _clifford_doc(tmp_path, capsys):
-    return json.loads(open(cliff_file(tmp_path, capsys)).read())
+    with open(cliff_file(tmp_path, capsys), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @pytest.mark.parametrize("spoil, where", [
@@ -355,9 +358,6 @@ def test_non_utf8_files_are_input_errors(tmp_path, capsys, monkeypatch):
 
 
 def test_json_report_writes_non_finite_numbers_as_null():
-    from colorrep.cli import _render
-    from colorrep.report import Report
-
     rep = Report("t", context={"gram_norm": float("inf"), "spectrum": [np.nan]})
     rep.add("route", True, float("nan"), 1e-8)
 

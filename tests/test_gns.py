@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import spoiled_clifford
+
 from colorrep.colorlie import ColorLieAlgebra
 from colorrep.enveloping import EnvElement, MonoidElement
 from colorrep.errors import EquivalenceError, PositivityError, StabilizationError
@@ -29,7 +31,6 @@ from colorrep.grading import Degree
 from colorrep.hcpair import GroupElement, HCPair
 from colorrep.reps import UnitaryRep, check_unitary_rep, matrix_coefficient
 from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
-from helpers import spoiled_clifford
 
 FOUR_LINES = GradedSpace(2, {Degree((0, 0)): 1, Degree((0, 1)): 1,
                              Degree((1, 0)): 1, Degree((1, 1)): 1})

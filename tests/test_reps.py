@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import spoiled_clifford
+
 from colorrep.colorlie import ColorLieAlgebra, check_perfectness, glV
 from colorrep.enveloping import (
     EnvElement,
@@ -37,7 +39,6 @@ from colorrep.reps import (
     twist_rep,
 )
 from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
-from helpers import spoiled_clifford
 
 ONE_ONE = GradedSpace(1, {Degree((0,)): 1, Degree((1,)): 1})
 FOUR_LINES = GradedSpace(2, {Degree((0, 0)): 1, Degree((0, 1)): 1,
