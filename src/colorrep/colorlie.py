@@ -93,19 +93,9 @@ class ColorLieAlgebra:
     def odd_degrees(self) -> list[Degree]:
         return [d for d in self.sector_degrees if not is_even_like(d)]
 
-    def degree_space(self) -> GradedSpace:
-        """The underlying graded vector space of the algebra itself."""
-        return GradedSpace(self.rank, {d: len(ix) for d, ix in self._sectors.items()})
-
     def ad_matrix(self, i: int) -> np.ndarray:
         """Matrix of bracketing with basis element i, columns indexed by j."""
         return self.structure[i].T.copy()
-
-    def bracket_basis(self, i: int, j: int) -> np.ndarray:
-        return self.structure[i, j].copy()
-
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
 
     def __repr__(self) -> str:
         return f"ColorLieAlgebra(rank={self.rank}, dim={self.dim})"
@@ -157,7 +147,7 @@ def check_axioms(l: ColorLieAlgebra, tol: float = _AXIOM_TOL) -> Report:
     bad = target[:, :, None] != codes[None, None, :]
     grading_res = float(np.max(np.abs(np.where(bad, c, 0.0)))) if d else 0.0
     detail = ""
-    if grading_res > tol:
+    if not grading_res <= tol:
         i, j, k = np.unravel_index(np.argmax(np.abs(np.where(bad, c, 0.0))), c.shape)
         detail = f"worst at ({l.labels[i]}, {l.labels[j]}) -> {l.labels[k]}"
     report.add("grading", grading_res <= tol, grading_res, tol, detail)
@@ -166,7 +156,7 @@ def check_axioms(l: ColorLieAlgebra, tol: float = _AXIOM_TOL) -> Report:
     anti = c + l.beta_table[:, :, None] * np.transpose(c, (1, 0, 2))
     anti_res = float(np.max(np.abs(anti))) if d else 0.0
     detail = ""
-    if anti_res > tol:
+    if not anti_res <= tol:
         i, j, k = np.unravel_index(np.argmax(np.abs(anti)), anti.shape)
         detail = f"worst at ({l.labels[i]}, {l.labels[j]})"
     report.add("antisymmetry", anti_res <= tol, anti_res, tol, detail)

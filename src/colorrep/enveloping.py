@@ -72,7 +72,7 @@ def _acc(dst: dict, src: dict, scale: complex) -> None:
         dst[w] = dst.get(w, 0j) + scale * c
 
 
-def _nf(l: ColorLieAlgebra, word: tuple, strategy: str) -> dict:
+def _nf(l: ColorLieAlgebra, word: tuple, strategy: str = "leftmost") -> dict:
     """Normal form of a bare word as a word -> coefficient dict, memoized."""
     key = (strategy, word)
     cached = l._nf_cache.get(key)
@@ -214,8 +214,7 @@ def normal_form(l: ColorLieAlgebra, word, level_cap: int = DEFAULT_LEVEL_CAP,
 
 
 def env_mul(l: ColorLieAlgebra, d1: EnvElement, d2: EnvElement,
-            level_cap: int = DEFAULT_LEVEL_CAP,
-            strategy: str = "leftmost") -> EnvElement:
+            level_cap: int = DEFAULT_LEVEL_CAP) -> EnvElement:
     """Concatenate-then-normalize product, bilinear in both slots."""
     if d1.algebra is not l or d2.algebra is not l:
         raise ValueError("elements belong to a different algebra")
@@ -226,12 +225,11 @@ def env_mul(l: ColorLieAlgebra, d1: EnvElement, d2: EnvElement,
                 raise LevelCapError(
                     f"product word of length {len(w1) + len(w2)} exceeds level "
                     f"cap {level_cap}; pass a larger level_cap if this is intended")
-            _acc(out, _nf(l, w1 + w2, strategy), c1 * c2)
+            _acc(out, _nf(l, w1 + w2), c1 * c2)
     return EnvElement(l, out)
 
 
-def env_star(l: ColorLieAlgebra, d: EnvElement,
-             strategy: str = "leftmost") -> EnvElement:
+def env_star(l: ColorLieAlgebra, d: EnvElement) -> EnvElement:
     """Conjugate-linear anti-automorphism generated by x -> -conj(alpha)|x."""
     if d.algebra is not l:
         raise ValueError("element belongs to a different algebra")
@@ -240,11 +238,11 @@ def env_star(l: ColorLieAlgebra, d: EnvElement,
         phase = 1.0 + 0j
         for i in w:
             phase *= -np.conjugate(alpha(l.degrees[i]).value)
-        _acc(out, _nf(l, w[::-1], strategy), np.conjugate(c) * phase)
+        _acc(out, _nf(l, w[::-1]), np.conjugate(c) * phase)
     return EnvElement(l, out)
 
 
-def env_ad(g: GroupElement, d: EnvElement, strategy: str = "leftmost") -> EnvElement:
+def env_ad(g: GroupElement, d: EnvElement) -> EnvElement:
     """Letterwise action of a group element, renormalized afterwards."""
     l = d.algebra
     ad = g.ad
@@ -262,7 +260,7 @@ def env_ad(g: GroupElement, d: EnvElement, strategy: str = "leftmost") -> EnvEle
                     grown[key] = grown.get(key, 0j) + cc * col[k]
             expanded = grown
         for ww, cc in expanded.items():
-            _acc(out, _nf(l, ww, strategy), cc)
+            _acc(out, _nf(l, ww), cc)
     return EnvElement(l, out)
 
 
@@ -306,19 +304,18 @@ class MonoidElement:
 
 
 def s_mul(s1: MonoidElement, s2: MonoidElement,
-          level_cap: int = DEFAULT_LEVEL_CAP,
-          strategy: str = "leftmost") -> MonoidElement:
+          level_cap: int = DEFAULT_LEVEL_CAP) -> MonoidElement:
     """Twisted product (g1, D1)(g2, D2) = (g1 g2, (g2^-1 . D1) D2)."""
     l = s1.env.algebra
     if s2.env.algebra is not l:
         raise ValueError("elements belong to different monoids")
-    moved = env_ad(s2.group.inverse(), s1.env, strategy)
+    moved = env_ad(s2.group.inverse(), s1.env)
     return MonoidElement(s1.group.compose(s2.group),
-                         env_mul(l, moved, s2.env, level_cap, strategy))
+                         env_mul(l, moved, s2.env, level_cap))
 
 
-def s_star(s: MonoidElement, strategy: str = "leftmost") -> MonoidElement:
+def s_star(s: MonoidElement) -> MonoidElement:
     """Involution (g, D) -> (g^-1, g . D*)."""
     l = s.env.algebra
     return MonoidElement(s.group.inverse(),
-                         env_ad(s.group, env_star(l, s.env, strategy), strategy))
+                         env_ad(s.group, env_star(l, s.env)))

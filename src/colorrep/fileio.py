@@ -27,13 +27,19 @@ TABLE_SCHEMA = "pd-table/1"
 REPORT_SCHEMA = "report/1"
 
 
+def _is_int(x) -> bool:
+    # bool subclasses int, but true and false are not numbers in these files
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _need(doc: dict, key: str, kind, where: str):
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected an object")
     if key not in doc:
         raise SchemaError(f"{where}: missing field {key!r}")
     val = doc[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and not (_is_int(val) if kind is int
+                                 else isinstance(val, kind)):
         raise SchemaError(
             f"{where}.{key}: expected {kind.__name__}, got {type(val).__name__}")
     return val
@@ -63,7 +69,7 @@ def _degree_to_json(deg: Degree) -> list:
 def _degree_from_json(data, rank: int, where: str) -> Degree:
     if not isinstance(data, list) or len(data) != rank:
         raise SchemaError(f"{where}: degree must be a list of {rank} bits")
-    if any(b not in (0, 1) for b in data):
+    if any(isinstance(b, bool) or b not in (0, 1) for b in data):
         raise SchemaError(f"{where}: degree bits must be 0 or 1, got {data}")
     return Degree(tuple(int(b) for b in data))
 
@@ -71,7 +77,7 @@ def _degree_from_json(data, rank: int, where: str) -> Degree:
 def _real_from_json(x, where: str) -> float:
     """The one reader of numeric leaves: a finite real number or SchemaError."""
     try:
-        val = float(x) if isinstance(x, (int, float)) else math.nan
+        val = float(x) if _is_int(x) or isinstance(x, float) else math.nan
     except OverflowError:
         val = math.inf
     if not math.isfinite(val):
@@ -160,7 +166,7 @@ def algebra_from_doc(doc: dict, validate: bool = True) -> ColorLieAlgebra:
             raise SchemaError(f"{where}: expected [i, j, k, coefficient]")
         i, j, k, c = triple
         for name, idx in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if not _is_int(idx) or not 0 <= idx < dim:
                 raise SchemaError(f"{where}.{name}: index {idx} out of range")
         structure[i, j, k] = _real_from_json(c, f"{where}.coefficient")
     with _built("algebra"):
@@ -206,7 +212,7 @@ def _space_from_doc(data, rank: int, where: str, gram: dict) -> GradedSpace:
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{where}[{i}]: expected [degree, dim]")
         deg = _degree_from_json(pair[0], rank, f"{where}[{i}]")
-        if not isinstance(pair[1], int) or pair[1] < 1:
+        if not _is_int(pair[1]) or pair[1] < 1:
             raise SchemaError(f"{where}[{i}]: dimension must be a positive int")
         block = gram.get(deg)
         if block is None or block.shape != (pair[1], pair[1]):
@@ -354,7 +360,7 @@ def table_from_doc(doc: dict, validate_algebra: bool = True) -> PDFunction:
             raise SchemaError(f"{where}: expected [word, value]")
         word, val = pair
         if (not isinstance(word, list)
-                or any(not isinstance(x, int) or not 0 <= x < l.dim
+                or any(not _is_int(x) or not 0 <= x < l.dim
                        for x in word)):
             raise SchemaError(f"{where}: word indices out of range")
         values[tuple(word)] = _complex_from_json(val, where)

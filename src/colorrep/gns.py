@@ -131,18 +131,22 @@ def normal_words(l: ColorLieAlgebra, max_level: int) -> list[tuple]:
     return words
 
 
-def default_group_samples(r, ts=_EXP_TIMES) -> list[GroupElement]:
-    """Identity, the bound extra generators, and exp samples of the zero sector."""
+def _zero_sector_exps(r, ts=_EXP_TIMES):
+    """exp(t*x_i), bound to r, for each degree-zero basis element and time."""
     l = r.algebra
-    out = [GroupElement.identity(l.dim, r.space_dim)]
-    out.extend(g for g in r.pair.extra_generators if g.pi is not None)
-    zero = Degree.zero(l.rank)
-    for i in l.sector(zero):
+    for i in l.sector(Degree.zero(l.rank)):
         coeffs = np.zeros(l.dim)
         coeffs[i] = 1.0
         for t in ts:
-            out.append(exp_group_element(r, coeffs, t=t,
-                                         label=f"exp({t:g}*{l.labels[i]})"))
+            yield exp_group_element(r, coeffs, t=t,
+                                    label=f"exp({t:g}*{l.labels[i]})")
+
+
+def default_group_samples(r, ts=_EXP_TIMES) -> list[GroupElement]:
+    """Identity, the bound extra generators, and exp samples of the zero sector."""
+    out = [GroupElement.identity(r.algebra.dim, r.space_dim)]
+    out.extend(g for g in r.pair.extra_generators if g.pi is not None)
+    out.extend(_zero_sector_exps(r, ts))
     return out
 
 
@@ -169,26 +173,81 @@ def _monoid_pair(a: MonoidElement, b: MonoidElement) -> MonoidElement:
     return s_mul(s_star(a), b, level_cap=cap)
 
 
-def _sample_columns(r: UnitaryRep, v: np.ndarray, samples) -> np.ndarray:
-    return np.column_stack([monoid_operator(r, s) @ v for s in samples])
+def _gram_of(psi: PDFunction, elements):
+    """The Gram M[i, j] = psi(s_i* s_j) of the elements, built once.
+
+    The only place that picks the operator route (representation-backed
+    psi) or the monoid-product route (all others).  Both give ``eigs``, the
+    eigenvalues of M ascending (None when the data are not finite);
+    ``scale``, max(1, ||M||_2) (1 when not finite); ``dense()``, M;
+    ``hermitian()``, residual and detail of the Hermitian check;
+    ``route_gap()``, the sampled gap between the two routes (None with one
+    route); ``translate(m_left)``, the pairings psi(t* m_left s) indexed
+    [t, s] and the squared lengths of the translates; ``against(x)``,
+    psi(t* x) for every sample t; and ``psd_detail``.
+    """
+    route = _FactoredGram if psi.rep is not None else _DenseGram
+    return route(psi, elements)
 
 
-class _GramFactor:
-    """Sample Gram of a representation-backed function in factored form.
+class _DenseGram:
+    """Monoid-product route: each entry is one monoid product and one psi call."""
+
+    psd_detail = "verified on sample set"
+
+    def __init__(self, psi: PDFunction, elements):
+        self.psi = psi
+        self.elements = elements
+        self.m = np.array([[psi(_monoid_pair(a, b)) for b in elements]
+                           for a in elements], dtype=complex)
+        self.eigs, self.scale = None, 1.0
+        if np.isfinite(self.m).all():
+            self.eigs = np.linalg.eigvalsh((self.m + self.m.conj().T) / 2.0)
+            self.scale = max(1.0, float(np.linalg.norm(self.m, 2)))
+
+    def dense(self) -> np.ndarray:
+        return self.m
+
+    def hermitian(self) -> tuple[float, str]:
+        return (float(np.linalg.norm(self.m - self.m.conj().T, 2)),
+                "verified on sample set")
+
+    def route_gap(self):
+        return None
+
+    def translate(self, m_left: MonoidElement):
+        n = len(self.elements)
+        pairs = np.zeros((n, n), dtype=complex)
+        norms = np.zeros(n)
+        for k, s in enumerate(self.elements):
+            ms = s_mul(m_left, s, level_cap=max(1, m_left.level + s.level))
+            pairs[:, k] = self.against(ms)
+            norms[k] = float(np.real(self.psi(_monoid_pair(ms, ms))))
+        return pairs, norms
+
+    def against(self, x: MonoidElement) -> np.ndarray:
+        return np.array([self.psi(_monoid_pair(t, x)) for t in self.elements],
+                        dtype=complex)
+
+
+class _FactoredGram:
+    """Operator route: the sample Gram in factored form.
 
     M = W^H W with W = R U, where U holds the sample columns op(s) v and R is
     the Cholesky factor of the space Gram, so W is d x n and every spectral
-    fact about M comes from a thin SVD of W at O(n d^2) cost.  ``eigs`` are
-    the eigenvalues of M in ascending order: sigma(W)^2 padded with exact
-    zeros to length n.  They are None when the sample data are not finite.
+    fact about M comes from a thin SVD of W at O(n d^2) cost: ``eigs`` are
+    sigma(W)^2 padded with exact zeros to length n.
     """
 
-    __slots__ = ("u", "gram", "w", "eigs")
+    psd_detail = "singular values of W, verified on sample set"
 
     def __init__(self, psi: PDFunction, elements):
-        self.u = _sample_columns(psi.rep, psi.vector, elements)
+        self.psi = psi
+        self.elements = elements
+        self.u = np.column_stack([monoid_operator(psi.rep, s) @ psi.vector
+                                  for s in elements])
         self.gram = psi.rep.inner.gram_dense()
-        self.eigs = None
+        self.eigs, self.scale = None, 1.0
         if not np.isfinite(self.gram).all():
             self.w = np.full(self.u.shape, np.nan, dtype=complex)
             return
@@ -197,38 +256,52 @@ class _GramFactor:
             sv = np.linalg.svd(self.w, compute_uv=False)
             self.eigs = np.zeros(self.w.shape[1])
             self.eigs[self.eigs.size - sv.size:] = np.sort(sv) ** 2
+            # ||M||_2 = sigma_max(W)^2, the last of the ascending eigenvalues
+            self.scale = max(1.0, float(self.eigs[-1]))
 
     def dense(self) -> np.ndarray:
         return self.w.conj().T @ self.w
 
+    def hermitian(self) -> tuple[float, str]:
+        return 0.0, "by construction: M = W^H W"
 
-def _route_disagreement(psi: PDFunction, elements, w: np.ndarray, rng=None,
-                        spot_checks: int = 4) -> float:
-    """Worst gap between psi(s_i* s_j) through the monoid product and W^H W.
+    def route_gap(self) -> float:
+        """Worst gap between psi(s_i* s_j) through the monoid product and W^H W.
 
-    Pairs of different degrees pair to zero on both routes, so each draw
-    takes a random sample s_i, a random sample s_j of the same degree, and
-    compares both (i, j) and the diagonal entry (i, i), which is the squared
-    length of a translate.  A non-finite entry makes the result non-finite.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    degs = [s.degree for s in elements]
-    peers: dict = {}
-    for i, d in enumerate(degs):
-        peers.setdefault(d, []).append(i)
-    gaps = []
-    for _ in range(min(spot_checks, len(elements))):
-        i = int(rng.integers(len(elements)))
-        same = peers[degs[i]]
-        j = same[int(rng.integers(len(same)))]
-        for a, b in ((i, i), (i, j)):
-            direct = psi(_monoid_pair(elements[a], elements[b]))
-            gaps.append(abs(direct - np.vdot(w[:, a], w[:, b])))
-    return float(np.max(gaps)) if gaps else 0.0
+        Pairs of different degrees pair to zero on both routes, so each of
+        four draws takes a random sample s_i, a random sample s_j of the same
+        degree, and compares both (i, j) and the diagonal entry (i, i), which
+        is the squared length of a translate.  A non-finite entry makes the
+        result non-finite.
+        """
+        elements, w = self.elements, self.w
+        rng = np.random.default_rng(0)
+        degs = [s.degree for s in elements]
+        peers: dict = {}
+        for i, d in enumerate(degs):
+            peers.setdefault(d, []).append(i)
+        gaps = []
+        for _ in range(min(4, len(elements))):
+            i = int(rng.integers(len(elements)))
+            same = peers[degs[i]]
+            j = same[int(rng.integers(len(same)))]
+            for a, b in ((i, i), (i, j)):
+                direct = self.psi(_monoid_pair(elements[a], elements[b]))
+                gaps.append(abs(direct - np.vdot(w[:, a], w[:, b])))
+        return float(np.max(gaps)) if gaps else 0.0
+
+    def translate(self, m_left: MonoidElement):
+        au = monoid_operator(self.psi.rep, m_left) @ self.u
+        gau = self.gram @ au
+        return (self.u.conj().T @ gau,
+                np.real(np.sum(au.conj() * gau, axis=0)))
+
+    def against(self, x: MonoidElement) -> np.ndarray:
+        vec = monoid_operator(self.psi.rep, x) @ self.psi.vector
+        return self.u.conj().T @ (self.gram @ vec)
 
 
-def sample_gram(psi: PDFunction, samples, rng=None,
-                spot_checks: int = 4) -> tuple[np.ndarray, float]:
+def sample_gram(psi: PDFunction, samples) -> tuple[np.ndarray, float]:
     """Gram matrix M[i, j] = psi(s_i* s_j) over the samples.
 
     Representation-backed functions evaluate through the operators, as
@@ -239,38 +312,9 @@ def sample_gram(psi: PDFunction, samples, rng=None,
     functions pay for every entry through the monoid product, and the
     returned disagreement is zero.
     """
-    elements = list(samples)
-    n = len(elements)
-    if psi.rep is not None:
-        f = _GramFactor(psi, elements)
-        return f.dense(), _route_disagreement(psi, elements, f.w, rng,
-                                              spot_checks)
-    m = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = psi(_monoid_pair(elements[i], elements[j]))
-    return m, 0.0
-
-
-def _gram_spectrum(psi: PDFunction, elements):
-    """The sample Gram and its spectral data, as (gram, eigs, scale).
-
-    Representation-backed functions give a ``_GramFactor`` and its exact
-    spectrum; others give the dense M, the eigenvalues of its Hermitian part
-    and its 2-norm.  ``eigs`` is None when the Gram is not finite, and
-    ``scale`` is max(1, ||M||_2), or 1 when it is not finite.
-    """
-    if psi.rep is not None:
-        f = _GramFactor(psi, elements)
-        if f.eigs is None:
-            return f, None, 1.0
-        # ||M||_2 = sigma_max(W)^2, the last of the ascending eigenvalues
-        return f, f.eigs, max(1.0, float(f.eigs[-1]))
-    m, _ = sample_gram(psi, elements)
-    if not np.isfinite(m).all():
-        return m, None, 1.0
-    return (m, np.linalg.eigvalsh((m + m.conj().T) / 2.0),
-            max(1.0, float(np.linalg.norm(m, 2))))
+    gram = _gram_of(psi, list(samples))
+    gap = gram.route_gap()
+    return gram.dense(), 0.0 if gap is None else gap
 
 
 def check_positive_definite(psi: PDFunction, samples,
@@ -290,6 +334,11 @@ def check_positive_definite(psi: PDFunction, samples,
     elements = list(samples)
     if not elements:
         raise ValueError("sample set is empty")
+    return _positivity_report(_gram_of(psi, elements), tol)
+
+
+def _positivity_report(gram, tol: float) -> Report:
+    psi, elements = gram.psi, gram.elements
     rep = Report("positive definiteness",
                  context={"samples": len(elements), "tol": tol})
 
@@ -300,38 +349,28 @@ def check_positive_definite(psi: PDFunction, samples,
     rep.add("support condition", worst <= tol, worst, tol,
             "verified on sample set" + (f"; worst at {at}" if at else ""))
 
-    gram, eigs, scale = _gram_spectrum(psi, elements)
-    factored = isinstance(gram, _GramFactor)
-    if factored:
-        spot = _route_disagreement(psi, elements, gram.w)
+    spot = gram.route_gap()
+    if spot is not None:
         spot_tol = max(tol, 1e-8)
         rep.add("assembly route agreement", spot <= spot_tol, spot, spot_tol,
                 "operator route against monoid-product route, sampled "
                 "same-degree and diagonal entries")
 
-    floor = tol * scale
-    if eigs is None:
+    floor = tol * gram.scale
+    if gram.eigs is None:
         for name in ("gram hermitian", "gram positive semidefinite"):
             rep.add(name, False, None, floor, "non-finite sample data")
         rep.context["min_eigenvalue"] = None
         rep.context["gram_norm"] = None
         return rep
 
-    if factored:
-        rep.add("gram hermitian", True, 0.0, floor,
-                "by construction: M = W^H W")
-    else:
-        herm = float(np.linalg.norm(gram - gram.conj().T, 2))
-        rep.add("gram hermitian", herm <= floor, herm, floor,
-                "verified on sample set")
-
-    low = float(eigs.min()) if eigs.size else 0.0
+    herm, detail = gram.hermitian()
+    rep.add("gram hermitian", herm <= floor, herm, floor, detail)
+    low = float(gram.eigs.min()) if gram.eigs.size else 0.0
     rep.add("gram positive semidefinite", low >= -floor,
-            max(0.0, -low), floor,
-            ("singular values of W, " if factored else "") +
-            "verified on sample set")
+            max(0.0, -low), floor, gram.psd_detail)
     rep.context["min_eigenvalue"] = low
-    rep.context["gram_norm"] = scale
+    rep.context["gram_norm"] = gram.scale
     return rep
 
 
@@ -355,28 +394,6 @@ class GNSResult:
                 f"level_used={self.level_used}, samples={self.sample_count})")
 
 
-def _translate_column(psi: PDFunction, m_left: MonoidElement,
-                      s: MonoidElement, idx: int, elements, u_cols,
-                      gram_dense, op_left=None):
-    """Pairing data for the left translate m_left * s.
-
-    Returns (w, n2): w[t] = psi(t* (m_left s)) for every sample t, and the
-    squared length of the translate.  Rep-backed functions push the translate
-    through the operators; others multiply in the monoid.
-    """
-    if psi.rep is not None:
-        if op_left is None:
-            op_left = monoid_operator(psi.rep, m_left)
-        vec = op_left @ u_cols[:, idx]
-        w = u_cols.conj().T @ (gram_dense @ vec)
-        n2 = float(np.real(vec.conj() @ gram_dense @ vec))
-        return w, n2
-    ms = s_mul(m_left, s, level_cap=max(1, m_left.level + s.level))
-    w = np.array([psi(_monoid_pair(t, ms)) for t in elements])
-    n2 = float(np.real(psi(_monoid_pair(ms, ms))))
-    return w, n2
-
-
 def gns_construct(psi: PDFunction, group_samples=None,
                   level_cap: int = DEFAULT_LEVEL_CAP,
                   tol: float = _GNS_TOL) -> GNSResult:
@@ -387,7 +404,8 @@ def gns_construct(psi: PDFunction, group_samples=None,
     each generator and group sample is expressed on the retained basis.  The
     reconstruction is validated before it is returned.
 
-    For representation-backed functions the Gram of each level is kept as
+    Each level's sample Gram is built once and reused by the positivity
+    certificate.  For representation-backed functions it is kept as
     M = W^H W (see ``sample_gram``): its rank and norm are read from the
     singular values of W, and only the chosen level forms M densely for the
     per-sector quotient.  Hermitian symmetry and positivity then hold by
@@ -413,12 +431,12 @@ def gns_construct(psi: PDFunction, group_samples=None,
     chosen = None
     for level in range(level_cap + 1):
         ss = build_sample_set(l, group_samples, level)
-        gram, eigs, scale = _gram_spectrum(psi, ss.elements)
-        if eigs is None:
+        gram = _gram_of(psi, ss.elements)
+        if gram.eigs is None:
             raise PositivityError(
                 f"the sample Gram at level {level} is not finite")
-        rank = int(np.sum(eigs > tol * scale))
-        history[level] = (ss, gram, scale)
+        rank = int(np.sum(gram.eigs > tol * gram.scale))
+        history[level] = gram
         if prev_rank is not None and rank == prev_rank:
             chosen = level - 1
             break
@@ -429,8 +447,9 @@ def gns_construct(psi: PDFunction, group_samples=None,
             f"(rank {prev_rank}); the function is not of finite type "
             "within the configured cap")
 
-    samples, gram, norm_scale = history[chosen]
-    elements = samples.elements
+    gram = history[chosen]
+    norm_scale = gram.scale
+    elements = gram.elements
     n = len(elements)
     if not elements[0].is_identity():
         raise ValueError("sample set does not start with the identity")
@@ -440,17 +459,13 @@ def gns_construct(psi: PDFunction, group_samples=None,
 
     # certify positivity on the level that witnessed the rank repeat, not
     # just on the retained samples; it sees strictly more of the function
-    pd = check_positive_definite(psi, history[chosen + 1][0].elements, tol=tol)
+    pd = _positivity_report(history[chosen + 1], tol)
     report.extend(pd, prefix="pd: ")
     if not pd.passed:
         raise PositivityError(
             "the function fails positive definiteness on the sample set")
 
-    u_cols = gram_dense = None
-    if isinstance(gram, _GramFactor):
-        u_cols, gram_dense, m = gram.u, gram.gram, gram.dense()
-    else:
-        m = gram
+    m = gram.dense()
     by_degree: dict[Degree, list[int]] = {}
     for i, s in enumerate(elements):
         by_degree.setdefault(s.degree, []).append(i)
@@ -508,20 +523,15 @@ def gns_construct(psi: PDFunction, group_samples=None,
     strays = []
 
     def translated_matrix(m_left: MonoidElement, what: str) -> np.ndarray:
-        op_left = None
-        if psi.rep is not None:
-            op_left = monoid_operator(psi.rep, m_left)
-        kappa = np.zeros((total, n), dtype=complex)
-        for s_idx, s in enumerate(elements):
-            w, n2 = _translate_column(psi, m_left, s, s_idx, elements,
-                                      u_cols, gram_dense, op_left)
-            kappa[:, s_idx] = p_mat @ w
-            stray = n2 - float(np.sum(np.abs(kappa[:, s_idx]) ** 2))
-            strays.append((stray, None))
-            if stray > escape_tol:
-                raise StabilizationError(
-                    f"left translation by {what} leaves the certified span "
-                    f"(escape {stray:.3e} on sample {s_idx})")
+        pairs, norms = gram.translate(m_left)
+        kappa = p_mat @ pairs
+        stray = norms - np.sum(np.abs(kappa) ** 2, axis=0)
+        strays.extend((float(x), None) for x in stray)
+        over = np.flatnonzero(stray > escape_tol)
+        if over.size:
+            raise StabilizationError(
+                f"left translation by {what} leaves the certified span "
+                f"(escape {stray[over[0]]:.3e} on sample {over[0]})")
         return kappa @ c_mat
 
     block_tol = max(tol * 100, 1e-8)
@@ -581,13 +591,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
     picks = [0] + sorted(rng.choice(n, size=min(4, n), replace=False).tolist())
 
     def reproducing_gap(s: MonoidElement) -> float:
-        adj = s_star(s)
-        if psi.rep is not None:
-            vec = monoid_operator(psi.rep, adj) @ psi.vector
-            w = u_cols.conj().T @ (gram_dense @ vec)
-        else:
-            w = np.array([psi(_monoid_pair(t, adj)) for t in elements])
-        lhs = np.conj(p_mat @ w)
+        lhs = np.conj(p_mat @ gram.against(s_star(s)))
         rhs = np.zeros(total, dtype=complex)
         for t_idx, t in enumerate(elements):
             st = s_mul(s, t, level_cap=max(1, s.level + t.level))
@@ -631,9 +635,7 @@ def check_cyclic(r: UnitaryRep, v, tol: float = _GNS_TOL,
         if not finite:
             rank = 0
             break
-        sv = np.linalg.svd(cols, compute_uv=False)
-        top = float(sv[0]) if sv.size else 0.0
-        rank = int(np.sum(sv > tol * max(1.0, top)))
+        rank = _numeric_rank(cols, tol)
         if rank == total or rank == prev_rank:
             break
         prev_rank = rank
@@ -655,13 +657,7 @@ def _paired_group_samples(r1: UnitaryRep, r2: UnitaryRep, ts=_EXP_TIMES):
     for g in r1.pair.extra_generators:
         if g.pi is not None and g.label in by_label:
             pairs.append((g, by_label[g.label]))
-    zero = Degree.zero(l.rank)
-    for i in l.sector(zero):
-        coeffs = np.zeros(l.dim)
-        coeffs[i] = 1.0
-        for t in ts:
-            pairs.append((exp_group_element(r1, coeffs, t=t),
-                          exp_group_element(r2, coeffs, t=t)))
+    pairs.extend(zip(_zero_sector_exps(r1, ts), _zero_sector_exps(r2, ts)))
     return pairs
 
 

@@ -90,9 +90,6 @@ class Degree:
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 
-    def to_json(self) -> list[int]:
-        return list(self.bits)
-
 
 def _check_rank(a: Degree, b: Degree) -> None:
     if a.rank != b.rank:

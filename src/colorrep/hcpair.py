@@ -124,7 +124,7 @@ def check_ad_map(l: ColorLieAlgebra, ad, tol: float = _PAIR_TOL,
     resid = lhs - rhs
     br_res = float(np.max(np.abs(resid))) if resid.size else 0.0
     detail = ""
-    if br_res > tol:
+    if not br_res <= tol:
         i, j, _ = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
         detail = f"worst pair ({l.labels[i]}, {l.labels[j]})"
     rep.add("bracket automorphism", br_res <= tol, br_res, tol, detail)

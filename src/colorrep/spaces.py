@@ -55,19 +55,6 @@ class GradedSpace:
     def component(self, v: np.ndarray, deg: Degree) -> np.ndarray:
         return np.asarray(v)[..., self.slice_of(deg)]
 
-    def embed(self, comp: np.ndarray, deg: Degree) -> np.ndarray:
-        out = np.zeros(self.total_dim, dtype=complex)
-        out[self.slice_of(deg)] = comp
-        return out
-
-    def basis_vector(self, index: int) -> np.ndarray:
-        out = np.zeros(self.total_dim, dtype=complex)
-        out[index] = 1.0
-        return out
-
-    def degree_components(self, v: np.ndarray) -> dict[Degree, np.ndarray]:
-        return {deg: np.array(self.component(v, deg)) for deg in self.degrees}
-
     def homogeneous_degree(self, v: np.ndarray, rtol: float = 1e-12) -> Degree | None:
         """Degree of v if all its mass sits in one sector, else None."""
         v = np.asarray(v)
@@ -453,9 +440,3 @@ def dagger_adjoint(h: GammaInnerSpace, t: HomogeneousMap,
     """
     phase = alpha(t.degree, twist).value
     return star_adjoint(h, t) * phase
-
-
-def dagger_components(h: GammaInnerSpace, comps: dict[Degree, HomogeneousMap],
-                      twist: Character | None = None) -> dict[Degree, HomogeneousMap]:
-    """Graded adjoint of an inhomogeneous map given by homogeneous components."""
-    return {d: dagger_adjoint(h, t, twist) for d, t in comps.items()}

@@ -331,11 +331,12 @@ def _clifford_doc(tmp_path, capsys):
         {"label": "g", "ad": [[1.0, 0.0], [0.0]], "pi": None}),
      "rep.generators[0].ad[1]"),
     (lambda d: d["rho"].__setitem__(0, None), "rep.rho"),
+    (lambda d: d["algebra"].__setitem__("rank", True), "algebra.rank"),
 ], ids=["gram-not-positive", "ad-not-square", "ad-wrong-size", "ad-ragged",
-        "partial-without-degree-zero"])
+        "partial-without-degree-zero", "boolean-rank"])
 def test_malformed_rep_data_is_input_error(tmp_path, capsys, spoil, where):
     # non-positive Gram, non-square or mis-sized ad, ragged ad, partial data
-    # without its degree-zero operator
+    # without its degree-zero operator, a boolean where an int belongs
     doc = _clifford_doc(tmp_path, capsys)
     spoil(doc)
     path = tmp_path / "bad.json"

@@ -15,6 +15,7 @@ from colorrep.colorlie import (
     glV,
     odd_pair_columns,
 )
+from colorrep.generators import clifford_algebra
 from colorrep.grading import Degree, beta
 from colorrep.spaces import GradedSpace
 
@@ -271,3 +272,18 @@ def test_jacobi_fails_on_a_nan_structure_constant():
     assert not jacobi.passed
     assert np.isnan(jacobi.residual)
     assert jacobi.detail.startswith("worst triple")
+
+
+@pytest.mark.parametrize("name, at, where", [
+    ("antisymmetry", (1, 1, 0), "worst at (y, y)"),
+    ("grading", (0, 1, 0), "worst at (x, y) -> x"),
+])
+def test_nan_residual_names_its_location(name, at, where):
+    l = clifford_algebra()
+    c = l.structure.copy()
+    c[at] = np.nan
+    bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c, validate=False)
+    check = next(x for x in check_axioms(bad).checks if x.name == name)
+    assert not check.passed
+    assert np.isnan(check.residual)
+    assert check.detail == where

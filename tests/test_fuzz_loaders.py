@@ -1,9 +1,9 @@
 """Mutated algebra, rep and table files keep the command-line exit contract.
 
 Each example takes a valid document and either spoils one numeric leaf
-(NaN, +-inf, an overflowing literal, a huge integer, a string or null) or
-makes one row of an operator, Gram or generator matrix one entry shorter or
-longer.  It then runs a command on the file in process.  No exception may
+(NaN, +-inf, an overflowing literal, a huge integer, a string, null or a
+boolean) or makes one row of an operator, Gram or generator matrix one entry
+shorter or longer.  It then runs a command on the file in process.  No exception may
 escape ``main``, and since every such mutation breaks the schema, the
 command must exit 2 with an error line: never 0 with PASS, nor 1 from a
 checker that ran on it.
@@ -54,7 +54,7 @@ COMMANDS = {
 }
 BIG = "__overflowing literal__"
 SPOILERS = [float("nan"), float("inf"), -float("inf"), BIG, 10 ** 400, "0.5",
-            None]
+            None, True, False]
 
 
 def _number_paths(node, path=()):

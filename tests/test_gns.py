@@ -233,6 +233,37 @@ def test_factored_and_dense_reconstructions_agree(case):
                            rtol=1e-9, atol=0.0)
 
 
+def test_escaping_translate_is_refused_on_both_routes():
+    # rho = 0 and a 3-cycle pi(h): the samples 1 and h see e1 and e2, but
+    # h translates the class of h to e3, outside the certified span
+    l = one_line_algebra()
+    space = GradedSpace(1, {Degree((0,)): 3})
+    h = GroupElement("h", np.eye(1), np.roll(np.eye(3), 1, axis=0))
+    zero = HomogeneousMap.from_dense(space, space, l.degrees[0],
+                                     np.zeros((3, 3)))
+    r = UnitaryRep(HCPair(l, [h]), GammaInnerSpace.standard(space), [zero])
+    v = np.array([1.0, 0.0, 0.0], dtype=complex)
+    for psi in _both_routes(r, v):
+        with pytest.raises(StabilizationError) as err:
+            gns_construct(psi, group_samples=[GroupElement.identity(1, 3), h])
+        assert str(err.value) == (
+            "left translation by pi(h) leaves the certified span "
+            "(escape 1.000e+00 on sample 1)")
+
+
+def test_each_sample_gram_is_built_once():
+    l = clifford_algebra()
+    table = PDFunction.from_table(l, {(): 1.0})
+    calls = []
+    psi = PDFunction(l, lambda s: calls.append(s) or table(s))
+    res = gns_construct(psi)
+    assert res.level_used == 0
+    # Grams at levels 0 and 1 (1 + 9), the support condition on the odd
+    # sample (1), two generators translating one sample (2 * (1 + 1)) and
+    # one reproducing pick (1 + 1); the level-1 Gram is not built again
+    assert len(calls) == 1 + 9 + 1 + 4 + 2
+
+
 def test_empty_sample_set_is_an_error():
     l = one_line_algebra()
     psi = PDFunction.from_table(l, {(): 1.0})

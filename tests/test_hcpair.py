@@ -133,6 +133,17 @@ class TestCheckAdMap:
         with pytest.raises(RankMismatchError):
             check_ad_map(_gl11(), np.eye(3))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_bracket_residual_names_its_pair(self):
+        l = _gl11()
+        bad = _parity_ad()
+        bad[2, 2] = np.nan
+        check = next(c for c in check_ad_map(l, bad).checks
+                     if c.name == "bracket automorphism")
+        assert not check.passed
+        assert np.isnan(check.residual)
+        assert check.detail.startswith("worst pair (")
+
 
 class TestInnerElement:
     def test_exponential_is_automorphism(self):
