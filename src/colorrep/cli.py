@@ -18,16 +18,15 @@ import numpy as np
 
 from .colorlie import check_axioms, check_perfectness, glV
 from .enveloping import DEFAULT_LEVEL_CAP
-from .errors import (AxiomError, ColorrepError, EquivalenceError,
-                     ExtensionError, PerfectnessError, PositivityError,
-                     SchemaError, StabilizationError)
+from .errors import (AxiomError, ExtensionError, PerfectnessError,
+                     PositivityError, SchemaError, StabilizationError)
 from .fileio import (REPORT_SCHEMA, load_algebra, load_rep, load_table,
                      save_algebra, save_rep)
 from .generators import (clifford_rep, conjugated_rep, counterexample_algebra,
                          skew_matrix_algebra)
 from .gns import (PDFunction, build_sample_set, check_positive_definite,
                   default_group_samples, gns_construct, gns_roundtrip)
-from .grading import (Character, Degree, all_degrees, verify_alpha_cocycle,
+from .grading import (Character, all_degrees, verify_alpha_cocycle,
                       verify_lifting_relation)
 from .report import Report
 from .reps import (PartialRep, UnitaryRep, check_pre_rep, check_unitary_rep,
@@ -177,7 +176,7 @@ def _do_stability_extend(config: SessionConfig, task: Task) -> Report:
     except (PerfectnessError, ExtensionError) as e:
         out.add("extension", False, detail=str(e))
         return out
-    final = check_unitary_rep(full)
+    final = check_unitary_rep(full, **_tol_kw(config))
     out.add("extension", True,
             detail=f"extended {sum(rep.defined(i) for i in range(rep.algebra.dim))}"
                    f" given operators to {rep.algebra.dim}")

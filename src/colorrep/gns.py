@@ -18,9 +18,9 @@ from .errors import EquivalenceError, PositivityError, StabilizationError
 from .grading import Degree
 from .hcpair import GroupElement, HCPair
 from .report import Report, worst_residual
-from .reps import (UnitaryRep, check_unitary_rep, exp_group_element,
+from .reps import (UnitaryRep, _zero_sector_exps, check_unitary_rep,
                    matrix_coefficient, monoid_operator)
-from .spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
+from .spaces import GammaInnerSpace, GradedSpace, HomogeneousMap, _degree_pattern
 
 _GNS_TOL = 1e-9
 _EXP_TIMES = (0.5, 1.0)
@@ -131,17 +131,6 @@ def normal_words(l: ColorLieAlgebra, max_level: int) -> list[tuple]:
     return words
 
 
-def _zero_sector_exps(r, ts=_EXP_TIMES):
-    """exp(t*x_i), bound to r, for each degree-zero basis element and time."""
-    l = r.algebra
-    for i in l.sector(Degree.zero(l.rank)):
-        coeffs = np.zeros(l.dim)
-        coeffs[i] = 1.0
-        for t in ts:
-            yield exp_group_element(r, coeffs, t=t,
-                                    label=f"exp({t:g}*{l.labels[i]})")
-
-
 def default_group_samples(r, ts=_EXP_TIMES) -> list[GroupElement]:
     """Identity, the bound extra generators, and exp samples of the zero sector."""
     out = [GroupElement.identity(r.algebra.dim, r.space_dim)]
@@ -186,6 +175,8 @@ def _gram_of(psi: PDFunction, elements):
     [t, s] and the squared lengths of the translates; ``against(x)``,
     psi(t* x) for every sample t; and ``psd_detail``.
     """
+    if not elements:
+        raise ValueError("sample set is empty")
     route = _FactoredGram if psi.rep is not None else _DenseGram
     return route(psi, elements)
 
@@ -198,8 +189,8 @@ class _DenseGram:
     def __init__(self, psi: PDFunction, elements):
         self.psi = psi
         self.elements = elements
-        self.m = np.array([[psi(_monoid_pair(a, b)) for b in elements]
-                           for a in elements], dtype=complex)
+        self.stars = [s_star(t) for t in elements]
+        self.m = np.column_stack([self.against(b) for b in elements])
         self.eigs, self.scale = None, 1.0
         if np.isfinite(self.m).all():
             self.eigs = np.linalg.eigvalsh((self.m + self.m.conj().T) / 2.0)
@@ -226,7 +217,8 @@ class _DenseGram:
         return pairs, norms
 
     def against(self, x: MonoidElement) -> np.ndarray:
-        return np.array([self.psi(_monoid_pair(t, x)) for t in self.elements],
+        return np.array([self.psi(s_mul(t_star, x, level_cap=max(1, t.level + x.level)))
+                         for t, t_star in zip(self.elements, self.stars)],
                         dtype=complex)
 
 
@@ -331,10 +323,7 @@ def check_positive_definite(psi: PDFunction, samples,
     the monoid product, on sampled same-degree and diagonal entries.
     Non-finite sample data fail the Gram checks.
     """
-    elements = list(samples)
-    if not elements:
-        raise ValueError("sample set is empty")
-    return _positivity_report(_gram_of(psi, elements), tol)
+    return _positivity_report(_gram_of(psi, list(samples)), tol)
 
 
 def _positivity_report(gram, tol: float) -> Report:
@@ -471,9 +460,11 @@ def gns_construct(psi: PDFunction, group_samples=None,
         by_degree.setdefault(s.degree, []).append(i)
 
     # classes of different degrees must be orthogonal already at gram level
-    same = np.zeros((n, n), dtype=bool)
-    for idx in by_degree.values():
-        same[np.ix_(idx, idx)] = True
+    zero = Degree.zero(l.rank)
+    codes = np.empty(n, dtype=np.int64)
+    for d, idx in by_degree.items():
+        codes[idx] = d.code
+    same = _degree_pattern(codes, zero, codes)
     cross = float(np.max(np.abs(np.where(same, 0.0, m))))
     report.add("gram respects the grading", cross <= tol * norm_scale,
                cross, tol * norm_scale, "verified on sample set")
@@ -564,10 +555,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
 
     # cyclic class of the identity sample, cleaned of cross-sector dust
     v0 = p_mat @ m[:, 0]
-    zero = Degree.zero(l.rank)
-    v0_clean = np.zeros_like(v0)
-    sl = space.slice_of(zero)
-    v0_clean[sl] = v0[sl]
+    v0_clean = np.where(space.basis_codes == zero.code, v0, 0.0)
     dust = float(np.linalg.norm(v0 - v0_clean))
     dust_tol = block_tol * max(1.0, float(np.linalg.norm(v0)))
     report.add("cyclic class homogeneous", dust <= dust_tol, dust, dust_tol)
@@ -740,12 +728,10 @@ def unitary_equivalence(r1: UnitaryRep, v1, r2: UnitaryRep, v2,
            float(np.linalg.norm(t_mat.conj().T @ g2d @ t_mat - g1d, 2)),
            tol * max(1.0, float(np.linalg.norm(g1d, 2))))
 
-    on = 0.0
-    for d in r1.inner.space.degrees:
-        block = t_mat[r2.inner.space.slice_of(d), r1.inner.space.slice_of(d)]
-        on += float(np.sum(np.abs(block) ** 2))
-    off = float(np.sqrt(max(0.0, np.sum(np.abs(t_mat) ** 2) - on)))
-    demand("grading", off, tol * max(1.0, float(np.linalg.norm(t_mat))))
+    on = _degree_pattern(r2.inner.space.basis_codes, Degree.zero(l.rank),
+                         r1.inner.space.basis_codes)
+    demand("grading", float(np.linalg.norm(np.where(on, 0.0, t_mat))),
+           tol * max(1.0, float(np.linalg.norm(t_mat))))
 
     for i in range(l.dim):
         demand(f"intertwining rho({l.labels[i]})",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PositivityError, RankMismatchError
-from .grading import Character, Degree, alpha, beta
+from .grading import Character, Degree, alpha
 
 _HERMITIAN_RTOL = 1e-10
 
@@ -42,6 +42,7 @@ class GradedSpace:
         self.basis_degrees: list[Degree] = []
         for deg in self.degrees:
             self.basis_degrees.extend([deg] * cleaned[deg])
+        self.basis_codes = np.array([deg.code for deg in self.basis_degrees], dtype=np.int64)
 
     def dim(self, deg: Degree) -> int:
         return self.dims.get(deg, 0)
@@ -52,22 +53,16 @@ class GradedSpace:
             return slice(0, 0)
         return slice(off, off + self.dims[deg])
 
-    def component(self, v: np.ndarray, deg: Degree) -> np.ndarray:
-        return np.asarray(v)[..., self.slice_of(deg)]
-
     def homogeneous_degree(self, v: np.ndarray, rtol: float = 1e-12) -> Degree | None:
         """Degree of v if all its mass sits in one sector, else None."""
         v = np.asarray(v)
         scale = float(np.max(np.abs(v))) if v.size else 0.0
         if scale == 0.0:
             return None
-        found = None
-        for deg in self.degrees:
-            if np.max(np.abs(self.component(v, deg))) > rtol * scale:
-                if found is not None:
-                    return None
-                found = deg
-        return found
+        hot = np.nonzero(np.abs(v) > rtol * scale)[-1]
+        if not hot.size or np.any(self.basis_codes[hot] != self.basis_codes[hot[0]]):
+            return None
+        return self.basis_degrees[hot[0]]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GradedSpace) and self.rank == other.rank
@@ -79,6 +74,23 @@ class GradedSpace:
     def __repr__(self) -> str:
         inner = ", ".join(f"{deg}:{d}" for deg, d in sorted(self.dims.items()))
         return f"GradedSpace(rank={self.rank}, {{{inner}}})"
+
+
+def _degree_pattern(rows: np.ndarray, degree: Degree, cols: np.ndarray) -> np.ndarray:
+    """The grading rule: the entries a map of the given degree may fill.
+
+    ``rows`` and ``cols`` are the basis codes of target and source; entry
+    (p, q) is allowed exactly when rows[p] == degree.code ^ cols[q].
+    """
+    return np.equal.outer(rows, degree.code ^ np.asarray(cols))
+
+
+def _code_beta(a, b) -> np.ndarray:
+    """The commutation sign beta on integer degree codes, elementwise."""
+    x = np.bitwise_and(a, b)
+    for shift in (8, 4, 2, 1):  # parity of the set bits of a 16-bit code
+        x = x ^ (x >> shift)
+    return 1 - 2 * (x & 1)
 
 
 class HomogeneousMap:
@@ -128,16 +140,10 @@ class HomogeneousMap:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (target.total_dim, source.total_dim):
             raise ValueError(f"dense shape {matrix.shape} does not match spaces")
-        blocks = {}
-        pattern = np.zeros_like(matrix, dtype=bool)
-        for b in source.degrees:
-            tb = degree * b
-            if target.dim(tb) == 0:
-                continue
-            rows, cols = target.slice_of(tb), source.slice_of(b)
-            blocks[b] = matrix[rows, cols]
-            pattern[rows, cols] = True
+        blocks = {b: matrix[target.slice_of(degree * b), source.slice_of(b)]
+                  for b in source.degrees if target.dim(degree * b)}
         if rtol is not None:
+            pattern = _degree_pattern(target.basis_codes, degree, source.basis_codes)
             off = float(np.max(np.abs(np.where(pattern, 0.0, matrix)))) if matrix.size else 0.0
             scale = max(1.0, float(np.max(np.abs(matrix)))) if matrix.size else 1.0
             if off > rtol * scale:
@@ -224,8 +230,9 @@ def split_homogeneous(source: GradedSpace, target: GradedSpace,
 class TensorProductSpace(GradedSpace):
     """Graded tensor product; remembers which basis pair each basis vector is.
 
-    Within a result degree, pairs are ordered by (degree of the left factor,
-    left index, right index).
+    Basis vector k is the pair (left_index[k], right_index[k]).  Pairs are
+    ordered by (result degree, left index, right index), which within a
+    result degree is also the order of the left factor's degree.
     """
 
     def __init__(self, left: GradedSpace, right: GradedSpace):
@@ -233,24 +240,14 @@ class TensorProductSpace(GradedSpace):
             raise RankMismatchError("tensor factors must share a rank")
         self.left = left
         self.right = right
-        pairs_by_degree: dict[Degree, list[tuple[int, int]]] = {}
-        for a in sorted({b * c for b in left.degrees for c in right.degrees}):
-            plist = []
-            for b in left.degrees:
-                c = a * b
-                if right.dim(c) == 0:
-                    continue
-                loff, roff = left.slice_of(b).start, right.slice_of(c).start
-                for i in range(left.dims[b]):
-                    for j in range(right.dims[c]):
-                        plist.append((loff + i, roff + j))
-            if plist:
-                pairs_by_degree[a] = plist
-        super().__init__(left.rank, {a: len(p) for a, p in pairs_by_degree.items()})
-        self.pairs: list[tuple[int, int]] = []
-        for a in self.degrees:
-            self.pairs.extend(pairs_by_degree[a])
-        self.pair_index = {p: k for k, p in enumerate(self.pairs)}
+        codes = np.bitwise_xor.outer(left.basis_codes, right.basis_codes)
+        order = np.argsort(codes, axis=None, kind="stable")
+        self.left_index, self.right_index = np.divmod(order, right.total_dim)
+        degree_of = {(b * c).code: b * c for b in left.degrees for c in right.degrees}
+        result, counts = np.unique(codes, return_counts=True)
+        super().__init__(left.rank, {degree_of[int(a)]: int(m) for a, m in zip(result, counts)})
+        self.pairs: list[tuple[int, int]] = list(zip(self.left_index.tolist(),
+                                                     self.right_index.tolist()))
 
     def pure_tensor(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
@@ -274,11 +271,10 @@ def symmetry(left: GradedSpace, right: GradedSpace) -> HomogeneousMap:
     """
     src = tensor_space(left, right)
     dst = tensor_space(right, left)
-    mat = np.zeros((dst.total_dim, src.total_dim), dtype=complex)
-    for k, (i, j) in enumerate(src.pairs):
-        sign = beta(left.basis_degrees[i], right.basis_degrees[j])
-        mat[dst.pair_index[(j, i)], k] = sign
-    return HomogeneousMap.from_dense(src, dst, Degree.zero(src.rank), mat)
+    swap = (np.equal.outer(dst.left_index, src.right_index)
+            & np.equal.outer(dst.right_index, src.left_index))
+    sign = _code_beta(left.basis_codes[src.left_index], right.basis_codes[src.right_index])
+    return HomogeneousMap.from_dense(src, dst, Degree.zero(src.rank), swap * sign)
 
 
 def tensor_map(f: HomogeneousMap, g: HomogeneousMap,
@@ -289,13 +285,9 @@ def tensor_map(f: HomogeneousMap, g: HomogeneousMap,
         source = tensor_space(f.source, g.source)
     if target is None:
         target = tensor_space(f.target, g.target)
-    fd, gd = f.to_dense(), g.to_dense()
-    mat = np.zeros((target.total_dim, source.total_dim), dtype=complex)
-    for k, (i, j) in enumerate(source.pairs):
-        sign = beta(g.degree, f.source.basis_degrees[i])
-        col = sign * np.outer(fd[:, i], gd[:, j])
-        for m, (p, q) in enumerate(target.pairs):
-            mat[m, k] += col[p, q]
+    sign = _code_beta(g.degree.code, f.source.basis_codes[source.left_index])
+    mat = (sign * f.to_dense()[np.ix_(target.left_index, source.left_index)]
+           * g.to_dense()[np.ix_(target.right_index, source.right_index)])
     return HomogeneousMap.from_dense(source, target, f.degree * g.degree, mat)
 
 
@@ -379,32 +371,18 @@ def tensor_inner(h: GammaInnerSpace, k: GammaInnerSpace) -> GammaInnerSpace:
     """Inner product on the tensor product induced by the graded forms.
 
     The graded form of a pair of pure tensors picks up the commutation sign
-    between the inner factors; converting back through alpha must produce a
-    Hermitian positive definite ordinary Gram per degree, and construction
-    fails loudly if it does not.
+    between the inner factors.  Converted back through alpha, a column of
+    degrees (b, c) carries the phase alpha(bc) beta(c, b) conj(alpha(b)
+    alpha(c)), which is 1 because alpha(bc) = beta(b, c) alpha(b) alpha(c).
+    So each ordinary Gram is a gather of the factors' dense Grams, which
+    already vanish between unequal degrees; construction still validates it.
     """
     tp = tensor_space(h.space, k.space)
-    gram: dict[Degree, np.ndarray] = {}
+    gh, gk = h.gram_dense(), k.gram_dense()
+    gram = {}
     for a in tp.degrees:
-        plist = [tp.pairs[i] for i in range(tp.slice_of(a).start, tp.slice_of(a).stop)]
-        m = len(plist)
-        g = np.zeros((m, m), dtype=complex)
-        phase_a = alpha(a).value
-        for col, (i, j) in enumerate(plist):
-            b = h.space.basis_degrees[i]
-            c = k.space.basis_degrees[j]
-            sign = beta(c, b)
-            ph = phase_a * sign * alpha(b).conjugate().value * alpha(c).conjugate().value
-            gb, gc = h.gram[b], k.gram[c]
-            ib = i - h.space.slice_of(b).start
-            jc = j - k.space.slice_of(c).start
-            for row, (p, q) in enumerate(plist):
-                if h.space.basis_degrees[p] != b:
-                    continue  # graded forms of unequal degrees vanish
-                pb = p - h.space.slice_of(b).start
-                qc = q - k.space.slice_of(c).start
-                g[row, col] = ph * gb[pb, ib] * gc[qc, jc]
-        gram[a] = g
+        li, ri = tp.left_index[tp.slice_of(a)], tp.right_index[tp.slice_of(a)]
+        gram[a] = gh[np.ix_(li, li)] * gk[np.ix_(ri, ri)]
     return GammaInnerSpace(tp, gram)
 
 

@@ -1,8 +1,10 @@
 import filecmp
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,3 +430,28 @@ def test_tol_flag_reaches_checker(tmp_path, capsys):
     assert code in (0, 1)
     bracket = [c for c in doc["checks"] if c["name"] == "bracket property"]
     assert bracket and bracket[0]["tolerance"] == 1e-20
+
+
+def test_tol_flag_reaches_extended_rep_checks(tmp_path, capsys):
+    pre, _ = partial_file(tmp_path)
+    code, doc, _ = run_json(capsys, "stability-extend", pre, "--tol", "1e-3")
+    assert code == 0
+    tols = [c["tolerance"] for c in doc["checks"]
+            if c["name"].startswith("extended rep: ") and c["tolerance"] is not None]
+    assert tols and set(tols) == {1e-3}
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("colorrep ")]
+
+
+def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -5,8 +5,9 @@ import pytest
 
 from helpers import spoiled_clifford
 
+from colorrep import gns
 from colorrep.colorlie import ColorLieAlgebra
-from colorrep.enveloping import EnvElement, MonoidElement
+from colorrep.enveloping import EnvElement, MonoidElement, s_star
 from colorrep.errors import EquivalenceError, PositivityError, StabilizationError
 from colorrep.generators import (
     _block_change,
@@ -25,6 +26,7 @@ from colorrep.gns import (
     gns_construct,
     gns_roundtrip,
     normal_words,
+    sample_gram,
     unitary_equivalence,
 )
 from colorrep.grading import Degree
@@ -264,11 +266,27 @@ def test_each_sample_gram_is_built_once():
     assert len(calls) == 1 + 9 + 1 + 4 + 2
 
 
+def test_dense_gram_stars_each_sample_once(monkeypatch):
+    l = clifford_algebra()
+    samples = build_sample_set(l, [], 2)
+    assert len(samples) == 5
+    stars = []
+    monkeypatch.setattr(gns, "s_star", lambda s: stars.append(s) or s_star(s))
+    check_positive_definite(PDFunction.from_table(l, {(): 1.0}), samples)
+    assert len(stars) == 5
+
+
 def test_empty_sample_set_is_an_error():
     l = one_line_algebra()
     psi = PDFunction.from_table(l, {(): 1.0})
     with pytest.raises(ValueError, match="empty"):
         check_positive_definite(psi, [])
+
+
+def test_sample_gram_refuses_an_empty_sample_set():
+    psi = PDFunction.from_table(one_line_algebra(), {(): 1.0})
+    with pytest.raises(ValueError, match="sample set is empty"):
+        sample_gram(psi, [])
 
 
 # ------------------------------------------------------------ reconstruction

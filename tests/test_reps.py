@@ -334,6 +334,18 @@ def test_pre_rep_flags_nonequivariant_generator():
     assert "equivariance: bad" in failing_names(rep)
 
 
+def test_pi_grading_flags_one_off_block_entry():
+    space = GradedSpace(1, {Degree((0,)): 2, Degree((1,)): 1})
+    l, r = skew_matrix_algebra(space)
+    pi = np.eye(3, dtype=complex)
+    pi[0, 1] = 0.75  # inside the even block: allowed by the grading
+    pi[2, 0] = 0.5   # even to odd: the one entry the grading forbids
+    rep = check_unitary_rep(UnitaryRep(HCPair(l, [GroupElement("leak", np.eye(l.dim), pi)]),
+                                       r.inner, r.rho))
+    assert "pi grading: leak" in failing_names(rep)
+    assert [c.residual for c in rep.checks if c.name == "pi grading: leak"] == [0.5]
+
+
 # ------------------------------------------------------------------ stability
 
 def test_stability_roundtrip_without_even_sectors_is_exact():

@@ -130,6 +130,29 @@ def test_tensor_single_pair_rank2():
     assert tp.dims == {_d("11"): 1}
 
 
+def test_from_dense_rtol_refuses_off_pattern_mass():
+    # unequal layouts, so a pattern read with source and target swapped differs
+    source = GradedSpace(1, {_d("0"): 1, _d("1"): 2})
+    target = GradedSpace(1, {_d("0"): 2, _d("1"): 1})
+    mat = np.zeros((3, 3))
+    mat[0:2, 1:3] = [[1.0, 2.0], [3.0, 4.0]]  # odd source -> even target
+    mat[2, 0] = 5.0                           # even source -> odd target
+    t = HomogeneousMap.from_dense(source, target, _d("1"), mat, rtol=1e-12)
+    assert np.array_equal(t.to_dense(), mat)
+    mat[2, 1] = 1e-3
+    with pytest.raises(ValueError, match="not homogeneous of degree 1"):
+        HomogeneousMap.from_dense(source, target, _d("1"), mat, rtol=1e-12)
+
+
+def test_tensor_basis_codes_follow_the_pairs():
+    tp = tensor_space(GradedSpace(2, {_d("00"): 1, _d("10"): 2}),
+                      GradedSpace(2, {_d("01"): 2, _d("10"): 1}))
+    assert list(zip(tp.left_index.tolist(), tp.right_index.tolist())) == tp.pairs
+    assert np.array_equal(tp.basis_codes, tp.left.basis_codes[tp.left_index]
+                          ^ tp.right.basis_codes[tp.right_index])
+    assert np.all(np.diff(tp.basis_codes) >= 0)
+
+
 def test_pure_tensor_pairs():
     rng = np.random.default_rng(6)
     v = _super_space(2, 1)
@@ -385,3 +408,20 @@ def test_symmetry_naturality():
         lhs = s.compose(fg)
         rhs = gf.compose(s) * beta(f.degree, g.degree)
         assert lhs.distance(rhs) < 1e-9 * max(1.0, lhs.norm())
+
+
+def test_tensor_map_on_pure_tensors():
+    # the defining formula (f(x)g)(v(x)w) = beta(|g|, |v|) f(v)(x)g(w)
+    rng = np.random.default_rng(20)
+    for _ in range(6):
+        v = random_space(rng, 2, max_dim=2, min_sectors=2)
+        w = random_space(rng, 2, max_dim=2, min_sectors=2)
+        f = random_homog_map(rng, v, v.degrees[int(rng.integers(len(v.degrees)))])
+        g = random_homog_map(rng, w, w.degrees[int(rng.integers(len(w.degrees)))])
+        fg = tensor_map(f, g)
+        for bdeg in v.degrees:
+            x = random_homog_vector(rng, v, bdeg)
+            y = random_vector(rng, w)
+            lhs = fg.apply(fg.source.pure_tensor(x, y))
+            rhs = beta(g.degree, bdeg) * fg.target.pure_tensor(f.apply(x), g.apply(y))
+            assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
