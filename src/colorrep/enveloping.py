@@ -243,11 +243,17 @@ def env_star(l: ColorLieAlgebra, d: EnvElement) -> EnvElement:
 
 
 def env_ad(g: GroupElement, d: EnvElement) -> EnvElement:
-    """Letterwise action of a group element, renormalized afterwards."""
+    """Letterwise action of a group element, renormalized afterwards.
+
+    The identity returns ``d`` itself: its words are normal already, and
+    renormalizing a normal word gives the same word.
+    """
     l = d.algebra
     ad = g.ad
     if ad.shape != (l.dim, l.dim):
         raise ValueError("group element acts on a different algebra")
+    if g.is_identity():
+        return d
     out: dict = {}
     for w, c in d.terms.items():
         expanded = {(): c}
@@ -295,9 +301,9 @@ class MonoidElement:
     def level(self) -> int:
         return self.env.level
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return (self.group.is_identity(tol)
-                and env_max_diff(self.env, EnvElement.one(self.env.algebra)) <= tol)
+    def is_identity(self) -> bool:
+        """The identity group element by construction, paired with the unit word."""
+        return self.group.is_identity() and self.env.terms == {(): 1}
 
     def __repr__(self) -> str:
         return f"MonoidElement({self.group.label!r}, {self.env!r})"

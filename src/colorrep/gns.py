@@ -68,7 +68,9 @@ class PDFunction:
         """Function given by values on normal words.
 
         Table keys are index tuples in rewriting-stable form.  Only elements
-        with trivial group part can be evaluated; missing words count as zero.
+        whose group part is the identity by construction can be evaluated
+        (see ``GroupElement.is_identity``); a group element whose matrix merely
+        equals the identity is refused.  Missing words count as zero.
         """
         clean: dict[tuple, complex] = {}
         for word, val in table.items():
@@ -142,7 +144,9 @@ def default_group_samples(r, ts=_EXP_TIMES) -> list[GroupElement]:
 def build_sample_set(l: ColorLieAlgebra, group_samples, level: int) -> SampleSet:
     """Pair every group sample with every monomial up to the level.
 
-    The identity monoid element always sits at index zero.
+    The identity monoid element always sits at index zero.  Only samples
+    that are the identity by construction are folded into it; one whose
+    matrices merely equal the identity stays an ordinary group sample.
     """
     groups = [g for g in group_samples if not g.is_identity()]
     # bind the identity whenever the others are bound, so that star and
@@ -156,10 +160,13 @@ def build_sample_set(l: ColorLieAlgebra, group_samples, level: int) -> SampleSet
     return SampleSet(elements, level, len(groups))
 
 
+def _product(a: MonoidElement, b: MonoidElement) -> MonoidElement:
+    # a b, with the rewriting cap sized to the words actually present
+    return s_mul(a, b, level_cap=max(1, a.level + b.level))
+
+
 def _monoid_pair(a: MonoidElement, b: MonoidElement) -> MonoidElement:
-    # a* b, with the rewriting cap sized to the words actually present
-    cap = max(1, a.level + b.level)
-    return s_mul(s_star(a), b, level_cap=cap)
+    return _product(s_star(a), b)
 
 
 def _gram_of(psi: PDFunction, elements):
@@ -211,14 +218,13 @@ class _DenseGram:
         pairs = np.zeros((n, n), dtype=complex)
         norms = np.zeros(n)
         for k, s in enumerate(self.elements):
-            ms = s_mul(m_left, s, level_cap=max(1, m_left.level + s.level))
+            ms = _product(m_left, s)
             pairs[:, k] = self.against(ms)
             norms[k] = float(np.real(self.psi(_monoid_pair(ms, ms))))
         return pairs, norms
 
     def against(self, x: MonoidElement) -> np.ndarray:
-        return np.array([self.psi(s_mul(t_star, x, level_cap=max(1, t.level + x.level)))
-                         for t, t_star in zip(self.elements, self.stars)],
+        return np.array([self.psi(_product(t_star, x)) for t_star in self.stars],
                         dtype=complex)
 
 
@@ -383,6 +389,18 @@ class GNSResult:
                 f"level_used={self.level_used}, samples={self.sample_count})")
 
 
+def _truncation_note(psi: PDFunction, level: int) -> str:
+    """Why a table-backed Gram at this level can fail: it reads untabulated words."""
+    if psi.table is None:
+        return ""
+    longest = max(map(len, psi.table), default=0)
+    if longest >= 2 * level:
+        return ""
+    return (f"; the longest tabulated word has length {longest}, the level-{level} "
+            f"Gram reads words up to length {2 * level}, and missing words "
+            "count as zero")
+
+
 def gns_construct(psi: PDFunction, group_samples=None,
                   level_cap: int = DEFAULT_LEVEL_CAP,
                   tol: float = _GNS_TOL) -> GNSResult:
@@ -434,7 +452,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
         raise StabilizationError(
             f"gram rank still growing at level {level_cap} "
             f"(rank {prev_rank}); the function is not of finite type "
-            "within the configured cap")
+            "within the configured cap" + _truncation_note(psi, level_cap))
 
     gram = history[chosen]
     norm_scale = gram.scale
@@ -452,7 +470,8 @@ def gns_construct(psi: PDFunction, group_samples=None,
     report.extend(pd, prefix="pd: ")
     if not pd.passed:
         raise PositivityError(
-            "the function fails positive definiteness on the sample set")
+            "the function fails positive definiteness on the sample set"
+            + _truncation_note(psi, chosen + 1))
 
     m = gram.dense()
     by_degree: dict[Degree, list[int]] = {}
@@ -582,8 +601,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
         lhs = np.conj(p_mat @ gram.against(s_star(s)))
         rhs = np.zeros(total, dtype=complex)
         for t_idx, t in enumerate(elements):
-            st = s_mul(s, t, level_cap=max(1, s.level + t.level))
-            rhs += c_mat[t_idx, :] * psi(st)
+            rhs += c_mat[t_idx, :] * psi(_product(s, t))
         return float(np.max(np.abs(lhs - rhs)))
 
     worst_repr, _ = worst_residual((reproducing_gap(elements[i]), None)

@@ -14,8 +14,9 @@ from scipy.linalg import expm
 
 from .colorlie import ColorLieAlgebra
 from .errors import AxiomError, RankMismatchError
-from .grading import is_even_like
+from .grading import Degree, is_even_like
 from .report import Report
+from .spaces import _degree_pattern
 
 _PAIR_TOL = 1e-9
 
@@ -28,7 +29,7 @@ class GroupElement:
     space, present only once a representation has bound it.
     """
 
-    __slots__ = ("label", "ad", "pi")
+    __slots__ = ("label", "ad", "pi", "_identity")
 
     def __init__(self, label: str, ad, pi=None):
         self.label = str(label)
@@ -36,27 +37,32 @@ class GroupElement:
         if self.ad.ndim != 2 or self.ad.shape[0] != self.ad.shape[1]:
             raise ValueError("ad matrix must be square")
         self.pi = None if pi is None else np.asarray(pi, dtype=complex)
+        self._identity = False
 
     @classmethod
     def identity(cls, dim: int, pi_dim: int | None = None) -> "GroupElement":
         pi = None if pi_dim is None else np.eye(pi_dim, dtype=complex)
-        return cls("1", np.eye(dim), pi)
+        e = cls("1", np.eye(dim), pi)
+        e._identity = True
+        return e
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         if self.ad.shape != other.ad.shape:
             raise ValueError("group elements act on different algebras")
-        # an unbound identity is neutral; without this, composing it with a
-        # bound element would silently strip the bound action
+        # the identity is neutral, and of two identities the bound one wins,
+        # so that an unbound identity never strips a bound action
+        if other._identity and other.pi is None:
+            return self
+        if self._identity:
+            return other
         pi = None
         if self.pi is not None and other.pi is not None:
             pi = self.pi @ other.pi
-        elif self.pi is None and self.is_identity():
-            pi = other.pi
-        elif other.pi is None and other.is_identity():
-            pi = self.pi
         return GroupElement(f"({self.label} {other.label})", self.ad @ other.ad, pi)
 
     def inverse(self) -> "GroupElement":
+        if self._identity:
+            return self
         pi = None if self.pi is None else np.linalg.inv(self.pi)
         return GroupElement(f"{self.label}^-1", np.linalg.inv(self.ad), pi)
 
@@ -64,12 +70,16 @@ class GroupElement:
         """Attach a representation-space matrix, keeping the algebra action."""
         return GroupElement(self.label, self.ad, pi)
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        if not np.allclose(self.ad, np.eye(self.ad.shape[0]), atol=tol):
-            return False
-        if self.pi is not None:
-            return bool(np.allclose(self.pi, np.eye(self.pi.shape[0]), atol=tol))
-        return True
+    def is_identity(self) -> bool:
+        """Whether this is the identity by construction.
+
+        True exactly for elements built by ``identity()`` and for what
+        ``compose`` and ``inverse`` return from them.  A matrix that merely
+        equals the identity is not the identity: ``inner_element(..., t=0)``,
+        ``g.compose(g.inverse())`` and a loaded generator stay ordinary group
+        elements.
+        """
+        return self._identity
 
     def __repr__(self) -> str:
         bound = "bound" if self.pi is not None else "unbound"
@@ -110,8 +120,8 @@ def check_ad_map(l: ColorLieAlgebra, ad, tol: float = _PAIR_TOL,
         raise RankMismatchError(
             f"ad matrix is {ad.shape}, algebra has dimension {l.dim}")
 
-    off = l.deg_codes[:, None] != l.deg_codes[None, :]
-    grade_res = float(np.max(np.abs(ad * off))) if off.any() else 0.0
+    off = ~_degree_pattern(l.deg_codes, Degree.zero(l.rank), l.deg_codes)
+    grade_res = float(np.max(np.abs(ad * off))) if ad.size else 0.0
     rep.add("grading preserved", grade_res <= tol, grade_res, tol)
 
     det = float(np.linalg.det(ad))

@@ -214,7 +214,7 @@ def _pi_checks(r, rep: Report, tol: float) -> None:
                     detail=f"matrix is {pi.shape}, space has {space.total_dim}")
             continue
         mask = ~_degree_pattern(space.basis_codes, Degree.zero(space.rank), space.basis_codes)
-        off = float(np.max(np.abs(pi * mask))) if mask.any() else 0.0
+        off = float(np.max(np.abs(pi * mask))) if pi.size else 0.0
         rep.add(f"pi grading: {g.label}", off <= tol, off, tol)
         scale = max(1.0, float(np.linalg.norm(g_dense)))
         ures = float(np.linalg.norm(pi.conj().T @ g_dense @ pi - g_dense)) / scale

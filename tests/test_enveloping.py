@@ -315,6 +315,11 @@ class TestEnvAd:
         g = GroupElement.identity(l.dim)
         assert env_max_diff(env_ad(g, d), d) <= 1e-12
 
+    def test_identity_returns_the_element_itself(self):
+        l = _gl11()
+        d = _random_env(l, np.random.default_rng(15))
+        assert env_ad(GroupElement.identity(l.dim), d) is d
+
     # flipping both odd sectors: a level-2 word in them picks up (-1)^2
     def test_parity_fixes_even_words(self):
         l = _gl11()

@@ -12,6 +12,7 @@ from colorrep.errors import EquivalenceError, PositivityError, StabilizationErro
 from colorrep.generators import (
     _block_change,
     clifford_algebra,
+    clifford_parity_generator,
     clifford_rep,
     conjugated_rep,
     skew_matrix_algebra,
@@ -81,6 +82,16 @@ def test_table_function_rejects_group_parts():
     g = GroupElement("flip", np.diag([1.0, -1.0]))
     with pytest.raises(ValueError, match="group element"):
         psi(MonoidElement.from_group(l, g))
+
+
+def test_table_function_rejects_a_group_part_that_only_equals_the_identity():
+    l = clifford_algebra()
+    psi = PDFunction.from_table(l, {(): 1.0})
+    g = clifford_parity_generator(1)
+    unit = g.compose(g.inverse())
+    np.testing.assert_array_equal(unit.ad, np.eye(2))
+    with pytest.raises(ValueError, match="group element"):
+        psi(MonoidElement.from_group(l, unit))
 
 
 def test_table_function_is_linear():
@@ -356,6 +367,45 @@ def test_moment_table_of_infinite_type_never_stabilizes():
     table = {(0,) * k: (1j) ** k * g[k] for k in range(0, 13, 2)}
     with pytest.raises(StabilizationError, match="still growing"):
         gns_construct(PDFunction.from_table(l, table))
+
+
+def clifford_table(max_len):
+    """The coefficient of e0 in clifford_rep(1, b=[[1]]), on words up to max_len."""
+    r = clifford_rep(1, b=[[1.0]])
+    l = r.algebra
+    psi = PDFunction.from_rep(r, np.array([1.0, 0.0]))
+    return PDFunction.from_table(
+        l, {w: psi(MonoidElement.from_env(EnvElement(l, {w: 1.0})))
+            for w in normal_words(l, max_len)})
+
+
+@pytest.mark.parametrize("max_len, level_cap, error", [
+    (2, 2, StabilizationError),
+    (1, 2, PositivityError),
+])
+def test_truncated_table_says_which_words_are_missing(max_len, level_cap, error):
+    with pytest.raises(error) as err:
+        gns_construct(clifford_table(max_len), level_cap=level_cap)
+    assert str(err.value).endswith(
+        f"the longest tabulated word has length {max_len}, the level-2 Gram "
+        "reads words up to length 4, and missing words count as zero")
+
+
+def test_a_genuine_level_cap_carries_no_truncation_note():
+    with pytest.raises(StabilizationError) as err:
+        gns_construct(clifford_table(4), level_cap=1)
+    assert "tabulated" not in str(err.value)
+
+
+def test_table_route_gram_inverts_no_matrix(monkeypatch):
+    # every group part on this route is the identity, whose inverse is itself
+    psi = clifford_table(4)
+    samples = build_sample_set(psi.algebra, [], 2)
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
+    assert check_positive_definite(psi, samples).passed
+    assert calls == []
 
 
 def test_support_violation_raises_positivity_error():

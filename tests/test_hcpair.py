@@ -5,6 +5,7 @@ import pytest
 
 from colorrep.colorlie import ColorLieAlgebra, bracket, glV
 from colorrep.errors import AxiomError, RankMismatchError
+from colorrep.generators import skew_matrix_algebra
 from colorrep.grading import Degree
 from colorrep.hcpair import (
     GroupElement,
@@ -47,7 +48,9 @@ class TestGroupElement:
         m = rng.normal(size=(4, 4)) + np.eye(4) * 3
         g = GroupElement("g", m)
         prod = g.compose(g.inverse())
-        assert prod.is_identity(tol=1e-10)
+        np.testing.assert_allclose(prod.ad, np.eye(4), atol=1e-10)
+        # equal to the identity matrix, but not the identity by construction
+        assert not prod.is_identity()
 
     def test_compose_is_matrix_product(self):
         rng = np.random.default_rng(8)
@@ -67,6 +70,43 @@ class TestGroupElement:
         e = GroupElement.identity(2)
         np.testing.assert_allclose(a.compose(e).pi, a.pi)
         np.testing.assert_allclose(e.compose(a).pi, a.pi)
+
+    def test_compose_keeps_ad_and_pi_on_every_identity_pairing(self):
+        def reference_pi(x, y):
+            # a bound pair multiplies; an unbound identity passes the other
+            # side's action through; anything else unbound drops it
+            if x.pi is not None and y.pi is not None:
+                return x.pi @ y.pi
+            if x.pi is None and x.is_identity():
+                return y.pi
+            if y.pi is None and y.is_identity():
+                return x.pi
+            return None
+
+        flip = np.diag([1.0, -1.0])
+        elements = [GroupElement.identity(2), GroupElement.identity(2, 2),
+                    GroupElement("a", flip), GroupElement("b", flip, pi=2 * np.eye(2))]
+        for x in elements:
+            for y in elements:
+                prod = x.compose(y)
+                np.testing.assert_array_equal(prod.ad, x.ad @ y.ad)
+                want = reference_pi(x, y)
+                if want is None:
+                    assert prod.pi is None
+                else:
+                    np.testing.assert_array_equal(prod.pi, want)
+                assert prod.is_identity() == (x.is_identity() and y.is_identity())
+
+    def test_identity_is_its_own_inverse(self):
+        e = GroupElement.identity(3, pi_dim=2)
+        assert e.inverse() is e
+
+    def test_a_matrix_equal_to_the_identity_is_not_the_identity(self):
+        l = _gl11()
+        at_zero = inner_element(l, np.array([1.0, -1.0, 0, 0]), t=0.0)
+        g = GroupElement("p", _parity_ad())
+        assert not at_zero.is_identity()
+        assert not g.compose(g.inverse()).is_identity()
 
     def test_bind(self):
         g = GroupElement("g", np.eye(2))
@@ -134,6 +174,17 @@ class TestCheckAdMap:
             check_ad_map(_gl11(), np.eye(3))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_fails_grading_on_a_single_sector_algebra(self):
+        # one sector: the grading allows every entry, so only the NaN fails
+        l, _ = skew_matrix_algebra(GradedSpace(1, {_d("0"): 2}))
+        bad = np.eye(l.dim)
+        bad[0, 0] = np.nan
+        check = next(c for c in check_ad_map(l, bad).checks
+                     if c.name == "grading preserved")
+        assert not check.passed
+        assert not np.isfinite(check.residual)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_bracket_residual_names_its_pair(self):
         l = _gl11()
         bad = _parity_ad()
@@ -164,7 +215,7 @@ class TestInnerElement:
     def test_t_zero_is_identity(self):
         l = _gl11()
         g = inner_element(l, np.array([1.0, -1.0, 0, 0]), t=0.0)
-        assert g.is_identity()
+        np.testing.assert_array_equal(g.ad, np.eye(4))
 
 
 class TestHCPair:

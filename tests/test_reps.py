@@ -346,6 +346,19 @@ def test_pi_grading_flags_one_off_block_entry():
     assert [c.residual for c in rep.checks if c.name == "pi grading: leak"] == [0.5]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pi_grading_fails_a_nan_on_a_single_sector_space():
+    # every entry is allowed on a (2|0) space, so only the NaN can fail it
+    l, r = skew_matrix_algebra(GradedSpace(1, {Degree((0,)): 2}))
+    pi = np.eye(2, dtype=complex)
+    pi[0, 1] = np.nan
+    rep = check_unitary_rep(UnitaryRep(HCPair(l, [GroupElement("g", np.eye(l.dim), pi)]),
+                                       r.inner, r.rho))
+    check = next(c for c in rep.checks if c.name == "pi grading: g")
+    assert not check.passed
+    assert not np.isfinite(check.residual)
+
+
 # ------------------------------------------------------------------ stability
 
 def test_stability_roundtrip_without_even_sectors_is_exact():
