@@ -166,10 +166,12 @@ def check_axioms(l: ColorLieAlgebra, tol: float = _AXIOM_TOL) -> Report:
     bt = l.beta_table.astype(float)
 
     def entries():
+        # per x_i, three BLAS products over all (j, k, l):
+        # [x_i,[y,z]], [[x_i,y],z] and [y,[x_i,z]] at y = x_j, z = x_k
         for i in range(d):
-            lhs = np.einsum("jkm,ml->jkl", c, c[i])
-            t1 = np.einsum("jm,mkl->jkl", c[i], c)
-            t2 = np.einsum("km,jml->kjl", c[i], c).transpose(1, 0, 2)
+            lhs = (c.reshape(d * d, d) @ c[i]).reshape(d, d, d)
+            t1 = (c[i] @ c.reshape(d, d * d)).reshape(d, d, d)
+            t2 = np.matmul(c[i], c)
             resid = np.abs(lhs - t1 - bt[i][:, None, None] * t2)
             at = int(np.argmax(resid))
             yield float(resid.flat[at]), (i, at)

@@ -134,10 +134,14 @@ def normal_words(l: ColorLieAlgebra, max_level: int) -> list[tuple]:
 
 
 def default_group_samples(r, ts=_EXP_TIMES) -> list[GroupElement]:
-    """Identity, the bound extra generators, and exp samples of the zero sector."""
+    """Identity, the bound extra generators, and exp samples of the zero sector.
+
+    Degree-zero basis elements that act as exactly zero, on the algebra and
+    on the space, give no samples.
+    """
     out = [GroupElement.identity(r.algebra.dim, r.space_dim)]
     out.extend(g for g in r.pair.extra_generators if g.pi is not None)
-    out.extend(_zero_sector_exps(r, ts))
+    out.extend(_zero_sector_exps(r, ts, acting_only=True))
     return out
 
 

@@ -10,7 +10,6 @@ bound later by the representation layer.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .colorlie import ColorLieAlgebra
 from .errors import AxiomError, RankMismatchError
@@ -19,6 +18,44 @@ from .report import Report
 from .spaces import _degree_pattern
 
 _PAIR_TOL = 1e-9
+
+# degree-13 Pade approximant of exp, and the largest 1-norm for which it is
+# accurate to double precision without scaling (Higham 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with the Pade-13 approximant.
+
+    Higham, "The scaling and squaring method for the matrix exponential
+    revisited", SIAM J. Matrix Anal. Appl. 26 (2005): scale by 2^-s so that
+    the 1-norm is at most theta_13, evaluate the approximant with six products
+    and one solve, then square s times.  An exactly zero matrix gives exactly
+    the identity.
+    """
+    a = np.asarray(a)
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    norm = float(np.linalg.norm(a, 1))
+    if norm == 0.0:
+        return ident
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if np.isfinite(norm) else 0
+    a = a / 2.0 ** s
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 class GroupElement:
@@ -108,7 +145,7 @@ def inner_element(l: ColorLieAlgebra, coeffs, t: float = 1.0,
                              "group samples come from the even-like part")
     if label is None:
         label = f"exp({t:g}*ad)"
-    return GroupElement(label, expm(t * ad_operator(l, coeffs)))
+    return GroupElement(label, _expm(t * ad_operator(l, coeffs)))
 
 
 def check_ad_map(l: ColorLieAlgebra, ad, tol: float = _PAIR_TOL,
@@ -128,9 +165,11 @@ def check_ad_map(l: ColorLieAlgebra, ad, tol: float = _PAIR_TOL,
     rep.add("invertible", abs(det) > tol, detail=f"det={det:.3e}")
 
     c = l.structure
-    # Ad[x_i, x_j] vs [Ad x_i, Ad x_j], all pairs at once
-    lhs = np.einsum("ijm,km->ijk", c, ad)
-    rhs = np.einsum("pi,qj,pqk->ijk", ad, ad, c)
+    d = l.dim
+    # Ad[x_i, x_j] vs [Ad x_i, Ad x_j], all pairs at once, as BLAS products:
+    # lhs[i, j] = c[i, j] Ad^T and rhs[i] = Ad^T (sum_p Ad[p, i] c[p])
+    lhs = (c.reshape(d * d, d) @ ad.T).reshape(d, d, d)
+    rhs = np.matmul(ad.T, (ad.T @ c.reshape(d, d * d)).reshape(d, d, d))
     resid = lhs - rhs
     br_res = float(np.max(np.abs(resid))) if resid.size else 0.0
     detail = ""

@@ -9,13 +9,12 @@ extension operation raises when its hypotheses fail.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .colorlie import ColorLieAlgebra, check_perfectness, decompose_odd
 from .enveloping import EnvElement, MonoidElement
 from .errors import ExtensionError, PerfectnessError, RankMismatchError
 from .grading import Character, Degree, is_even_like
-from .hcpair import GroupElement, HCPair, ad_operator
+from .hcpair import GroupElement, HCPair, _expm, ad_operator
 from .report import Report, worst_residual
 from .spaces import GammaInnerSpace, HomogeneousMap, _degree_pattern, dagger_adjoint
 
@@ -181,13 +180,20 @@ def exp_group_element(r, coeffs, t: float = 1.0,
         mat += coeffs[i] * r.rho_matrix(i)
     if label is None:
         label = f"exp({t:g}x)"
-    return GroupElement(label, expm(t * ad_operator(l, coeffs)), expm(t * mat))
+    return GroupElement(label, _expm(t * ad_operator(l, coeffs)), _expm(t * mat))
 
 
-def _zero_sector_exps(r, ts):
-    """exp(t*x_i), bound to r, for each degree-zero basis element and time."""
+def _zero_sector_exps(r, ts, acting_only: bool = False):
+    """exp(t*x_i), bound to r, for each degree-zero basis element and time.
+
+    With ``acting_only``, a basis element whose bracket column and operator
+    are exactly zero is skipped: its exponentials equal the identity without
+    being it.
+    """
     l = r.algebra
     for i in l.sector(Degree.zero(l.rank)):
+        if acting_only and not (l.structure[i].any() or r.rho_matrix(i).any()):
+            continue
         coeffs = np.zeros(l.dim)
         coeffs[i] = 1.0
         for t in ts:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from colorrep.colorlie import ColorLieAlgebra, glV
 from colorrep.generators import clifford_rep
 from colorrep.grading import Degree, all_degrees
 from colorrep.reps import UnitaryRep
@@ -71,3 +72,29 @@ def spoiled_clifford(value):
     m[1, 0] = value
     odd = HomogeneousMap.from_dense(space, space, r.algebra.degrees[1], m)
     return UnitaryRep(r.pair, r.inner, [r.rho[0], odd])
+
+
+def spoiled_four_lines():
+    """glV of the rank-2 four-lines space with one structure constant off by 0.5."""
+    l = glV(GradedSpace(2, {d: 1 for d in all_degrees(2)}))
+    c = l.structure.copy()
+    c[3, 5, 9] += 0.5
+    return ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
+
+
+def random_structure(seed=7, graded_antisymmetric=False):
+    """A dim-9 rank-2 algebra with random structure constants.
+
+    With ``graded_antisymmetric`` the tensor is projected onto the graded,
+    beta-antisymmetric ones, so that only the Jacobi law can fail.
+    """
+    rng = np.random.default_rng(seed)
+    degrees = [all_degrees(2)[int(k)] for k in rng.integers(0, 4, size=9)]
+    l = ColorLieAlgebra(2, [f"z{i}" for i in range(9)], degrees,
+                        rng.standard_normal((9, 9, 9)))
+    if not graded_antisymmetric:
+        return l
+    c = 0.5 * (l.structure - l.beta_table[:, :, None] * l.structure.transpose(1, 0, 2))
+    codes = l.deg_codes
+    c[(codes[:, None, None] ^ codes[None, :, None]) != codes[None, None, :]] = 0.0
+    return ColorLieAlgebra(2, l.labels, l.degrees, c)

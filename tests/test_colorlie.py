@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_space
+from helpers import random_space, random_structure, spoiled_four_lines
 
 from colorrep.errors import AxiomError, PerfectnessError
 from colorrep.colorlie import (
@@ -287,3 +287,54 @@ def test_nan_residual_names_its_location(name, at, where):
     assert not check.passed
     assert np.isnan(check.residual)
     assert check.detail == where
+
+
+def _einsum_jacobi(l):
+    """The Jacobi residual and label as the per-i einsum loop computes them."""
+    c, d = l.structure, l.dim
+    bt = l.beta_table.astype(float)
+    top, at = 0.0, None
+    for i in range(d):
+        lhs = np.einsum("jkm,ml->jkl", c, c[i])
+        t1 = np.einsum("jm,mkl->jkl", c[i], c)
+        t2 = np.einsum("km,jml->kjl", c[i], c).transpose(1, 0, 2)
+        resid = np.abs(lhs - t1 - bt[i][:, None, None] * t2)
+        k = int(np.argmax(resid))
+        if resid.flat[k] > top or (resid.flat[k] != resid.flat[k] and top == top):
+            top, at = float(resid.flat[k]), (i, k)
+    if at is None:
+        return top, None
+    j, k, _ = np.unravel_index(at[1], (d, d, d))
+    return top, f"worst triple ({l.labels[at[0]]}, {l.labels[j]}, {l.labels[k]})"
+
+
+def _nan_gl11():
+    l = _gl11()
+    c = l.structure.copy()
+    c[2, 3, 1] = np.nan
+    return ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
+
+
+@pytest.mark.parametrize("build", [
+    spoiled_four_lines,
+    random_structure,
+    lambda: random_structure(9, graded_antisymmetric=True),
+    _nan_gl11,
+], ids=["spoiled-glV", "random-tensor", "random-bracket", "nan-gl11"])
+def test_jacobi_matches_the_einsum_reference(build):
+    l = build()
+    want, where = _einsum_jacobi(l)
+    check = next(x for x in check_axioms(l).checks if x.name == "jacobi")
+    assert not check.passed
+    assert check.detail == where
+    if np.isnan(want):
+        assert np.isnan(check.residual)
+    else:
+        assert check.residual == pytest.approx(want, rel=1e-12)
+
+
+def test_jacobi_of_a_spoiled_integer_table_is_exact():
+    # dyadic structure constants: every sum is exact in either order
+    l = spoiled_four_lines()
+    check = next(x for x in check_axioms(l).checks if x.name == "jacobi")
+    assert check.residual == _einsum_jacobi(l)[0] == 0.5

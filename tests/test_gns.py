@@ -132,6 +132,19 @@ def test_default_group_samples_cover_the_zero_sector():
     assert "exp(0.5*x)" in labels and "exp(1*x)" in labels
 
 
+def test_an_element_acting_as_zero_gives_no_group_samples():
+    # b = 0: the central x has a zero bracket column and rho(x) = 0, so its
+    # exponentials equal the identity without being it
+    r = clifford_rep(1, b=[[0.0]])
+    result = gns_construct(PDFunction.from_rep(r, np.array([1.0, 0.0])))
+    assert result.sample_count == 1
+    assert result.rep.pair.extra_generators == []
+    assert result.report.passed
+    # the consistency sample of the rep checker still exponentiates x
+    names = [c.name for c in check_unitary_rep(r).checks]
+    assert "equivariance: sampled one-parameter elements" in names
+
+
 # ----------------------------------------------------------- positivity
 
 def test_diagonal_coefficient_is_positive_definite():

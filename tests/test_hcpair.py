@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from helpers import random_structure, spoiled_four_lines
+
 from colorrep.colorlie import ColorLieAlgebra, bracket, glV
 from colorrep.errors import AxiomError, RankMismatchError
 from colorrep.generators import skew_matrix_algebra
 from colorrep.grading import Degree
 from colorrep.hcpair import (
+    _THETA13,
     GroupElement,
     HCPair,
+    _expm,
     ad_operator,
     check_ad_map,
     check_pair,
@@ -194,6 +198,67 @@ class TestCheckAdMap:
         assert not check.passed
         assert np.isnan(check.residual)
         assert check.detail.startswith("worst pair (")
+
+
+def _einsum_ad_bracket(l, ad):
+    """The bracket-automorphism residual and detail in the einsum form."""
+    c = l.structure
+    resid = (np.einsum("ijm,km->ijk", c, ad)
+             - np.einsum("pi,qj,pqk->ijk", ad, ad, c))
+    i, j, _ = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
+    return float(np.max(np.abs(resid))), f"worst pair ({l.labels[i]}, {l.labels[j]})"
+
+
+class TestCheckAdMapAgainstEinsum:
+    @pytest.mark.parametrize("build", [spoiled_four_lines, random_structure],
+                             ids=["spoiled-glV", "random-tensor"])
+    def test_residual_and_pair_match(self, build):
+        l = build()
+        rng = np.random.default_rng(11)
+        for ad in (np.eye(l.dim) + 0.25 * np.diag(rng.integers(-2, 3, size=l.dim)),
+                   rng.standard_normal((l.dim, l.dim))):
+            want, where = _einsum_ad_bracket(l, ad)
+            check = next(c for c in check_ad_map(l, ad).checks
+                         if c.name == "bracket automorphism")
+            assert not check.passed
+            assert check.residual == pytest.approx(want, rel=1e-12)
+            assert check.detail == where
+
+
+def _scaled(a, norm):
+    return a * (norm / np.linalg.norm(a, 1))
+
+
+class TestExpm:
+    @pytest.mark.parametrize("kind", ["real", "complex", "skew-hermitian"])
+    @pytest.mark.parametrize("norm", [1e-3, 0.7, 5.0, 40.0, 300.0])
+    def test_matches_scipy(self, kind, norm):
+        sl = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(int(norm * 1000) + len(kind))
+        for n in (1, 3, 8):
+            a = rng.standard_normal((n, n))
+            if kind != "real":
+                a = a + 1j * rng.standard_normal((n, n))
+            if kind == "skew-hermitian":
+                a = a - a.conj().T
+            a = _scaled(a, norm)
+            got, want = _expm(a), sl.expm(a)
+            assert got.dtype == want.dtype
+            assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+            if kind == "skew-hermitian":
+                assert np.max(np.abs(got.conj().T @ got - np.eye(n))) <= 1e-11
+
+    def test_norms_above_theta_force_squaring(self):
+        # exp(A)^2 = exp(2A) exactly in theory; the squaring branch must agree
+        a = _scaled(np.random.default_rng(3).standard_normal((6, 6)), _THETA13)
+        two = _expm(2 * a)
+        assert np.linalg.norm(two - _expm(a) @ _expm(a)) <= 1e-11 * np.linalg.norm(two)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_gives_the_identity_exactly(self, dtype):
+        e = _expm(np.zeros((4, 4), dtype=dtype))
+        assert e.dtype == dtype
+        np.testing.assert_array_equal(e, np.eye(4))
 
 
 class TestInnerElement:

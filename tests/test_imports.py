@@ -1,6 +1,9 @@
-"""Every module of the package uses each name it imports."""
+"""Imports: each imported name is used, and the command line needs no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,13 @@ def test_the_scan_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_command_line_imports_no_scipy():
+    # scipy is a test-only reference; the runtime needs numpy alone
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import colorrep.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

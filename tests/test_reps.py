@@ -359,6 +359,21 @@ def test_pi_grading_fails_a_nan_on_a_single_sector_space():
     assert not np.isfinite(check.residual)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_degree_zero_operator_fails_the_sampled_equivariance():
+    # the exponential of a NaN operator is NaN, not an exception
+    r = clifford_rep(1, b=[[1.0]])
+    space = r.inner.space
+    m = r.rho_matrix(0).copy()
+    m[0, 0] = np.nan
+    x = HomogeneousMap.from_dense(space, space, r.algebra.degrees[0], m)
+    rep = check_unitary_rep(UnitaryRep(r.pair, r.inner, [x, r.rho[1]]))
+    check = next(c for c in rep.checks
+                 if c.name == "equivariance: sampled one-parameter elements")
+    assert not check.passed
+    assert np.isnan(check.residual)
+
+
 # ------------------------------------------------------------------ stability
 
 def test_stability_roundtrip_without_even_sectors_is_exact():
