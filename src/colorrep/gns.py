@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .colorlie import ColorLieAlgebra
-from .enveloping import (DEFAULT_LEVEL_CAP, EnvElement, MonoidElement,
-                         is_normal_word, s_mul, s_star)
+from .enveloping import (DEFAULT_LEVEL_CAP, EnvElement, MonoidElement, _nf,
+                         env_star, is_normal_word, s_mul, s_star)
 from .errors import EquivalenceError, PositivityError, StabilizationError
 from .grading import Degree
 from .hcpair import GroupElement, HCPair
@@ -29,13 +29,18 @@ _EXP_TIMES = (0.5, 1.0)
 class PDFunction:
     """Scalar function on the monoid, linear over the enveloping part.
 
-    Instances remember where they came from.  Diagonal coefficients of a
-    representation keep the representation and vector, which unlocks a much
-    faster Gram assembly; table-backed functions only know their values on
-    normal words with trivial group part.
+    Instances remember where they came from, and the sample Gram is built
+    the fastest way that provenance allows (see ``_gram_of``).  Diagonal
+    coefficients of a representation keep the representation and vector and
+    are evaluated through the operators.  Table-backed functions only know
+    their values on normal words with trivial group part; they keep the
+    table, and their Grams read it through left-multiplication operators on
+    normal words, which are built on first use and kept.  Any other evaluator
+    is called once per Gram entry.
     """
 
-    __slots__ = ("algebra", "provenance", "rep", "vector", "table", "_eval")
+    __slots__ = ("algebra", "provenance", "rep", "vector", "table", "_eval",
+                 "_words")
 
     def __init__(self, algebra: ColorLieAlgebra, evaluator,
                  provenance: str = "custom"):
@@ -45,6 +50,7 @@ class PDFunction:
         self.rep = None
         self.vector = None
         self.table = None
+        self._words = None
 
     def __call__(self, s: MonoidElement) -> complex:
         if s.env.algebra is not self.algebra:
@@ -80,10 +86,7 @@ class PDFunction:
             clean[word] = complex(val)
 
         def ev(s: MonoidElement) -> complex:
-            if not s.group.is_identity():
-                raise ValueError(
-                    f"table-backed function cannot evaluate group element "
-                    f"{s.group.label!r}; only the identity component is tabulated")
+            _refuse_group_part(s)
             return sum((c * clean.get(w, 0.0) for w, c in s.env.terms.items()),
                        start=0.0 + 0.0j)
 
@@ -93,6 +96,14 @@ class PDFunction:
 
     def __repr__(self) -> str:
         return f"PDFunction({self.provenance}, dim={self.algebra.dim})"
+
+
+def _refuse_group_part(s: MonoidElement) -> None:
+    # a table holds values on the identity component only
+    if not s.group.is_identity():
+        raise ValueError(
+            f"table-backed function cannot evaluate group element "
+            f"{s.group.label!r}; only the identity component is tabulated")
 
 
 class SampleSet:
@@ -176,20 +187,35 @@ def _monoid_pair(a: MonoidElement, b: MonoidElement) -> MonoidElement:
 def _gram_of(psi: PDFunction, elements):
     """The Gram M[i, j] = psi(s_i* s_j) of the elements, built once.
 
-    The only place that picks the operator route (representation-backed
-    psi) or the monoid-product route (all others).  Both give ``eigs``, the
-    eigenvalues of M ascending (None when the data are not finite);
-    ``scale``, max(1, ||M||_2) (1 when not finite); ``dense()``, M;
-    ``hermitian()``, residual and detail of the Hermitian check;
-    ``route_gap()``, the sampled gap between the two routes (None with one
-    route); ``translate(m_left)``, the pairings psi(t* m_left s) indexed
+    The only place that picks a route.  Representation-backed psi takes the
+    operator route (``_FactoredGram``).  Table-backed psi takes the table
+    route (``_TableGram``) when every element's group part is the identity
+    by construction; a table with any other group sample, and every other
+    psi, takes the monoid-product route (``_DenseGram``), where the table
+    refuses the group part.  Each route gives ``eigs``, the eigenvalues of M
+    ascending (None when the data are not finite); ``scale``,
+    max(1, ||M||_2) (1 when not finite); ``dense()``, M; ``hermitian()``,
+    residual and detail of the Hermitian check; ``route_gap()``, the sampled
+    gap between the operator and monoid-product routes (None on the other
+    two); ``translate(m_left)``, the pairings psi(t* m_left s) indexed
     [t, s] and the squared lengths of the translates; ``against(x)``,
     psi(t* x) for every sample t; and ``psd_detail``.
     """
     if not elements:
         raise ValueError("sample set is empty")
-    route = _FactoredGram if psi.rep is not None else _DenseGram
-    return route(psi, elements)
+    if psi.rep is not None:
+        return _FactoredGram(psi, elements)
+    if psi.table is not None and all(s.group.is_identity() for s in elements):
+        return _TableGram(psi, elements)
+    return _DenseGram(psi, elements)
+
+
+def _spectrum(m: np.ndarray):
+    # eigenvalues ascending and max(1, ||M||_2); None and 1 when not finite
+    if not np.isfinite(m).all():
+        return None, 1.0
+    return (np.linalg.eigvalsh((m + m.conj().T) / 2.0),
+            max(1.0, float(np.linalg.norm(m, 2))))
 
 
 class _DenseGram:
@@ -202,10 +228,7 @@ class _DenseGram:
         self.elements = elements
         self.stars = [s_star(t) for t in elements]
         self.m = np.column_stack([self.against(b) for b in elements])
-        self.eigs, self.scale = None, 1.0
-        if np.isfinite(self.m).all():
-            self.eigs = np.linalg.eigvalsh((self.m + self.m.conj().T) / 2.0)
-            self.scale = max(1.0, float(np.linalg.norm(self.m, 2)))
+        self.eigs, self.scale = _spectrum(self.m)
 
     def dense(self) -> np.ndarray:
         return self.m
@@ -230,6 +253,159 @@ class _DenseGram:
     def against(self, x: MonoidElement) -> np.ndarray:
         return np.array([self.psi(_product(t_star, x)) for t_star in self.stars],
                         dtype=complex)
+
+
+class _WordOperators:
+    """Left multiplication by the generators on normal words, for a table t.
+
+    This is the left regular action of U(g) that the GNS space carries.
+    L_k e_u = nf(x_k u), kept per generator as index/value arrays (``src``
+    the column u, ``dst`` the row, sorted by ``src``).  For a normal word
+    w = (a_1, ..., a_r), psi(w* u) = phase(w) t(x_{a_r} ... x_{a_1} u) with
+    the star phase phase(w), so its row is rho_w = t^T L_{a_r} ... L_{a_1}
+    = rho_{(a_2, ..., a_r)} L_{a_1}: the suffix is a shorter normal word, and
+    each row costs one sparse product.  At ``top`` the words run up to
+    length 2 top, the operators act on words up to length 2 top - 1, and
+    the row of a word of length r is exact on words up to length 2 top - r.
+    Built on first use, grown with the level and kept on the function.
+    Normal forms are unique when the algebra satisfies its axioms, which is
+    what makes this agree with the monoid-product route.
+    """
+
+    def __init__(self, psi: PDFunction):
+        l = psi.algebra
+        self.algebra = l
+        self.table = psi.table
+        self.top = -1
+        self.built = 0           # words whose columns the operators hold
+        self.words: list[tuple] = []
+        self.index: dict[tuple, int] = {}
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.ops = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                     np.zeros(0, dtype=complex)) for _ in range(l.dim)]
+        self.letter_phase = np.array(
+            [env_star(l, EnvElement.generator(l, k)).coefficient((k,))
+             for k in range(l.dim)])
+        self.rows: list[np.ndarray] = []
+        self.phase = np.ones(0, dtype=complex)
+
+    def grow(self, top: int) -> None:
+        if top <= self.top:
+            return
+        l = self.algebra
+        self.words = normal_words(l, 2 * top)
+        self.index = {w: i for i, w in enumerate(self.words)}
+        # counts[m]: how many words have length at most m
+        self.counts = np.searchsorted([len(w) for w in self.words],
+                                      np.arange(2 * top + 1), side="right")
+        end = int(self.counts[2 * top - 1]) if top else 0
+        for k in range(l.dim):
+            src, dst, val = [], [], []
+            for u in range(self.built, end):
+                for v, c in _nf(l, (k,) + self.words[u]).items():
+                    src.append(u)
+                    dst.append(self.index[v])
+                    val.append(c)
+            old = self.ops[k]
+            self.ops[k] = tuple(np.concatenate([a, np.array(b, dtype=a.dtype)])
+                                for a, b in zip(old, (src, dst, val)))
+        self.built = end
+        self.top = top
+
+        n = int(self.counts[top])
+        rows = [np.array([self.table.get(w, 0.0) for w in self.words],
+                         dtype=complex)]
+        phase = np.ones(n, dtype=complex)
+        for i in range(1, n):
+            w = self.words[i]
+            j = self.index[w[1:]]
+            out = int(self.counts[2 * top - len(w)])
+            rows.append(self._times(w[0], rows[j], out))
+            phase[i] = self.letter_phase[w[0]] * phase[j]
+        self.rows, self.phase = rows, phase
+
+    def _times(self, k: int, row: np.ndarray, out: int) -> np.ndarray:
+        # row^T L_k on the first ``out`` words
+        src, dst, val = self.ops[k]
+        cut = int(np.searchsorted(src, out))
+        wts = row[dst[:cut]] * val[:cut]
+        return (np.bincount(src[:cut], wts.real, out)
+                + 1j * np.bincount(src[:cut], wts.imag, out))
+
+    def coordinates(self, envs, level: int) -> np.ndarray:
+        """Columns of normal-word coefficients, on the words up to the level."""
+        self.grow(level)
+        x = np.zeros((int(self.counts[level]), len(envs)), dtype=complex)
+        for col, env in enumerate(envs):
+            for w, c in env.terms.items():
+                for v, cv in _nf(self.algebra, w).items():
+                    x[self.index[v], col] += c * cv
+        return x
+
+    def left_multiply(self, env: EnvElement, x: np.ndarray,
+                      level: int) -> np.ndarray:
+        """env times the columns of x (words up to the level), on longer words."""
+        top = level + env.level
+        self.grow(top)
+        out = np.zeros((int(self.counts[top]), x.shape[1]), dtype=complex)
+        for word, c in env.terms.items():
+            y, m = x, level
+            for k in reversed(word):
+                src, dst, val = self.ops[k]
+                cut = int(np.searchsorted(src, y.shape[0]))
+                op = np.zeros((int(self.counts[m + 1]), y.shape[0]),
+                              dtype=complex)
+                op[dst[:cut], src[:cut]] = val[:cut]
+                y, m = op @ y, m + 1
+            out[:y.shape[0]] += c * y
+        return out
+
+    def pairings(self, level: int, x: np.ndarray, x_level: int) -> np.ndarray:
+        """psi(u* x) for every word u up to the level and every column x.
+
+        The columns hold coefficients on the words up to ``x_level``.
+        """
+        self.grow(max(level, x_level))
+        n = int(self.counts[level])
+        rows = np.stack([row[:x.shape[0]] for row in self.rows[:n]])
+        return self.phase[:n, None] * (rows @ x)
+
+
+class _TableGram(_DenseGram):
+    """Table route: Gram entries read the table through left multiplication.
+
+    With C the normal-word coordinates of the samples and K the word Gram
+    K[u, v] = psi(u* v), M = C^H K C.  Both triangles of K are computed, so
+    the Hermitian check stays a real one.  Left translation by x_k maps C to
+    Y = L_k C on words one longer, so its pairings are C^H K Y and the
+    squared lengths of the translates are the diagonal of Y^H K Y.
+    """
+
+    def __init__(self, psi: PDFunction, elements):
+        self.psi = psi
+        self.elements = elements
+        if psi._words is None:
+            psi._words = _WordOperators(psi)
+        self.words = psi._words
+        self.level = max(s.level for s in elements)
+        self.c = self.words.coordinates([s.env for s in elements], self.level)
+        self.m = self.c.conj().T @ self.words.pairings(self.level, self.c,
+                                                       self.level)
+        self.eigs, self.scale = _spectrum(self.m)
+
+    def translate(self, m_left: MonoidElement):
+        _refuse_group_part(m_left)
+        top = self.level + m_left.level
+        y = self.words.left_multiply(m_left.env, self.c, self.level)
+        ky = self.words.pairings(top, y, top)
+        return (self.c.conj().T @ ky[:self.c.shape[0]],
+                np.real(np.sum(y.conj() * ky, axis=0)))
+
+    def against(self, x: MonoidElement) -> np.ndarray:
+        _refuse_group_part(x)
+        col = self.words.coordinates([x.env], x.level)
+        pairs = self.words.pairings(self.level, col, x.level)
+        return self.c.conj().T @ pairs[:, 0]
 
 
 class _FactoredGram:
@@ -310,8 +486,9 @@ def sample_gram(psi: PDFunction, samples) -> tuple[np.ndarray, float]:
     M = W^H W from the factor W = R U (R the Cholesky factor of the space
     Gram, U the sample columns); a few same-degree and diagonal entries are
     then recomputed through the monoid product as an independent route, and
-    the worst disagreement is returned alongside the matrix.  Other
-    functions pay for every entry through the monoid product, and the
+    the worst disagreement is returned alongside the matrix.  Tables read
+    their values through left multiplication on normal words, and other
+    functions pay for every entry through the monoid product; on both the
     returned disagreement is zero.
     """
     gram = _gram_of(psi, list(samples))
@@ -421,7 +598,9 @@ def gns_construct(psi: PDFunction, group_samples=None,
     singular values of W, and only the chosen level forms M densely for the
     per-sector quotient.  Hermitian symmetry and positivity then hold by
     construction; the route agreement, grading, escape, orthonormality,
-    representation and reproducing checks are numerical.
+    representation and reproducing checks are numerical.  For tables, every
+    level reads the same left-multiplication operators, grown level by
+    level, and the reproducing check pairs them against monoid products.
 
     Raises StabilizationError when the rank is still growing at the cap, when
     a translate escapes the span the rank test certified, or when the

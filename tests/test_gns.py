@@ -1,5 +1,7 @@
 """Positive definite functions and the reconstruction of cyclic representations."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -296,7 +298,9 @@ def test_dense_gram_stars_each_sample_once(monkeypatch):
     assert len(samples) == 5
     stars = []
     monkeypatch.setattr(gns, "s_star", lambda s: stars.append(s) or s_star(s))
-    check_positive_definite(PDFunction.from_table(l, {(): 1.0}), samples)
+    # a custom evaluator takes the monoid-product route; a bare table would not
+    table = PDFunction.from_table(l, {(): 1.0})
+    check_positive_definite(PDFunction(l, table), samples)
     assert len(stars) == 5
 
 
@@ -419,6 +423,103 @@ def test_table_route_gram_inverts_no_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
     assert check_positive_definite(psi, samples).passed
     assert calls == []
+
+
+@functools.lru_cache(maxsize=1)
+def _four_lines_values():
+    r = conjugated_rep(skew_matrix_algebra(FOUR_LINES)[1], seed=7)
+    l = r.algebra
+    psi = PDFunction.from_rep(r, np.array([1.0, 0.0, 0.0, 0.0]))
+    return l, {w: psi(MonoidElement.from_env(EnvElement(l, {w: 1.0})))
+               for w in normal_words(l, 4)}
+
+
+def four_lines_table():
+    """A seeded four-lines coefficient tabulated up to length 4, as the
+    benchmark's pd-table inputs are: the conjugated skew-matrix rep with e0."""
+    return PDFunction.from_table(*_four_lines_values())
+
+
+_TABLES = {"clifford": lambda: clifford_table(4), "four-lines": four_lines_table}
+
+
+@pytest.mark.parametrize("name, level", [("clifford", 1), ("clifford", 2),
+                                         ("four-lines", 2)])
+def test_table_and_monoid_product_grams_agree(name, level):
+    psi = _TABLES[name]()
+    samples = build_sample_set(psi.algebra, [], level).elements
+    table = gns._gram_of(psi, samples)
+    dense = gns._gram_of(PDFunction(psi.algebra, psi), samples)
+    assert isinstance(table, gns._TableGram)
+    assert isinstance(dense, gns._DenseGram)
+    tol = 1e-12 * dense.scale
+    assert np.max(np.abs(table.dense() - dense.dense())) <= tol
+    x = s_star(samples[-1])
+    assert np.max(np.abs(table.against(x) - dense.against(x))) <= tol
+
+
+@pytest.mark.parametrize("name, level", [("clifford", 1), ("clifford", 2),
+                                         ("four-lines", 1)])
+def test_table_and_monoid_product_translates_agree(name, level):
+    psi = _TABLES[name]()
+    l = psi.algebra
+    samples = build_sample_set(l, [], level).elements
+    table = gns._gram_of(psi, samples)
+    dense = gns._gram_of(PDFunction(l, psi), samples)
+    for k in range(l.dim):
+        gen = MonoidElement.from_env(EnvElement.generator(l, k))
+        (tp, tn), (dp, dn) = table.translate(gen), dense.translate(gen)
+        scale = max(1.0, float(np.max(np.abs(dn))))
+        assert np.max(np.abs(tp - dp)) <= 1e-12 * scale
+        assert np.max(np.abs(tn - dn)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_table_and_monoid_product_reconstructions_agree(name):
+    psi = _TABLES[name]()
+    res_t = gns_construct(psi)
+    res_d = gns_construct(PDFunction(psi.algebra, psi))
+    assert res_t.report.passed
+    assert ([(c.name, c.passed) for c in res_t.report.checks]
+            == [(c.name, c.passed) for c in res_d.report.checks])
+    assert res_t.level_used == res_d.level_used
+    assert res_t.rep.space_dim == res_d.rep.space_dim
+    assert sorted(res_t.gram_spectrum) == sorted(res_d.gram_spectrum)
+    for d, spec in res_t.gram_spectrum.items():
+        assert np.allclose(spec["retained"],
+                           res_d.gram_spectrum[d]["retained"],
+                           rtol=1e-9, atol=0.0)
+
+
+def test_table_with_a_group_sample_is_refused():
+    psi = clifford_table(4)
+    l = psi.algebra
+    g = clifford_parity_generator(1)
+    samples = build_sample_set(l, [g], 1)
+    with pytest.raises(ValueError, match="group element"):
+        check_positive_definite(psi, samples)
+    with pytest.raises(ValueError, match="group element"):
+        gns_construct(psi, group_samples=[GroupElement.identity(l.dim, 2), g])
+    table = gns._gram_of(psi, build_sample_set(l, [], 1).elements)
+    with pytest.raises(ValueError, match="group element"):
+        table.translate(MonoidElement.from_group(l, g))
+    with pytest.raises(ValueError, match="group element"):
+        table.against(MonoidElement.from_group(l, g))
+
+
+def test_nan_table_value_fails_the_gram_checks():
+    l = clifford_algebra()          # x = basis element 0 is even
+    psi = PDFunction.from_table(l, {(): 1.0, (0,): np.nan})
+    samples = build_sample_set(l, [], 1)
+    assert isinstance(gns._gram_of(psi, samples.elements), gns._TableGram)
+    rep = check_positive_definite(psi, samples)
+    checks = {c.name: c for c in rep.checks}
+    for name in ("gram hermitian", "gram positive semidefinite"):
+        assert not checks[name].passed
+        assert checks[name].detail == "non-finite sample data"
+    assert checks["support condition"].passed
+    with pytest.raises(PositivityError, match="not finite"):
+        gns_construct(psi)
 
 
 def test_support_violation_raises_positivity_error():
