@@ -214,6 +214,9 @@ def _do_gns_construct(config: SessionConfig, task: Task) -> Report:
     out.extend(result.report)
     out.context["gram_spectrum"] = result.gram_spectrum
     out.context["level_used"] = result.level_used
+    for key in ("words", "operator_entries"):   # table route only
+        if key in result.report.context:
+            out.context[key] = result.report.context[key]
     if task.params.get("output"):
         save_rep(task.params["output"], result.rep, cyclic=result.cyclic)
         out.context["output"] = task.params["output"]

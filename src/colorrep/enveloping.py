@@ -237,9 +237,14 @@ def env_star(l: ColorLieAlgebra, d: EnvElement) -> EnvElement:
     for w, c in d.terms.items():
         phase = 1.0 + 0j
         for i in w:
-            phase *= -np.conjugate(alpha(l.degrees[i]).value)
+            phase *= letter_star_phase(l, i)
         _acc(out, _nf(l, w[::-1]), np.conjugate(c) * phase)
     return EnvElement(l, out)
+
+
+def letter_star_phase(l: ColorLieAlgebra, i: int) -> complex:
+    """The phase p with x_i* = p x_i, which is -conj(alpha(deg x_i))."""
+    return -np.conjugate(alpha(l.degrees[i]).value)
 
 
 def env_ad(g: GroupElement, d: EnvElement) -> EnvElement:

@@ -9,11 +9,13 @@ certifies what it verified, and compares independent reconstructions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .colorlie import ColorLieAlgebra
 from .enveloping import (DEFAULT_LEVEL_CAP, EnvElement, MonoidElement, _nf,
-                         env_star, is_normal_word, s_mul, s_star)
+                         is_normal_word, letter_star_phase, s_mul, s_star)
 from .errors import EquivalenceError, PositivityError, StabilizationError
 from .grading import Degree
 from .hcpair import GroupElement, HCPair
@@ -24,6 +26,9 @@ from .spaces import GammaInnerSpace, GradedSpace, HomogeneousMap, _degree_patter
 
 _GNS_TOL = 1e-9
 _EXP_TIMES = (0.5, 1.0)
+# the most normal words one level of the table route may index: at dim 16
+# with 8 odd letters, level 3 has 40,081 and level 4 has 265,729
+_WORD_BUDGET = 100_000
 
 
 class PDFunction:
@@ -35,8 +40,10 @@ class PDFunction:
     are evaluated through the operators.  Table-backed functions only know
     their values on normal words with trivial group part; they keep the
     table, and their Grams read it through left-multiplication operators on
-    normal words, which are built on first use and kept.  Any other evaluator
-    is called once per Gram entry.
+    normal words (``_WordOperators``).  Those are built on first use by the
+    PBW recursion, with ``enveloping._nf`` as the reference they are tested
+    against, grown with the level under a word budget, and kept.  Any other
+    evaluator is called once per Gram entry.
     """
 
     __slots__ = ("algebra", "provenance", "rep", "vector", "table", "_eval",
@@ -142,6 +149,19 @@ def normal_words(l: ColorLieAlgebra, max_level: int) -> list[tuple]:
         words.extend(grown)
         frontier = grown
     return words
+
+
+def normal_word_count(l: ColorLieAlgebra, max_level: int) -> int:
+    """How many words ``normal_words`` lists, in closed form.
+
+    The normal words of length m number the coefficient of t^m in
+    (1 - t)^-e (1 + t)^o, where o counts the letters with beta(i, i) = -1 and
+    e the others; dividing by 1 - t sums the lengths up to the bound.
+    """
+    odd = int(np.sum(np.diag(l.beta_table) == -1))
+    even = l.dim - odd
+    return sum(math.comb(odd, j) * math.comb(max_level - j + even, even)
+               for j in range(min(odd, max_level) + 1))
 
 
 def default_group_samples(r, ts=_EXP_TIMES) -> list[GroupElement]:
@@ -255,61 +275,94 @@ class _DenseGram:
                         dtype=complex)
 
 
+def _segments(lo: np.ndarray, n: np.ndarray):
+    # for the runs [lo_i, lo_i + n_i): the run of each element, and its position
+    which = np.repeat(np.arange(n.size), n)
+    return which, np.arange(which.size) + np.repeat(lo - np.cumsum(n) + n, n)
+
+
 class _WordOperators:
     """Left multiplication by the generators on normal words, for a table t.
 
-    This is the left regular action of U(g) that the GNS space carries.
-    L_k e_u = nf(x_k u), kept per generator as index/value arrays (``src``
-    the column u, ``dst`` the row, sorted by ``src``).  For a normal word
-    w = (a_1, ..., a_r), psi(w* u) = phase(w) t(x_{a_r} ... x_{a_1} u) with
-    the star phase phase(w), so its row is rho_w = t^T L_{a_r} ... L_{a_1}
-    = rho_{(a_2, ..., a_r)} L_{a_1}: the suffix is a shorter normal word, and
-    each row costs one sparse product.  At ``top`` the words run up to
-    length 2 top, the operators act on words up to length 2 top - 1, and
-    the row of a word of length r is exact on words up to length 2 top - r.
-    Built on first use, grown with the level and kept on the function.
-    Normal forms are unique when the algebra satisfies its axioms, which is
-    what makes this agree with the monoid-product route.
+    This is the left regular action of U(g) that the GNS space carries.  The
+    column of L_k at the normal word u holds nf(x_k u); all columns sit in
+    one flat store, the column (u, k) under the key u d + k (d = dim g).  They
+    come from the PBW recursion (Scheunert, J. Math. Phys. 20 (1979)), word
+    length by word length: for u = (a, u'),
+
+        L_k e_u = e_(k, a, u')                       if k < a, or k = a and
+                                                     beta(k, k) = +1;
+                = 1/2 sum_j c^j_kk L_j e_u'          if k = a and
+                                                     beta(k, k) = -1;
+                = beta(k, a) L_a L_k e_u'
+                  + sum_j c^j_ka L_j e_u'            if k > a.
+
+    Every word of L_k e_u' that is as long as u starts at a letter >= a, so
+    the last case reads only columns of shorter words and columns of the
+    first two cases, which are built first.  Growth computes only the new
+    columns.  Normal forms are unique when the algebra satisfies its axioms
+    (Bergman, Adv. Math. 29 (1978)), so the columns are the normal forms
+    that ``enveloping._nf`` rewrites to; ``_nf`` is the reference that the
+    tests and the reproducing check of ``gns_construct`` compare against.
+
+    For a normal word w = (a_1, ..., a_r), psi(w* u) = phase(w) t(x_{a_r} ...
+    x_{a_1} u) with the star phase phase(w), so its row is rho_w = t^T L_{a_r}
+    ... L_{a_1} = rho_{(a_2, ..., a_r)} L_{a_1}: the suffix is a shorter
+    normal word, and each row costs one sparse product.  At ``top`` the words
+    run up to length 2 top, the operators act on words up to length 2 top - 1,
+    and the row of a word of length r is exact on words up to length
+    2 top - r.  A ``top`` whose words number more than ``_WORD_BUDGET`` is
+    refused before anything is allocated.  Built on first use, grown with the
+    level and kept on the function.
     """
 
     def __init__(self, psi: PDFunction):
         l = psi.algebra
+        d = l.dim
         self.algebra = l
         self.table = psi.table
         self.top = -1
-        self.built = 0           # words whose columns the operators hold
+        self.built = 0           # words whose columns the store holds
         self.words: list[tuple] = []
         self.index: dict[tuple, int] = {}
         self.counts = np.zeros(0, dtype=np.int64)
-        self.ops = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                     np.zeros(0, dtype=complex)) for _ in range(l.dim)]
-        self.letter_phase = np.array(
-            [env_star(l, EnvElement.generator(l, k)).coefficient((k,))
-             for k in range(l.dim)])
+        self.tail = np.zeros(0, dtype=np.int64)
+        # column u d + k: entries start[u d + k] onwards, count[u d + k] many
+        self.start = np.zeros(0, dtype=np.int64)
+        self.count = np.zeros(0, dtype=np.int64)
+        self.dst = np.zeros(0, dtype=np.int64)
+        self.val = np.zeros(0, dtype=complex)
+        # [x_a, x_b] = sum_j c^j_ab x_j, as runs per pair a d + b
+        c = l.structure.reshape(d * d, d)
+        pair, self.bracket_j = np.nonzero(c)
+        self.bracket_c = c[pair, self.bracket_j]
+        self.bracket_at = np.searchsorted(pair, np.arange(d * d + 1))
+        self.odd = np.diag(l.beta_table) == -1
+        self.letter_phase = np.array([letter_star_phase(l, k)
+                                      for k in range(d)])
         self.rows: list[np.ndarray] = []
         self.phase = np.ones(0, dtype=complex)
+
+    @property
+    def entries(self) -> int:
+        """Stored nonzeros over all the L_k."""
+        return self.dst.size
 
     def grow(self, top: int) -> None:
         if top <= self.top:
             return
         l = self.algebra
+        words = normal_word_count(l, 2 * top)
+        if words > _WORD_BUDGET:
+            raise StabilizationError(
+                f"level {top} needs the {words} normal words up to length "
+                f"{2 * top}, over the budget of {_WORD_BUDGET} words")
         self.words = normal_words(l, 2 * top)
         self.index = {w: i for i, w in enumerate(self.words)}
         # counts[m]: how many words have length at most m
         self.counts = np.searchsorted([len(w) for w in self.words],
                                       np.arange(2 * top + 1), side="right")
-        end = int(self.counts[2 * top - 1]) if top else 0
-        for k in range(l.dim):
-            src, dst, val = [], [], []
-            for u in range(self.built, end):
-                for v, c in _nf(l, (k,) + self.words[u]).items():
-                    src.append(u)
-                    dst.append(self.index[v])
-                    val.append(c)
-            old = self.ops[k]
-            self.ops[k] = tuple(np.concatenate([a, np.array(b, dtype=a.dtype)])
-                                for a, b in zip(old, (src, dst, val)))
-        self.built = end
+        self._build_columns(top)
         self.top = top
 
         n = int(self.counts[top])
@@ -317,28 +370,116 @@ class _WordOperators:
                          dtype=complex)]
         phase = np.ones(n, dtype=complex)
         for i in range(1, n):
-            w = self.words[i]
-            j = self.index[w[1:]]
+            w, j = self.words[i], int(self.tail[i])
             out = int(self.counts[2 * top - len(w)])
             rows.append(self._times(w[0], rows[j], out))
             phase[i] = self.letter_phase[w[0]] * phase[j]
         self.rows, self.phase = rows, phase
 
+    def _build_columns(self, top: int) -> None:
+        # the columns of the words of length up to 2 top - 1 not yet built
+        d = self.algebra.dim
+        end = int(self.counts[2 * top - 1]) if top else 0
+        first = np.array([w[0] if w else d for w in self.words])
+        bounds = np.concatenate([[0], self.counts])
+        # pre[k, u]: the index of the normal word (k,) + u, or -1.  The words
+        # of one length are in lexicographic order, so the words (k,) + u are
+        # a run, and so are their suffixes u
+        pre = np.full((d, end), -1, dtype=np.int64)
+        self.tail = np.full(len(self.words), -1, dtype=np.int64)
+        for m in range(2 * top):
+            lo, hi, nxt = bounds[m], bounds[m + 1], bounds[m + 2]
+            for k in range(d):
+                s = lo + np.searchsorted(first[lo:hi], k,
+                                         side="right" if self.odd[k] else "left")
+                p = hi + np.searchsorted(first[hi:nxt], k)
+                pre[k, s:hi] = p + np.arange(hi - s)
+                self.tail[p:p + hi - s] = np.arange(s, hi)
+        grown = np.zeros((end - self.built) * d, dtype=np.int64)
+        self.start = np.concatenate([self.start, grown])
+        self.count = np.concatenate([self.count, grown])
+        beta = self.algebra.beta_table
+        for m in range(2 * top):
+            lo, hi = int(bounds[m]), int(bounds[m + 1])
+            if hi <= self.built:
+                continue
+            # prepends, and the squares of letters with beta(a, a) = -1
+            ks, us = np.nonzero(pre[:, lo:hi] >= 0)
+            us += lo
+            parts = [(us * d + ks, pre[ks, us], np.ones(us.size))]
+            if m:
+                sq = lo + np.flatnonzero(self.odd[first[lo:hi]])
+                a = first[sq]
+                p, j, c = self._brackets(a * d + a)
+                w, dst, val = self._columns(self.tail[sq[p]] * d + j, 0.5 * c)
+                parts.append(((sq * d + a)[p[w]], dst, val))
+            self._store(parts)
+            if not m:
+                continue
+            # k > a: beta(k, a) L_a L_k e_u' + sum_j c^j_ka L_j e_u'
+            ks, us = np.nonzero(np.arange(d)[:, None] > first[lo:hi])
+            us += lo
+            a, t, keys = first[us], self.tail[us], us * d + ks
+            p, j, c = self._brackets(ks * d + a)
+            w, dst, val = self._columns(t[p] * d + j, c)
+            parts = [(keys[p[w]], dst, val)]
+            w, v, cv = self._columns(t * d + ks, beta[ks, a])
+            w2, dst, val = self._columns(v * d + a[w], cv)
+            parts.append((keys[w[w2]], dst, val))
+            self._store(parts)
+        self.built = end
+
+    def _brackets(self, pairs: np.ndarray):
+        # (which pair, j, c^j) over the nonzero structure constants of each
+        which, pos = _segments(self.bracket_at[pairs],
+                               self.bracket_at[pairs + 1] - self.bracket_at[pairs])
+        return which, self.bracket_j[pos], self.bracket_c[pos]
+
+    def _columns(self, keys: np.ndarray, coef=None):
+        # (which key, row, value) over the stored columns, each scaled by coef
+        which, pos = _segments(self.start[keys], self.count[keys])
+        val = self.val[pos] if coef is None else self.val[pos] * coef[which]
+        return which, self.dst[pos], val
+
+    def _store(self, parts) -> None:
+        # sum the (key, row, value) triples into columns and append them
+        keys, dst, val = (np.concatenate(x) for x in zip(*parts))
+        n = len(self.words)
+        code, inv = np.unique(keys * n + dst, return_inverse=True)
+        val = (np.bincount(inv, val.real, code.size)
+               + 1j * np.bincount(inv, val.imag, code.size))
+        keep = val != 0
+        code, val = code[keep], val[keep]
+        keys, at, count = np.unique(code // n, return_index=True,
+                                    return_counts=True)
+        self.start[keys] = self.dst.size + at
+        self.count[keys] = count
+        self.dst = np.concatenate([self.dst, code % n])
+        self.val = np.concatenate([self.val, val])
+
+    def _operator(self, k: int, cols: int):
+        # L_k on the first ``cols`` words, as (column, row, value) arrays
+        return self._columns(np.arange(cols) * self.algebra.dim + k)
+
     def _times(self, k: int, row: np.ndarray, out: int) -> np.ndarray:
         # row^T L_k on the first ``out`` words
-        src, dst, val = self.ops[k]
-        cut = int(np.searchsorted(src, out))
-        wts = row[dst[:cut]] * val[:cut]
-        return (np.bincount(src[:cut], wts.real, out)
-                + 1j * np.bincount(src[:cut], wts.imag, out))
+        src, dst, val = self._operator(k, out)
+        wts = row[dst] * val
+        return (np.bincount(src, wts.real, out)
+                + 1j * np.bincount(src, wts.imag, out))
 
     def coordinates(self, envs, level: int) -> np.ndarray:
-        """Columns of normal-word coefficients, on the words up to the level."""
+        """Columns of normal-word coefficients, on the words up to the level.
+
+        Normal words are looked up; only a word that is not normal is
+        rewritten through ``_nf``.
+        """
         self.grow(level)
         x = np.zeros((int(self.counts[level]), len(envs)), dtype=complex)
         for col, env in enumerate(envs):
             for w, c in env.terms.items():
-                for v, cv in _nf(self.algebra, w).items():
+                terms = {w: 1.0} if w in self.index else _nf(self.algebra, w)
+                for v, cv in terms.items():
                     x[self.index[v], col] += c * cv
         return x
 
@@ -351,11 +492,10 @@ class _WordOperators:
         for word, c in env.terms.items():
             y, m = x, level
             for k in reversed(word):
-                src, dst, val = self.ops[k]
-                cut = int(np.searchsorted(src, y.shape[0]))
+                src, dst, val = self._operator(k, y.shape[0])
                 op = np.zeros((int(self.counts[m + 1]), y.shape[0]),
                               dtype=complex)
-                op[dst[:cut], src[:cut]] = val[:cut]
+                op[dst, src] = val
                 y, m = op @ y, m + 1
             out[:y.shape[0]] += c * y
         return out
@@ -603,6 +743,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
     level, and the reproducing check pairs them against monoid products.
 
     Raises StabilizationError when the rank is still growing at the cap, when
+    a table-backed level needs more normal words than the budget allows, when
     a translate escapes the span the rank test certified, or when the
     assembled operators fail validation.  Positivity failures on the sample
     set raise PositivityError.  A function that vanishes on every sample has
@@ -621,7 +762,11 @@ def gns_construct(psi: PDFunction, group_samples=None,
     chosen = None
     for level in range(level_cap + 1):
         ss = build_sample_set(l, group_samples, level)
-        gram = _gram_of(psi, ss.elements)
+        try:
+            gram = _gram_of(psi, ss.elements)
+        except StabilizationError as e:   # the level is over the word budget
+            raise StabilizationError(
+                str(e) + _truncation_note(psi, level)) from None
         if gram.eigs is None:
             raise PositivityError(
                 f"the sample Gram at level {level} is not finite")
@@ -801,6 +946,10 @@ def gns_construct(psi: PDFunction, group_samples=None,
     if not report.passed:
         raise StabilizationError("reconstruction consistency checks failed")
 
+    if isinstance(gram, _TableGram):
+        # what the table route's cost grows with
+        report.context["words"] = len(gram.words.words)
+        report.context["operator_entries"] = gram.words.entries
     return GNSResult(rep, v0_clean, spectrum, chosen, report, n)
 
 

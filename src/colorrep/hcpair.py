@@ -19,8 +19,19 @@ from .spaces import _degree_pattern
 
 _PAIR_TOL = 1e-9
 
-# degree-13 Pade approximant of exp, and the largest 1-norm for which it is
-# accurate to double precision without scaling (Higham 2005, Table 2.3)
+# coefficients of the degree-m Pade approximants of exp, and the largest
+# 1-norm for which each is accurate to double precision without scaling
+# (Higham 2005, Table 2.3); above theta_9 the matrix is scaled for degree 13
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
+        1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068}
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
@@ -29,19 +40,30 @@ _THETA13 = 5.371920351148152
 
 
 def _expm(a) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with the Pade-13 approximant.
+    """Matrix exponential by scaling and squaring with Pade approximants.
 
     Higham, "The scaling and squaring method for the matrix exponential
-    revisited", SIAM J. Matrix Anal. Appl. 26 (2005): scale by 2^-s so that
-    the 1-norm is at most theta_13, evaluate the approximant with six products
-    and one solve, then square s times.  An exactly zero matrix gives exactly
-    the identity.
+    revisited", SIAM J. Matrix Anal. Appl. 26 (2005): the lowest degree m of
+    3, 5, 7 and 9 whose theta_m bounds the 1-norm needs no scaling and
+    m // 2 + 1 products.  Above theta_9, scale by 2^-s so that the 1-norm is
+    at most theta_13, evaluate the degree-13 approximant with six products,
+    then square s times.  Every branch ends in one solve.  An exactly zero
+    matrix gives exactly the identity.
     """
     a = np.asarray(a)
     ident = np.eye(a.shape[0], dtype=a.dtype)
     norm = float(np.linalg.norm(a, 1))
     if norm == 0.0:
         return ident
+    degree = next((m for m in _THETA if norm <= _THETA[m]), None)
+    if degree is not None:
+        b = _PADE[degree]
+        powers = [ident, a @ a]    # the even powers up to a^(m - 1)
+        while len(powers) <= degree // 2:
+            powers.append(powers[-1] @ powers[1])
+        u = a @ sum(b[2 * i + 1] * p for i, p in enumerate(powers))
+        v = sum(b[2 * i] * p for i, p in enumerate(powers))
+        return np.linalg.solve(v - u, v + u)
     s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if np.isfinite(norm) else 0
     a = a / 2.0 ** s
     b = _PADE13

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from colorrep.colorlie import ColorLieAlgebra, glV
-from colorrep.generators import clifford_rep
+from colorrep.enveloping import EnvElement, MonoidElement
+from colorrep.generators import clifford_rep, conjugated_rep, skew_matrix_algebra
+from colorrep.gns import PDFunction, normal_words
 from colorrep.grading import Degree, all_degrees
 from colorrep.reps import UnitaryRep
 from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
@@ -98,3 +102,30 @@ def random_structure(seed=7, graded_antisymmetric=False):
     codes = l.deg_codes
     c[(codes[:, None, None] ^ codes[None, :, None]) != codes[None, None, :]] = 0.0
     return ColorLieAlgebra(2, l.labels, l.degrees, c)
+
+
+@functools.lru_cache(maxsize=1)
+def four_lines_values():
+    """The algebra of the four-lines skew-matrix rep and a seeded coefficient.
+
+    The diagonal coefficient of its conjugated rep (seed 7) at e0, on the
+    normal words up to length 4, as the benchmark's pd-table inputs are.
+    The algebra has dim 16, and 8 of its letters have beta(k, k) = -1.
+    """
+    space = GradedSpace(2, {d: 1 for d in all_degrees(2)})
+    r = conjugated_rep(skew_matrix_algebra(space)[1], seed=7)
+    l = r.algebra
+    psi = PDFunction.from_rep(r, np.array([1.0, 0.0, 0.0, 0.0]))
+    return l, {w: psi(MonoidElement.from_env(EnvElement(l, {w: 1.0})))
+               for w in normal_words(l, 4)}
+
+
+def cut_four_lines_table():
+    """``four_lines_values`` cut to the words of length at most 3.
+
+    Its Gram rank keeps growing with the level, up to level 4, which the
+    table route refuses as over its word budget.
+    """
+    l, values = four_lines_values()
+    return PDFunction.from_table(
+        l, {w: v for w, v in values.items() if len(w) <= 3})

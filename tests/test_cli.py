@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import spoiled_clifford
+from helpers import cut_four_lines_table, four_lines_values, spoiled_clifford
 
 import colorrep
 from colorrep.cli import _render, main
 from colorrep.fileio import load_algebra, load_rep, save_rep, save_table
 from colorrep.generators import clifford_algebra, counterexample_prerep
-from colorrep.gns import PDFunction
+from colorrep.gns import PDFunction, _WordOperators
 from colorrep.report import Report
 from colorrep.reps import PartialRep, UnitaryRep
 
@@ -213,6 +213,38 @@ def test_table_route(tmp_path, capsys):
     assert code == 2
     assert "--rep" in err
 
+
+
+def test_table_construction_reports_its_operator_size(tmp_path, capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).resolve().parents[1] / "schemas"
+                         / "report-1.schema.json").read_text())
+    psi = PDFunction.from_table(*four_lines_values())
+    path = tmp_path / "table.json"
+    save_table(path, psi)
+    code, doc, _ = run_json(capsys, "gns-construct", "--table", str(path))
+    assert code == 0
+    jsonschema.Draft202012Validator(schema).validate(doc)
+    ops = _WordOperators(psi)
+    ops.grow(doc["context"]["level_used"] + 1)
+    assert doc["context"]["words"] == len(ops.words) == 3649
+    assert doc["context"]["operator_entries"] == ops.entries
+    code, doc, _ = run_json(capsys, "gns-construct",
+                            "--rep", cliff_file(tmp_path, capsys))
+    assert code == 0
+    assert "words" not in doc["context"]
+    assert "operator_entries" not in doc["context"]
+
+
+def test_a_table_over_the_word_budget_fails_reconstruction(tmp_path, capsys):
+    path = tmp_path / "cut.json"
+    save_table(path, cut_four_lines_table())
+    code, doc, _ = run_json(capsys, "gns-construct", "--table", str(path))
+    assert code == 1
+    assert [(c["name"], c["passed"]) for c in doc["checks"]] == [
+        ("reconstruction", False)]
+    assert doc["checks"][0]["detail"].startswith(
+        "level 4 needs the 265729 normal words")
 
 def test_vanishing_table_is_input_error(tmp_path, capsys):
     path = tmp_path / "zero.json"

@@ -1,15 +1,14 @@
 """Positive definite functions and the reconstruction of cyclic representations."""
 
-import functools
-
 import numpy as np
 import pytest
 
-from helpers import spoiled_clifford
+from helpers import cut_four_lines_table, spoiled_clifford
+from helpers import four_lines_values as _four_lines_values
 
 from colorrep import gns
 from colorrep.colorlie import ColorLieAlgebra
-from colorrep.enveloping import EnvElement, MonoidElement, s_star
+from colorrep.enveloping import EnvElement, MonoidElement, _nf, s_star
 from colorrep.errors import EquivalenceError, PositivityError, StabilizationError
 from colorrep.generators import (
     _block_change,
@@ -28,6 +27,7 @@ from colorrep.gns import (
     default_group_samples,
     gns_construct,
     gns_roundtrip,
+    normal_word_count,
     normal_words,
     sample_gram,
     unitary_equivalence,
@@ -425,15 +425,6 @@ def test_table_route_gram_inverts_no_matrix(monkeypatch):
     assert calls == []
 
 
-@functools.lru_cache(maxsize=1)
-def _four_lines_values():
-    r = conjugated_rep(skew_matrix_algebra(FOUR_LINES)[1], seed=7)
-    l = r.algebra
-    psi = PDFunction.from_rep(r, np.array([1.0, 0.0, 0.0, 0.0]))
-    return l, {w: psi(MonoidElement.from_env(EnvElement(l, {w: 1.0})))
-               for w in normal_words(l, 4)}
-
-
 def four_lines_table():
     """A seeded four-lines coefficient tabulated up to length 4, as the
     benchmark's pd-table inputs are: the conjugated skew-matrix rep with e0."""
@@ -520,6 +511,86 @@ def test_nan_table_value_fails_the_gram_checks():
     assert checks["support condition"].passed
     with pytest.raises(PositivityError, match="not finite"):
         gns_construct(psi)
+
+
+_ALGEBRAS = {"four-lines": lambda: _four_lines_values()[0],
+             "clifford": clifford_algebra}
+
+
+def _operators(l, top):
+    ops = gns._WordOperators(PDFunction.from_table(l, {(): 1.0}))
+    ops.grow(top)
+    return ops
+
+
+@pytest.mark.parametrize("name, top, odd", [("four-lines", 2, 8),
+                                            ("clifford", 3, 1)])
+def test_every_operator_column_is_the_normal_form(name, top, odd):
+    # odd letters (beta(k, k) = -1) take the square branch of the recursion
+    l = _ALGEBRAS[name]()
+    assert int(np.sum(np.diag(l.beta_table) == -1)) == odd
+    ops = _operators(l, top)
+    assert ops.built == int(ops.counts[2 * top - 1])
+    for k in range(l.dim):
+        got: dict = {}
+        for u, w, c in zip(*ops._operator(k, ops.built)):
+            got[u, w] = got.get((u, w), 0j) + c
+        want = {(u, ops.index[w]): c for u in range(ops.built)
+                for w, c in _nf(l, (k,) + ops.words[u]).items()}
+        assert max(abs(got.get(x, 0j) - want.get(x, 0j))
+                   for x in got.keys() | want.keys()) <= 1e-14
+
+
+def test_the_table_route_rewrites_no_normal_word(monkeypatch):
+    psi = four_lines_table()
+    l = psi.algebra
+    calls = []
+    nf = gns._nf
+    monkeypatch.setattr(gns, "_nf", lambda *a: calls.append(a) or nf(*a))
+    cached = len(l._nf_cache)
+    gram = gns._gram_of(psi, build_sample_set(l, [], 2).elements)
+    for k in range(l.dim):
+        gram.translate(MonoidElement.from_env(EnvElement.generator(l, k)))
+    gram.against(s_star(gram.elements[-1]))
+    assert psi._words.top == 3
+    assert calls == []
+    assert len(l._nf_cache) == cached
+
+
+def test_growing_the_operators_matches_building_them_at_once():
+    l = _four_lines_values()[0]
+    once = _operators(l, 2)
+    step = _operators(l, 1)
+    step.grow(2)
+    assert step.words == once.words
+    for name in ("counts", "tail", "start", "count", "dst", "val", "phase"):
+        np.testing.assert_array_equal(getattr(step, name), getattr(once, name))
+    assert len(step.rows) == len(once.rows)
+    for a, b in zip(step.rows, once.rows):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(_ALGEBRAS))
+def test_word_count_closed_form_matches_the_enumeration(name):
+    l = _ALGEBRAS[name]()
+    lengths = np.bincount([len(w) for w in normal_words(l, 8)])
+    for m in range(9):
+        assert normal_word_count(l, m) == int(lengths[:m + 1].sum())
+
+
+def test_a_level_over_the_word_budget_is_refused():
+    # cut at length 3, the rank keeps growing; level 3 (40,081 words) is
+    # built, level 4 (265,729) is refused before it is allocated
+    assert normal_word_count(_four_lines_values()[0], 6) <= gns._WORD_BUDGET
+    psi = cut_four_lines_table()
+    with pytest.raises(StabilizationError) as err:
+        gns_construct(psi)
+    assert str(err.value).startswith(
+        "level 4 needs the 265729 normal words up to length 8, over the "
+        f"budget of {gns._WORD_BUDGET} words; the longest tabulated word has "
+        "length 3")
+    assert psi._words.top == 3
+    assert len(psi._words.words) == 40081
 
 
 def test_support_violation_raises_positivity_error():

@@ -10,6 +10,7 @@ from colorrep.errors import AxiomError, RankMismatchError
 from colorrep.generators import skew_matrix_algebra
 from colorrep.grading import Degree
 from colorrep.hcpair import (
+    _THETA,
     _THETA13,
     GroupElement,
     HCPair,
@@ -253,6 +254,22 @@ class TestExpm:
         a = _scaled(np.random.default_rng(3).standard_normal((6, 6)), _THETA13)
         two = _expm(2 * a)
         assert np.linalg.norm(two - _expm(a) @ _expm(a)) <= 1e-11 * np.linalg.norm(two)
+
+    @pytest.mark.parametrize("band", range(6))
+    def test_each_pade_degree_matches_scipy_on_skew_matrices(self, band):
+        # one 1-norm inside each band: degrees 3, 5, 7, 9, 13 unscaled, and
+        # 13 with squaring above theta_13
+        sl = pytest.importorskip("scipy.linalg")
+        edges = [0.0, *_THETA.values(), _THETA13, 4 * _THETA13]
+        norm = (edges[band] + edges[band + 1]) / 2
+        rng = np.random.default_rng(band)
+        for n in (2, 3, 8):
+            for a in (rng.standard_normal((n, n)),
+                      rng.standard_normal((n, n))
+                      + 1j * rng.standard_normal((n, n))):
+                a = _scaled(a - a.conj().T, norm)
+                got, want = _expm(a), sl.expm(a)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_zero_gives_the_identity_exactly(self, dtype):
