@@ -67,9 +67,7 @@ class PDFunction:
     @classmethod
     def from_rep(cls, r: UnitaryRep, v) -> "PDFunction":
         """Diagonal matrix coefficient s -> (op(s) v, v)."""
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (r.space_dim,):
-            raise ValueError(f"vector must have length {r.space_dim}")
+        v = _vector_of(r, v)
         out = cls(r.algebra, lambda s: matrix_coefficient(r, v, v, s),
                   provenance="diagonal coefficient")
         out.rep = r
@@ -103,6 +101,13 @@ class PDFunction:
 
     def __repr__(self) -> str:
         return f"PDFunction({self.provenance}, dim={self.algebra.dim})"
+
+
+def _vector_of(r: UnitaryRep, v) -> np.ndarray:
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (r.space_dim,):
+        raise ValueError(f"vector must have length {r.space_dim}")
+    return v
 
 
 def _refuse_group_part(s: MonoidElement) -> None:
@@ -188,10 +193,9 @@ def build_sample_set(l: ColorLieAlgebra, group_samples, level: int) -> SampleSet
     # product stay inside the bound part of the monoid
     pi_dim = next((g.pi.shape[0] for g in groups if g.pi is not None), None)
     groups.insert(0, GroupElement.identity(l.dim, pi_dim))
-    elements = []
-    for g in groups:
-        for w in normal_words(l, level):
-            elements.append(MonoidElement(g, EnvElement(l, {w: 1.0})))
+    words = normal_words(l, level)
+    elements = [MonoidElement(g, EnvElement(l, {w: 1.0}))
+                for g in groups for w in words]
     return SampleSet(elements, level, len(groups))
 
 
@@ -213,8 +217,9 @@ def _gram_of(psi: PDFunction, elements):
     by construction; a table with any other group sample, and every other
     psi, takes the monoid-product route (``_DenseGram``), where the table
     refuses the group part.  Each route gives ``eigs``, the eigenvalues of M
-    ascending (None when the data are not finite); ``scale``,
-    max(1, ||M||_2) (1 when not finite); ``dense()``, M; ``hermitian()``,
+    (of its Hermitian part off the operator route) ascending, None when the
+    data are not finite; ``scale``, max(1, max |eigs|), which is ||M||_2 when
+    M is Hermitian (1 when not finite); ``dense()``, M; ``hermitian()``,
     residual and detail of the Hermitian check; ``route_gap()``, the sampled
     gap between the operator and monoid-product routes (None on the other
     two); ``translate(m_left)``, the pairings psi(t* m_left s) indexed
@@ -231,11 +236,12 @@ def _gram_of(psi: PDFunction, elements):
 
 
 def _spectrum(m: np.ndarray):
-    # eigenvalues ascending and max(1, ||M||_2); None and 1 when not finite
+    # eigenvalues of (M + M^H) / 2 ascending and max(1, their top modulus),
+    # which is at most max(1, ||M||_2); None and 1 when not finite
     if not np.isfinite(m).all():
         return None, 1.0
-    return (np.linalg.eigvalsh((m + m.conj().T) / 2.0),
-            max(1.0, float(np.linalg.norm(m, 2))))
+    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    return eigs, max(1.0, float(np.max(np.abs(eigs))))
 
 
 class _DenseGram:
@@ -659,8 +665,8 @@ def _positivity_report(gram, tol: float) -> Report:
                  context={"samples": len(elements), "tol": tol})
 
     worst, at = worst_residual(
-        ((abs(psi(s)), s.degree) for s in elements
-         if s.degree is not None and not s.degree.is_zero),
+        ((abs(psi(s)), d) for s, d in ((s, s.degree) for s in elements)
+         if d is not None and not d.is_zero),
         lambda d: f"degree {d}")
     rep.add("support condition", worst <= tol, worst, tol,
             "verified on sample set" + (f"; worst at {at}" if at else ""))
@@ -937,7 +943,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
     report.add("reproducing property", worst_repr <= 1e-8, worst_repr, 1e-8,
                "verified on sample set")
 
-    cyc = check_cyclic(rep, v0_clean, tol=tol, level_cap=level_cap)
+    cyc = check_cyclic(rep, v0_clean, tol=tol)
     report.add("identity class cyclic", cyc.passed,
                detail=str(cyc.context.get("rank")))
     if not cyc.passed:
@@ -953,36 +959,59 @@ def gns_construct(psi: PDFunction, group_samples=None,
     return GNSResult(rep, v0_clean, spectrum, chosen, report, n)
 
 
-def check_cyclic(r: UnitaryRep, v, tol: float = _GNS_TOL,
-                 level_cap: int = DEFAULT_LEVEL_CAP) -> Report:
-    """Whether translates of the vector span the whole space."""
-    l = r.algebra
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (r.space_dim,):
-        raise ValueError(f"vector must have length {r.space_dim}")
+def check_cyclic(r: UnitaryRep, v, tol: float = _GNS_TOL) -> Report:
+    """Whether translates of the vector span the whole space.
+
+    The span is the cyclic hull of v under every rho(x_k) and every default
+    group sample but the identity (see ``_hull``); ``rank`` is its dimension
+    and ``level`` the number of growth steps that added to it.
+    """
+    v = _vector_of(r, v)
     total = r.space_dim
     rep = Report("cyclicity", context={"dimension": total})
-    groups = default_group_samples(r)
-    rank = 0
-    prev_rank = None
-    level = 0
-    finite = True
-    for level in range(level_cap + 1):
-        cols = _orbit_columns(r, v, groups, l, level)
-        finite = bool(np.isfinite(cols).all())
-        if not finite:
-            rank = 0
-            break
-        rank = _numeric_rank(cols, tol)
-        if rank == total or rank == prev_rank:
-            break
-        prev_rank = rank
-    rep.add("translates span the space", finite and rank == total,
-            detail=f"rank {rank} of {total} at level {level}" if finite
-            else f"non-finite translates at level {level}")
+    basis, level = _hull(_actions(r, default_group_samples(r)[1:]), v, tol)
+    rank = 0 if basis is None else basis.shape[1]
+    rep.add("translates span the space", basis is not None and rank == total,
+            detail=f"rank {rank} of {total} at level {level}"
+            if basis is not None else f"non-finite translates at level {level}")
     rep.context["rank"] = rank
     rep.context["level"] = level
     return rep
+
+
+def _actions(r: UnitaryRep, groups) -> np.ndarray:
+    # every rho(x_k), then every pi(g), stacked
+    return np.stack([r.rho_matrix(i) for i in range(r.algebra.dim)]
+                    + [np.asarray(g.pi, dtype=complex) for g in groups])
+
+
+def _hull(actions: np.ndarray, v: np.ndarray, tol: float):
+    """Orthonormal basis of the smallest span that holds v and is closed
+    under the stacked actions, and the number of steps that added to it.
+
+    Block-Krylov growth (Saad, Iterative Methods for Sparse Linear Systems,
+    2nd ed. (2003), ch. 6): each step applies every action to the directions
+    the last one added, projects out the basis twice (CGS2) and keeps the
+    singular directions above tol * max(1, longest candidate), until a step
+    adds nothing or the space is full.  A non-finite candidate gives None.
+    """
+    n = v.size
+    basis = np.zeros((n, 0), dtype=complex)
+    block, step = v[:, None], 0
+    while basis.shape[1] < n:
+        if not np.isfinite(block).all():
+            return None, step
+        floor = tol * max(1.0, float(np.max(np.linalg.norm(block, axis=0))))
+        for _ in range(2):
+            block = block - basis @ (basis.conj().T @ block)
+        u, sv, _ = np.linalg.svd(block, full_matrices=False)
+        added = u[:, sv > floor]
+        if not added.shape[1]:
+            break
+        basis = np.hstack([basis, added])
+        block = np.moveaxis(actions @ added, 0, 1).reshape(n, -1)
+        step += 1
+    return basis, max(step - 1, 0)
 
 
 def _paired_group_samples(r1: UnitaryRep, r2: UnitaryRep, ts=_EXP_TIMES):
@@ -999,69 +1028,44 @@ def _paired_group_samples(r1: UnitaryRep, r2: UnitaryRep, ts=_EXP_TIMES):
     return pairs
 
 
-def _orbit_columns(r: UnitaryRep, v: np.ndarray, groups, l, level: int):
-    cols = []
-    for g in groups:
-        pig = np.asarray(g.pi, dtype=complex)
-        for w in normal_words(l, level):
-            u = v
-            for i in reversed(w):
-                u = r.rho_matrix(i) @ u
-            cols.append(pig @ u)
-    return np.column_stack(cols)
-
-
-def _numeric_rank(mat: np.ndarray, tol: float) -> int:
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if not sv.size:
-        return 0
-    return int(np.sum(sv > tol * max(1.0, float(sv[0]))))
-
-
 def unitary_equivalence(r1: UnitaryRep, v1, r2: UnitaryRep, v2,
-                        tol: float = 1e-8,
-                        level_cap: int = DEFAULT_LEVEL_CAP) -> np.ndarray:
+                        tol: float = 1e-8) -> np.ndarray:
     """Unitary intertwiner matching translates of v1 to translates of v2.
 
-    Both vectors must be cyclic and the matrix coefficients must agree on a
-    shared abstract sample set; otherwise no such map exists and
-    EquivalenceError reports which way it failed.  Returns the matrix of the
-    intertwiner, columns indexed by the first space.
+    The row blocks U1, U2 of the cyclic hull of (v1, v2) in rho1 + rho2, with
+    paired group samples acting block-diagonally (see ``_hull``), are paired
+    translates.  Both need full row rank (cyclic vectors), and the matrix
+    coefficients must agree on them; otherwise no such map exists and
+    EquivalenceError says why.  Columns of the result index the first space.
     """
     if r1.algebra is not r2.algebra:
         raise EquivalenceError("representations live over different algebras")
     l = r1.algebra
-    v1 = np.asarray(v1, dtype=complex)
-    v2 = np.asarray(v2, dtype=complex)
-
-    if not check_cyclic(r1, v1, level_cap=level_cap).passed:
-        raise EquivalenceError("the first vector is not cyclic")
-    if not check_cyclic(r2, v2, level_cap=level_cap).passed:
-        raise EquivalenceError("the second vector is not cyclic")
+    v1, v2 = _vector_of(r1, v1), _vector_of(r2, v2)
 
     pairs = _paired_group_samples(r1, r2)
-    g1s = [p[0] for p in pairs]
-    g2s = [p[1] for p in pairs]
-    u1 = u2 = None
-    for level in range(level_cap + 1):
-        u1 = _orbit_columns(r1, v1, g1s, l, level)
-        u2 = _orbit_columns(r2, v2, g2s, l, level)
-        if (_numeric_rank(u1, tol) == r1.space_dim
-                and _numeric_rank(u2, tol) == r2.space_dim):
-            break
-    else:
-        raise EquivalenceError(
-            "sampled translates never span both spaces")
+    a1 = _actions(r1, [a for a, _ in pairs[1:]])
+    a2 = _actions(r2, [b for _, b in pairs[1:]])
+    d1, d2 = r1.space_dim, r2.space_dim
+    actions = np.zeros((len(a1), d1 + d2, d1 + d2), dtype=complex)
+    actions[:, :d1, :d1], actions[:, d1:, d1:] = a1, a2
+    basis, _ = _hull(actions, np.concatenate([v1, v2]), tol)
+    if basis is None:
+        raise EquivalenceError("a translate of the vectors is not finite")
+    u1, u2 = basis[:d1], basis[d1:]     # singular values at most 1
+    if np.linalg.matrix_rank(u1, tol) < d1:
+        raise EquivalenceError("the first vector is not cyclic")
+    if np.linalg.matrix_rank(u2, tol) < d2:
+        raise EquivalenceError("the second vector is not cyclic")
 
-    g1d = r1.inner.gram_dense()
-    g2d = r2.inner.gram_dense()
+    g1d, g2d = r1.inner.gram_dense(), r2.inner.gram_dense()
     gram1 = u1.conj().T @ g1d @ u1
     gram2 = u2.conj().T @ g2d @ u2
     gap = float(np.linalg.norm(gram1 - gram2, 2))
     scale = max(1.0, float(np.linalg.norm(gram1, 2)))
     if gap > tol * scale:
         raise EquivalenceError(
-            f"matrix coefficients disagree on the sample set (gap {gap:.3e}); "
+            f"matrix coefficients disagree on the translates (gap {gap:.3e}); "
             "the representations are not equivalent through these vectors")
 
     t_mat = u2 @ np.linalg.pinv(u1, rcond=1e-12)
@@ -1083,17 +1087,12 @@ def unitary_equivalence(r1: UnitaryRep, v1, r2: UnitaryRep, v2,
     demand("grading", float(np.linalg.norm(np.where(on, 0.0, t_mat))),
            tol * max(1.0, float(np.linalg.norm(t_mat))))
 
-    for i in range(l.dim):
-        demand(f"intertwining rho({l.labels[i]})",
-               float(np.linalg.norm(t_mat @ r1.rho_matrix(i)
-                                    - r2.rho_matrix(i) @ t_mat, 2)),
-               tol * max(1.0, float(np.linalg.norm(r2.rho_matrix(i), 2))))
-    for a, b in pairs[1:]:
-        demand(f"intertwining pi({a.label})",
-               float(np.linalg.norm(t_mat @ np.asarray(a.pi, dtype=complex)
-                                    - np.asarray(b.pi, dtype=complex) @ t_mat,
-                                    2)),
-               tol * max(1.0, float(np.linalg.norm(b.pi, 2))))
+    names = ([f"rho({x})" for x in l.labels]
+             + [f"pi({a.label})" for a, _ in pairs[1:]])
+    for name, x1, x2 in zip(names, a1, a2):
+        demand(f"intertwining {name}",
+               float(np.linalg.norm(t_mat @ x1 - x2 @ t_mat, 2)),
+               tol * max(1.0, float(np.linalg.norm(x2, 2))))
     demand("the cyclic matching", float(np.linalg.norm(t_mat @ v1 - v2)),
            tol * max(1.0, float(np.linalg.norm(v2))))
     return t_mat
@@ -1114,7 +1113,7 @@ def gns_roundtrip(r: UnitaryRep, v0, level_cap: int = DEFAULT_LEVEL_CAP,
     d = r.inner.space.homogeneous_degree(v0, rtol=1e-9)
     rep.add("vector homogeneous of degree zero",
             d is not None and d.is_zero, detail=f"degree {d}")
-    cyc = check_cyclic(r, v0, tol=max(tol, 1e-9), level_cap=level_cap)
+    cyc = check_cyclic(r, v0, tol=max(tol, 1e-9))
     rep.add("vector cyclic", cyc.passed,
             detail=f"rank {cyc.context.get('rank')} of {r.space_dim}")
     if not rep.passed:
@@ -1144,7 +1143,7 @@ def gns_roundtrip(r: UnitaryRep, v0, level_cap: int = DEFAULT_LEVEL_CAP,
     eq_tol = max(tol, 1e-6)
     try:
         t_mat = unitary_equivalence(r, v0, result.rep, result.cyclic,
-                                    tol=eq_tol, level_cap=level_cap)
+                                    tol=eq_tol)
     except EquivalenceError as e:
         rep.add("unitary equivalence", False, detail=str(e))
         return rep

@@ -11,6 +11,7 @@ from colorrep.enveloping import EnvElement, MonoidElement
 from colorrep.generators import clifford_rep, conjugated_rep, skew_matrix_algebra
 from colorrep.gns import PDFunction, normal_words
 from colorrep.grading import Degree, all_degrees
+from colorrep.hcpair import GroupElement, HCPair
 from colorrep.reps import UnitaryRep
 from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
 
@@ -129,3 +130,25 @@ def cut_four_lines_table():
     l, values = four_lines_values()
     return PDFunction.from_table(
         l, {w: v for w, v in values.items() if len(w) <= 3})
+
+
+def one_line_algebra():
+    """Single even generator with zero bracket."""
+    return ColorLieAlgebra(1, ["h"], [Degree((0,))], np.zeros((1, 1, 1)),
+                           validate=True)
+
+
+def three_cycle_rep():
+    """rho = 0 on ``one_line_algebra`` and pi(h) a 3-cycle on C^3.
+
+    Returns the representation, h and v = e1.  The vector is cyclic, but
+    e3 = h h e1 is reached only through a product of group samples.
+    """
+    l = one_line_algebra()
+    space = GradedSpace(1, {Degree((0,)): 3})
+    h = GroupElement("h", np.eye(1), np.roll(np.eye(3), 1, axis=0))
+    zero = HomogeneousMap.from_dense(space, space, l.degrees[0],
+                                     np.zeros((3, 3)))
+    r = UnitaryRep(HCPair(l, [h]), GammaInnerSpace.standard(space), [zero])
+    v = np.array([1.0, 0.0, 0.0], dtype=complex)
+    return r, h, v

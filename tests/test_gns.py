@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from helpers import cut_four_lines_table, spoiled_clifford
+from helpers import (cut_four_lines_table, one_line_algebra, spoiled_clifford,
+                     three_cycle_rep)
 from helpers import four_lines_values as _four_lines_values
 
 from colorrep import gns
-from colorrep.colorlie import ColorLieAlgebra
 from colorrep.enveloping import EnvElement, MonoidElement, _nf, s_star
 from colorrep.errors import EquivalenceError, PositivityError, StabilizationError
 from colorrep.generators import (
@@ -39,12 +39,6 @@ from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
 
 FOUR_LINES = GradedSpace(2, {Degree((0, 0)): 1, Degree((0, 1)): 1,
                              Degree((1, 0)): 1, Degree((1, 1)): 1})
-
-
-def one_line_algebra():
-    """Single even generator with zero bracket."""
-    return ColorLieAlgebra(1, ["h"], [Degree((0,))], np.zeros((1, 1, 1)),
-                           validate=True)
 
 
 def clifford_state():
@@ -264,13 +258,7 @@ def test_factored_and_dense_reconstructions_agree(case):
 def test_escaping_translate_is_refused_on_both_routes():
     # rho = 0 and a 3-cycle pi(h): the samples 1 and h see e1 and e2, but
     # h translates the class of h to e3, outside the certified span
-    l = one_line_algebra()
-    space = GradedSpace(1, {Degree((0,)): 3})
-    h = GroupElement("h", np.eye(1), np.roll(np.eye(3), 1, axis=0))
-    zero = HomogeneousMap.from_dense(space, space, l.degrees[0],
-                                     np.zeros((3, 3)))
-    r = UnitaryRep(HCPair(l, [h]), GammaInnerSpace.standard(space), [zero])
-    v = np.array([1.0, 0.0, 0.0], dtype=complex)
+    r, h, v = three_cycle_rep()
     for psi in _both_routes(r, v):
         with pytest.raises(StabilizationError) as err:
             gns_construct(psi, group_samples=[GroupElement.identity(1, 3), h])
@@ -656,6 +644,34 @@ def test_cyclic_rejects_wrong_length():
         check_cyclic(r, np.zeros(5))
 
 
+def test_the_hull_reaches_products_of_group_samples():
+    # e3 = h h e1 is the translate of e1 by no single sample
+    r, _, v = three_cycle_rep()
+    rep = check_cyclic(r, v)
+    assert rep.passed
+    assert (rep.context["rank"], rep.context["level"]) == (3, 2)
+    assert np.allclose(unitary_equivalence(r, v, r, v), np.eye(3), atol=1e-12)
+
+
+def test_hull_basis_is_orthonormal_and_invariant():
+    r = direct_sum_of_cliffords()
+    actions = gns._actions(r, default_group_samples(r)[1:])
+    basis, steps = gns._hull(actions, np.array([1.0, 0.0, 0.0, 0.0]), 1e-9)
+    assert (basis.shape, steps) == ((4, 2), 1)
+    assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-14)
+    for a in actions:
+        moved = a @ basis
+        assert np.linalg.norm(moved - basis @ (basis.conj().T @ moved)) < 1e-14
+
+
+def test_non_finite_vector_is_not_cyclic():
+    r, _ = four_lines_state()
+    rep = check_cyclic(r, np.array([np.nan, 0.0, 0.0, 0.0]))
+    assert not rep.passed
+    assert rep.context["rank"] == 0
+    assert rep.checks[0].detail == "non-finite translates at level 0"
+
+
 # ---------------------------------------------------------------- equivalence
 
 def test_self_equivalence_is_the_identity():
@@ -692,6 +708,38 @@ def test_equivalence_requires_cyclic_vectors():
     v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(EquivalenceError, match="not cyclic"):
         unitary_equivalence(r, v, r, v)
+
+
+def test_equivalence_names_the_second_vector_when_only_it_fails():
+    r = direct_sum_of_cliffords()
+    both = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
+    one = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    assert check_cyclic(r, both).passed
+    with pytest.raises(EquivalenceError,
+                       match="^the second vector is not cyclic$"):
+        unitary_equivalence(r, both, r, one)
+    with pytest.raises(EquivalenceError,
+                       match="^the first vector is not cyclic$"):
+        unitary_equivalence(r, one, r, both)
+
+
+def test_equivalence_refuses_a_non_finite_vector():
+    r, v0 = four_lines_state()
+    with pytest.raises(EquivalenceError, match="not finite"):
+        unitary_equivalence(r, v0, r, np.full(4, np.nan))
+
+
+def test_equivalence_leaves_cyclicity_to_the_hull(monkeypatch):
+    calls = []
+    real = gns.check_cyclic
+    monkeypatch.setattr(gns, "check_cyclic",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    r, v0 = clifford_state()
+    unitary_equivalence(r, v0, r, v0)
+    assert len(calls) == 0
+    # the roundtrip's own check and the one of gns_construct
+    assert gns_roundtrip(r, v0).passed
+    assert len(calls) == 2
 
 
 def test_equivalence_requires_a_shared_algebra():
