@@ -214,7 +214,9 @@ def _do_gns_construct(config: SessionConfig, task: Task) -> Report:
     out.extend(result.report)
     out.context["gram_spectrum"] = result.gram_spectrum
     out.context["level_used"] = result.level_used
-    for key in ("words", "operator_entries"):   # table route only
+    # the size the route's cost grows with: words and operator entries on
+    # the table route, word columns on the representation route
+    for key in ("words", "operator_entries", "columns"):
         if key in result.report.context:
             out.context[key] = result.report.context[key]
     if task.params.get("output"):

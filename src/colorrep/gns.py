@@ -9,6 +9,7 @@ certifies what it verified, and compares independent reconstructions.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -37,7 +38,9 @@ class PDFunction:
     Instances remember where they came from, and the sample Gram is built
     the fastest way that provenance allows (see ``_gram_of``).  Diagonal
     coefficients of a representation keep the representation and vector and
-    are evaluated through the operators.  Table-backed functions only know
+    are evaluated through the operators; their sample columns rho(w) v are
+    built by prefix sharing (``_WordColumns``), one matrix-vector product per
+    new word, and kept across levels.  Table-backed functions only know
     their values on normal words with trivial group part; they keep the
     table, and their Grams read it through left-multiplication operators on
     normal words (``_WordOperators``).  Those are built on first use by the
@@ -47,7 +50,7 @@ class PDFunction:
     """
 
     __slots__ = ("algebra", "provenance", "rep", "vector", "table", "_eval",
-                 "_words")
+                 "_words", "_columns")
 
     def __init__(self, algebra: ColorLieAlgebra, evaluator,
                  provenance: str = "custom"):
@@ -58,6 +61,7 @@ class PDFunction:
         self.vector = None
         self.table = None
         self._words = None
+        self._columns = None
 
     def __call__(self, s: MonoidElement) -> complex:
         if s.env.algebra is not self.algebra:
@@ -119,14 +123,21 @@ def _refuse_group_part(s: MonoidElement) -> None:
 
 
 class SampleSet:
-    """Finite probe of the monoid: group samples times basis monomials."""
+    """Finite probe of the monoid: group samples times basis monomials.
 
-    __slots__ = ("elements", "level", "group_count")
+    ``codes`` holds the degree code of each element (``Degree.code``), -1
+    for an element whose words disagree in degree; computed from the
+    elements when not given.
+    """
 
-    def __init__(self, elements, level: int, group_count: int):
+    __slots__ = ("elements", "level", "group_count", "codes")
+
+    def __init__(self, elements, level: int, group_count: int, codes=None):
         self.elements = list(elements)
         self.level = int(level)
         self.group_count = int(group_count)
+        self.codes = (_degree_codes(self.elements) if codes is None
+                      else np.asarray(codes, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -137,6 +148,28 @@ class SampleSet:
     def __repr__(self) -> str:
         return (f"SampleSet({len(self.elements)} elements, "
                 f"level={self.level}, groups={self.group_count})")
+
+
+def _degree_codes(elements) -> np.ndarray:
+    # Degree.code of each element, -1 where its words disagree in degree
+    return np.array([-1 if d is None else d.code
+                     for d in (s.degree for s in elements)], dtype=np.int64)
+
+
+def _word_codes(l: ColorLieAlgebra, words) -> np.ndarray:
+    # the degree code of a word is the xor of its letters' codes
+    letter = l.deg_codes.tolist()
+    out = np.zeros(len(words), dtype=np.int64)
+    for k, w in enumerate(words):
+        code = 0
+        for i in w:
+            code ^= letter[i]
+        out[k] = code
+    return out
+
+
+def _degree_of(rank: int, code: int) -> Degree:
+    return Degree((code >> (rank - 1 - j)) & 1 for j in range(rank))
 
 
 def normal_words(l: ColorLieAlgebra, max_level: int) -> list[tuple]:
@@ -186,7 +219,9 @@ def build_sample_set(l: ColorLieAlgebra, group_samples, level: int) -> SampleSet
 
     The identity monoid element always sits at index zero.  Only samples
     that are the identity by construction are folded into it; one whose
-    matrices merely equal the identity stays an ordinary group sample.
+    matrices merely equal the identity stays an ordinary group sample.  The
+    group part has degree zero, so each degree code is computed once per
+    normal word.
     """
     groups = [g for g in group_samples if not g.is_identity()]
     # bind the identity whenever the others are bound, so that star and
@@ -196,7 +231,8 @@ def build_sample_set(l: ColorLieAlgebra, group_samples, level: int) -> SampleSet
     words = normal_words(l, level)
     elements = [MonoidElement(g, EnvElement(l, {w: 1.0}))
                 for g in groups for w in words]
-    return SampleSet(elements, level, len(groups))
+    return SampleSet(elements, level, len(groups),
+                     np.tile(_word_codes(l, words), len(groups)))
 
 
 def _product(a: MonoidElement, b: MonoidElement) -> MonoidElement:
@@ -208,31 +244,42 @@ def _monoid_pair(a: MonoidElement, b: MonoidElement) -> MonoidElement:
     return _product(s_star(a), b)
 
 
-def _gram_of(psi: PDFunction, elements):
-    """The Gram M[i, j] = psi(s_i* s_j) of the elements, built once.
+def _gram_of(psi: PDFunction, samples):
+    """The Gram M[i, j] = psi(s_i* s_j) of the samples, built once.
 
     The only place that picks a route.  Representation-backed psi takes the
     operator route (``_FactoredGram``).  Table-backed psi takes the table
     route (``_TableGram``) when every element's group part is the identity
     by construction; a table with any other group sample, and every other
     psi, takes the monoid-product route (``_DenseGram``), where the table
-    refuses the group part.  Each route gives ``eigs``, the eigenvalues of M
-    (of its Hermitian part off the operator route) ascending, None when the
-    data are not finite; ``scale``, max(1, max |eigs|), which is ||M||_2 when
-    M is Hermitian (1 when not finite); ``dense()``, M; ``hermitian()``,
-    residual and detail of the Hermitian check; ``route_gap()``, the sampled
-    gap between the operator and monoid-product routes (None on the other
-    two); ``translate(m_left)``, the pairings psi(t* m_left s) indexed
-    [t, s] and the squared lengths of the translates; ``against(x)``,
-    psi(t* x) for every sample t; and ``psd_detail``.
+    refuses the group part.  A ``SampleSet`` brings its degree codes; for a
+    bare list of elements they are computed here, once.  Each route gives
+    ``codes``; ``eigs``, the eigenvalues of M (of its Hermitian part off the
+    operator route) ascending, None when the data are not finite; ``scale``,
+    max(1, max |eigs|), which is ||M||_2 when M is Hermitian (1 when not
+    finite); ``dense()``, M; ``hermitian()``, residual and detail of the
+    Hermitian check; ``route_gap()``, the sampled gap between the operator
+    and monoid-product routes (None on the other two); ``values(idx)``, psi
+    at the samples idx; ``block(rows, cols)``, that block of M;
+    ``times(x)``, M x; ``sector(idx)``, the eigenvalues of the block of M on
+    idx ascending, with eigenvectors for the last of them;
+    ``translate(m_left, c)``, c^H P with the pairings P[t, s] =
+    psi(t* m_left s) (P itself when c is None), and the squared lengths of
+    the translates;
+    ``against(x)``, psi(t* x) for every sample t; and ``psd_detail``.
     """
+    if isinstance(samples, SampleSet):
+        elements, codes = samples.elements, samples.codes
+    else:
+        elements = list(samples)
+        codes = _degree_codes(elements)
     if not elements:
         raise ValueError("sample set is empty")
     if psi.rep is not None:
-        return _FactoredGram(psi, elements)
+        return _FactoredGram(psi, elements, codes)
     if psi.table is not None and all(s.group.is_identity() for s in elements):
-        return _TableGram(psi, elements)
-    return _DenseGram(psi, elements)
+        return _TableGram(psi, elements, codes)
+    return _DenseGram(psi, elements, codes)
 
 
 def _spectrum(m: np.ndarray):
@@ -249,9 +296,10 @@ class _DenseGram:
 
     psd_detail = "verified on sample set"
 
-    def __init__(self, psi: PDFunction, elements):
+    def __init__(self, psi: PDFunction, elements, codes: np.ndarray):
         self.psi = psi
         self.elements = elements
+        self.codes = codes
         self.stars = [s_star(t) for t in elements]
         self.m = np.column_stack([self.against(b) for b in elements])
         self.eigs, self.scale = _spectrum(self.m)
@@ -266,7 +314,21 @@ class _DenseGram:
     def route_gap(self):
         return None
 
-    def translate(self, m_left: MonoidElement):
+    def values(self, idx) -> np.ndarray:
+        return np.array([self.psi(self.elements[i]) for i in idx],
+                        dtype=complex)
+
+    def block(self, rows, cols) -> np.ndarray:
+        return self.m[np.ix_(rows, cols)]
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        return self.m @ x
+
+    def sector(self, idx):
+        md = self.block(idx, idx)
+        return np.linalg.eigh((md + md.conj().T) / 2.0)
+
+    def translate(self, m_left: MonoidElement, c_mat=None):
         n = len(self.elements)
         pairs = np.zeros((n, n), dtype=complex)
         norms = np.zeros(n)
@@ -274,7 +336,7 @@ class _DenseGram:
             ms = _product(m_left, s)
             pairs[:, k] = self.against(ms)
             norms[k] = float(np.real(self.psi(_monoid_pair(ms, ms))))
-        return pairs, norms
+        return pairs if c_mat is None else c_mat.conj().T @ pairs, norms
 
     def against(self, x: MonoidElement) -> np.ndarray:
         return np.array([self.psi(_product(t_star, x)) for t_star in self.stars],
@@ -523,13 +585,15 @@ class _TableGram(_DenseGram):
     With C the normal-word coordinates of the samples and K the word Gram
     K[u, v] = psi(u* v), M = C^H K C.  Both triangles of K are computed, so
     the Hermitian check stays a real one.  Left translation by x_k maps C to
-    Y = L_k C on words one longer, so its pairings are C^H K Y and the
-    squared lengths of the translates are the diagonal of Y^H K Y.
+    Y = L_k C on words one longer, so its pairings against the columns of c
+    are (C c)^H K Y and the squared lengths of the translates are the
+    diagonal of Y^H K Y.
     """
 
-    def __init__(self, psi: PDFunction, elements):
+    def __init__(self, psi: PDFunction, elements, codes: np.ndarray):
         self.psi = psi
         self.elements = elements
+        self.codes = codes
         if psi._words is None:
             psi._words = _WordOperators(psi)
         self.words = psi._words
@@ -539,12 +603,13 @@ class _TableGram(_DenseGram):
                                                        self.level)
         self.eigs, self.scale = _spectrum(self.m)
 
-    def translate(self, m_left: MonoidElement):
+    def translate(self, m_left: MonoidElement, c_mat=None):
         _refuse_group_part(m_left)
         top = self.level + m_left.level
         y = self.words.left_multiply(m_left.env, self.c, self.level)
         ky = self.words.pairings(top, y, top)
-        return (self.c.conj().T @ ky[:self.c.shape[0]],
+        left = self.c if c_mat is None else self.c @ c_mat
+        return (left.conj().T @ ky[:self.c.shape[0]],
                 np.real(np.sum(y.conj() * ky, axis=0)))
 
     def against(self, x: MonoidElement) -> np.ndarray:
@@ -554,22 +619,105 @@ class _TableGram(_DenseGram):
         return self.c.conj().T @ pairs[:, 0]
 
 
+class _WordColumns:
+    """The columns rho(w) v of words w, for a representation-backed psi.
+
+    rho(w) is the product of the rho(x_i) over the letters of w, left to
+    right, so the column of the word (i, w') is rho(x_i) times the column of
+    w'.  Missing words are added together with their missing suffixes,
+    shortest first, one matrix product per (length, first letter).  Built on
+    first use and kept on the function, so a level computes only the columns
+    of its new words.
+    """
+
+    def __init__(self, r: UnitaryRep, v: np.ndarray):
+        self.rep = r
+        self.index: dict[tuple, int] = {(): 0}
+        self.store = np.array(v, dtype=complex)[:, None]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def lookup(self, words) -> np.ndarray:
+        """Store positions of the words' columns, computing the missing ones."""
+        missing = set()
+        for w in words:
+            while w not in self.index and w not in missing:
+                missing.add(w)
+                w = w[1:]
+        order = sorted(missing, key=lambda w: (len(w), w))
+        for _, same_length in itertools.groupby(order, key=len):
+            blocks = []
+            for i, run in itertools.groupby(same_length, key=lambda w: w[0]):
+                run = list(run)
+                tails = [self.index[w[1:]] for w in run]
+                blocks.append(self.rep.rho_matrix(i) @ self.store[:, tails])
+                for w in run:
+                    self.index[w] = len(self.index)
+            self.store = np.hstack([self.store] + blocks)
+        return np.array([self.index[w] for w in words], dtype=np.intp)
+
+
+def _sample_columns(psi: PDFunction, elements) -> np.ndarray:
+    """op(s) v for every sample s, as the columns of a d x n array.
+
+    A sample whose enveloping part is one word with coefficient 1 reads the
+    word's column from ``_WordColumns``, and each run of such samples that
+    shares one group element takes pi(g) in one product.  Any other sample
+    goes through ``monoid_operator``.
+    """
+    r, v = psi.rep, psi.vector
+    if psi._columns is None:
+        psi._columns = _WordColumns(r, v)
+    u = np.empty((r.space_dim, len(elements)), dtype=complex)
+    single, words = [], []
+    for k, s in enumerate(elements):
+        terms = s.env.terms
+        if s.env.algebra is r.algebra and len(terms) == 1:
+            (w, c), = terms.items()
+            if c == 1:
+                single.append(k)
+                words.append(w)
+                continue
+        u[:, k] = monoid_operator(r, s) @ v
+    at = psi._columns.lookup(words)
+    groups = [elements[k].group for k in single]
+    lo = 0
+    for hi in range(1, len(single) + 1):
+        if hi < len(single) and groups[hi] is groups[lo]:
+            continue
+        g, block = groups[lo], psi._columns.store[:, at[lo:hi]]
+        if not g.is_identity():
+            if g.pi is None:
+                raise ValueError(
+                    f"group element {g.label!r} carries no action on the space")
+            block = g.pi @ block
+        u[:, single[lo:hi]] = block
+        lo = hi
+    return u
+
+
 class _FactoredGram:
     """Operator route: the sample Gram in factored form.
 
     M = W^H W with W = R U, where U holds the sample columns op(s) v and R is
-    the Cholesky factor of the space Gram, so W is d x n and every spectral
-    fact about M comes from a thin SVD of W at O(n d^2) cost: ``eigs`` are
-    sigma(W)^2 padded with exact zeros to length n.
+    the Cholesky factor of the space Gram, so W is d x n.  Every step over
+    the samples costs O(n d^2) and forms no n x n matrix: U comes from
+    ``_sample_columns``; ``eigs`` are sigma(W)^2 padded with exact zeros to
+    length n, from a thin SVD of W; psi at every sample is the one product
+    (G v)^H U; a sector's eigenpairs come from a thin SVD of its columns of
+    W; blocks, products and translates read W and U.  Only ``dense()``
+    forms M, for ``sample_gram``.  ``route_gap`` keeps its monoid products:
+    it is the independent side.
     """
 
     psd_detail = "singular values of W, verified on sample set"
 
-    def __init__(self, psi: PDFunction, elements):
+    def __init__(self, psi: PDFunction, elements, codes: np.ndarray):
         self.psi = psi
         self.elements = elements
-        self.u = np.column_stack([monoid_operator(psi.rep, s) @ psi.vector
-                                  for s in elements])
+        self.codes = codes
+        self.u = _sample_columns(psi, elements)
         self.gram = psi.rep.inner.gram_dense()
         self.eigs, self.scale = None, 1.0
         if not np.isfinite(self.gram).all():
@@ -598,26 +746,39 @@ class _FactoredGram:
         is the squared length of a translate.  A non-finite entry makes the
         result non-finite.
         """
-        elements, w = self.elements, self.w
+        elements, w, codes = self.elements, self.w, self.codes
         rng = np.random.default_rng(0)
-        degs = [s.degree for s in elements]
-        peers: dict = {}
-        for i, d in enumerate(degs):
-            peers.setdefault(d, []).append(i)
         gaps = []
         for _ in range(min(4, len(elements))):
             i = int(rng.integers(len(elements)))
-            same = peers[degs[i]]
-            j = same[int(rng.integers(len(same)))]
+            same = np.flatnonzero(codes == codes[i])
+            j = int(same[int(rng.integers(same.size))])
             for a, b in ((i, i), (i, j)):
                 direct = self.psi(_monoid_pair(elements[a], elements[b]))
                 gaps.append(abs(direct - np.vdot(w[:, a], w[:, b])))
         return float(np.max(gaps)) if gaps else 0.0
 
-    def translate(self, m_left: MonoidElement):
+    def values(self, idx) -> np.ndarray:
+        return (self.psi.vector.conj() @ self.gram) @ self.u[:, idx]
+
+    def block(self, rows, cols) -> np.ndarray:
+        return self.w[:, rows].conj().T @ self.w[:, cols]
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        return self.w.conj().T @ (self.w @ x)
+
+    def sector(self, idx):
+        # W_a = Q S V^H gives M_a = V S^2 V^H
+        _, sv, vh = np.linalg.svd(self.w[:, idx], full_matrices=False)
+        lam = np.zeros(len(idx))
+        lam[lam.size - sv.size:] = sv[::-1] ** 2
+        return lam, vh[::-1].conj().T
+
+    def translate(self, m_left: MonoidElement, c_mat=None):
         au = monoid_operator(self.psi.rep, m_left) @ self.u
         gau = self.gram @ au
-        return (self.u.conj().T @ gau,
+        left = self.u if c_mat is None else self.u @ c_mat
+        return (left.conj().T @ gau,
                 np.real(np.sum(au.conj() * gau, axis=0)))
 
     def against(self, x: MonoidElement) -> np.ndarray:
@@ -630,14 +791,15 @@ def sample_gram(psi: PDFunction, samples) -> tuple[np.ndarray, float]:
 
     Representation-backed functions evaluate through the operators, as
     M = W^H W from the factor W = R U (R the Cholesky factor of the space
-    Gram, U the sample columns); a few same-degree and diagonal entries are
-    then recomputed through the monoid product as an independent route, and
-    the worst disagreement is returned alongside the matrix.  Tables read
-    their values through left multiplication on normal words, and other
-    functions pay for every entry through the monoid product; on both the
-    returned disagreement is zero.
+    Gram, U the sample columns, built by prefix sharing over the words); a
+    few same-degree and diagonal entries are then recomputed through the
+    monoid product as an independent route, and the worst disagreement is
+    returned alongside the matrix.  This is the one place that forms M on
+    that route.  Tables read their values through left multiplication on
+    normal words, and other functions pay for every entry through the
+    monoid product; on both the returned disagreement is zero.
     """
-    gram = _gram_of(psi, list(samples))
+    gram = _gram_of(psi, samples)
     gap = gram.route_gap()
     return gram.dense(), 0.0 if gap is None else gap
 
@@ -651,23 +813,27 @@ def check_positive_definite(psi: PDFunction, samples,
     strings say so.  For representation-backed functions the Gram is kept
     as M = W^H W, so its Hermitian symmetry and positivity hold by
     construction, and no n x n matrix is formed: ``gram_norm`` and
-    ``min_eigenvalue`` come from the singular values of W.  What is checked
-    numerically there is the agreement of W^H W with psi evaluated through
-    the monoid product, on sampled same-degree and diagonal entries.
-    Non-finite sample data fail the Gram checks.
+    ``min_eigenvalue`` come from the singular values of W, and psi on every
+    sample of non-zero degree is one product with the sample columns, at
+    O(n d^2) in all.  What is checked numerically there is the agreement of
+    W^H W with psi evaluated through the monoid product, on sampled
+    same-degree and diagonal entries.  Tables and other functions evaluate
+    psi once per sample of non-zero degree.  Non-finite sample data fail the
+    Gram checks.
     """
-    return _positivity_report(_gram_of(psi, list(samples)), tol)
+    return _positivity_report(_gram_of(psi, samples), tol)
 
 
 def _positivity_report(gram, tol: float) -> Report:
-    psi, elements = gram.psi, gram.elements
     rep = Report("positive definiteness",
-                 context={"samples": len(elements), "tol": tol})
+                 context={"samples": len(gram.elements), "tol": tol})
 
+    # the samples of a single non-zero degree; -1 marks mixed degrees
+    idx = np.flatnonzero(gram.codes > 0)
+    rank = gram.psi.algebra.rank
     worst, at = worst_residual(
-        ((abs(psi(s)), d) for s, d in ((s, s.degree) for s in elements)
-         if d is not None and not d.is_zero),
-        lambda d: f"degree {d}")
+        zip(np.abs(gram.values(idx)).tolist(), gram.codes[idx].tolist()),
+        lambda c: f"degree {_degree_of(rank, c)}")
     rep.add("support condition", worst <= tol, worst, tol,
             "verified on sample set" + (f"; worst at {at}" if at else ""))
 
@@ -716,6 +882,20 @@ class GNSResult:
                 f"level_used={self.level_used}, samples={self.sample_count})")
 
 
+def _fix_phases(vecs: np.ndarray) -> np.ndarray:
+    """The columns times unit phases that make a leading entry real positive.
+
+    The leading entry of a column is its first of at least half the largest
+    modulus, a choice that rounding does not move unless two moduli sit at
+    that threshold.  Eigenvectors from ``eigh`` and singular vectors from
+    ``svd`` then agree wherever the eigenvalue is simple.
+    """
+    mod = np.abs(vecs)
+    lead = np.argmax(mod >= 0.5 * mod.max(axis=0), axis=0)
+    phase = vecs[lead, np.arange(vecs.shape[1])]
+    return vecs * (np.abs(phase) / phase)
+
+
 def _truncation_note(psi: PDFunction, level: int) -> str:
     """Why a table-backed Gram at this level can fail: it reads untabulated words."""
     if psi.table is None:
@@ -739,14 +919,22 @@ def gns_construct(psi: PDFunction, group_samples=None,
     reconstruction is validated before it is returned.
 
     Each level's sample Gram is built once and reused by the positivity
-    certificate.  For representation-backed functions it is kept as
-    M = W^H W (see ``sample_gram``): its rank and norm are read from the
-    singular values of W, and only the chosen level forms M densely for the
-    per-sector quotient.  Hermitian symmetry and positivity then hold by
-    construction; the route agreement, grading, escape, orthonormality,
-    representation and reproducing checks are numerical.  For tables, every
-    level reads the same left-multiplication operators, grown level by
-    level, and the reproducing check pairs them against monoid products.
+    certificate, and the degree codes of the samples come with the sample
+    set.  For representation-backed functions it is kept as M = W^H W (see
+    ``_FactoredGram``) and no n x n matrix is formed: every step over the n
+    samples is O(n d^2).  The rank and norm are read from the singular
+    values of W; the grading check reads W block by block, one pair of
+    sectors at a time; each sector's basis comes from a thin SVD of its
+    columns of W; the orthonormality check and the cyclic class read W; a
+    translate's pairings are (U c)^H G (A U).  Hermitian symmetry and
+    positivity then hold by construction; the route agreement, grading,
+    escape, orthonormality, representation and reproducing checks are
+    numerical, and the route agreement and reproducing checks keep their
+    monoid products as the independent side.  The report's ``columns``
+    counts the word columns held.  For tables, every level reads the same
+    left-multiplication operators, grown level by level, and the
+    reproducing check pairs them against monoid products; the report gives
+    ``words`` and ``operator_entries``.
 
     Raises StabilizationError when the rank is still growing at the cap, when
     a table-backed level needs more normal words than the budget allows, when
@@ -769,7 +957,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
     for level in range(level_cap + 1):
         ss = build_sample_set(l, group_samples, level)
         try:
-            gram = _gram_of(psi, ss.elements)
+            gram = _gram_of(psi, ss)
         except StabilizationError as e:   # the level is over the word budget
             raise StabilizationError(
                 str(e) + _truncation_note(psi, level)) from None
@@ -807,18 +995,14 @@ def gns_construct(psi: PDFunction, group_samples=None,
             "the function fails positive definiteness on the sample set"
             + _truncation_note(psi, chosen + 1))
 
-    m = gram.dense()
-    by_degree: dict[Degree, list[int]] = {}
-    for i, s in enumerate(elements):
-        by_degree.setdefault(s.degree, []).append(i)
+    # samples by degree code; codes sort as their degrees do
+    codes = gram.codes
+    sectors = {int(c): np.flatnonzero(codes == c) for c in np.unique(codes)}
 
     # classes of different degrees must be orthogonal already at gram level
-    zero = Degree.zero(l.rank)
-    codes = np.empty(n, dtype=np.int64)
-    for d, idx in by_degree.items():
-        codes[idx] = d.code
-    same = _degree_pattern(codes, zero, codes)
-    cross = float(np.max(np.abs(np.where(same, 0.0, m))))
+    cross = max((float(np.max(np.abs(gram.block(ia, ib))))
+                 for a, ia in sectors.items()
+                 for b, ib in sectors.items() if a != b), default=0.0)
     report.add("gram respects the grading", cross <= tol * norm_scale,
                cross, tol * norm_scale, "verified on sample set")
     if cross > tol * norm_scale:
@@ -826,14 +1010,15 @@ def gns_construct(psi: PDFunction, group_samples=None,
             "sample classes of distinct degrees fail to be orthogonal "
             f"(leakage {cross:.3e})")
 
-    # sector-by-sector spectral quotient
+    # sector-by-sector spectral quotient: the eigenvalues ascend, so the
+    # retained ones are the last k, taken in descending order, each vector
+    # with its phase fixed (see ``_fix_phases``) so that routes agree
     spectrum = {}
     space_dims: dict[Degree, int] = {}
-    basis_cols = []
-    for d in sorted(by_degree):
-        idx = np.array(by_degree[d])
-        md = m[np.ix_(idx, idx)]
-        lam, vecs = np.linalg.eigh((md + md.conj().T) / 2.0)
+    blocks = []
+    for code, idx in sectors.items():
+        d = _degree_of(l.rank, code)
+        lam, vecs = gram.sector(idx)
         keep = lam > tol * norm_scale
         spectrum[str(d)] = {
             "retained": [float(x) for x in lam[keep]],
@@ -843,22 +1028,22 @@ def gns_construct(psi: PDFunction, group_samples=None,
         if k == 0:
             continue
         space_dims[d] = k
-        for j in reversed(range(len(lam))):
-            if not keep[j]:
-                continue
-            c = np.zeros(n, dtype=complex)
-            c[idx] = vecs[:, j] / np.sqrt(lam[j])
-            basis_cols.append(c)
+        blocks.append((idx, _fix_phases(vecs[:, ::-1][:, :k])
+                       / np.sqrt(lam[::-1][:k])))
     if not space_dims:
         raise ValueError(
             "the function vanishes on the sample set; nothing to reconstruct")
 
     space = GradedSpace(l.rank, space_dims)
-    c_mat = np.column_stack(basis_cols)       # samples x dim
-    p_mat = c_mat.conj().T                    # coordinates = p_mat @ pairings
     total = space.total_dim
+    c_mat = np.zeros((n, total), dtype=complex)   # samples x dim
+    col = 0
+    for idx, b in blocks:
+        c_mat[idx, col:col + b.shape[1]] = b
+        col += b.shape[1]
+    p_mat = c_mat.conj().T                    # coordinates = p_mat @ pairings
 
-    ortho = float(np.linalg.norm(p_mat @ m @ c_mat - np.eye(total), 2))
+    ortho = float(np.linalg.norm(p_mat @ gram.times(c_mat) - np.eye(total), 2))
     report.add("quotient basis orthonormal", ortho <= 1e-8, ortho, 1e-8)
 
     # one escape budget for everything: discarded spectral mass bounds what an
@@ -867,8 +1052,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
     strays = []
 
     def translated_matrix(m_left: MonoidElement, what: str) -> np.ndarray:
-        pairs, norms = gram.translate(m_left)
-        kappa = p_mat @ pairs
+        kappa, norms = gram.translate(m_left, c_mat)
         stray = norms - np.sum(np.abs(kappa) ** 2, axis=0)
         strays.extend((float(x), None) for x in stray)
         over = np.flatnonzero(stray > escape_tol)
@@ -907,8 +1091,10 @@ def gns_construct(psi: PDFunction, group_samples=None,
                worst_escape, escape_tol)
 
     # cyclic class of the identity sample, cleaned of cross-sector dust
-    v0 = p_mat @ m[:, 0]
-    v0_clean = np.where(space.basis_codes == zero.code, v0, 0.0)
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    v0 = p_mat @ gram.times(e0)
+    v0_clean = np.where(space.basis_codes == 0, v0, 0.0)
     dust = float(np.linalg.norm(v0 - v0_clean))
     dust_tol = block_tol * max(1.0, float(np.linalg.norm(v0)))
     report.add("cyclic class homogeneous", dust <= dust_tol, dust, dust_tol)
@@ -952,10 +1138,12 @@ def gns_construct(psi: PDFunction, group_samples=None,
     if not report.passed:
         raise StabilizationError("reconstruction consistency checks failed")
 
+    # what each route's cost grows with
     if isinstance(gram, _TableGram):
-        # what the table route's cost grows with
         report.context["words"] = len(gram.words.words)
         report.context["operator_entries"] = gram.words.entries
+    elif isinstance(gram, _FactoredGram):
+        report.context["columns"] = len(psi._columns)
     return GNSResult(rep, v0_clean, spectrum, chosen, report, n)
 
 
@@ -966,10 +1154,15 @@ def check_cyclic(r: UnitaryRep, v, tol: float = _GNS_TOL) -> Report:
     group sample but the identity (see ``_hull``); ``rank`` is its dimension
     and ``level`` the number of growth steps that added to it.
     """
+    return _check_cyclic(r, v, tol, default_group_samples(r))
+
+
+def _check_cyclic(r: UnitaryRep, v, tol: float, groups) -> Report:
+    # check_cyclic on default group samples that the caller already holds
     v = _vector_of(r, v)
     total = r.space_dim
     rep = Report("cyclicity", context={"dimension": total})
-    basis, level = _hull(_actions(r, default_group_samples(r)[1:]), v, tol)
+    basis, level = _hull(_actions(r, groups[1:]), v, tol)
     rank = 0 if basis is None else basis.shape[1]
     rep.add("translates span the space", basis is not None and rank == total,
             detail=f"rank {rank} of {total} at level {level}"
@@ -1015,17 +1208,30 @@ def _hull(actions: np.ndarray, v: np.ndarray, tol: float):
 
 
 def _paired_group_samples(r1: UnitaryRep, r2: UnitaryRep, ts=_EXP_TIMES):
-    """Group samples described abstractly, bound in both representations."""
+    """Group samples described abstractly, bound in both representations.
+
+    Each side offers its bound extra generators and the exp samples of its
+    zero sector, paired by label; a bound generator stands for an exp sample
+    of the same label.  A label that only one side offers has nothing to be
+    compared with, so EquivalenceError names it.
+    """
+    def offered(r):
+        out = {g.label: g for g in r.pair.extra_generators if g.pi is not None}
+        for g in _zero_sector_exps(r, ts):
+            out.setdefault(g.label, g)
+        return out
+
+    first, second = offered(r1), offered(r2)
+    lonely = ([f"{lab!r} (first)" for lab in first if lab not in second]
+              + [f"{lab!r} (second)" for lab in second if lab not in first])
+    if lonely:
+        raise EquivalenceError(
+            "group samples bound in one representation only: "
+            + ", ".join(lonely))
     l = r1.algebra
-    pairs = [(GroupElement.identity(l.dim, r1.space_dim),
+    return ([(GroupElement.identity(l.dim, r1.space_dim),
               GroupElement.identity(l.dim, r2.space_dim))]
-    by_label = {g.label: g for g in r2.pair.extra_generators
-                if g.pi is not None}
-    for g in r1.pair.extra_generators:
-        if g.pi is not None and g.label in by_label:
-            pairs.append((g, by_label[g.label]))
-    pairs.extend(zip(_zero_sector_exps(r1, ts), _zero_sector_exps(r2, ts)))
-    return pairs
+            + [(g, second[lab]) for lab, g in first.items()])
 
 
 def unitary_equivalence(r1: UnitaryRep, v1, r2: UnitaryRep, v2,
@@ -1033,10 +1239,12 @@ def unitary_equivalence(r1: UnitaryRep, v1, r2: UnitaryRep, v2,
     """Unitary intertwiner matching translates of v1 to translates of v2.
 
     The row blocks U1, U2 of the cyclic hull of (v1, v2) in rho1 + rho2, with
-    paired group samples acting block-diagonally (see ``_hull``), are paired
-    translates.  Both need full row rank (cyclic vectors), and the matrix
-    coefficients must agree on them; otherwise no such map exists and
-    EquivalenceError says why.  Columns of the result index the first space.
+    group samples paired by label acting block-diagonally (see ``_hull`` and
+    ``_paired_group_samples``), are paired translates.  Both need full row
+    rank (cyclic vectors), and the matrix coefficients must agree on them;
+    otherwise no such map exists and EquivalenceError says why, as it does
+    for a group sample that only one representation binds.  Columns of the
+    result index the first space.
     """
     if r1.algebra is not r2.algebra:
         raise EquivalenceError("representations live over different algebras")
@@ -1104,7 +1312,9 @@ def gns_roundtrip(r: UnitaryRep, v0, level_cap: int = DEFAULT_LEVEL_CAP,
 
     Starting from a representation with a cyclic degree-zero vector, takes
     the diagonal coefficient function, rebuilds a representation from it, and
-    certifies the rebuilt one is unitarily equivalent to the original.
+    certifies the rebuilt one is unitarily equivalent to the original.  The
+    default group samples of the original are computed once and shared by
+    the cyclicity check, the positivity certificate and the reconstruction.
     """
     rep = Report("gns roundtrip", context={"dimension": r.space_dim})
     base = check_unitary_rep(r)
@@ -1113,22 +1323,23 @@ def gns_roundtrip(r: UnitaryRep, v0, level_cap: int = DEFAULT_LEVEL_CAP,
     d = r.inner.space.homogeneous_degree(v0, rtol=1e-9)
     rep.add("vector homogeneous of degree zero",
             d is not None and d.is_zero, detail=f"degree {d}")
-    cyc = check_cyclic(r, v0, tol=max(tol, 1e-9))
+    groups = default_group_samples(r)
+    cyc = _check_cyclic(r, v0, max(tol, 1e-9), groups)
     rep.add("vector cyclic", cyc.passed,
             detail=f"rank {cyc.context.get('rank')} of {r.space_dim}")
     if not rep.passed:
         return rep
 
     psi = PDFunction.from_rep(r, v0)
-    pd_samples = build_sample_set(r.algebra, default_group_samples(r),
-                                  min(1, level_cap))
+    pd_samples = build_sample_set(r.algebra, groups, min(1, level_cap))
     pd = check_positive_definite(psi, pd_samples, tol=max(tol, 1e-9))
     rep.extend(pd, prefix="pd: ")
     if not pd.passed:
         return rep
 
     try:
-        result = gns_construct(psi, level_cap=level_cap, tol=tol)
+        result = gns_construct(psi, group_samples=groups,
+                               level_cap=level_cap, tol=tol)
     except (PositivityError, StabilizationError, ValueError) as e:
         rep.add("reconstruction", False, detail=str(e))
         return rep

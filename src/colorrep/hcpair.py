@@ -85,10 +85,11 @@ class GroupElement:
 
     ``ad`` is the matrix of the action on the algebra basis (columns are
     images of basis vectors).  ``pi`` is the matrix on a representation
-    space, present only once a representation has bound it.
+    space, present only once a representation has bound it.  The inverse is
+    computed on first use and kept.
     """
 
-    __slots__ = ("label", "ad", "pi", "_identity")
+    __slots__ = ("label", "ad", "pi", "_identity", "_inverse")
 
     def __init__(self, label: str, ad, pi=None):
         self.label = str(label)
@@ -97,6 +98,7 @@ class GroupElement:
             raise ValueError("ad matrix must be square")
         self.pi = None if pi is None else np.asarray(pi, dtype=complex)
         self._identity = False
+        self._inverse = None
 
     @classmethod
     def identity(cls, dim: int, pi_dim: int | None = None) -> "GroupElement":
@@ -122,8 +124,11 @@ class GroupElement:
     def inverse(self) -> "GroupElement":
         if self._identity:
             return self
-        pi = None if self.pi is None else np.linalg.inv(self.pi)
-        return GroupElement(f"{self.label}^-1", np.linalg.inv(self.ad), pi)
+        if self._inverse is None:
+            pi = None if self.pi is None else np.linalg.inv(self.pi)
+            self._inverse = GroupElement(f"{self.label}^-1",
+                                         np.linalg.inv(self.ad), pi)
+        return self._inverse
 
     def bind(self, pi) -> "GroupElement":
         """Attach a representation-space matrix, keeping the algebra action."""

@@ -15,7 +15,7 @@ import colorrep
 from colorrep.cli import _render, main
 from colorrep.fileio import load_algebra, load_rep, save_rep, save_table
 from colorrep.generators import clifford_algebra, counterexample_prerep
-from colorrep.gns import PDFunction, _WordOperators
+from colorrep.gns import PDFunction, _WordOperators, normal_words
 from colorrep.report import Report
 from colorrep.reps import PartialRep, UnitaryRep
 
@@ -234,6 +234,26 @@ def test_table_construction_reports_its_operator_size(tmp_path, capsys):
     assert code == 0
     assert "words" not in doc["context"]
     assert "operator_entries" not in doc["context"]
+
+
+def test_rep_construction_reports_its_word_columns(tmp_path, capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).resolve().parents[1] / "schemas"
+                         / "report-1.schema.json").read_text())
+    path = cliff_file(tmp_path, capsys)
+    code, doc, _ = run_json(capsys, "gns-construct", "--rep", path)
+    assert code == 0
+    jsonschema.Draft202012Validator(schema).validate(doc)
+    # every normal word up to the certificate's level, the empty one included
+    rep, _ = load_rep(path)
+    level = doc["context"]["level_used"] + 1
+    assert doc["context"]["columns"] == len(normal_words(rep.algebra, level))
+    psi = PDFunction.from_table(*four_lines_values())
+    table = tmp_path / "table.json"
+    save_table(table, psi)
+    code, doc, _ = run_json(capsys, "gns-construct", "--table", str(table))
+    assert code == 0
+    assert "columns" not in doc["context"]
 
 
 def test_a_table_over_the_word_budget_fails_reconstruction(tmp_path, capsys):

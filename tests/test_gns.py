@@ -8,7 +8,8 @@ from helpers import (cut_four_lines_table, one_line_algebra, spoiled_clifford,
 from helpers import four_lines_values as _four_lines_values
 
 from colorrep import gns
-from colorrep.enveloping import EnvElement, MonoidElement, _nf, s_star
+from colorrep import reps
+from colorrep.enveloping import EnvElement, MonoidElement, _nf, s_star, word_degree
 from colorrep.errors import EquivalenceError, PositivityError, StabilizationError
 from colorrep.generators import (
     _block_change,
@@ -34,7 +35,8 @@ from colorrep.gns import (
 )
 from colorrep.grading import Degree
 from colorrep.hcpair import GroupElement, HCPair
-from colorrep.reps import UnitaryRep, check_unitary_rep, matrix_coefficient
+from colorrep.reps import (UnitaryRep, check_unitary_rep, matrix_coefficient,
+                           monoid_operator)
 from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
 
 FOUR_LINES = GradedSpace(2, {Degree((0, 0)): 1, Degree((0, 1)): 1,
@@ -253,6 +255,88 @@ def test_factored_and_dense_reconstructions_agree(case):
         assert np.allclose(spec["retained"],
                            res_d.gram_spectrum[d]["retained"],
                            rtol=1e-9, atol=0.0)
+
+
+def _parity_rep():
+    """clifford_rep(1) with the parity generator bound, and the vector e0."""
+    r = clifford_rep(1)
+    r_g = UnitaryRep(HCPair(r.algebra, [clifford_parity_generator(1)]),
+                     r.inner, r.rho)
+    return r_g, np.array([1.0, 0.0], dtype=complex)
+
+
+def _column_states():
+    """Reps and vectors for the sample-column tests, with their samples.
+
+    The conjugated four-lines rep has a non-trivial space Gram, and the
+    parity rep a bound extra generator among its group samples.
+    """
+    r4, v4 = conjugated_four_lines_state()
+    rg, vg = _parity_rep()
+    return [(r4, v4, build_sample_set(r4.algebra, default_group_samples(r4), 2)),
+            (rg, vg, build_sample_set(rg.algebra, default_group_samples(rg), 3))]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_prefix_shared_columns_are_the_monoid_operator_columns(case):
+    r, v, samples = _column_states()[case]
+    l = r.algebra
+    g = default_group_samples(r)[1]
+    # a word that is not normal, a scaled word and a sum of words take the
+    # two other paths through the column builder
+    extra = [MonoidElement(g, EnvElement(l, {(1, 0): 1.0})),
+             MonoidElement.from_env(EnvElement(l, {(1,): 2.0})),
+             MonoidElement(g, EnvElement(l, {(0,): 1.0, (1, 1): -0.5j}))]
+    elements = samples.elements + extra
+    psi = PDFunction.from_rep(r, v)
+    u = gns._sample_columns(psi, elements)
+    ref = np.column_stack([monoid_operator(r, s) @ v for s in elements])
+    assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(ref))))
+    # kept on the function: a second call computes no new word column
+    held = len(psi._columns)
+    assert held == len(normal_words(l, samples.level)) + 1   # and (1, 0)
+    gns._sample_columns(psi, samples.elements)
+    assert len(psi._columns) == held
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_support_values_from_the_columns_are_psi(case):
+    r, v, samples = _column_states()[case]
+    psi = PDFunction.from_rep(r, v)
+    gram = gns._gram_of(psi, samples)
+    values = gram.values(np.arange(len(samples)))
+    direct = np.array([psi(s) for s in samples.elements])
+    assert np.max(np.abs(values - direct)) <= 1e-14 * gram.scale
+
+
+def test_sample_codes_are_the_word_degree_codes():
+    r, v, samples = _column_states()[0]
+    l = r.algebra
+    want = [word_degree(l, next(iter(s.env.terms))).code for s in samples]
+    assert samples.codes.tolist() == want
+    # a bare list gets the same codes, and -1 where the words disagree
+    odd = int(np.flatnonzero(l.deg_codes)[0])
+    mixed = MonoidElement.from_env(EnvElement(l, {(): 1.0, (odd,): 1.0}))
+    bare = gns._gram_of(PDFunction.from_rep(r, v), samples.elements + [mixed])
+    assert bare.codes.tolist() == want + [-1]
+
+
+def test_rep_route_forms_no_dense_gram_and_calls_no_psi_for_support(monkeypatch):
+    r, v, samples = _column_states()[1]
+    psi = PDFunction.from_rep(r, v)
+    calls, dense = [], []
+    real_call, real_dense = PDFunction.__call__, gns._FactoredGram.dense
+    monkeypatch.setattr(PDFunction, "__call__",
+                        lambda self, s: calls.append(s) or real_call(self, s))
+    monkeypatch.setattr(gns._FactoredGram, "dense",
+                        lambda self: dense.append(self) or real_dense(self))
+    gram = gns._gram_of(psi, samples)
+    assert np.sum(samples.codes != 0) > 8
+    assert gns._positivity_report(gram, 1e-9).passed
+    # only the route agreement's four draws of two monoid-product entries
+    assert len(calls) == 8
+    res = gns_construct(psi)
+    assert res.report.passed and dense == []
 
 
 def test_escaping_translate_is_refused_on_both_routes():
@@ -674,6 +758,32 @@ def test_non_finite_vector_is_not_cyclic():
 
 # ---------------------------------------------------------------- equivalence
 
+def test_equivalence_refuses_a_generator_bound_on_one_side_only():
+    r_g, e0 = _parity_rep()
+    r = UnitaryRep(HCPair(r_g.algebra), r_g.inner, r_g.rho)
+    with pytest.raises(EquivalenceError, match=r"only: 'parity' \(first\)$"):
+        unitary_equivalence(r_g, e0, r, e0)
+    with pytest.raises(EquivalenceError, match=r"only: 'parity' \(second\)$"):
+        unitary_equivalence(r, e0, r_g, e0)
+    assert np.allclose(unitary_equivalence(r_g, e0, r_g, e0), np.eye(2),
+                       atol=1e-12)
+
+
+def test_equivalence_pairs_a_generator_bound_on_both_sides():
+    r_g, e0 = _parity_rep()
+    res = gns_construct(PDFunction.from_rep(r_g, e0))
+    assert [g.label for g in res.rep.pair.extra_generators] == [
+        "parity", "exp(0.5*x)", "exp(1*x)"]
+    assert gns_roundtrip(r_g, e0).passed
+    # the rebuilt parity is compared: flipping its sign is refused
+    flipped = [GroupElement(g.label, g.ad, -g.pi if g.label == "parity" else g.pi)
+               for g in res.rep.pair.extra_generators]
+    bad = UnitaryRep(HCPair(r_g.algebra, flipped, validate=False),
+                     res.rep.inner, res.rep.rho)
+    with pytest.raises(EquivalenceError):
+        unitary_equivalence(r_g, e0, bad, res.cyclic)
+
+
 def test_self_equivalence_is_the_identity():
     r, v0 = four_lines_state()
     t = unitary_equivalence(r, v0, r, v0)
@@ -730,9 +840,10 @@ def test_equivalence_refuses_a_non_finite_vector():
 
 
 def test_equivalence_leaves_cyclicity_to_the_hull(monkeypatch):
+    # every cyclicity check, public or the roundtrip's, runs _check_cyclic
     calls = []
-    real = gns.check_cyclic
-    monkeypatch.setattr(gns, "check_cyclic",
+    real = gns._check_cyclic
+    monkeypatch.setattr(gns, "_check_cyclic",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     r, v0 = clifford_state()
     unitary_equivalence(r, v0, r, v0)
@@ -792,6 +903,42 @@ def test_wide_clifford_roundtrip():
     rep = gns_roundtrip(r, v0)
     assert rep.passed, failing_names(rep)
     assert rep.context["level_used"] <= 2
+
+
+def test_dim_64_roundtrip():
+    # the (2,2,2,2) skew-matrix rep: algebra dim 64, space dim 8
+    space = GradedSpace(2, {d: 2 for d in (Degree((0, 0)), Degree((0, 1)),
+                                          Degree((1, 0)), Degree((1, 1)))})
+    _, r = skew_matrix_algebra(space)
+    r = conjugated_rep(r, seed=3)
+    v0 = np.zeros(8, dtype=complex)
+    v0[0] = 1.0
+    rep = gns_roundtrip(r, v0)
+    assert rep.passed, failing_names(rep)
+    assert rep.context["level_used"] == 1
+    checked = {c.name: c for c in rep.checks}
+    assert checked["reconstruction"].detail == "dimension 8, level 1"
+
+
+def test_roundtrip_exponentiates_the_group_samples_once(monkeypatch):
+    r, v0 = four_lines_state()
+    l = r.algebra
+    calls = []
+    real = reps.exp_group_element
+    monkeypatch.setattr(reps, "exp_group_element",
+                        lambda rr, *a, **k: calls.append(rr) or real(rr, *a, **k))
+    default_group_samples(r)
+    once = len(calls)
+    calls.clear()
+    check_unitary_rep(r)
+    checker = len(calls)
+    calls.clear()
+    assert gns_roundtrip(r, v0).passed
+    # one default_group_samples, the rep checker's own samples, and the
+    # pairing of unitary_equivalence, which exponentiates every element
+    pairing = len(gns._EXP_TIMES) * len(l.sector(Degree.zero(l.rank)))
+    assert once > 0
+    assert sum(rr is r for rr in calls) == once + checker + pairing
 
 
 def test_roundtrip_reports_non_cyclic_vectors():
