@@ -995,9 +995,11 @@ def gns_construct(psi: PDFunction, group_samples=None,
             "the function fails positive definiteness on the sample set"
             + _truncation_note(psi, chosen + 1))
 
-    # samples by degree code; codes sort as their degrees do
+    # samples by degree code; codes sort as their degrees do (a plain set,
+    # since np.unique imports numpy.ma on first use, 20 ms per process)
     codes = gram.codes
-    sectors = {int(c): np.flatnonzero(codes == c) for c in np.unique(codes)}
+    sectors = {c: np.flatnonzero(codes == c)
+               for c in sorted(set(codes.tolist()))}
 
     # classes of different degrees must be orthogonal already at gram level
     cross = max((float(np.max(np.abs(gram.block(ia, ib))))
