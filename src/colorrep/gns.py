@@ -39,14 +39,15 @@ class PDFunction:
     the fastest way that provenance allows (see ``_gram_of``).  Diagonal
     coefficients of a representation keep the representation and vector and
     are evaluated through the operators; their sample columns rho(w) v are
-    built by prefix sharing (``_WordColumns``), one matrix-vector product per
-    new word, and kept across levels.  Table-backed functions only know
-    their values on normal words with trivial group part; they keep the
-    table, and their Grams read it through left-multiplication operators on
-    normal words (``_WordOperators``).  Those are built on first use by the
-    PBW recursion, with ``enveloping._nf`` as the reference they are tested
-    against, grown with the level under a word budget, and kept.  Any other
-    evaluator is called once per Gram entry.
+    built by prefix sharing (``_WordColumns``), each new word's column from
+    the column of its suffix, and kept across levels.  Table-backed
+    functions only know their values on normal words with trivial group
+    part; they keep the table, and their Grams read it through
+    left-multiplication operators on normal words (``_WordOperators``).
+    Those are built on first use by the PBW recursion, with
+    ``enveloping._nf`` as the reference they are tested against, grown with
+    the level under a word budget, and kept.  Any other evaluator is called
+    once per Gram entry.
     """
 
     __slots__ = ("algebra", "provenance", "rep", "vector", "table", "_eval",
