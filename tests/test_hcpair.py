@@ -106,6 +106,18 @@ class TestGroupElement:
         e = GroupElement.identity(3, pi_dim=2)
         assert e.inverse() is e
 
+    def test_inverse_is_computed_once(self, monkeypatch):
+        g = GroupElement("b", np.diag([1.0, -1.0]), pi=2 * np.eye(2))
+        calls = []
+        real = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: calls.append(a) or real(a))
+        inv = g.inverse()
+        assert g.inverse() is inv and len(calls) == 2   # ad and pi, once
+        np.testing.assert_array_equal(inv.ad, np.diag([1.0, -1.0]))
+        np.testing.assert_array_equal(inv.pi, 0.5 * np.eye(2))
+        assert inv.label == "b^-1"
+
     def test_a_matrix_equal_to_the_identity_is_not_the_identity(self):
         l = _gl11()
         at_zero = inner_element(l, np.array([1.0, -1.0, 0, 0]), t=0.0)
