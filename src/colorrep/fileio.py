@@ -290,10 +290,9 @@ def rep_from_doc(doc: dict, validate_algebra: bool = True):
         if entry is None:
             continue
         mat = _matrix_from_json(entry, f"rep.rho[{i}]")
-        if mat.shape != (space.total_dim, space.total_dim):
-            raise SchemaError(f"rep.rho[{i}]: shape {mat.shape} does not "
-                              f"match the space")
-        rho[i] = HomogeneousMap.from_dense(space, space, l.degrees[i], mat)
+        with _built(f"rep.rho[{i}]"):   # off-pattern entries must be exact zeros
+            rho[i] = HomogeneousMap.from_dense(space, space, l.degrees[i], mat,
+                                               rtol=0.0)
 
     gens = []
     for i, g in enumerate(_need(doc, "generators", list, "rep")):

@@ -26,7 +26,6 @@ from .reps import (UnitaryRep, _zero_sector_exps, check_unitary_rep,
 from .spaces import GammaInnerSpace, GradedSpace, HomogeneousMap, _degree_pattern
 
 _GNS_TOL = 1e-9
-_EXP_TIMES = (0.5, 1.0)
 # the most normal words one level of the table route may index: at dim 16
 # with 8 odd letters, level 3 has 40,081 and level 4 has 265,729
 _WORD_BUDGET = 100_000
@@ -91,6 +90,8 @@ class PDFunction:
         clean: dict[tuple, complex] = {}
         for word, val in table.items():
             word = tuple(int(i) for i in word)
+            if word and not (min(word) >= 0 and max(word) < l.dim):
+                raise ValueError(f"table key {word} has a letter outside the algebra")
             if not is_normal_word(l, word):
                 raise ValueError(f"table key {word} is not a normal word")
             clean[word] = complex(val)
@@ -203,15 +204,17 @@ def normal_word_count(l: ColorLieAlgebra, max_level: int) -> int:
                for j in range(min(odd, max_level) + 1))
 
 
-def default_group_samples(r, ts=_EXP_TIMES) -> list[GroupElement]:
+def default_group_samples(r) -> list[GroupElement]:
     """Identity, the bound extra generators, and exp samples of the zero sector.
 
-    Degree-zero basis elements that act as exactly zero, on the algebra and
-    on the space, give no samples.
+    The exp samples are computed once per representation.  Degree-zero basis
+    elements that act as exactly zero, on the algebra and on the space, give
+    none: their exponentials equal the identity without being it.
     """
     out = [GroupElement.identity(r.algebra.dim, r.space_dim)]
     out.extend(g for g in r.pair.extra_generators if g.pi is not None)
-    out.extend(_zero_sector_exps(r, ts, acting_only=True))
+    out.extend(g for i, g in _zero_sector_exps(r)
+               if r.algebra.structure[i].any() or r.rho_matrix(i).any())
     return out
 
 
@@ -248,12 +251,11 @@ def _monoid_pair(a: MonoidElement, b: MonoidElement) -> MonoidElement:
 def _gram_of(psi: PDFunction, samples):
     """The Gram M[i, j] = psi(s_i* s_j) of the samples, built once.
 
-    The only place that picks a route.  Representation-backed psi takes the
-    operator route (``_FactoredGram``).  Table-backed psi takes the table
-    route (``_TableGram``) when every element's group part is the identity
-    by construction; a table with any other group sample, and every other
-    psi, takes the monoid-product route (``_DenseGram``), where the table
-    refuses the group part.  A ``SampleSet`` brings its degree codes; for a
+    The only place that picks a route, from provenance alone.
+    Representation-backed psi takes the operator route (``_FactoredGram``),
+    table-backed psi the table route (``_TableGram``, which refuses any
+    group part but the identity), and every other psi the monoid-product
+    route (``_DenseGram``).  A ``SampleSet`` brings its degree codes; for a
     bare list of elements they are computed here, once.  Each route gives
     ``codes``; ``eigs``, the eigenvalues of M (of its Hermitian part off the
     operator route) ascending, None when the data are not finite; ``scale``,
@@ -278,7 +280,7 @@ def _gram_of(psi: PDFunction, samples):
         raise ValueError("sample set is empty")
     if psi.rep is not None:
         return _FactoredGram(psi, elements, codes)
-    if psi.table is not None and all(s.group.is_identity() for s in elements):
+    if psi.table is not None:
         return _TableGram(psi, elements, codes)
     return _DenseGram(psi, elements, codes)
 
@@ -592,6 +594,8 @@ class _TableGram(_DenseGram):
     """
 
     def __init__(self, psi: PDFunction, elements, codes: np.ndarray):
+        for s in elements:
+            _refuse_group_part(s)
         self.psi = psi
         self.elements = elements
         self.codes = codes
@@ -1157,15 +1161,10 @@ def check_cyclic(r: UnitaryRep, v, tol: float = _GNS_TOL) -> Report:
     group sample but the identity (see ``_hull``); ``rank`` is its dimension
     and ``level`` the number of growth steps that added to it.
     """
-    return _check_cyclic(r, v, tol, default_group_samples(r))
-
-
-def _check_cyclic(r: UnitaryRep, v, tol: float, groups) -> Report:
-    # check_cyclic on default group samples that the caller already holds
     v = _vector_of(r, v)
     total = r.space_dim
     rep = Report("cyclicity", context={"dimension": total})
-    basis, level = _hull(_actions(r, groups[1:]), v, tol)
+    basis, level = _hull(_actions(r, default_group_samples(r)[1:]), v, tol)
     rank = 0 if basis is None else basis.shape[1]
     rep.add("translates span the space", basis is not None and rank == total,
             detail=f"rank {rank} of {total} at level {level}"
@@ -1210,7 +1209,7 @@ def _hull(actions: np.ndarray, v: np.ndarray, tol: float):
     return basis, max(step - 1, 0)
 
 
-def _paired_group_samples(r1: UnitaryRep, r2: UnitaryRep, ts=_EXP_TIMES):
+def _paired_group_samples(r1: UnitaryRep, r2: UnitaryRep):
     """Group samples described abstractly, bound in both representations.
 
     Each side offers its bound extra generators and the exp samples of its
@@ -1220,7 +1219,7 @@ def _paired_group_samples(r1: UnitaryRep, r2: UnitaryRep, ts=_EXP_TIMES):
     """
     def offered(r):
         out = {g.label: g for g in r.pair.extra_generators if g.pi is not None}
-        for g in _zero_sector_exps(r, ts):
+        for _, g in _zero_sector_exps(r):
             out.setdefault(g.label, g)
         return out
 
@@ -1315,9 +1314,7 @@ def gns_roundtrip(r: UnitaryRep, v0, level_cap: int = DEFAULT_LEVEL_CAP,
 
     Starting from a representation with a cyclic degree-zero vector, takes
     the diagonal coefficient function, rebuilds a representation from it, and
-    certifies the rebuilt one is unitarily equivalent to the original.  The
-    default group samples of the original are computed once and shared by
-    the cyclicity check, the positivity certificate and the reconstruction.
+    certifies the rebuilt one is unitarily equivalent to the original.
     """
     rep = Report("gns roundtrip", context={"dimension": r.space_dim})
     base = check_unitary_rep(r)
@@ -1326,23 +1323,22 @@ def gns_roundtrip(r: UnitaryRep, v0, level_cap: int = DEFAULT_LEVEL_CAP,
     d = r.inner.space.homogeneous_degree(v0, rtol=1e-9)
     rep.add("vector homogeneous of degree zero",
             d is not None and d.is_zero, detail=f"degree {d}")
-    groups = default_group_samples(r)
-    cyc = _check_cyclic(r, v0, max(tol, 1e-9), groups)
+    cyc = check_cyclic(r, v0, max(tol, 1e-9))
     rep.add("vector cyclic", cyc.passed,
             detail=f"rank {cyc.context.get('rank')} of {r.space_dim}")
     if not rep.passed:
         return rep
 
     psi = PDFunction.from_rep(r, v0)
-    pd_samples = build_sample_set(r.algebra, groups, min(1, level_cap))
+    pd_samples = build_sample_set(r.algebra, default_group_samples(r),
+                                  min(1, level_cap))
     pd = check_positive_definite(psi, pd_samples, tol=max(tol, 1e-9))
     rep.extend(pd, prefix="pd: ")
     if not pd.passed:
         return rep
 
     try:
-        result = gns_construct(psi, group_samples=groups,
-                               level_cap=level_cap, tol=tol)
+        result = gns_construct(psi, level_cap=level_cap, tol=tol)
     except (PositivityError, StabilizationError, ValueError) as e:
         rep.add("reconstruction", False, detail=str(e))
         return rep

@@ -20,6 +20,7 @@ from .spaces import GammaInnerSpace, HomogeneousMap, _degree_pattern, dagger_adj
 
 _REP_TOL = 1e-9
 _EXTEND_TOL = 1e-8
+_EXP_TIMES = (0.5, 1.0)
 
 
 def _check_rho_entry(space, degrees, i, t):
@@ -35,7 +36,14 @@ def _check_rho_entry(space, degrees, i, t):
 class _Rep:
     """What full and partial representations share: pair, space, operators."""
 
-    __slots__ = ("pair", "inner", "rho", "_dense")
+    __slots__ = ("pair", "inner", "rho", "_dense", "_exps")
+
+    def __init__(self, pair: HCPair, inner: GammaInnerSpace, rho):
+        self.pair = pair
+        self.inner = inner
+        self.rho = rho
+        self._dense: dict[int, np.ndarray] = {}
+        self._exps = None       # see _zero_sector_exps
 
     @property
     def algebra(self) -> ColorLieAlgebra:
@@ -59,15 +67,12 @@ class UnitaryRep(_Rep):
     __slots__ = ()
 
     def __init__(self, pair: HCPair, inner: GammaInnerSpace, rho):
-        self.pair = pair
-        self.inner = inner
-        self.rho = list(rho)
+        super().__init__(pair, inner, list(rho))
         l = pair.algebra
         if len(self.rho) != l.dim:
             raise ValueError(f"need {l.dim} operators, got {len(self.rho)}")
         for i, t in enumerate(self.rho):
             _check_rho_entry(inner.space, l.degrees, i, t)
-        self._dense: dict[int, np.ndarray] = {}
 
     def defined(self, i: int) -> bool:
         return 0 <= i < len(self.rho)
@@ -83,9 +88,7 @@ class PartialRep(_Rep):
     __slots__ = ()
 
     def __init__(self, pair: HCPair, inner: GammaInnerSpace, rho: dict):
-        self.pair = pair
-        self.inner = inner
-        self.rho = dict(rho)
+        super().__init__(pair, inner, dict(rho))
         l = pair.algebra
         zero = Degree.zero(l.rank)
         allowed = [i for i in range(l.dim)
@@ -102,7 +105,6 @@ class PartialRep(_Rep):
                 f"unexpected basis elements {[l.labels[i] for i in extra]}")
         for i, t in self.rho.items():
             _check_rho_entry(inner.space, l.degrees, i, t)
-        self._dense = {}
 
     def defined(self, i: int) -> bool:
         return i in self.rho
@@ -183,22 +185,19 @@ def exp_group_element(r, coeffs, t: float = 1.0,
     return GroupElement(label, _expm(t * ad_operator(l, coeffs)), _expm(t * mat))
 
 
-def _zero_sector_exps(r, ts, acting_only: bool = False):
-    """exp(t*x_i), bound to r, for each degree-zero basis element and time.
-
-    With ``acting_only``, a basis element whose bracket column and operator
-    are exactly zero is skipped: its exponentials equal the identity without
-    being it.
-    """
-    l = r.algebra
-    for i in l.sector(Degree.zero(l.rank)):
-        if acting_only and not (l.structure[i].any() or r.rho_matrix(i).any()):
-            continue
-        coeffs = np.zeros(l.dim)
-        coeffs[i] = 1.0
-        for t in ts:
-            yield exp_group_element(r, coeffs, t=t,
-                                    label=f"exp({t:g}*{l.labels[i]})")
+def _zero_sector_exps(r) -> list[tuple[int, GroupElement]]:
+    """(i, exp(t*x_i)) bound to r, for each degree-zero basis element x_i and
+    each t in ``_EXP_TIMES``; computed once per representation and kept."""
+    if r._exps is None:
+        l = r.algebra
+        r._exps = []
+        for i in l.sector(Degree.zero(l.rank)):
+            coeffs = np.zeros(l.dim)
+            coeffs[i] = 1.0
+            for t in _EXP_TIMES:
+                r._exps.append((i, exp_group_element(
+                    r, coeffs, t=t, label=f"exp({t:g}*{l.labels[i]})")))
+    return r._exps
 
 
 def _pi_checks(r, rep: Report, tol: float) -> None:
@@ -315,7 +314,7 @@ def check_unitary_rep(r: UnitaryRep, tol: float = _REP_TOL,
         rep.add(f"equivariance: {g.label}", res <= tol, res, tol, detail)
     if zero_idx:
         res, _ = worst_residual((_conjugation_residual(r, g, range(l.dim))[0],
-                                 None) for g in _zero_sector_exps(r, (0.3, 1.0)))
+                                 None) for _, g in _zero_sector_exps(r))
         rep.add("equivariance: sampled one-parameter elements",
                 res <= max(tol, 1e-8), res, max(tol, 1e-8),
                 "redundant with the bracket property; consistency sample")

@@ -400,6 +400,21 @@ def test_malformed_rep_data_is_input_error(tmp_path, capsys, spoil, where):
     assert err.startswith(f"error: {where}")
 
 
+@pytest.mark.parametrize("command", ["check-rep", "gns-roundtrip"])
+def test_off_pattern_operator_entry_is_input_error(tmp_path, capsys, command):
+    # an entry outside the operator's degree pattern is refused, not dropped
+    path = tmp_path / "rr.json"
+    assert main(["generate", "random-rep", "-o", str(path), "--seed", "3"]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    assert doc["rho"][0][0][1] == [0.0, 0.0]
+    doc["rho"][0][0][1] = [0.5, 0.0]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, *_REP_ARGS[command], str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rep.rho[0]: ")
+
+
 def test_non_utf8_files_are_input_errors(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe{")

@@ -2,8 +2,9 @@
 
 Each example takes a valid document and either spoils one numeric leaf
 (NaN, +-inf, an overflowing literal, a huge integer, a string, null or a
-boolean) or makes one row of an operator, Gram or generator matrix one entry
-shorter or longer.  It then runs a command on the file in process.  No exception may
+boolean), makes one row of an operator, Gram or generator matrix one entry
+shorter or longer, or puts a finite nonzero entry off an operator's degree
+pattern.  It then runs a command on the file in process.  No exception may
 escape ``main``, and since every such mutation breaks the schema, the
 command must exit 2 with an error line: never 0 with PASS, nor 1 from a
 checker that ran on it.
@@ -29,7 +30,7 @@ from colorrep.gns import PDFunction
 from colorrep.grading import Degree
 from colorrep.hcpair import HCPair
 from colorrep.reps import UnitaryRep
-from colorrep.spaces import GradedSpace
+from colorrep.spaces import GradedSpace, _degree_pattern
 
 
 def _docs():
@@ -45,11 +46,23 @@ def _docs():
     }
 
 
+def _off_pattern():
+    """(operator, row, column) of each entry the rep's degree pattern leaves
+    empty; a file must hold exact zeros there."""
+    base = clifford_rep(1)
+    codes = base.inner.space.basis_codes
+    return [(i, int(a), int(b)) for i, deg in enumerate(base.algebra.degrees)
+            for a, b in zip(*np.nonzero(~_degree_pattern(codes, deg, codes)))]
+
+
 DOCS = _docs()
+OFF_PATTERN = _off_pattern()
+OFF_VALUES = [[0.5, 0.0], [0.0, -1e-12], [5e-324, 0.0]]
 COMMANDS = {
     "algebra": [["check-algebra"], ["check-perfect"]],
     "rep": [["check-rep"], ["check-prerep"], ["check-pd", "--level", "1",
-                                              "--rep"]],
+                                              "--rep"],
+            ["gns-roundtrip", "--rep"]],
     "table": [["check-pd", "--table"], ["gns-construct", "--table"]],
 }
 BIG = "__overflowing literal__"
@@ -105,9 +118,14 @@ def test_unspoiled_documents_pass():
 def test_mutated_files_keep_the_exit_contract(data):
     kind = data.draw(st.sampled_from(sorted(DOCS)))
     doc = copy.deepcopy(DOCS[kind])
-    if kind != "rep" or data.draw(st.booleans()):
+    mutation = ("leaf" if kind != "rep" else
+                data.draw(st.sampled_from(["leaf", "row", "off-pattern"])))
+    if mutation == "leaf":
         path = data.draw(st.sampled_from(list(_number_paths(doc))))
         _at(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(SPOILERS))
+    elif mutation == "off-pattern":
+        i, a, b = data.draw(st.sampled_from(OFF_PATTERN))
+        doc["rho"][i][a][b] = data.draw(st.sampled_from(OFF_VALUES))
     else:
         matrix = _at(doc, data.draw(st.sampled_from(_matrix_paths(doc))))
         row = matrix[data.draw(st.integers(0, len(matrix) - 1))]

@@ -74,6 +74,14 @@ def test_from_table_rejects_non_normal_words():
         PDFunction.from_table(l, {(1, 0): 1.0})
 
 
+@pytest.mark.parametrize("key", [(99,), (-1,), (0, 2)])
+def test_from_table_rejects_letters_outside_the_algebra(key):
+    l = clifford_algebra()          # letters 0 and 1
+    with pytest.raises(ValueError) as err:
+        PDFunction.from_table(l, {(): 1.0, key: 1.0})
+    assert str(err.value) == f"table key {key} has a letter outside the algebra"
+
+
 def test_table_function_rejects_group_parts():
     l = clifford_algebra()
     psi = PDFunction.from_table(l, {(): 1.0})
@@ -387,6 +395,28 @@ def test_sample_gram_refuses_an_empty_sample_set():
     psi = PDFunction.from_table(one_line_algebra(), {(): 1.0})
     with pytest.raises(ValueError, match="sample set is empty"):
         sample_gram(psi, [])
+
+
+@pytest.mark.parametrize("route", ["rep", "table"])
+def test_sample_gram_matches_the_monoid_product_route(route):
+    if route == "rep":
+        r = clifford_rep(2, seed=3)
+        v0 = np.zeros(4, dtype=complex)
+        v0[0] = 1.0
+        psi, groups, level = PDFunction.from_rep(r, v0), default_group_samples(r), 2
+    else:
+        psi, groups, level = PDFunction.from_table(*_four_lines_values()), [], 1
+    samples = build_sample_set(psi.algebra, groups, level)
+    m, gap = sample_gram(psi, samples)
+    # a custom evaluator takes every entry through the monoid product
+    ref, ref_gap = sample_gram(PDFunction(psi.algebra, psi), samples)
+    assert ref_gap == 0.0
+    scale = max(1.0, float(np.linalg.norm(ref, 2)))
+    assert np.max(np.abs(m - ref)) <= 1e-12 * scale
+    if route == "rep":      # a few entries recomputed by the monoid product
+        assert gap <= 1e-8
+    else:
+        assert gap == 0.0
 
 
 # ------------------------------------------------------------ reconstruction
@@ -840,10 +870,9 @@ def test_equivalence_refuses_a_non_finite_vector():
 
 
 def test_equivalence_leaves_cyclicity_to_the_hull(monkeypatch):
-    # every cyclicity check, public or the roundtrip's, runs _check_cyclic
     calls = []
-    real = gns._check_cyclic
-    monkeypatch.setattr(gns, "_check_cyclic",
+    real = gns.check_cyclic
+    monkeypatch.setattr(gns, "check_cyclic",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
     r, v0 = clifford_state()
     unitary_equivalence(r, v0, r, v0)
@@ -927,18 +956,19 @@ def test_roundtrip_exponentiates_the_group_samples_once(monkeypatch):
     real = reps.exp_group_element
     monkeypatch.setattr(reps, "exp_group_element",
                         lambda rr, *a, **k: calls.append(rr) or real(rr, *a, **k))
-    default_group_samples(r)
-    once = len(calls)
-    calls.clear()
-    check_unitary_rep(r)
-    checker = len(calls)
-    calls.clear()
     assert gns_roundtrip(r, v0).passed
-    # one default_group_samples, the rep checker's own samples, and the
-    # pairing of unitary_equivalence, which exponentiates every element
-    pairing = len(gns._EXP_TIMES) * len(l.sector(Degree.zero(l.rank)))
-    assert once > 0
-    assert sum(rr is r for rr in calls) == once + checker + pairing
+    # every time for every degree-zero element, once for the original and
+    # once for the rebuilt representation
+    per_rep = len(reps._EXP_TIMES) * len(l.sector(Degree.zero(l.rank)))
+    assert len(calls) == 2 * per_rep == 16
+    both = {id(rr): rr for rr in calls}
+    assert len(both) == 2 and id(r) in both
+    assert [sum(rr is x for rr in calls) for x in both.values()] == [per_rep] * 2
+    # later users read the kept samples
+    for x in both.values():
+        default_group_samples(x)
+        check_unitary_rep(x)
+    assert len(calls) == 2 * per_rep
 
 
 def test_roundtrip_reports_non_cyclic_vectors():
