@@ -192,6 +192,8 @@ def _do_check_pd(config: SessionConfig, task: Task) -> Report:
     level = task.params.get("level")
     if level is None:
         level = 2
+    if level < 0:
+        raise CommandError(f"--level must be at least 0, got {level}")
     groups = default_group_samples(rep) if rep is not None else []
     samples = build_sample_set(psi.algebra, groups, level)
     return check_positive_definite(psi, samples, **_tol_kw(config))
@@ -398,22 +400,48 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _count(val, where: str) -> int:
+    # a non-negative 64-bit integer; true and false are not numbers
+    if isinstance(val, bool) or not isinstance(val, int) or not 0 <= val < 2 ** 63:
+        raise CommandError(
+            f"{where} must be an integer from 0 to 2**63 - 1, got {val!r}")
+    return val
+
+
+def _tolerance(val, where: str) -> float:
+    # a finite real >= 0; an integer too large for a float is not finite
+    try:
+        ok = not isinstance(val, bool) and math.isfinite(val) and val >= 0
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise CommandError(
+            f"{where} must be a finite number at least 0, got {val!r}")
+    return val
+
+
 def _session(args: argparse.Namespace) -> SessionConfig:
+    """Settings from the flags, else the config file; null counts as unset.
+
+    Each setting is checked once, here, whichever of the two it came from.
+    """
     env = _env_defaults()
 
-    def pick(name, fallback):
-        val = getattr(args, name, None)
-        if val is not None:
-            return val
-        return env.get(name, fallback)
+    def pick(name, fallback=None, check=None):
+        val, where = getattr(args, name, None), "--" + name.replace("_", "-")
+        if val is None:
+            val, where = env.get(name), f"config {name}"
+        if val is None:
+            return fallback
+        return val if check is None else check(val, where)
 
     fmt = pick("format", "text")
     if fmt not in ("text", "json"):
         raise CommandError(f"config format must be text or json, got {fmt!r}")
     return SessionConfig(
-        tol=pick("tol", None),
-        level_cap=pick("level_cap", None),
-        seed=int(pick("seed", 0)),
+        tol=pick("tol", check=_tolerance),
+        level_cap=pick("level_cap", check=_count),
+        seed=pick("seed", 0, _count),
         fmt=fmt,
         skip_validate=bool(getattr(args, "skip_validate", False)),
     )

@@ -97,7 +97,7 @@ class PDFunction:
             clean[word] = complex(val)
 
         def ev(s: MonoidElement) -> complex:
-            _refuse_group_part(s)
+            _refuse_group_part(s.group)
             return sum((c * clean.get(w, 0.0) for w, c in s.env.terms.items()),
                        start=0.0 + 0.0j)
 
@@ -116,46 +116,50 @@ def _vector_of(r: UnitaryRep, v) -> np.ndarray:
     return v
 
 
-def _refuse_group_part(s: MonoidElement) -> None:
+def _refuse_group_part(g: GroupElement) -> None:
     # a table holds values on the identity component only
-    if not s.group.is_identity():
+    if not g.is_identity():
         raise ValueError(
             f"table-backed function cannot evaluate group element "
-            f"{s.group.label!r}; only the identity component is tabulated")
+            f"{g.label!r}; only the identity component is tabulated")
 
 
 class SampleSet:
-    """Finite probe of the monoid: group samples times basis monomials.
+    """Finite probe of the monoid: every group sample times every normal word.
 
-    ``codes`` holds the degree code of each element (``Degree.code``), -1
-    for an element whose words disagree in degree; computed from the
-    elements when not given.
+    Sample k is (groups[k // len(words)], words[k % len(words)]).  The
+    identity group element comes first and the words start with the empty
+    word, so sample 0 is the identity of the monoid.  ``codes`` holds the
+    degree code (``Degree.code``) of each sample; the group part has degree
+    zero, so these are the word codes, tiled.  The samples are not stored as
+    monoid elements: ``element(k)`` builds one on demand, for the routes
+    that take monoid products.  Made by ``build_sample_set``.
     """
 
-    __slots__ = ("elements", "level", "group_count", "codes")
+    __slots__ = ("algebra", "groups", "words", "level", "codes")
 
-    def __init__(self, elements, level: int, group_count: int, codes=None):
-        self.elements = list(elements)
-        self.level = int(level)
-        self.group_count = int(group_count)
-        self.codes = (_degree_codes(self.elements) if codes is None
-                      else np.asarray(codes, dtype=np.int64))
+    def __init__(self, l: ColorLieAlgebra, groups, words, level: int):
+        self.algebra = l
+        self.groups = groups
+        self.words = words
+        self.level = level
+        self.codes = np.tile(_word_codes(l, words), len(groups))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.groups) * len(self.words)
+
+    def element(self, k: int) -> MonoidElement:
+        """Sample k as a monoid element; a negative k counts from the end."""
+        g, w = divmod(k, len(self.words))
+        return MonoidElement(self.groups[g],
+                             EnvElement(self.algebra, {self.words[w]: 1.0}))
 
     def __iter__(self):
-        return iter(self.elements)
+        return (self.element(k) for k in range(len(self)))
 
     def __repr__(self) -> str:
-        return (f"SampleSet({len(self.elements)} elements, "
-                f"level={self.level}, groups={self.group_count})")
-
-
-def _degree_codes(elements) -> np.ndarray:
-    # Degree.code of each element, -1 where its words disagree in degree
-    return np.array([-1 if d is None else d.code
-                     for d in (s.degree for s in elements)], dtype=np.int64)
+        return (f"SampleSet({len(self)} samples, "
+                f"level={self.level}, groups={len(self.groups)})")
 
 
 def _word_codes(l: ColorLieAlgebra, words) -> np.ndarray:
@@ -219,24 +223,22 @@ def default_group_samples(r) -> list[GroupElement]:
 
 
 def build_sample_set(l: ColorLieAlgebra, group_samples, level: int) -> SampleSet:
-    """Pair every group sample with every monomial up to the level.
+    """Pair every group sample with every normal word up to the level.
 
-    The identity monoid element always sits at index zero.  Only samples
-    that are the identity by construction are folded into it; one whose
-    matrices merely equal the identity stays an ordinary group sample.  The
-    group part has degree zero, so each degree code is computed once per
-    normal word.
+    The identity group element always comes first.  Only samples that are
+    the identity by construction are folded into it; one whose matrices
+    merely equal the identity stays an ordinary group sample.  Each degree
+    code is computed once per normal word, and no monoid element is built.
+    A negative level raises ValueError.
     """
+    if level < 0:
+        raise ValueError(f"sample level must be at least 0, got {level}")
     groups = [g for g in group_samples if not g.is_identity()]
     # bind the identity whenever the others are bound, so that star and
     # product stay inside the bound part of the monoid
     pi_dim = next((g.pi.shape[0] for g in groups if g.pi is not None), None)
     groups.insert(0, GroupElement.identity(l.dim, pi_dim))
-    words = normal_words(l, level)
-    elements = [MonoidElement(g, EnvElement(l, {w: 1.0}))
-                for g in groups for w in words]
-    return SampleSet(elements, level, len(groups),
-                     np.tile(_word_codes(l, words), len(groups)))
+    return SampleSet(l, groups, normal_words(l, level), level)
 
 
 def _product(a: MonoidElement, b: MonoidElement) -> MonoidElement:
@@ -248,16 +250,16 @@ def _monoid_pair(a: MonoidElement, b: MonoidElement) -> MonoidElement:
     return _product(s_star(a), b)
 
 
-def _gram_of(psi: PDFunction, samples):
+def _gram_of(psi: PDFunction, samples: SampleSet):
     """The Gram M[i, j] = psi(s_i* s_j) of the samples, built once.
 
     The only place that picks a route, from provenance alone.
     Representation-backed psi takes the operator route (``_FactoredGram``),
     table-backed psi the table route (``_TableGram``, which refuses any
     group part but the identity), and every other psi the monoid-product
-    route (``_DenseGram``).  A ``SampleSet`` brings its degree codes; for a
-    bare list of elements they are computed here, once.  Each route gives
-    ``codes``; ``eigs``, the eigenvalues of M (of its Hermitian part off the
+    route (``_DenseGram``).  The samples must come from
+    ``build_sample_set``; anything else raises TypeError.  Each route gives
+    ``samples``; ``eigs``, the eigenvalues of M (of its Hermitian part off the
     operator route) ascending, None when the data are not finite; ``scale``,
     max(1, max |eigs|), which is ||M||_2 when M is Hermitian (1 when not
     finite); ``dense()``, M; ``hermitian()``, residual and detail of the
@@ -271,18 +273,16 @@ def _gram_of(psi: PDFunction, samples):
     the translates;
     ``against(x)``, psi(t* x) for every sample t; and ``psd_detail``.
     """
-    if isinstance(samples, SampleSet):
-        elements, codes = samples.elements, samples.codes
-    else:
-        elements = list(samples)
-        codes = _degree_codes(elements)
-    if not elements:
-        raise ValueError("sample set is empty")
+    if not isinstance(samples, SampleSet):
+        raise TypeError(f"samples must be a SampleSet made by build_sample_set, "
+                        f"not {type(samples).__name__}")
+    if samples.algebra is not psi.algebra:
+        raise ValueError("sample set belongs to a different algebra")
     if psi.rep is not None:
-        return _FactoredGram(psi, elements, codes)
+        return _FactoredGram(psi, samples)
     if psi.table is not None:
-        return _TableGram(psi, elements, codes)
-    return _DenseGram(psi, elements, codes)
+        return _TableGram(psi, samples)
+    return _DenseGram(psi, samples)
 
 
 def _spectrum(m: np.ndarray):
@@ -299,12 +299,12 @@ class _DenseGram:
 
     psd_detail = "verified on sample set"
 
-    def __init__(self, psi: PDFunction, elements, codes: np.ndarray):
+    def __init__(self, psi: PDFunction, samples: SampleSet):
         self.psi = psi
-        self.elements = elements
-        self.codes = codes
-        self.stars = [s_star(t) for t in elements]
-        self.m = np.column_stack([self.against(b) for b in elements])
+        self.samples = samples
+        self.elements = list(samples)
+        self.stars = [s_star(t) for t in self.elements]
+        self.m = np.column_stack([self.against(b) for b in self.elements])
         self.eigs, self.scale = _spectrum(self.m)
 
     def dense(self) -> np.ndarray:
@@ -318,7 +318,7 @@ class _DenseGram:
         return None
 
     def values(self, idx) -> np.ndarray:
-        return np.array([self.psi(self.elements[i]) for i in idx],
+        return np.array([self.psi(self.samples.element(i)) for i in idx],
                         dtype=complex)
 
     def block(self, rows, cols) -> np.ndarray:
@@ -539,29 +539,28 @@ class _WordOperators:
         return (np.bincount(src, wts.real, out)
                 + 1j * np.bincount(src, wts.imag, out))
 
-    def coordinates(self, envs, level: int) -> np.ndarray:
-        """Columns of normal-word coefficients, on the words up to the level.
+    def coordinates(self, env: EnvElement) -> np.ndarray:
+        """The normal-word coefficients of env, as one column.
 
         Normal words are looked up; only a word that is not normal is
         rewritten through ``_nf``.
         """
-        self.grow(level)
-        x = np.zeros((int(self.counts[level]), len(envs)), dtype=complex)
-        for col, env in enumerate(envs):
-            for w, c in env.terms.items():
-                terms = {w: 1.0} if w in self.index else _nf(self.algebra, w)
-                for v, cv in terms.items():
-                    x[self.index[v], col] += c * cv
+        self.grow(env.level)
+        x = np.zeros((int(self.counts[env.level]), 1), dtype=complex)
+        for w, c in env.terms.items():
+            terms = {w: 1.0} if w in self.index else _nf(self.algebra, w)
+            for v, cv in terms.items():
+                x[self.index[v], 0] += c * cv
         return x
 
-    def left_multiply(self, env: EnvElement, x: np.ndarray,
-                      level: int) -> np.ndarray:
-        """env times the columns of x (words up to the level), on longer words."""
+    def left_multiply(self, env: EnvElement, level: int) -> np.ndarray:
+        """env times each word up to the level, as columns on longer words."""
         top = level + env.level
         self.grow(top)
-        out = np.zeros((int(self.counts[top]), x.shape[1]), dtype=complex)
+        n = int(self.counts[level])
+        out = np.zeros((int(self.counts[top]), n), dtype=complex)
         for word, c in env.terms.items():
-            y, m = x, level
+            y, m = np.eye(n, dtype=complex), level
             for k in reversed(word):
                 src, dst, val = self._operator(k, y.shape[0])
                 op = np.zeros((int(self.counts[m + 1]), y.shape[0]),
@@ -570,6 +569,12 @@ class _WordOperators:
                 y, m = op @ y, m + 1
             out[:y.shape[0]] += c * y
         return out
+
+    def gram(self, level: int) -> np.ndarray:
+        """psi(u* v) for every pair of words u, v up to the level."""
+        self.grow(level)
+        n = int(self.counts[level])
+        return self.phase[:n, None] * np.stack([row[:n] for row in self.rows[:n]])
 
     def pairings(self, level: int, x: np.ndarray, x_level: int) -> np.ndarray:
         """psi(u* x) for every word u up to the level and every column x.
@@ -585,43 +590,40 @@ class _WordOperators:
 class _TableGram(_DenseGram):
     """Table route: Gram entries read the table through left multiplication.
 
-    With C the normal-word coordinates of the samples and K the word Gram
-    K[u, v] = psi(u* v), M = C^H K C.  Both triangles of K are computed, so
-    the Hermitian check stays a real one.  Left translation by x_k maps C to
-    Y = L_k C on words one longer, so its pairings against the columns of c
-    are (C c)^H K Y and the squared lengths of the translates are the
+    The samples are the normal words up to the level, which are the first n
+    words of ``_WordOperators``, so M is the word Gram K[u, v] = psi(u* v) on
+    them.  Both triangles of K are computed, so the Hermitian check stays a
+    real one.  Left translation by x_k maps the samples to the columns
+    Y = L_k on words one longer, so its pairings against the columns of c
+    are c^H (K Y)[:n] and the squared lengths of the translates are the
     diagonal of Y^H K Y.
     """
 
-    def __init__(self, psi: PDFunction, elements, codes: np.ndarray):
-        for s in elements:
-            _refuse_group_part(s)
+    def __init__(self, psi: PDFunction, samples: SampleSet):
+        for g in samples.groups:
+            _refuse_group_part(g)
         self.psi = psi
-        self.elements = elements
-        self.codes = codes
+        self.samples = samples
         if psi._words is None:
             psi._words = _WordOperators(psi)
         self.words = psi._words
-        self.level = max(s.level for s in elements)
-        self.c = self.words.coordinates([s.env for s in elements], self.level)
-        self.m = self.c.conj().T @ self.words.pairings(self.level, self.c,
-                                                       self.level)
+        self.level = samples.level
+        self.m = self.words.gram(self.level)
         self.eigs, self.scale = _spectrum(self.m)
 
     def translate(self, m_left: MonoidElement, c_mat=None):
-        _refuse_group_part(m_left)
+        _refuse_group_part(m_left.group)
         top = self.level + m_left.level
-        y = self.words.left_multiply(m_left.env, self.c, self.level)
+        y = self.words.left_multiply(m_left.env, self.level)
         ky = self.words.pairings(top, y, top)
-        left = self.c if c_mat is None else self.c @ c_mat
-        return (left.conj().T @ ky[:self.c.shape[0]],
+        pairs = ky[:y.shape[1]]
+        return (pairs if c_mat is None else c_mat.conj().T @ pairs,
                 np.real(np.sum(y.conj() * ky, axis=0)))
 
     def against(self, x: MonoidElement) -> np.ndarray:
-        _refuse_group_part(x)
-        col = self.words.coordinates([x.env], x.level)
-        pairs = self.words.pairings(self.level, col, x.level)
-        return self.c.conj().T @ pairs[:, 0]
+        _refuse_group_part(x.group)
+        col = self.words.coordinates(x.env)
+        return self.words.pairings(self.level, col, x.level)[:, 0]
 
 
 class _WordColumns:
@@ -663,43 +665,24 @@ class _WordColumns:
         return np.array([self.index[w] for w in words], dtype=np.intp)
 
 
-def _sample_columns(psi: PDFunction, elements) -> np.ndarray:
+def _sample_columns(psi: PDFunction, samples: SampleSet) -> np.ndarray:
     """op(s) v for every sample s, as the columns of a d x n array.
 
-    A sample whose enveloping part is one word with coefficient 1 reads the
-    word's column from ``_WordColumns``, and each run of such samples that
-    shares one group element takes pi(g) in one product.  Any other sample
-    goes through ``monoid_operator``.
+    With B the block of word columns rho(w) v from ``_WordColumns``, the
+    identity group sample gives B and every other group sample g gives
+    pi(g) B.
     """
-    r, v = psi.rep, psi.vector
     if psi._columns is None:
-        psi._columns = _WordColumns(r, v)
-    u = np.empty((r.space_dim, len(elements)), dtype=complex)
-    single, words = [], []
-    for k, s in enumerate(elements):
-        terms = s.env.terms
-        if s.env.algebra is r.algebra and len(terms) == 1:
-            (w, c), = terms.items()
-            if c == 1:
-                single.append(k)
-                words.append(w)
-                continue
-        u[:, k] = monoid_operator(r, s) @ v
-    at = psi._columns.lookup(words)
-    groups = [elements[k].group for k in single]
-    lo = 0
-    for hi in range(1, len(single) + 1):
-        if hi < len(single) and groups[hi] is groups[lo]:
-            continue
-        g, block = groups[lo], psi._columns.store[:, at[lo:hi]]
-        if not g.is_identity():
-            if g.pi is None:
-                raise ValueError(
-                    f"group element {g.label!r} carries no action on the space")
-            block = g.pi @ block
-        u[:, single[lo:hi]] = block
-        lo = hi
-    return u
+        psi._columns = _WordColumns(psi.rep, psi.vector)
+    at = psi._columns.lookup(samples.words)
+    block = psi._columns.store[:, at]
+    blocks = [block]
+    for g in samples.groups[1:]:
+        if g.pi is None:
+            raise ValueError(
+                f"group element {g.label!r} carries no action on the space")
+        blocks.append(g.pi @ block)
+    return np.hstack(blocks)
 
 
 class _FactoredGram:
@@ -718,11 +701,10 @@ class _FactoredGram:
 
     psd_detail = "singular values of W, verified on sample set"
 
-    def __init__(self, psi: PDFunction, elements, codes: np.ndarray):
+    def __init__(self, psi: PDFunction, samples: SampleSet):
         self.psi = psi
-        self.elements = elements
-        self.codes = codes
-        self.u = _sample_columns(psi, elements)
+        self.samples = samples
+        self.u = _sample_columns(psi, samples)
         self.gram = psi.rep.inner.gram_dense()
         self.eigs, self.scale = None, 1.0
         if not np.isfinite(self.gram).all():
@@ -748,20 +730,22 @@ class _FactoredGram:
         Pairs of different degrees pair to zero on both routes, so each of
         four draws takes a random sample s_i, a random sample s_j of the same
         degree, and compares both (i, j) and the diagonal entry (i, i), which
-        is the squared length of a translate.  A non-finite entry makes the
+        is the squared length of a translate.  Only the two samples of a
+        draw are built as monoid elements.  A non-finite entry makes the
         result non-finite.
         """
-        elements, w, codes = self.elements, self.w, self.codes
+        samples, w, codes = self.samples, self.w, self.samples.codes
         rng = np.random.default_rng(0)
         gaps = []
-        for _ in range(min(4, len(elements))):
-            i = int(rng.integers(len(elements)))
+        for _ in range(min(4, len(samples))):
+            i = int(rng.integers(len(samples)))
             same = np.flatnonzero(codes == codes[i])
             j = int(same[int(rng.integers(same.size))])
-            for a, b in ((i, i), (i, j)):
-                direct = self.psi(_monoid_pair(elements[a], elements[b]))
-                gaps.append(abs(direct - np.vdot(w[:, a], w[:, b])))
-        return float(np.max(gaps)) if gaps else 0.0
+            s_i, s_j = samples.element(i), samples.element(j)
+            for b, s_b in ((i, s_i), (j, s_j)):
+                direct = self.psi(_monoid_pair(s_i, s_b))
+                gaps.append(abs(direct - np.vdot(w[:, i], w[:, b])))
+        return float(np.max(gaps))
 
     def values(self, idx) -> np.ndarray:
         return (self.psi.vector.conj() @ self.gram) @ self.u[:, idx]
@@ -791,8 +775,8 @@ class _FactoredGram:
         return self.u.conj().T @ (self.gram @ vec)
 
 
-def sample_gram(psi: PDFunction, samples) -> tuple[np.ndarray, float]:
-    """Gram matrix M[i, j] = psi(s_i* s_j) over the samples.
+def sample_gram(psi: PDFunction, samples: SampleSet) -> tuple[np.ndarray, float]:
+    """Gram matrix M[i, j] = psi(s_i* s_j) over a sample set.
 
     Representation-backed functions evaluate through the operators, as
     M = W^H W from the factor W = R U (R the Cholesky factor of the space
@@ -802,16 +786,17 @@ def sample_gram(psi: PDFunction, samples) -> tuple[np.ndarray, float]:
     returned alongside the matrix.  This is the one place that forms M on
     that route.  Tables read their values through left multiplication on
     normal words, and other functions pay for every entry through the
-    monoid product; on both the returned disagreement is zero.
+    monoid product; on both the returned disagreement is zero.  The samples
+    must come from ``build_sample_set``; anything else raises TypeError.
     """
     gram = _gram_of(psi, samples)
     gap = gram.route_gap()
     return gram.dense(), 0.0 if gap is None else gap
 
 
-def check_positive_definite(psi: PDFunction, samples,
+def check_positive_definite(psi: PDFunction, samples: SampleSet,
                             tol: float = _GNS_TOL) -> Report:
-    """Support condition and Gram positivity over a finite sample set.
+    """Support condition and Gram positivity over a sample set.
 
     The support condition, the Hermitian symmetry of the Gram matrix, and the
     eigenvalue floor are all certified on the given samples only; the detail
@@ -824,20 +809,22 @@ def check_positive_definite(psi: PDFunction, samples,
     W^H W with psi evaluated through the monoid product, on sampled
     same-degree and diagonal entries.  Tables and other functions evaluate
     psi once per sample of non-zero degree.  Non-finite sample data fail the
-    Gram checks.
+    Gram checks.  The samples must come from ``build_sample_set``; anything
+    else raises TypeError.
     """
     return _positivity_report(_gram_of(psi, samples), tol)
 
 
 def _positivity_report(gram, tol: float) -> Report:
     rep = Report("positive definiteness",
-                 context={"samples": len(gram.elements), "tol": tol})
+                 context={"samples": len(gram.samples), "tol": tol})
 
-    # the samples of a single non-zero degree; -1 marks mixed degrees
-    idx = np.flatnonzero(gram.codes > 0)
+    # the samples of non-zero degree
+    codes = gram.samples.codes
+    idx = np.flatnonzero(codes != 0)
     rank = gram.psi.algebra.rank
     worst, at = worst_residual(
-        zip(np.abs(gram.values(idx)).tolist(), gram.codes[idx].tolist()),
+        zip(np.abs(gram.values(idx)).tolist(), codes[idx].tolist()),
         lambda c: f"degree {_degree_of(rank, c)}")
     rep.add("support condition", worst <= tol, worst, tol,
             "verified on sample set" + (f"; worst at {at}" if at else ""))
@@ -950,10 +937,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
     """
     l = psi.algebra
     if group_samples is None:
-        if psi.rep is not None:
-            group_samples = default_group_samples(psi.rep)
-        else:
-            group_samples = [GroupElement.identity(l.dim)]
+        group_samples = [] if psi.rep is None else default_group_samples(psi.rep)
 
     # grow until the retained rank repeats
     prev_rank = None
@@ -983,10 +967,8 @@ def gns_construct(psi: PDFunction, group_samples=None,
 
     gram = history[chosen]
     norm_scale = gram.scale
-    elements = gram.elements
-    n = len(elements)
-    if not elements[0].is_identity():
-        raise ValueError("sample set does not start with the identity")
+    samples = gram.samples
+    n = len(samples)
 
     report = Report("gns reconstruction",
                     context={"level_used": chosen, "samples": n, "tol": tol})
@@ -1002,7 +984,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
 
     # samples by degree code; codes sort as their degrees do (a plain set,
     # since np.unique imports numpy.ma on first use, 20 ms per process)
-    codes = gram.codes
+    codes = samples.codes
     sectors = {c: np.flatnonzero(codes == c)
                for c in sorted(set(codes.tolist()))}
 
@@ -1086,9 +1068,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
         rho.append(to_block(l.degrees[i], dense, f"rho({l.labels[i]})"))
 
     new_gens = []
-    for g in group_samples:
-        if g.is_identity():
-            continue
+    for g in samples.groups[1:]:
         dense = translated_matrix(MonoidElement.from_group(l, g),
                                   f"pi({g.label})")
         new_gens.append(GroupElement(g.label, g.ad, dense))
@@ -1097,7 +1077,8 @@ def gns_construct(psi: PDFunction, group_samples=None,
     report.add("translates stay in the span", worst_escape <= escape_tol,
                worst_escape, escape_tol)
 
-    # cyclic class of the identity sample, cleaned of cross-sector dust
+    # cyclic class of the identity sample (sample 0), cleaned of
+    # cross-sector dust
     e0 = np.zeros(n)
     e0[0] = 1.0
     v0 = p_mat @ gram.times(e0)
@@ -1127,11 +1108,11 @@ def gns_construct(psi: PDFunction, group_samples=None,
     def reproducing_gap(s: MonoidElement) -> float:
         lhs = np.conj(p_mat @ gram.against(s_star(s)))
         rhs = np.zeros(total, dtype=complex)
-        for t_idx, t in enumerate(elements):
+        for t_idx, t in enumerate(samples):
             rhs += c_mat[t_idx, :] * psi(_product(s, t))
         return float(np.max(np.abs(lhs - rhs)))
 
-    worst_repr, _ = worst_residual((reproducing_gap(elements[i]), None)
+    worst_repr, _ = worst_residual((reproducing_gap(samples.element(i)), None)
                                    for i in set(picks))
     report.add("reproducing property", worst_repr <= 1e-8, worst_repr, 1e-8,
                "verified on sample set")

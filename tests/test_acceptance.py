@@ -427,7 +427,7 @@ def test_criterion_11_support_condition(capsys):
             sl = space.slice_of(deg)
             v[sl] = np.linspace(1.0, 2.0, sl.stop - sl.start)
             v /= np.linalg.norm(v)
-            for s in samples.elements:
+            for s in samples:
                 degs = {word_degree(l, w) for w in s.env.terms}
                 if degs <= {Degree.zero(l.rank)}:
                     continue

@@ -482,6 +482,76 @@ def test_env_config_must_parse(tmp_path, capsys, monkeypatch):
     assert "config file" in err
 
 
+def _perturbed_file(tmp_path, capsys):
+    # clifford-n1 with one in-pattern entry of its odd operator shifted
+    doc = _clifford_doc(tmp_path, capsys)
+    doc["rho"][1][1][0] = [1.1, 0.0]
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-inf"])
+def test_a_tolerance_that_is_not_finite_and_non_negative_is_input_error(
+        tmp_path, capsys, tol):
+    path = _perturbed_file(tmp_path, capsys)
+    assert run(capsys, "check-rep", path)[0] == 1
+    code, out, err = run(capsys, "check-rep", path, f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tol must be a finite number")
+
+
+def test_a_zero_tolerance_is_accepted(tmp_path, capsys):
+    code, doc, _ = run_json(capsys, "check-rep", _perturbed_file(tmp_path, capsys),
+                            "--tol", "0")
+    assert code == 1
+    bracket = [c for c in doc["checks"] if c["name"] == "bracket property"]
+    assert bracket and bracket[0]["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["gns-construct", "--level-cap", "-1"], "--level-cap"),
+    (["check-pd", "--level", "-1"], "--level"),
+])
+def test_a_negative_level_is_input_error(tmp_path, capsys, argv, where):
+    code, out, err = run(capsys, *argv, "--rep", cliff_file(tmp_path, capsys))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where} must be")
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"tol": "abc"}, "tol"), ({"tol": -1e-9}, "tol"),
+    ({"seed": "x"}, "seed"), ({"seed": -1}, "seed"),
+    ({"level_cap": 2.5}, "level_cap"), ({"level_cap": "3"}, "level_cap"),
+    ({"level_cap": -1}, "level_cap"),
+])
+def test_a_config_value_of_the_wrong_type_is_input_error(tmp_path, capsys,
+                                                        monkeypatch, config, key):
+    cliff = cliff_file(tmp_path, capsys)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setenv("COLORREP_CONFIG", str(cfg))
+    code, out, err = run(capsys, "gns-construct", "--rep", cliff)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config {key} must be")
+
+
+def test_a_null_config_value_counts_as_unset(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": None, "level_cap": None, "seed": None,
+                               "format": None}))
+    monkeypatch.setenv("COLORREP_CONFIG", str(cfg))
+    out = tmp_path / "rr.json"
+    assert main(["generate", "random-rep", "-o", str(out)]) == 0
+    code, text, _ = run(capsys, "gns-construct", "--rep", str(out))
+    assert code == 0 and text.startswith("==")
+    # the same file as with no config at all
+    monkeypatch.delenv("COLORREP_CONFIG")
+    again = tmp_path / "again.json"
+    assert main(["generate", "random-rep", "-o", str(again), "--seed", "0"]) == 0
+    assert filecmp.cmp(out, again, shallow=False)
+
+
 def test_reports_deterministic(tmp_path, capsys):
     cliff = cliff_file(tmp_path, capsys)
     _, first, _ = run(capsys, "gns-construct", "--rep", cliff,

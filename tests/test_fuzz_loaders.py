@@ -8,6 +8,9 @@ pattern.  It then runs a command on the file in process.  No exception may
 escape ``main``, and since every such mutation breaks the schema, the
 command must exit 2 with an error line: never 0 with PASS, nor 1 from a
 checker that ran on it.
+
+The same holds for a ``COLORREP_CONFIG`` file with one setting spoiled by
+the same values, except that null counts as an unset setting.
 """
 
 import contextlib
@@ -18,6 +21,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,3 +143,24 @@ def test_mutated_files_keep_the_exit_contract(data):
     # every mutation breaks the schema, so the load itself must refuse it
     assert code == 2, (command, text, out)
     assert err.startswith("error: ")
+
+
+CONFIG = {"tol": 1e-9, "level_cap": 3, "seed": 0, "format": "json"}
+
+
+@pytest.mark.parametrize("spoiler", SPOILERS, ids=repr)
+@pytest.mark.parametrize("key", sorted(CONFIG))
+def test_spoiled_config_values_keep_the_exit_contract(monkeypatch, key, spoiler):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(dict(CONFIG, **{key: spoiler}))
+                     .replace(json.dumps(BIG), "1e999"))
+        monkeypatch.setenv("COLORREP_CONFIG", path)
+        code, out, err = _run(["gns-roundtrip", "--rep"], json.dumps(DOCS["rep"]))
+    if spoiler is None:
+        # as though the setting were absent
+        assert (code, err) == (0, ""), out
+    else:
+        assert (code, out) == (2, ""), err
+        assert err.startswith("error: config ") and key in err

@@ -125,10 +125,44 @@ def test_normal_words_skip_odd_squares():
 def test_sample_set_starts_with_identity_and_binds_it():
     r, _ = clifford_state()
     ss = build_sample_set(r.algebra, default_group_samples(r), 1)
-    assert ss.elements[0].is_identity()
+    assert ss.element(0).is_identity()
     # bound so that stars and products keep their actions
-    assert ss.elements[0].group.pi is not None
-    assert len(ss) == ss.group_count * 3
+    assert ss.groups[0].pi is not None
+    assert len(ss) == len(ss.groups) * 3
+
+
+def test_a_negative_sample_level_is_refused():
+    with pytest.raises(ValueError, match="at least 0"):
+        build_sample_set(clifford_algebra(), [], -1)
+
+
+def test_the_certificate_builds_no_per_sample_elements(monkeypatch):
+    # counts the monoid and enveloping elements that gns builds itself; the
+    # products that the route agreement takes are built inside enveloping
+    built = []
+
+    class CountedMonoid(MonoidElement):
+        __slots__ = ()
+
+        def __init__(self, group, env):
+            built.append("monoid")
+            super().__init__(group, env)
+
+    class CountedEnv(EnvElement):
+        __slots__ = ()
+
+        def __init__(self, algebra, terms=None):
+            built.append("env")
+            super().__init__(algebra, terms)
+
+    monkeypatch.setattr(gns, "MonoidElement", CountedMonoid)
+    monkeypatch.setattr(gns, "EnvElement", CountedEnv)
+    r, v = conjugated_four_lines_state()
+    samples = build_sample_set(r.algebra, default_group_samples(r), 2)
+    assert len(samples) > 1000 and built == []
+    assert check_positive_definite(PDFunction.from_rep(r, v), samples).passed
+    # the four route-agreement draws, two samples each
+    assert built.count("monoid") <= 8
 
 
 def test_default_group_samples_cover_the_zero_sector():
@@ -288,22 +322,14 @@ def _column_states():
 @pytest.mark.parametrize("case", range(2))
 def test_prefix_shared_columns_are_the_monoid_operator_columns(case):
     r, v, samples = _column_states()[case]
-    l = r.algebra
-    g = default_group_samples(r)[1]
-    # a word that is not normal, a scaled word and a sum of words take the
-    # two other paths through the column builder
-    extra = [MonoidElement(g, EnvElement(l, {(1, 0): 1.0})),
-             MonoidElement.from_env(EnvElement(l, {(1,): 2.0})),
-             MonoidElement(g, EnvElement(l, {(0,): 1.0, (1, 1): -0.5j}))]
-    elements = samples.elements + extra
     psi = PDFunction.from_rep(r, v)
-    u = gns._sample_columns(psi, elements)
-    ref = np.column_stack([monoid_operator(r, s) @ v for s in elements])
+    u = gns._sample_columns(psi, samples)
+    ref = np.column_stack([monoid_operator(r, s) @ v for s in samples])
     assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(ref))))
     # kept on the function: a second call computes no new word column
     held = len(psi._columns)
-    assert held == len(normal_words(l, samples.level)) + 1   # and (1, 0)
-    gns._sample_columns(psi, samples.elements)
+    assert held == len(normal_words(r.algebra, samples.level))
+    gns._sample_columns(psi, samples)
     assert len(psi._columns) == held
 
 
@@ -313,7 +339,7 @@ def test_support_values_from_the_columns_are_psi(case):
     psi = PDFunction.from_rep(r, v)
     gram = gns._gram_of(psi, samples)
     values = gram.values(np.arange(len(samples)))
-    direct = np.array([psi(s) for s in samples.elements])
+    direct = np.array([psi(s) for s in samples])
     assert np.max(np.abs(values - direct)) <= 1e-14 * gram.scale
 
 
@@ -322,11 +348,6 @@ def test_sample_codes_are_the_word_degree_codes():
     l = r.algebra
     want = [word_degree(l, next(iter(s.env.terms))).code for s in samples]
     assert samples.codes.tolist() == want
-    # a bare list gets the same codes, and -1 where the words disagree
-    odd = int(np.flatnonzero(l.deg_codes)[0])
-    mixed = MonoidElement.from_env(EnvElement(l, {(): 1.0, (odd,): 1.0}))
-    bare = gns._gram_of(PDFunction.from_rep(r, v), samples.elements + [mixed])
-    assert bare.codes.tolist() == want + [-1]
 
 
 def test_rep_route_forms_no_dense_gram_and_calls_no_psi_for_support(monkeypatch):
@@ -384,17 +405,21 @@ def test_dense_gram_stars_each_sample_once(monkeypatch):
     assert len(stars) == 5
 
 
-def test_empty_sample_set_is_an_error():
+@pytest.mark.parametrize("elements", [False, True], ids=["empty", "elements"])
+def test_a_plain_list_of_samples_is_refused(elements):
     l = one_line_algebra()
     psi = PDFunction.from_table(l, {(): 1.0})
-    with pytest.raises(ValueError, match="empty"):
-        check_positive_definite(psi, [])
+    samples = list(build_sample_set(l, [], 1)) if elements else []
+    for check in (check_positive_definite, sample_gram):
+        with pytest.raises(TypeError, match="build_sample_set"):
+            check(psi, samples)
 
 
-def test_sample_gram_refuses_an_empty_sample_set():
-    psi = PDFunction.from_table(one_line_algebra(), {(): 1.0})
-    with pytest.raises(ValueError, match="sample set is empty"):
-        sample_gram(psi, [])
+def test_a_sample_set_of_another_algebra_is_refused():
+    psi = PDFunction.from_table(clifford_algebra(), {(): 1.0})
+    samples = build_sample_set(clifford_algebra(), [], 1)
+    with pytest.raises(ValueError, match="different algebra"):
+        check_positive_definite(psi, samples)
 
 
 @pytest.mark.parametrize("route", ["rep", "table"])
@@ -540,14 +565,14 @@ _TABLES = {"clifford": lambda: clifford_table(4), "four-lines": four_lines_table
                                          ("four-lines", 2)])
 def test_table_and_monoid_product_grams_agree(name, level):
     psi = _TABLES[name]()
-    samples = build_sample_set(psi.algebra, [], level).elements
+    samples = build_sample_set(psi.algebra, [], level)
     table = gns._gram_of(psi, samples)
     dense = gns._gram_of(PDFunction(psi.algebra, psi), samples)
     assert isinstance(table, gns._TableGram)
     assert isinstance(dense, gns._DenseGram)
     tol = 1e-12 * dense.scale
     assert np.max(np.abs(table.dense() - dense.dense())) <= tol
-    x = s_star(samples[-1])
+    x = s_star(samples.element(-1))
     assert np.max(np.abs(table.against(x) - dense.against(x))) <= tol
 
 
@@ -556,7 +581,7 @@ def test_table_and_monoid_product_grams_agree(name, level):
 def test_table_and_monoid_product_translates_agree(name, level):
     psi = _TABLES[name]()
     l = psi.algebra
-    samples = build_sample_set(l, [], level).elements
+    samples = build_sample_set(l, [], level)
     table = gns._gram_of(psi, samples)
     dense = gns._gram_of(PDFunction(l, psi), samples)
     for k in range(l.dim):
@@ -593,7 +618,7 @@ def test_table_with_a_group_sample_is_refused():
         check_positive_definite(psi, samples)
     with pytest.raises(ValueError, match="group element"):
         gns_construct(psi, group_samples=[GroupElement.identity(l.dim, 2), g])
-    table = gns._gram_of(psi, build_sample_set(l, [], 1).elements)
+    table = gns._gram_of(psi, build_sample_set(l, [], 1))
     with pytest.raises(ValueError, match="group element"):
         table.translate(MonoidElement.from_group(l, g))
     with pytest.raises(ValueError, match="group element"):
@@ -604,7 +629,7 @@ def test_nan_table_value_fails_the_gram_checks():
     l = clifford_algebra()          # x = basis element 0 is even
     psi = PDFunction.from_table(l, {(): 1.0, (0,): np.nan})
     samples = build_sample_set(l, [], 1)
-    assert isinstance(gns._gram_of(psi, samples.elements), gns._TableGram)
+    assert isinstance(gns._gram_of(psi, samples), gns._TableGram)
     rep = check_positive_definite(psi, samples)
     checks = {c.name: c for c in rep.checks}
     for name in ("gram hermitian", "gram positive semidefinite"):
@@ -650,10 +675,10 @@ def test_the_table_route_rewrites_no_normal_word(monkeypatch):
     nf = gns._nf
     monkeypatch.setattr(gns, "_nf", lambda *a: calls.append(a) or nf(*a))
     cached = len(l._nf_cache)
-    gram = gns._gram_of(psi, build_sample_set(l, [], 2).elements)
+    gram = gns._gram_of(psi, build_sample_set(l, [], 2))
     for k in range(l.dim):
         gram.translate(MonoidElement.from_env(EnvElement.generator(l, k)))
-    gram.against(s_star(gram.elements[-1]))
+    gram.against(s_star(gram.samples.element(-1)))
     assert psi._words.top == 3
     assert calls == []
     assert len(l._nf_cache) == cached
