@@ -405,11 +405,22 @@ def test_dense_gram_stars_each_sample_once(monkeypatch):
     assert len(stars) == 5
 
 
-@pytest.mark.parametrize("elements", [False, True], ids=["empty", "elements"])
-def test_a_plain_list_of_samples_is_refused(elements):
+def test_empty_sample_set_is_an_error():
+    psi = PDFunction.from_table(one_line_algebra(), {(): 1.0})
+    with pytest.raises(TypeError, match="build_sample_set"):
+        check_positive_definite(psi, [])
+
+
+def test_sample_gram_refuses_an_empty_sample_set():
+    psi = PDFunction.from_table(one_line_algebra(), {(): 1.0})
+    with pytest.raises(TypeError, match="build_sample_set"):
+        sample_gram(psi, [])
+
+
+def test_a_plain_list_of_samples_is_refused():
     l = one_line_algebra()
     psi = PDFunction.from_table(l, {(): 1.0})
-    samples = list(build_sample_set(l, [], 1)) if elements else []
+    samples = list(build_sample_set(l, [], 1))
     for check in (check_positive_definite, sample_gram):
         with pytest.raises(TypeError, match="build_sample_set"):
             check(psi, samples)
