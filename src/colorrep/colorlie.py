@@ -16,10 +16,33 @@ import numpy as np
 
 from .errors import PerfectnessError, RankMismatchError
 from .grading import Degree, beta, is_even_like
-from .report import Report, worst_residual
+from .report import Report, worst_entry
 from .spaces import GradedSpace
 
 _AXIOM_TOL = 1e-9
+# bounds per block: on the product terms of the Jacobi join, and, when a
+# structure constant is not finite, on the dense entries it generates and
+# on those it evaluates times the dimension
+_TERM_BLOCK = 1 << 19
+_ENTRY_BLOCK = 1 << 20
+_EVAL_BLOCK = 1 << 18
+
+
+@dataclass(frozen=True)
+class StructureTriples:
+    """The nonzero structure constants in coordinate form.
+
+    Entry t is c[t] = structure[i[t], j[t], k[t]] (NaN counts as nonzero),
+    in (i, j, k) order, so the entries of the pair (i, j) are
+    ptr[i * dim + j] : ptr[i * dim + j + 1], and those with first index i
+    are ptr[i * dim] : ptr[(i + 1) * dim].
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    c: np.ndarray
+    ptr: np.ndarray
 
 
 class ColorLieAlgebra:
@@ -29,6 +52,12 @@ class ColorLieAlgebra:
     bracket of basis elements i and j.  The basis is kept sorted by
     (lexicographic degree, label); constructing from unsorted input permutes
     the structure tensor accordingly.
+
+    ``triples`` is a derived index of the nonzero structure constants: the
+    (i, j, k, c) with c = structure[i, j, k] != 0, sorted by (i, j, k), with
+    per-pair offsets.  It is built from ``structure`` on first use and kept,
+    so ``structure`` stays the single source of truth; the Jacobi check of
+    ``check_axioms`` joins it with itself.
     """
 
     def __init__(self, rank: int, labels, degrees, structure, validate: bool = False,
@@ -64,6 +93,7 @@ class ColorLieAlgebra:
         for i, deg in enumerate(degrees):
             self._sectors.setdefault(deg, []).append(i)
         self._nf_cache: dict = {}
+        self._triples: StructureTriples | None = None
         if validate:
             rep = check_axioms(self, tol=tol)
             if not rep.passed:
@@ -92,6 +122,16 @@ class ColorLieAlgebra:
 
     def odd_degrees(self) -> list[Degree]:
         return [d for d in self.sector_degrees if not is_even_like(d)]
+
+    @property
+    def triples(self) -> StructureTriples:
+        if self._triples is None:
+            i, j, k = np.nonzero(self.structure)
+            d = self.dim
+            ptr = np.zeros(d * d + 1, dtype=np.int64)
+            np.cumsum(np.bincount(i * d + j, minlength=d * d), out=ptr[1:])
+            self._triples = StructureTriples(i, j, k, self.structure[i, j, k], ptr)
+        return self._triples
 
     def ad_matrix(self, i: int) -> np.ndarray:
         """Matrix of bracketing with basis element i, columns indexed by j."""
@@ -136,55 +176,200 @@ def glV(v: GradedSpace) -> ColorLieAlgebra:
 
 
 def check_axioms(l: ColorLieAlgebra, tol: float = _AXIOM_TOL) -> Report:
-    """Verify grading compatibility, beta-antisymmetry, and the Jacobi law."""
+    """Verify grading compatibility, beta-antisymmetry, and the Jacobi law.
+
+    All three read the nonzero triples (i, j, k, c) of ``l.triples``: an
+    entry of the dense check that no triple touches is exactly zero (for the
+    Jacobi law while every constant is finite, see ``_nonfinite_jacobi``).  Each
+    residual is the largest entry of its dense check, and its location the
+    first such entry in (i, j, k[, m]) order, or the first NaN.
+
+    - grading: the triples with deg(k) != deg(i) deg(j);
+    - antisymmetry: c[i,j,k] + beta(i,j) c[j,i,k] at each triple and at its
+      mirror (j, i, k);
+    - Jacobi: a join of the triples with themselves on the shared index,
+      summed per 4-index key (see ``_jacobi_residual``).
+    """
     report = Report(f"bracket axioms, dim {l.dim}")
     c = l.structure
     d = l.dim
+    t = l.triples
     codes = l.deg_codes
 
     # (i) each bracket lands in the product sector
-    target = codes[:, None] ^ codes[None, :]
-    bad = target[:, :, None] != codes[None, None, :]
-    grading_res = float(np.max(np.abs(np.where(bad, c, 0.0)))) if d else 0.0
+    off = np.where((codes[t.i] ^ codes[t.j]) != codes[t.k], np.abs(t.c), 0.0)
+    grading_res, at = worst_entry(off)
     detail = ""
-    if not grading_res <= tol:
-        i, j, k = np.unravel_index(np.argmax(np.abs(np.where(bad, c, 0.0))), c.shape)
-        detail = f"worst at ({l.labels[i]}, {l.labels[j]}) -> {l.labels[k]}"
+    if at is not None and not grading_res <= tol:
+        detail = (f"worst at ({l.labels[t.i[at]]}, {l.labels[t.j[at]]}) "
+                  f"-> {l.labels[t.k[at]]}")
     report.add("grading", grading_res <= tol, grading_res, tol, detail)
 
     # (ii) [x,y] = -beta(x,y) [y,x]
-    anti = c + l.beta_table[:, :, None] * np.transpose(c, (1, 0, 2))
-    anti_res = float(np.max(np.abs(anti))) if d else 0.0
+    i, j, k = np.unravel_index(np.unique(np.concatenate([
+        np.ravel_multi_index((t.i, t.j, t.k), c.shape),
+        np.ravel_multi_index((t.j, t.i, t.k), c.shape)])), c.shape)
+    anti_res, at = worst_entry(np.abs(c[i, j, k] + l.beta_table[i, j] * c[j, i, k]))
     detail = ""
-    if not anti_res <= tol:
-        i, j, k = np.unravel_index(np.argmax(np.abs(anti)), anti.shape)
-        detail = f"worst at ({l.labels[i]}, {l.labels[j]})"
+    if at is not None and not anti_res <= tol:
+        detail = f"worst at ({l.labels[i[at]]}, {l.labels[j[at]]})"
     report.add("antisymmetry", anti_res <= tol, anti_res, tol, detail)
 
     # (iii) in derivation form: [x,[y,z]] = [[x,y],z] + beta(x,y) [y,[x,z]],
     # the version satisfied by the beta-twisted matrix commutator
-    bt = l.beta_table.astype(float)
-
-    def entries():
-        # per x_i, three BLAS products over all (j, k, l):
-        # [x_i,[y,z]], [[x_i,y],z] and [y,[x_i,z]] at y = x_j, z = x_k
-        for i in range(d):
-            lhs = (c.reshape(d * d, d) @ c[i]).reshape(d, d, d)
-            t1 = (c[i] @ c.reshape(d, d * d)).reshape(d, d, d)
-            t2 = np.matmul(c[i], c)
-            resid = np.abs(lhs - t1 - bt[i][:, None, None] * t2)
-            at = int(np.argmax(resid))
-            yield float(resid.flat[at]), (i, at)
-
-    def label(key):
-        i, at = key
-        j, k, _ = np.unravel_index(at, (d, d, d))
-        return f"worst triple ({l.labels[i]}, {l.labels[j]}, {l.labels[k]})"
-
-    jac_res, at = worst_residual(entries(), label)
-    report.add("jacobi", jac_res <= tol, jac_res, tol,
-               "" if jac_res <= tol else at)
+    jac_res, at = _jacobi_residual(l)
+    detail = ""
+    if not jac_res <= tol:
+        i, j, k, _ = np.unravel_index(at, (d,) * 4)
+        detail = f"worst triple ({l.labels[i]}, {l.labels[j]}, {l.labels[k]})"
+    report.add("jacobi", jac_res <= tol, jac_res, tol, detail)
     return report
+
+
+def _join(lo, hi):
+    """All (t, u) with lo[t] <= u < hi[t], as two index arrays, t ascending."""
+    counts = hi - lo
+    left = np.repeat(np.arange(len(lo)), counts)
+    right = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return left, right
+
+
+def _jacobi_residual(l: ColorLieAlgebra) -> tuple[float, int]:
+    """Worst |J[i,j,k,m]| and its flat (i, j, k, m) position, where
+
+        J[i,j,k,m] = sum_n c[j,k,n] c[i,n,m] - c[i,j,n] c[n,k,m]
+                     - beta(i,j) c[i,k,n] c[j,n,m],
+
+    the coefficient of x_m in [x_i,[x_j,x_k]] - [[x_i,x_j],x_k]
+    - beta(x_i,x_j) [x_j,[x_i,x_k]].  Taken in the order of a dense scan over
+    (i, j, k, m): the first NaN, else the first largest entry; (0.0, 0) when
+    every entry vanishes.
+
+    Every product term joins two nonzero triples on their shared index n:
+    in the first sum the second index of (i,n,m) with the third of (j,k,n),
+    in the middle one the third of (i,j,n) with the first of (n,k,m), in the
+    last the third of (i,k,n) with the second of (j,n,m).  Each join is a
+    sort and a search on n, and the middle one reads the (i, j) offsets of
+    the triples.  The terms are summed per 4-index key, one block of i at a
+    time so that no block holds more than about ``_TERM_BLOCK`` terms.
+    """
+    d = l.dim
+    t = l.triples
+    if not np.isfinite(t.c).all():
+        return _nonfinite_jacobi(l)
+    key = _flat_key(d)
+    by_j, by_k = np.argsort(t.j, kind="stable"), np.argsort(t.k, kind="stable")
+    sorted_j, sorted_k = t.j[by_j], t.k[by_k]
+    with_k = (np.searchsorted(sorted_k, t.j, "left"), np.searchsorted(sorted_k, t.j, "right"))
+    with_j = (np.searchsorted(sorted_j, t.k, "left"), np.searchsorted(sorted_j, t.k, "right"))
+    with_i = (t.ptr[t.k * d], t.ptr[(t.k + 1) * d])
+    # the terms each triple starts, summed per first index, cut into blocks
+    load = np.bincount(t.i, minlength=d, weights=sum(hi - lo for lo, hi in
+                                                   (with_k, with_j, with_i)))
+    edges, acc = [0], 0.0
+    for i, w in enumerate(load):
+        if acc and acc + w > _TERM_BLOCK:
+            edges.append(i)
+            acc = 0.0
+        acc += w
+    edges.append(d)
+    top, at = 0.0, 0
+    for i0, i1 in zip(edges[:-1], edges[1:]):
+        s, e = t.ptr[i0 * d], t.ptr[i1 * d]
+        # first sum: u = (i,n,m) in the block, v = (j,k,n)
+        u, v = _join(with_k[0][s:e], with_k[1][s:e])
+        u, v = u + s, by_k[v]
+        # middle sum: p = (i,j,n) in the block, q = (n,k,m)
+        p, q = _join(with_i[0][s:e], with_i[1][s:e])
+        p += s
+        # last sum: a = (i,k,n) in the block, b = (j,n,m)
+        a, b = _join(with_j[0][s:e], with_j[1][s:e])
+        a, b = a + s, by_j[b]
+        parts = [(key(t.i[u], t.i[v], t.j[v], t.k[u]), t.c[u] * t.c[v]),
+                 (key(t.i[p], t.j[p], t.j[q], t.k[q]), t.c[p] * t.c[q]),
+                 (key(t.i[a], t.i[b], t.j[a], t.k[b]),
+                  l.beta_table[t.i[a], t.i[b]] * t.c[a] * t.c[b])]
+        keys, inverse = np.unique(np.concatenate([k for k, _ in parts]),
+                                  return_inverse=True)
+        # the three sums are kept apart, each with its terms in n order, and
+        # combined as the dense scan combines them
+        sums = np.zeros((3, len(keys)))
+        for row, (_, val) in zip(sums, parts):
+            np.add.at(row, inverse[:len(val)], val)
+            inverse = inverse[len(val):]
+        worst, pos = worst_entry(np.abs(sums[0] - sums[1] - sums[2]))
+        if worst > top:
+            top, at = worst, int(keys[pos])
+    return top, at
+
+
+def _nonfinite_jacobi(l: ColorLieAlgebra) -> tuple[float, int]:
+    """``_jacobi_residual`` when a structure constant is NaN or infinite.
+
+    A dense scan multiplies such a constant with zeros too, so it spreads a
+    NaN (NaN * 0, inf * 0, inf - inf) further than the nonzero terms reach.
+    Every J entry that reads a non-finite constant (a, b, e) in one of its
+    three sums is non-finite, and no other entry is; those entries lie on
+    six planes through it: (*, a, b, *), (*, *, b, e), (*, a, *, e) and,
+    at i = a, (a, *, *, e), (a, b, *, *), (a, *, b, *).  A NaN constant
+    makes the entries (0, a, b, 0), (0, 0, b, e), (0, a, 0, e) and, for
+    a = 0, (0, b, 0, 0) NaN whatever the other constants are, so the scan's
+    first NaN has i = 0.  It is the first of these, unless an infinite
+    constant makes an earlier one; only plane entries before the first NaN
+    known so far are evaluated, densely.  With infinite constants alone and
+    no NaN entry, the first plane entry (an infinity) wins.
+    """
+    d = l.dim
+    c = l.structure
+    t = l.triples
+    bt = l.beta_table
+    key = _flat_key(d)
+    r = np.arange(d)
+    rows = r
+    best = lowest = None
+    nan = np.isnan(t.c)
+    if nan.any():
+        a, b, e = t.i[nan], t.j[nan], t.k[nan]
+        best = int(min(key(0, a, b, 0).min(), key(0, 0, b, e).min(),
+                       key(0, a, 0, e).min(),
+                       key(0, b[a == 0], 0, 0).min(initial=d ** 4)))
+        rows = r[:1]
+    inf = np.flatnonzero(np.isinf(t.c))
+    per_block = max(1, _ENTRY_BLOCK // (3 * d * (len(rows) + d)))
+    for lo in range(0, len(inf), per_block):
+        block = inf[lo:lo + per_block]
+        a, b, e = (x[block][:, None] for x in (t.i, t.j, t.k))
+        cand = [key(rows[:, None, None], a, b, r),
+                key(rows[:, None, None], r, b, e),
+                key(rows[:, None, None], a, r, e)]
+        own = np.isin(a[:, 0], rows)
+        a, b, e = a[own, :, None], b[own, :, None], e[own, :, None]
+        cand += [key(a, r[:, None], r, e), key(a, b, r[:, None], r),
+                 key(a, r[:, None], b, r)]
+        cand = np.unique(np.concatenate([x.ravel() for x in cand]))
+        if best is not None:
+            cand = cand[cand < best]
+        if not cand.size:
+            continue
+        lowest = int(cand[0]) if lowest is None else min(lowest, int(cand[0]))
+        step = max(1, _EVAL_BLOCK // d)
+        for at in range(0, len(cand), step):
+            i, j, k, m = np.unravel_index(cand[at:at + step], (d,) * 4)
+            with np.errstate(invalid="ignore", over="ignore"):
+                entry = (np.einsum("pn,pn->p", c[j, k], c[i, :, m])
+                         - np.einsum("pn,pn->p", c[i, j], c[:, k, m].T)
+                         - bt[i, j] * np.einsum("pn,pn->p", c[i, k], c[j, :, m]))
+            hit = np.flatnonzero(np.isnan(entry))
+            if hit.size:
+                best = int(cand[at + hit[0]])
+                break
+    if best is not None:
+        return float("nan"), best
+    return float("inf"), lowest
+
+
+def _flat_key(d):
+    return lambda i, j, k, m: ((np.asarray(i) * d + j) * d + k) * d + m
 
 
 def odd_pair_columns(l: ColorLieAlgebra, a: Degree):
@@ -196,19 +381,14 @@ def odd_pair_columns(l: ColorLieAlgebra, a: Degree):
     """
     rows = l.sector(a)
     pairs: list[tuple[int, int]] = []
-    cols: list[np.ndarray] = []
+    blocks = [np.zeros((len(rows), 0))]
     for b in l.odd_degrees():
         # a even-like and b odd-like force the complement a*b odd-like
-        c = a * b
-        for i in l.sector(b):
-            for j in l.sector(c):
-                pairs.append((i, j))
-                cols.append(l.structure[i, j, rows])
-    if cols:
-        columns = np.column_stack(cols)
-    else:
-        columns = np.zeros((len(rows), 0))
-    return pairs, columns
+        left, right = l.sector(b), l.sector(a * b)
+        pairs += [(i, j) for i in left for j in right]
+        block = l.structure[np.ix_(left, right, rows)]
+        blocks.append(block.reshape(len(left) * len(right), len(rows)).T)
+    return pairs, np.hstack(blocks)
 
 
 def _relative_rank(columns: np.ndarray, tol: float) -> int:

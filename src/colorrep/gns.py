@@ -933,8 +933,11 @@ def gns_construct(psi: PDFunction, group_samples=None,
     a translate escapes the span the rank test certified, or when the
     assembled operators fail validation.  Positivity failures on the sample
     set raise PositivityError.  A function that vanishes on every sample has
-    nothing to reconstruct and raises ValueError.
+    nothing to reconstruct and raises ValueError, as does a negative
+    ``level_cap``.
     """
+    if level_cap < 0:
+        raise ValueError(f"level cap must be at least 0, got {level_cap}")
     l = psi.algebra
     if group_samples is None:
         group_samples = [] if psi.rep is None else default_group_samples(psi.rep)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def worst_residual(entries, label=None) -> tuple:
     """The worst of a stream of (value, key) residuals, as (value, label).
@@ -20,6 +22,16 @@ def worst_residual(entries, label=None) -> tuple:
     if at is None:
         return top, ""
     return top, at if label is None else label(at)
+
+
+def worst_entry(values: np.ndarray) -> tuple[float, int | None]:
+    """The entry of an array that ``worst_residual`` picks from its values
+    streamed in flat order: the first NaN, else the first largest one if it
+    is positive.  Returns (value, flat position), or (0.0, None)."""
+    if not values.size:
+        return 0.0, None
+    at = int(np.argmax(values))
+    return (0.0, None) if values.flat[at] <= 0 else (float(values.flat[at]), at)
 
 
 @dataclass

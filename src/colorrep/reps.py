@@ -13,10 +13,10 @@ import numpy as np
 from .colorlie import ColorLieAlgebra, check_perfectness, decompose_odd
 from .enveloping import EnvElement, MonoidElement
 from .errors import ExtensionError, PerfectnessError, RankMismatchError
-from .grading import Character, Degree, is_even_like
+from .grading import Character, Degree, alpha, is_even_like
 from .hcpair import GroupElement, HCPair, _expm, ad_operator
-from .report import Report, worst_residual
-from .spaces import GammaInnerSpace, HomogeneousMap, _degree_pattern, dagger_adjoint
+from .report import Report, worst_entry, worst_residual
+from .spaces import GammaInnerSpace, HomogeneousMap, _degree_pattern
 
 _REP_TOL = 1e-9
 _EXTEND_TOL = 1e-8
@@ -36,13 +36,14 @@ def _check_rho_entry(space, degrees, i, t):
 class _Rep:
     """What full and partial representations share: pair, space, operators."""
 
-    __slots__ = ("pair", "inner", "rho", "_dense", "_exps")
+    __slots__ = ("pair", "inner", "rho", "_dense", "_stack", "_exps")
 
     def __init__(self, pair: HCPair, inner: GammaInnerSpace, rho):
         self.pair = pair
         self.inner = inner
         self.rho = rho
         self._dense: dict[int, np.ndarray] = {}
+        self._stack = None      # see rho_stack
         self._exps = None       # see _zero_sector_exps
 
     @property
@@ -59,6 +60,18 @@ class _Rep:
             m = self.rho[i].to_dense()
             self._dense[i] = m
         return m
+
+    def rho_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, defined): R[i] = rho(x_i) as a (dim, n, n) array, zero where
+        ``defined`` is False; built once and kept."""
+        if self._stack is None:
+            d, n = self.algebra.dim, self.space_dim
+            defined = np.array([self.defined(i) for i in range(d)], dtype=bool)
+            stack = np.zeros((d, n, n), dtype=complex)
+            for i in np.flatnonzero(defined):
+                stack[i] = self.rho_matrix(int(i))
+            self._stack = stack, defined
+        return self._stack
 
 
 class UnitaryRep(_Rep):
@@ -226,23 +239,75 @@ def _pi_checks(r, rep: Report, tol: float) -> None:
         rep.add(f"pi unitary: {g.label}", ures <= tol, ures, tol)
 
 
-def _bracket_residual(r, pairs) -> tuple[float, str]:
+# bound on the entries of the n x n matrices (plus the dim coefficients)
+# that one block of a batched residual holds per temporary
+_BLOCK = 1 << 16
+
+
+def _combination(r, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[..., k] rho(x_k) over the defined k, as (..., n, n).
+
+    Only nonzero coefficients count, as in a sum over the nonzero terms: an
+    operator holding a NaN or an infinity adds nothing where its
+    coefficient is zero.
+    """
+    stack, defined = r.rho_stack()
+    flat = stack.reshape(len(stack), -1)
+    finite = np.isfinite(flat).all(axis=1)
+    usable = defined & finite
+    # real coefficients: one real product on the (re, im) pairs
+    out = (coeffs[..., usable] @ flat[usable].view(float)).view(complex)
+    for k in np.flatnonzero(defined & ~finite):
+        ck = coeffs[..., k, None]
+        with np.errstate(invalid="ignore"):
+            out += np.where(ck != 0, ck * flat[k], 0)
+    return out.reshape(coeffs.shape[:-1] + stack.shape[1:])
+
+
+def _blocks(r, count: int, per_item: int):
+    """Consecutive slices of range(count), each about ``_BLOCK`` entries of
+    ``per_item`` (n x n + dim) each."""
+    n = r.space_dim
+    step = max(1, _BLOCK // max(1, per_item * (n * n + r.algebra.dim)))
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
+
+
+def _bracket_residual(r, idx) -> tuple[float, str]:
+    """rho([x_i, x_j]) against rho(x_i) rho(x_j) - beta rho(x_j) rho(x_i),
+    worst over the pairs i, j in ``idx``, in row-major order.
+
+    A nonzero structure constant onto a basis element that ``r`` does not
+    cover counts as a residual of its own, streamed just before its pair:
+    exact data has exact zeros there.  A block of rows is one combination
+    of the stacked operators and two batched products.
+    """
     l = r.algebra
+    stack, defined = r.rho_stack()
+    n = r.space_dim
+    idx = np.asarray(idx, dtype=np.int64)
+    m = len(idx)
+    # rho(x_j) for j in idx, stacked as rows (j, p) and as columns (q, (j, s))
+    col_rows = stack[idx].reshape(m * n, n)
+    col_cols = stack[idx].transpose(1, 0, 2).reshape(n, m * n)
 
     def entries():
-        for i, j in pairs:
-            lhs = np.zeros((r.space_dim, r.space_dim), dtype=complex)
-            for k in np.flatnonzero(l.structure[i, j]):
-                k = int(k)
-                if not r.defined(k):
-                    # structure leaking outside the covered sectors counts as
-                    # residual; exact data has exact zeros here
-                    yield abs(float(l.structure[i, j, k])), (i, j, k)
-                    continue
-                lhs += l.structure[i, j, k] * r.rho_matrix(k)
-            mi, mj = r.rho_matrix(i), r.rho_matrix(j)
-            rhs = mi @ mj - float(l.beta_table[i, j]) * (mj @ mi)
-            yield float(np.max(np.abs(lhs - rhs))), (i, j)
+        for block in _blocks(r, m, m):
+            rows = idx[block]
+            nr = len(rows)
+            # rho(x_i) rho(x_j) and rho(x_j) rho(x_i) for the whole block,
+            # each as one product, then as (i, j, p, s)
+            ij = (stack[rows].reshape(nr * n, n) @ col_cols).reshape(nr, n, m, n)
+            ji = (col_rows @ stack[rows].transpose(1, 0, 2).reshape(n, nr * n)).reshape(m, n, nr, n)
+            rhs = (ij.transpose(0, 2, 1, 3) - l.beta_table[np.ix_(rows, idx)][..., None, None]
+                   * ji.transpose(2, 0, 1, 3))
+            coeffs = l.structure[np.ix_(rows, idx)]
+            pair = np.abs(_combination(r, coeffs) - rhs).max(axis=(2, 3))
+            leaks = np.where((coeffs != 0) & ~defined, np.abs(coeffs), 0.0)
+            value, at = worst_entry(np.concatenate([leaks, pair[..., None]], axis=2))
+            if at is not None:
+                p, q, k = np.unravel_index(at, leaks.shape[:2] + (l.dim + 1,))
+                key = (int(rows[p]), int(idx[q])) + ((int(k),) if k < l.dim else ())
+                yield value, key
 
     def label(key):
         a, b, *leak = (l.labels[x] for x in key)
@@ -253,10 +318,27 @@ def _bracket_residual(r, pairs) -> tuple[float, str]:
 
 
 def _skew_residual(r, indices, twist):
-    return worst_residual(
-        ((dagger_adjoint(r.inner, r.rho[i], twist=twist).distance(
-            r.rho[i] * (-1.0)), i) for i in indices),
-        lambda i: f"worst at {r.algebra.labels[i]}")
+    """|| rho(x)^dagger + rho(x) ||, worst over the given indices.
+
+    The graded adjoint is alpha(deg x) G^-1 rho(x)^H G (see
+    ``spaces.dagger_adjoint``), for a block of indices at once.
+    """
+    l = r.algebra
+    stack, _ = r.rho_stack()
+    gram = r.inner.gram_dense()
+    indices = np.asarray(list(indices), dtype=np.int64)
+    phase = np.array([alpha(l.degrees[i], twist).value for i in indices])
+
+    def entries():
+        for block in _blocks(r, len(indices), 1):
+            ops = stack[indices[block]]
+            adj = np.linalg.solve(gram, ops.conj().transpose(0, 2, 1) @ gram)
+            value, at = worst_entry(
+                np.linalg.norm(phase[block, None, None] * adj + ops, axis=(1, 2)))
+            if at is not None:
+                yield value, int(indices[block][at])
+
+    return worst_residual(entries(), lambda i: f"worst at {l.labels[i]}")
 
 
 def _zero_skew_residual(r, indices) -> float:
@@ -268,21 +350,27 @@ def _zero_skew_residual(r, indices) -> float:
 
 
 def _conjugation_residual(r, g: GroupElement, indices) -> tuple[float, str]:
-    """pi rho(x) pi^-1 against rho(Ad(g) x), maximized over given indices."""
+    """pi rho(x) pi^-1 against rho(Ad(g) x), maximized over given indices.
+
+    Ad(g) x_i is read from column i of ``g.ad``, over the entries above
+    1e-300 in size and the basis elements ``r`` covers; a block of indices
+    is one batched conjugation against one combination of the operators.
+    """
     pi = np.asarray(g.pi, dtype=complex)
     pinv = np.linalg.inv(pi)
+    stack, _ = r.rho_stack()
+    ad = np.where(np.abs(g.ad) > 1e-300, g.ad, 0.0)
+    indices = np.asarray(indices, dtype=np.int64)
 
-    def res(i):
-        lhs = pi @ r.rho_matrix(i) @ pinv
-        rhs = np.zeros_like(lhs)
-        for k in np.flatnonzero(np.abs(g.ad[:, i]) > 1e-300):
-            if not r.defined(int(k)):
-                continue
-            rhs += g.ad[k, i] * r.rho_matrix(int(k))
-        return float(np.max(np.abs(lhs - rhs)))
+    def entries():
+        for block in _blocks(r, len(indices), 1):
+            i = indices[block]
+            value, at = worst_entry(
+                np.abs(pi @ stack[i] @ pinv - _combination(r, ad[:, i].T)).max(axis=(1, 2)))
+            if at is not None:
+                yield value, int(i[at])
 
-    return worst_residual(((res(i), i) for i in indices),
-                          lambda i: f"worst at {r.algebra.labels[i]}")
+    return worst_residual(entries(), lambda i: f"worst at {r.algebra.labels[i]}")
 
 
 def check_unitary_rep(r: UnitaryRep, tol: float = _REP_TOL,
@@ -294,8 +382,7 @@ def check_unitary_rep(r: UnitaryRep, tol: float = _REP_TOL,
                           "twisted": twist is not None and not twist.is_trivial})
     _pi_checks(r, rep, tol)
 
-    pairs = [(i, j) for i in range(l.dim) for j in range(l.dim)]
-    res, detail = _bracket_residual(r, pairs)
+    res, detail = _bracket_residual(r, range(l.dim))
     rep.add("bracket property", res <= tol, res, tol, detail)
 
     zero_idx = l.sector(Degree.zero(l.rank))
@@ -333,16 +420,13 @@ def check_pre_rep(p: PartialRep, tol: float = _REP_TOL,
 
     zero_idx = l.sector(Degree.zero(l.rank))
 
-    def square(idx):
-        return [(i, j) for i in idx for j in idx]
-
     if l.odd_degrees():
-        per_sector = [(a, *_bracket_residual(p, square(zero_idx + l.sector(a))))
+        per_sector = [(a, *_bracket_residual(p, zero_idx + l.sector(a)))
                       for a in l.odd_degrees()]
         res, detail = worst_residual(((val, f"sector {a}, {d}")
                                       for a, val, d in per_sector))
     else:
-        res, detail = _bracket_residual(p, square(zero_idx))
+        res, detail = _bracket_residual(p, zero_idx)
     rep.add("bracket property on even-plus-one-odd subalgebras",
             res <= tol, res, tol, detail)
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_space, random_structure, spoiled_four_lines
 
+from colorrep import colorlie
 from colorrep.errors import AxiomError, PerfectnessError
 from colorrep.colorlie import (
     ColorLieAlgebra,
@@ -338,3 +341,63 @@ def test_jacobi_of_a_spoiled_integer_table_is_exact():
     l = spoiled_four_lines()
     check = next(x for x in check_axioms(l).checks if x.name == "jacobi")
     assert check.residual == _einsum_jacobi(l)[0] == 0.5
+
+
+_ALGEBRAS = {
+    "random-tensor": lambda seed: random_structure(seed),
+    "random-bracket": lambda seed: random_structure(seed, graded_antisymmetric=True),
+    "glV-four-lines": lambda seed: spoiled_four_lines(),
+    "glV-(2|1)": lambda seed: glV(GradedSpace(1, {_d("0"): 2, _d("1"): 1})),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_ALGEBRAS)), seed=st.integers(0, 2 ** 16),
+       spoils=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                 st.floats(0, 1, exclude_max=True),
+                                 st.floats(0, 1, exclude_max=True),
+                                 st.sampled_from([np.nan, np.inf, -np.inf])),
+                       min_size=1, max_size=4))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_jacobi_matches_the_einsum_reference(name, seed, spoils):
+    l = _ALGEBRAS[name](seed)
+    c = l.structure.copy()
+    for x, y, z, value in spoils:
+        c[int(x * l.dim), int(y * l.dim), int(z * l.dim)] = value
+    bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
+    want, where = _einsum_jacobi(bad)
+    check = next(x for x in check_axioms(bad).checks if x.name == "jacobi")
+    assert not check.passed
+    assert not np.isfinite(want)
+    assert np.isnan(check.residual) if np.isnan(want) else check.residual == want
+    assert check.detail == where
+
+
+@pytest.mark.parametrize("build", [
+    spoiled_four_lines,
+    lambda: random_structure(9, graded_antisymmetric=True),
+], ids=["spoiled-glV", "random-bracket"])
+def test_jacobi_in_blocks_of_one_basis_element_matches_the_reference(build, monkeypatch):
+    # each block of the join then holds the terms of one first index
+    monkeypatch.setattr(colorlie, "_TERM_BLOCK", 1)
+    l = build()
+    want, where = _einsum_jacobi(l)
+    check = next(x for x in check_axioms(l).checks if x.name == "jacobi")
+    assert check.residual == pytest.approx(want, rel=1e-12)
+    assert check.detail == where
+
+
+def test_the_triple_index_lists_the_nonzero_structure_constants():
+    l = spoiled_four_lines()
+    t = l.triples
+    assert t is l.triples   # built once
+    dense = np.zeros_like(l.structure)
+    dense[t.i, t.j, t.k] = t.c
+    assert np.array_equal(dense, l.structure)
+    assert np.all(t.c != 0)
+    d = l.dim
+    for i in range(d):
+        for j in range(d):
+            lo, hi = t.ptr[i * d + j], t.ptr[i * d + j + 1]
+            assert (t.i[lo:hi] == i).all() and (t.j[lo:hi] == j).all()
+            assert list(t.k[lo:hi]) == list(np.flatnonzero(l.structure[i, j]))

@@ -136,6 +136,16 @@ def test_a_negative_sample_level_is_refused():
         build_sample_set(clifford_algebra(), [], -1)
 
 
+def test_a_negative_level_cap_is_refused_before_any_sampling(monkeypatch):
+    r, v = clifford_state()
+    built = []
+    monkeypatch.setattr(gns, "build_sample_set",
+                        lambda *a: built.append(a) or build_sample_set(*a))
+    with pytest.raises(ValueError, match="level cap must be at least 0, got -1"):
+        gns_construct(PDFunction.from_rep(r, v), level_cap=-1)
+    assert built == []
+
+
 def test_the_certificate_builds_no_per_sample_elements(monkeypatch):
     # counts the monoid and enveloping elements that gns builds itself; the
     # products that the route agreement takes are built inside enveloping

@@ -5,6 +5,8 @@ import pytest
 
 from helpers import spoiled_clifford
 
+from colorrep import reps
+
 from colorrep.colorlie import ColorLieAlgebra, check_perfectness, glV
 from colorrep.enveloping import (
     EnvElement,
@@ -22,8 +24,9 @@ from colorrep.generators import (
     counterexample_prerep,
     skew_matrix_algebra,
 )
-from colorrep.grading import Character, Degree, is_even_like
+from colorrep.grading import Character, Degree, all_degrees, is_even_like
 from colorrep.hcpair import GroupElement, HCPair
+from colorrep.report import worst_residual
 from colorrep.reps import (
     PartialRep,
     UnitaryRep,
@@ -38,7 +41,7 @@ from colorrep.reps import (
     stability_extend,
     twist_rep,
 )
-from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
+from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap, dagger_adjoint
 
 ONE_ONE = GradedSpace(1, {Degree((0,)): 1, Degree((1,)): 1})
 FOUR_LINES = GradedSpace(2, {Degree((0, 0)): 1, Degree((0, 1)): 1,
@@ -568,3 +571,207 @@ def test_non_finite_operator_fails_both_checkers(value):
         for c in rep.checks:
             if c.residual is not None:
                 assert c.passed == bool(np.isfinite(c.residual))
+
+
+# ------------------------------------------- batched residuals, loop reference
+
+def _loop_bracket(r, idx):
+    """The bracket residual and label over the pairs of idx, one pair at a
+    time: the undefined terms first, each as a residual, then the pair."""
+    l = r.algebra
+
+    def entries():
+        for i in idx:
+            for j in idx:
+                lhs = np.zeros((r.space_dim, r.space_dim), dtype=complex)
+                for k in np.flatnonzero(l.structure[i, j]):
+                    k = int(k)
+                    if not r.defined(k):
+                        yield abs(float(l.structure[i, j, k])), (i, j, k)
+                        continue
+                    lhs += l.structure[i, j, k] * r.rho_matrix(k)
+                mi, mj = r.rho_matrix(i), r.rho_matrix(j)
+                rhs = mi @ mj - float(l.beta_table[i, j]) * (mj @ mi)
+                yield float(np.max(np.abs(lhs - rhs))), (i, j)
+
+    def label(key):
+        a, b, *leak = (l.labels[x] for x in key)
+        return (f"bracket of ({a}, {b}) leaks onto uncovered {leak[0]}"
+                if leak else f"worst pair ({a}, {b})")
+
+    return worst_residual(entries(), label)
+
+
+def _loop_conjugation(r, g, indices):
+    """pi rho(x_i) pi^-1 against the sum of ad[k, i] rho(x_k) over the
+    covered k with |ad[k, i]| > 1e-300, one index at a time."""
+    pi = np.asarray(g.pi, dtype=complex)
+    pinv = np.linalg.inv(pi)
+
+    def res(i):
+        lhs = pi @ r.rho_matrix(i) @ pinv
+        rhs = np.zeros_like(lhs)
+        for k in np.flatnonzero(np.abs(g.ad[:, i]) > 1e-300):
+            if r.defined(int(k)):
+                rhs += g.ad[k, i] * r.rho_matrix(int(k))
+        return float(np.max(np.abs(lhs - rhs)))
+
+    return worst_residual(((res(i), i) for i in indices),
+                          lambda i: f"worst at {r.algebra.labels[i]}")
+
+
+def _loop_checks(r, twist=None):
+    """{check name: (residual, detail)} for every check of check_unitary_rep
+    or check_pre_rep that reads a bracket, conjugation or graded skewness
+    residual; detail is None where the check's detail is fixed text."""
+    l = r.algebra
+    zero_idx = l.sector(Degree.zero(l.rank))
+    out = {}
+    if isinstance(r, UnitaryRep):
+        out["bracket property"] = _loop_bracket(r, range(l.dim))
+        indices = range(l.dim)
+        if zero_idx:
+            out["equivariance: sampled one-parameter elements"] = (worst_residual(
+                (_loop_conjugation(r, g, indices)[0], None)
+                for _, g in reps._zero_sector_exps(r))[0], None)
+    else:
+        per_sector = [(a, *_loop_bracket(r, zero_idx + l.sector(a)))
+                      for a in l.odd_degrees()]
+        out["bracket property on even-plus-one-odd subalgebras"] = worst_residual(
+            (val, f"sector {a}, {d}") for a, val, d in per_sector)
+        indices = sorted(r.rho)
+    for g in r.pair.extra_generators:
+        if g.pi is not None:
+            out[f"equivariance: {g.label}"] = _loop_conjugation(r, g, indices)
+    out["graded skew-adjointness"] = worst_residual(
+        ((dagger_adjoint(r.inner, r.rho[i], twist=twist).distance(r.rho[i] * -1.0), i)
+         for i in indices), lambda i: f"worst at {l.labels[i]}")
+    return out
+
+
+def _with_generators(r, gens, algebra=None):
+    l = r.algebra if algebra is None else algebra
+    return UnitaryRep(HCPair(l, gens, validate=False), r.inner, r.rho)
+
+
+def _with_operator(r, i, m):
+    space = r.inner.space
+    rho = list(r.rho)
+    rho[i] = HomogeneousMap.from_dense(space, space, r.algebra.degrees[i], m)
+    return UnitaryRep(r.pair, r.inner, rho)
+
+
+def _skew_2222(seed=3):
+    """The dim-64 skew-matrix rep of the (2,2,2,2) space, conjugated, with a
+    group generator exp(x) for a random x in the degree-zero sector."""
+    space = GradedSpace(2, {d: 2 for d in all_degrees(2)})
+    r = conjugated_rep(skew_matrix_algebra(space)[1], seed=seed)
+    l = r.algebra
+    x = np.zeros(l.dim)
+    zero = l.sector(Degree.zero(l.rank))
+    x[zero] = np.random.default_rng(seed).standard_normal(len(zero))
+    return _with_generators(r, [exp_group_element(r, x, label="g")])
+
+
+def _spoiled_2222():
+    # the odd operators scaled: every odd-odd bracket is off by 2 %
+    r = _skew_2222()
+    l = r.algebra
+    return UnitaryRep(r.pair, r.inner, [t if is_even_like(l.degrees[i]) else t * 1.01
+                                        for i, t in enumerate(r.rho)])
+
+
+def _leaking_four_lines():
+    # [h, y] for h in the zero sector and y odd gains a term on an
+    # even-like nonzero element, which a partial rep does not cover
+    l, r = skew_matrix_algebra(FOUR_LINES)
+    c = l.structure.copy()
+    h = l.sector(Degree((0, 0)))[0]
+    y = l.sector(Degree((0, 1)))[0]
+    w = l.sector(Degree((1, 1)))[-1]
+    c[h, y, w] = 0.3
+    spoiled = ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
+    return _with_generators(r, [], algebra=spoiled)
+
+
+def _nan_rho_2222():
+    r = _skew_2222()
+    k = r.algebra.sector(Degree((0, 1)))[1]
+    m = r.rho_matrix(k).copy()
+    m[np.flatnonzero(m.any(axis=1))[0], np.flatnonzero(m.any(axis=0))[-1]] = np.nan
+    return _with_operator(r, k, m)
+
+
+def _nan_pi_four_lines():
+    l, r = skew_matrix_algebra(FOUR_LINES)
+    pi = np.eye(4, dtype=complex)
+    pi[1, 1] = np.nan
+    return _with_generators(r, [GroupElement("g", np.eye(l.dim), pi)])
+
+
+def _tiny_ad_four_lines(nan_at=None):
+    # ad is the identity plus 1e-305 everywhere: the tiny entries are below
+    # the 1e-300 cut, so they may not bring in a NaN operator
+    l, r = skew_matrix_algebra(FOUR_LINES)
+    ad = np.eye(l.dim) + 1e-305
+    r = _with_generators(r, [GroupElement("g", ad, np.eye(4, dtype=complex))])
+    if nan_at is None:
+        return r
+    m = r.rho_matrix(nan_at).copy()
+    m[np.nonzero(m)[0][0], np.nonzero(m)[1][0]] = np.nan
+    return _with_operator(r, nan_at, m)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("build", [
+    _skew_2222, _spoiled_2222, _leaking_four_lines, _nan_rho_2222,
+    _nan_pi_four_lines, _tiny_ad_four_lines, lambda: _tiny_ad_four_lines(5),
+    lambda: spoiled_clifford(np.nan),
+], ids=["skew-2222", "spoiled-2222", "leak", "nan-rho", "nan-pi", "tiny-ad",
+        "tiny-ad-nan-rho", "nan-clifford"])
+@pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+def test_batched_residuals_match_the_per_pair_loop(build, partial):
+    _assert_matches_the_loop(restrict(build()) if partial else build())
+
+
+def _assert_matches_the_loop(r, twist=None):
+    check = check_pre_rep if isinstance(r, PartialRep) else check_unitary_rep
+    report = check(r, twist=twist)
+    want = _loop_checks(r, twist)
+    got = {c.name: c for c in report.checks if c.name in want}
+    assert set(got) == set(want)
+    for name, (value, detail) in want.items():
+        check = got[name]
+        if np.isnan(value):
+            assert np.isnan(check.residual), name
+        else:
+            assert abs(check.residual - value) <= 1e-12 * max(1.0, value), name
+        if detail is not None:
+            assert check.detail == detail, name
+
+
+def test_a_leak_onto_an_uncovered_sector_is_named():
+    rep = check_pre_rep(restrict(_leaking_four_lines()))
+    check = next(c for c in rep.checks if c.name.startswith("bracket property"))
+    assert not check.passed
+    assert check.residual == 0.3
+    assert "leaks onto uncovered" in check.detail
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_row_or_index_per_block_matches_the_loop(monkeypatch):
+    monkeypatch.setattr(reps, "_BLOCK", 1)
+    for r in (_spoiled_2222(), restrict(_leaking_four_lines()), _nan_rho_2222(),
+              _tiny_ad_four_lines(5)):
+        _assert_matches_the_loop(r)
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+def test_the_twisted_skewness_matches_the_graded_adjoint(partial):
+    # under the twist the odd sectors sit in the other skewness class, so
+    # the check fails there with a residual of 2 |rho(x)|
+    r = _skew_2222()
+    chi = Character((-1, 1))
+    _assert_matches_the_loop(restrict(r) if partial else r, twist=chi)
+    report = check_unitary_rep(r, twist=chi)
+    assert "graded skew-adjointness" in failing_names(report)
