@@ -206,9 +206,8 @@ def check_axioms(l: ColorLieAlgebra, tol: float = _AXIOM_TOL) -> Report:
     report.add("grading", grading_res <= tol, grading_res, tol, detail)
 
     # (ii) [x,y] = -beta(x,y) [y,x]
-    i, j, k = np.unravel_index(np.unique(np.concatenate([
-        np.ravel_multi_index((t.i, t.j, t.k), c.shape),
-        np.ravel_multi_index((t.j, t.i, t.k), c.shape)])), c.shape)
+    nonzero = c != 0
+    i, j, k = np.nonzero(nonzero | nonzero.transpose(1, 0, 2))
     anti_res, at = worst_entry(np.abs(c[i, j, k] + l.beta_table[i, j] * c[j, i, k]))
     detail = ""
     if at is not None and not anti_res <= tol:
@@ -289,8 +288,14 @@ def _jacobi_residual(l: ColorLieAlgebra) -> tuple[float, int]:
                  (key(t.i[p], t.j[p], t.j[q], t.k[q]), t.c[p] * t.c[q]),
                  (key(t.i[a], t.i[b], t.j[a], t.k[b]),
                   l.beta_table[t.i[a], t.i[b]] * t.c[a] * t.c[b])]
-        keys, inverse = np.unique(np.concatenate([k for k, _ in parts]),
-                                  return_inverse=True)
+        keys = np.concatenate([k for k, _ in parts])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(first) - 1
+        keys = keys[first]
         # the three sums are kept apart, each with its terms in n order, and
         # combined as the dense scan combines them
         sums = np.zeros((3, len(keys)))

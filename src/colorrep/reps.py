@@ -241,7 +241,7 @@ def _pi_checks(r, rep: Report, tol: float) -> None:
 
 # bound on the entries of the n x n matrices (plus the dim coefficients)
 # that one block of a batched residual holds per temporary
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 
 
 def _combination(r, coeffs: np.ndarray) -> np.ndarray:
