@@ -233,6 +233,18 @@ def _join(lo, hi):
     return left, right
 
 
+def _grouped_triples(c: np.ndarray, axis: int):
+    """((i, j, k), values, offsets) of the nonzero entries of c, ordered by
+    index ``axis`` and then by the other two in order; the entries whose
+    index ``axis`` is n are offsets[n] : offsets[n + 1]."""
+    axes = (axis,) + tuple(a for a in range(3) if a != axis)
+    found = np.nonzero(c.transpose(axes))
+    ijk = tuple(found[axes.index(a)] for a in range(3))
+    offsets = np.zeros(len(c) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(found[0], minlength=len(c)), out=offsets[1:])
+    return ijk, c[ijk], offsets
+
+
 def _jacobi_residual(l: ColorLieAlgebra) -> tuple[float, int]:
     """Worst |J[i,j,k,m]| and its flat (i, j, k, m) position, where
 
@@ -247,24 +259,25 @@ def _jacobi_residual(l: ColorLieAlgebra) -> tuple[float, int]:
     Every product term joins two nonzero triples on their shared index n:
     in the first sum the second index of (i,n,m) with the third of (j,k,n),
     in the middle one the third of (i,j,n) with the first of (n,k,m), in the
-    last the third of (i,k,n) with the second of (j,n,m).  Each join is a
-    sort and a search on n, and the middle one reads the (i, j) offsets of
-    the triples.  The terms are summed per 4-index key, one block of i at a
-    time so that no block holds more than about ``_TERM_BLOCK`` terms.
+    last the third of (i,k,n) with the second of (j,n,m).  Each join reads
+    the offsets of n in the triples grouped by the index it matches, and
+    keeps n ascending within each pair of indices it fixes.  The terms are
+    summed per 4-index key, one block of i at a time so that no block holds
+    more than about ``_TERM_BLOCK`` terms.
     """
     d = l.dim
     t = l.triples
     if not np.isfinite(t.c).all():
         return _nonfinite_jacobi(l)
     key = _flat_key(d)
-    by_j, by_k = np.argsort(t.j, kind="stable"), np.argsort(t.k, kind="stable")
-    sorted_j, sorted_k = t.j[by_j], t.k[by_k]
-    with_k = (np.searchsorted(sorted_k, t.j, "left"), np.searchsorted(sorted_k, t.j, "right"))
-    with_j = (np.searchsorted(sorted_j, t.k, "left"), np.searchsorted(sorted_j, t.k, "right"))
-    with_i = (t.ptr[t.k * d], t.ptr[(t.k + 1) * d])
+    # the triples again, grouped by their second and by their third index
+    (ji, jj, jk), jc, j_off = _grouped_triples(l.structure, 1)
+    (ki, kj, kk), kc, k_off = _grouped_triples(l.structure, 2)
+    i_off = t.ptr[::d]
     # the terms each triple starts, summed per first index, cut into blocks
-    load = np.bincount(t.i, minlength=d, weights=sum(hi - lo for lo, hi in
-                                                   (with_k, with_j, with_i)))
+    load = np.bincount(t.i, minlength=d, weights=(
+        k_off[t.j + 1] - k_off[t.j] + j_off[t.k + 1] - j_off[t.k]
+        + i_off[t.k + 1] - i_off[t.k]))
     edges, acc = [0], 0.0
     for i, w in enumerate(load):
         if acc and acc + w > _TERM_BLOCK:
@@ -274,20 +287,21 @@ def _jacobi_residual(l: ColorLieAlgebra) -> tuple[float, int]:
     edges.append(d)
     top, at = 0.0, 0
     for i0, i1 in zip(edges[:-1], edges[1:]):
-        s, e = t.ptr[i0 * d], t.ptr[i1 * d]
+        s, e = i_off[i0], i_off[i1]
+        n_u, n_p = t.j[s:e], t.k[s:e]
         # first sum: u = (i,n,m) in the block, v = (j,k,n)
-        u, v = _join(with_k[0][s:e], with_k[1][s:e])
-        u, v = u + s, by_k[v]
+        u, v = _join(k_off[n_u], k_off[n_u + 1])
+        u += s
         # middle sum: p = (i,j,n) in the block, q = (n,k,m)
-        p, q = _join(with_i[0][s:e], with_i[1][s:e])
+        p, q = _join(i_off[n_p], i_off[n_p + 1])
         p += s
         # last sum: a = (i,k,n) in the block, b = (j,n,m)
-        a, b = _join(with_j[0][s:e], with_j[1][s:e])
-        a, b = a + s, by_j[b]
-        parts = [(key(t.i[u], t.i[v], t.j[v], t.k[u]), t.c[u] * t.c[v]),
+        a, b = _join(j_off[n_p], j_off[n_p + 1])
+        a += s
+        parts = [(key(t.i[u], ki[v], kj[v], t.k[u]), t.c[u] * kc[v]),
                  (key(t.i[p], t.j[p], t.j[q], t.k[q]), t.c[p] * t.c[q]),
-                 (key(t.i[a], t.i[b], t.j[a], t.k[b]),
-                  l.beta_table[t.i[a], t.i[b]] * t.c[a] * t.c[b])]
+                 (key(t.i[a], ji[b], t.j[a], jk[b]),
+                  l.beta_table[t.i[a], ji[b]] * t.c[a] * jc[b])]
         keys = np.concatenate([k for k, _ in parts])
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
