@@ -312,9 +312,9 @@ def _jacobi_residual(l: ColorLieAlgebra) -> tuple[float, int]:
         keys = keys[first]
         # the three sums are kept apart, each with its terms in n order, and
         # combined as the dense scan combines them
-        sums = np.zeros((3, len(keys)))
-        for row, (_, val) in zip(sums, parts):
-            np.add.at(row, inverse[:len(val)], val)
+        sums = []
+        for _, val in parts:
+            sums.append(np.bincount(inverse[:len(val)], weights=val, minlength=len(keys)))
             inverse = inverse[len(val):]
         worst, pos = worst_entry(np.abs(sums[0] - sums[1] - sums[2]))
         if worst > top:

@@ -8,6 +8,8 @@ extension operation raises when its hypotheses fail.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .colorlie import ColorLieAlgebra, check_perfectness, decompose_odd
@@ -61,17 +63,29 @@ class _Rep:
             self._dense[i] = m
         return m
 
-    def rho_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """(R, defined): R[i] = rho(x_i) as a (dim, n, n) array, zero where
-        ``defined`` is False; built once and kept."""
+    def rho_stack(self) -> "_Stack":
+        """The operators stacked for the batched checkers; built once and kept."""
         if self._stack is None:
             d, n = self.algebra.dim, self.space_dim
             defined = np.array([self.defined(i) for i in range(d)], dtype=bool)
-            stack = np.zeros((d, n, n), dtype=complex)
+            ops = np.zeros((d, n, n), dtype=complex)
             for i in np.flatnonzero(defined):
-                stack[i] = self.rho_matrix(int(i))
-            self._stack = stack, defined
+                ops[i] = self.rho_matrix(int(i))
+            flat = ops.reshape(d, n * n)
+            usable = defined & np.isfinite(flat).all(axis=1)
+            self._stack = _Stack(ops, defined, usable, flat[usable].view(float))
         return self._stack
+
+
+class _Stack(NamedTuple):
+    """rho(x_i) as ops[i], a (dim, n, n) array that is zero where ``defined``
+    is False.  ``usable`` marks the defined operators with finite entries,
+    and ``real`` holds them as rows of (re, im) pairs."""
+
+    ops: np.ndarray
+    defined: np.ndarray
+    usable: np.ndarray
+    real: np.ndarray
 
 
 class UnitaryRep(_Rep):
@@ -239,9 +253,9 @@ def _pi_checks(r, rep: Report, tol: float) -> None:
         rep.add(f"pi unitary: {g.label}", ures <= tol, ures, tol)
 
 
-# bound on the entries of the n x n matrices (plus the dim coefficients)
-# that one block of a batched residual holds per temporary
-_BLOCK = 1 << 14
+# bound on the entries that one block of a batched residual holds per
+# temporary: n x n per operator, or dim coefficients per operator
+_BLOCK = 1 << 12
 
 
 def _combination(r, coeffs: np.ndarray) -> np.ndarray:
@@ -251,24 +265,22 @@ def _combination(r, coeffs: np.ndarray) -> np.ndarray:
     operator holding a NaN or an infinity adds nothing where its
     coefficient is zero.
     """
-    stack, defined = r.rho_stack()
-    flat = stack.reshape(len(stack), -1)
-    finite = np.isfinite(flat).all(axis=1)
-    usable = defined & finite
+    st = r.rho_stack()
+    n = st.ops.shape[1]
     # real coefficients: one real product on the (re, im) pairs
-    out = (coeffs[..., usable] @ flat[usable].view(float)).view(complex)
-    for k in np.flatnonzero(defined & ~finite):
+    out = (coeffs[..., st.usable] @ st.real).view(complex)
+    for k in np.flatnonzero(st.defined & ~st.usable):
         ck = coeffs[..., k, None]
         with np.errstate(invalid="ignore"):
-            out += np.where(ck != 0, ck * flat[k], 0)
-    return out.reshape(coeffs.shape[:-1] + stack.shape[1:])
+            out += np.where(ck != 0, ck * st.ops[k].ravel(), 0)
+    return out.reshape(coeffs.shape[:-1] + (n, n))
 
 
 def _blocks(r, count: int, per_item: int):
-    """Consecutive slices of range(count), each about ``_BLOCK`` entries of
-    ``per_item`` (n x n + dim) each."""
+    """Consecutive slices of range(count), each item holding ``per_item``
+    operators, so that a block holds about ``_BLOCK`` entries."""
     n = r.space_dim
-    step = max(1, _BLOCK // max(1, per_item * (n * n + r.algebra.dim)))
+    step = max(1, _BLOCK // max(1, per_item * max(n * n, r.algebra.dim)))
     return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
@@ -278,11 +290,11 @@ def _bracket_residual(r, idx) -> tuple[float, str]:
 
     A nonzero structure constant onto a basis element that ``r`` does not
     cover counts as a residual of its own, streamed just before its pair:
-    exact data has exact zeros there.  A block of rows is one combination
-    of the stacked operators and two batched products.
+    exact data has exact zeros there.  A row i is one combination of the
+    stacked operators and two products, formed in place.
     """
     l = r.algebra
-    stack, defined = r.rho_stack()
+    stack, defined = r.rho_stack()[:2]
     n = r.space_dim
     idx = np.asarray(idx, dtype=np.int64)
     m = len(idx)
@@ -291,23 +303,21 @@ def _bracket_residual(r, idx) -> tuple[float, str]:
     col_cols = stack[idx].transpose(1, 0, 2).reshape(n, m * n)
 
     def entries():
-        for block in _blocks(r, m, m):
-            rows = idx[block]
-            nr = len(rows)
-            # rho(x_i) rho(x_j) and rho(x_j) rho(x_i) for the whole block,
-            # each as one product, then as (i, j, p, s)
-            ij = (stack[rows].reshape(nr * n, n) @ col_cols).reshape(nr, n, m, n)
-            ji = (col_rows @ stack[rows].transpose(1, 0, 2).reshape(n, nr * n)).reshape(m, n, nr, n)
-            rhs = (ij.transpose(0, 2, 1, 3) - l.beta_table[np.ix_(rows, idx)][..., None, None]
-                   * ji.transpose(2, 0, 1, 3))
-            coeffs = l.structure[np.ix_(rows, idx)]
-            pair = np.abs(_combination(r, coeffs) - rhs).max(axis=(2, 3))
+        for i in idx:
+            # rho(x_i) rho(x_j) and rho(x_j) rho(x_i) over j, as (j, p, s)
+            rhs = (stack[i] @ col_cols).reshape(n, m, n).transpose(1, 0, 2)
+            ji = (col_rows @ stack[i]).reshape(m, n, n)
+            ji *= l.beta_table[i, idx][:, None, None]
+            rhs -= ji
+            coeffs = l.structure[i, idx]
+            lhs = _combination(r, coeffs)
+            lhs -= rhs
             leaks = np.where((coeffs != 0) & ~defined, np.abs(coeffs), 0.0)
-            value, at = worst_entry(np.concatenate([leaks, pair[..., None]], axis=2))
+            value, at = worst_entry(
+                np.concatenate([leaks, np.abs(lhs).max(axis=(1, 2))[:, None]], axis=1))
             if at is not None:
-                p, q, k = np.unravel_index(at, leaks.shape[:2] + (l.dim + 1,))
-                key = (int(rows[p]), int(idx[q])) + ((int(k),) if k < l.dim else ())
-                yield value, key
+                j, k = divmod(at, l.dim + 1)
+                yield value, (int(i), int(idx[j])) + ((k,) if k < l.dim else ())
 
     def label(key):
         a, b, *leak = (l.labels[x] for x in key)
@@ -324,7 +334,7 @@ def _skew_residual(r, indices, twist):
     ``spaces.dagger_adjoint``), for a block of indices at once.
     """
     l = r.algebra
-    stack, _ = r.rho_stack()
+    stack = r.rho_stack().ops
     gram = r.inner.gram_dense()
     indices = np.asarray(list(indices), dtype=np.int64)
     phase = np.array([alpha(l.degrees[i], twist).value for i in indices])
@@ -358,7 +368,7 @@ def _conjugation_residual(r, g: GroupElement, indices) -> tuple[float, str]:
     """
     pi = np.asarray(g.pi, dtype=complex)
     pinv = np.linalg.inv(pi)
-    stack, _ = r.rho_stack()
+    stack = r.rho_stack().ops
     ad = np.where(np.abs(g.ad) > 1e-300, g.ad, 0.0)
     indices = np.asarray(indices, dtype=np.int64)
 
