@@ -271,8 +271,8 @@ def _jacobi_residual(l: ColorLieAlgebra) -> tuple[float, int]:
         return _nonfinite_jacobi(l)
     key = _flat_key(d)
     # the triples again, grouped by their second and by their third index
-    (ji, jj, jk), jc, j_off = _grouped_triples(l.structure, 1)
-    (ki, kj, kk), kc, k_off = _grouped_triples(l.structure, 2)
+    (ji, _, jk), jc, j_off = _grouped_triples(l.structure, 1)
+    (ki, kj, _), kc, k_off = _grouped_triples(l.structure, 2)
     i_off = t.ptr[::d]
     # the terms each triple starts, summed per first index, cut into blocks
     load = np.bincount(t.i, minlength=d, weights=(

@@ -63,7 +63,7 @@ class _Rep:
             self._dense[i] = m
         return m
 
-    def rho_stack(self) -> "_Stack":
+    def rho_stack(self) -> _Stack:
         """The operators stacked for the batched checkers; built once and kept."""
         if self._stack is None:
             d, n = self.algebra.dim, self.space_dim
@@ -253,8 +253,8 @@ def _pi_checks(r, rep: Report, tol: float) -> None:
         rep.add(f"pi unitary: {g.label}", ures <= tol, ures, tol)
 
 
-# bound on the entries that one block of a batched residual holds per
-# temporary: n x n per operator, or dim coefficients per operator
+# bound on the entries that one block of indices holds per temporary of a
+# batched residual: n x n, or dim coefficients, per index
 _BLOCK = 1 << 12
 
 
@@ -276,11 +276,10 @@ def _combination(r, coeffs: np.ndarray) -> np.ndarray:
     return out.reshape(coeffs.shape[:-1] + (n, n))
 
 
-def _blocks(r, count: int, per_item: int):
-    """Consecutive slices of range(count), each item holding ``per_item``
-    operators, so that a block holds about ``_BLOCK`` entries."""
+def _blocks(r, count: int):
+    """Consecutive slices of range(count) of about ``_BLOCK`` entries each."""
     n = r.space_dim
-    step = max(1, _BLOCK // max(1, per_item * max(n * n, r.algebra.dim)))
+    step = max(1, _BLOCK // max(n * n, r.algebra.dim))
     return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
@@ -294,7 +293,8 @@ def _bracket_residual(r, idx) -> tuple[float, str]:
     stacked operators and two products, formed in place.
     """
     l = r.algebra
-    stack, defined = r.rho_stack()[:2]
+    st = r.rho_stack()
+    stack, defined = st.ops, st.defined
     n = r.space_dim
     idx = np.asarray(idx, dtype=np.int64)
     m = len(idx)
@@ -340,7 +340,7 @@ def _skew_residual(r, indices, twist):
     phase = np.array([alpha(l.degrees[i], twist).value for i in indices])
 
     def entries():
-        for block in _blocks(r, len(indices), 1):
+        for block in _blocks(r, len(indices)):
             ops = stack[indices[block]]
             adj = np.linalg.solve(gram, ops.conj().transpose(0, 2, 1) @ gram)
             value, at = worst_entry(
@@ -373,7 +373,7 @@ def _conjugation_residual(r, g: GroupElement, indices) -> tuple[float, str]:
     indices = np.asarray(indices, dtype=np.int64)
 
     def entries():
-        for block in _blocks(r, len(indices), 1):
+        for block in _blocks(r, len(indices)):
             i = indices[block]
             value, at = worst_entry(
                 np.abs(pi @ stack[i] @ pinv - _combination(r, ad[:, i].T)).max(axis=(1, 2)))
