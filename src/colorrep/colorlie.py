@@ -16,16 +16,12 @@ import numpy as np
 
 from .errors import PerfectnessError, RankMismatchError
 from .grading import Degree, beta, is_even_like
-from .report import Report, worst_entry
+from .report import Report, worst_entry, worst_residual
 from .spaces import GradedSpace
 
 _AXIOM_TOL = 1e-9
-# bounds per block: on the product terms of the Jacobi join, and, when a
-# structure constant is not finite, on the dense entries it generates and
-# on those it evaluates times the dimension
+# bound on the product terms of one block of the Jacobi join
 _TERM_BLOCK = 1 << 19
-_ENTRY_BLOCK = 1 << 20
-_EVAL_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -180,15 +176,15 @@ def check_axioms(l: ColorLieAlgebra, tol: float = _AXIOM_TOL) -> Report:
 
     All three read the nonzero triples (i, j, k, c) of ``l.triples``: an
     entry of the dense check that no triple touches is exactly zero (for the
-    Jacobi law while every constant is finite, see ``_nonfinite_jacobi``).  Each
-    residual is the largest entry of its dense check, and its location the
-    first such entry in (i, j, k[, m]) order, or the first NaN.
+    Jacobi law only while every constant is finite; see ``_jacobi_entries``).
+    Each residual is the largest entry of its dense check, and its location
+    the first such entry in (i, j, k[, m]) order, or the first NaN.
 
     - grading: the triples with deg(k) != deg(i) deg(j);
     - antisymmetry: c[i,j,k] + beta(i,j) c[j,i,k] at each triple and at its
       mirror (j, i, k);
     - Jacobi: a join of the triples with themselves on the shared index,
-      summed per 4-index key (see ``_jacobi_residual``).
+      summed per 4-index key (see ``_jacobi_entries``).
     """
     report = Report(f"bracket axioms, dim {l.dim}")
     c = l.structure
@@ -216,12 +212,12 @@ def check_axioms(l: ColorLieAlgebra, tol: float = _AXIOM_TOL) -> Report:
 
     # (iii) in derivation form: [x,[y,z]] = [[x,y],z] + beta(x,y) [y,[x,z]],
     # the version satisfied by the beta-twisted matrix commutator
-    jac_res, at = _jacobi_residual(l)
-    detail = ""
-    if not jac_res <= tol:
+    def label(at):
         i, j, k, _ = np.unravel_index(at, (d,) * 4)
-        detail = f"worst triple ({l.labels[i]}, {l.labels[j]}, {l.labels[k]})"
-    report.add("jacobi", jac_res <= tol, jac_res, tol, detail)
+        return f"worst triple ({l.labels[i]}, {l.labels[j]}, {l.labels[k]})"
+
+    jac_res, detail = worst_residual(_jacobi_entries(l), label)
+    report.add("jacobi", jac_res <= tol, jac_res, tol, "" if jac_res <= tol else detail)
     return report
 
 
@@ -245,16 +241,17 @@ def _grouped_triples(c: np.ndarray, axis: int):
     return ijk, c[ijk], offsets
 
 
-def _jacobi_residual(l: ColorLieAlgebra) -> tuple[float, int]:
-    """Worst |J[i,j,k,m]| and its flat (i, j, k, m) position, where
+def _jacobi_entries(l: ColorLieAlgebra):
+    """The worst |J[i,j,k,m]| of each block of i, with its flat (i, j, k, m)
+    position, for ``worst_residual``, where
 
         J[i,j,k,m] = sum_n c[j,k,n] c[i,n,m] - c[i,j,n] c[n,k,m]
                      - beta(i,j) c[i,k,n] c[j,n,m],
 
     the coefficient of x_m in [x_i,[x_j,x_k]] - [[x_i,x_j],x_k]
-    - beta(x_i,x_j) [x_j,[x_i,x_k]].  Taken in the order of a dense scan over
-    (i, j, k, m): the first NaN, else the first largest entry; (0.0, 0) when
-    every entry vanishes.
+    - beta(x_i,x_j) [x_j,[x_i,x_k]].  Within a block the entry is taken in
+    the order of a dense scan over (i, j, k, m): the first NaN, else the
+    first largest entry.
 
     Every product term joins two nonzero triples on their shared index n:
     in the first sum the second index of (i,n,m) with the third of (j,k,n),
@@ -263,12 +260,15 @@ def _jacobi_residual(l: ColorLieAlgebra) -> tuple[float, int]:
     the offsets of n in the triples grouped by the index it matches, and
     keeps n ascending within each pair of indices it fixes.  The terms are
     summed per 4-index key, one block of i at a time so that no block holds
-    more than about ``_TERM_BLOCK`` terms.
+    more than about ``_TERM_BLOCK`` terms.  A dense scan multiplies a NaN or
+    infinite constant with zeros too, spreading it further than the nonzero
+    terms reach, so such constants take the dense scan (``_dense_jacobi``).
     """
     d = l.dim
     t = l.triples
     if not np.isfinite(t.c).all():
-        return _nonfinite_jacobi(l)
+        yield from _dense_jacobi(l)
+        return
     key = _flat_key(d)
     # the triples again, grouped by their second and by their third index
     (ji, _, jk), jc, j_off = _grouped_triples(l.structure, 1)
@@ -285,7 +285,6 @@ def _jacobi_residual(l: ColorLieAlgebra) -> tuple[float, int]:
             acc = 0.0
         acc += w
     edges.append(d)
-    top, at = 0.0, 0
     for i0, i1 in zip(edges[:-1], edges[1:]):
         s, e = i_off[i0], i_off[i1]
         n_u, n_p = t.j[s:e], t.k[s:e]
@@ -298,10 +297,11 @@ def _jacobi_residual(l: ColorLieAlgebra) -> tuple[float, int]:
         # last sum: a = (i,k,n) in the block, b = (j,n,m)
         a, b = _join(j_off[n_p], j_off[n_p + 1])
         a += s
-        parts = [(key(t.i[u], ki[v], kj[v], t.k[u]), t.c[u] * kc[v]),
-                 (key(t.i[p], t.j[p], t.j[q], t.k[q]), t.c[p] * t.c[q]),
-                 (key(t.i[a], ji[b], t.j[a], jk[b]),
-                  l.beta_table[t.i[a], ji[b]] * t.c[a] * jc[b])]
+        with np.errstate(over="ignore"):
+            parts = [(key(t.i[u], ki[v], kj[v], t.k[u]), t.c[u] * kc[v]),
+                     (key(t.i[p], t.j[p], t.j[q], t.k[q]), t.c[p] * t.c[q]),
+                     (key(t.i[a], ji[b], t.j[a], jk[b]),
+                      l.beta_table[t.i[a], ji[b]] * t.c[a] * jc[b])]
         keys = np.concatenate([k for k, _ in parts])
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -311,80 +311,33 @@ def _jacobi_residual(l: ColorLieAlgebra) -> tuple[float, int]:
         inverse[order] = np.cumsum(first) - 1
         keys = keys[first]
         # the three sums are kept apart, each with its terms in n order, and
-        # combined as the dense scan combines them
+        # combined as the dense scan combines them; finite constants can
+        # still overflow into inf - inf = NaN
         sums = []
         for _, val in parts:
             sums.append(np.bincount(inverse[:len(val)], weights=val, minlength=len(keys)))
             inverse = inverse[len(val):]
-        worst, pos = worst_entry(np.abs(sums[0] - sums[1] - sums[2]))
-        if worst > top:
-            top, at = worst, int(keys[pos])
-    return top, at
+        with np.errstate(invalid="ignore"):
+            worst, pos = worst_entry(np.abs(sums[0] - sums[1] - sums[2]))
+        if pos is not None:
+            yield worst, int(keys[pos])
 
 
-def _nonfinite_jacobi(l: ColorLieAlgebra) -> tuple[float, int]:
-    """``_jacobi_residual`` when a structure constant is NaN or infinite.
-
-    A dense scan multiplies such a constant with zeros too, so it spreads a
-    NaN (NaN * 0, inf * 0, inf - inf) further than the nonzero terms reach.
-    Every J entry that reads a non-finite constant (a, b, e) in one of its
-    three sums is non-finite, and no other entry is; those entries lie on
-    six planes through it: (*, a, b, *), (*, *, b, e), (*, a, *, e) and,
-    at i = a, (a, *, *, e), (a, b, *, *), (a, *, b, *).  A NaN constant
-    makes the entries (0, a, b, 0), (0, 0, b, e), (0, a, 0, e) and, for
-    a = 0, (0, b, 0, 0) NaN whatever the other constants are, so the scan's
-    first NaN has i = 0.  It is the first of these, unless an infinite
-    constant makes an earlier one; only plane entries before the first NaN
-    known so far are evaluated, densely.  With infinite constants alone and
-    no NaN entry, the first plane entry (an infinity) wins.
-    """
-    d = l.dim
+def _dense_jacobi(l: ColorLieAlgebra):
+    """``_jacobi_entries`` by a dense scan, one i at a time: per x_i, three
+    BLAS products over all (j, k, m) give [x_i,[y,z]], [[x_i,y],z] and
+    [y,[x_i,z]] at y = x_j, z = x_k."""
     c = l.structure
-    t = l.triples
-    bt = l.beta_table
-    key = _flat_key(d)
-    r = np.arange(d)
-    rows = r
-    best = lowest = None
-    nan = np.isnan(t.c)
-    if nan.any():
-        a, b, e = t.i[nan], t.j[nan], t.k[nan]
-        best = int(min(key(0, a, b, 0).min(), key(0, 0, b, e).min(),
-                       key(0, a, 0, e).min(),
-                       key(0, b[a == 0], 0, 0).min(initial=d ** 4)))
-        rows = r[:1]
-    inf = np.flatnonzero(np.isinf(t.c))
-    per_block = max(1, _ENTRY_BLOCK // (3 * d * (len(rows) + d)))
-    for lo in range(0, len(inf), per_block):
-        block = inf[lo:lo + per_block]
-        a, b, e = (x[block][:, None] for x in (t.i, t.j, t.k))
-        cand = [key(rows[:, None, None], a, b, r),
-                key(rows[:, None, None], r, b, e),
-                key(rows[:, None, None], a, r, e)]
-        own = np.isin(a[:, 0], rows)
-        a, b, e = a[own, :, None], b[own, :, None], e[own, :, None]
-        cand += [key(a, r[:, None], r, e), key(a, b, r[:, None], r),
-                 key(a, r[:, None], b, r)]
-        cand = np.unique(np.concatenate([x.ravel() for x in cand]))
-        if best is not None:
-            cand = cand[cand < best]
-        if not cand.size:
-            continue
-        lowest = int(cand[0]) if lowest is None else min(lowest, int(cand[0]))
-        step = max(1, _EVAL_BLOCK // d)
-        for at in range(0, len(cand), step):
-            i, j, k, m = np.unravel_index(cand[at:at + step], (d,) * 4)
-            with np.errstate(invalid="ignore", over="ignore"):
-                entry = (np.einsum("pn,pn->p", c[j, k], c[i, :, m])
-                         - np.einsum("pn,pn->p", c[i, j], c[:, k, m].T)
-                         - bt[i, j] * np.einsum("pn,pn->p", c[i, k], c[j, :, m]))
-            hit = np.flatnonzero(np.isnan(entry))
-            if hit.size:
-                best = int(cand[at + hit[0]])
-                break
-    if best is not None:
-        return float("nan"), best
-    return float("inf"), lowest
+    d = l.dim
+    bt = l.beta_table.astype(float)
+    for i in range(d):
+        with np.errstate(invalid="ignore", over="ignore"):
+            lhs = (c.reshape(d * d, d) @ c[i]).reshape(d, d, d)
+            t1 = (c[i] @ c.reshape(d, d * d)).reshape(d, d, d)
+            t2 = np.matmul(c[i], c)
+            resid = np.abs(lhs - t1 - bt[i][:, None, None] * t2)
+        at = int(np.argmax(resid))
+        yield float(resid.flat[at]), i * d ** 3 + at
 
 
 def _flat_key(d):

@@ -387,6 +387,46 @@ def test_jacobi_in_blocks_of_one_basis_element_matches_the_reference(build, monk
     assert check.detail == where
 
 
+@pytest.mark.parametrize("block", [colorlie._TERM_BLOCK, 1], ids=["one-block", "block-per-i"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_finite_constants_give_a_nan_jacobi_residual(block, monkeypatch):
+    # finite constants whose products overflow: inf - inf is NaN in the join
+    # as in the dense scan, and the NaN beats the table's 0.5 violation
+    monkeypatch.setattr(colorlie, "_TERM_BLOCK", block)
+    l = spoiled_four_lines()
+    c = l.structure.copy()
+    c[0, 4, 4] *= 1e200   # [E0_0, E0_1] = E0_1
+    c[4, 0, 4] *= 1e200
+    bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
+    assert np.isfinite(bad.structure).all()
+    want, where = _einsum_jacobi(bad)
+    assert np.isnan(want)
+    check = next(x for x in check_axioms(bad).checks if x.name == "jacobi")
+    assert not check.passed
+    assert np.isnan(check.residual)
+    assert check.detail == where
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_ALGEBRAS)), seed=st.integers(0, 2 ** 16),
+       scales=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.floats(150, 300)),
+                       min_size=1, max_size=4))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_jacobi_matches_the_einsum_reference(name, seed, scales):
+    l = _ALGEBRAS[name](seed)
+    c = l.structure.copy()
+    t = l.triples
+    for at, power in scales:
+        q = int(at * len(t.c))
+        c[t.i[q], t.j[q], t.k[q]] *= 10.0 ** power
+    bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
+    want, where = _einsum_jacobi(bad)
+    check = next(x for x in check_axioms(bad).checks if x.name == "jacobi")
+    assert check.passed == (want <= 1e-9)
+    assert np.isnan(check.residual) if np.isnan(want) else check.residual == pytest.approx(want, rel=1e-12)
+    assert check.detail == ("" if check.passed else where)
+
+
 def test_the_triple_index_lists_the_nonzero_structure_constants():
     l = spoiled_four_lines()
     t = l.triples
