@@ -373,13 +373,27 @@ def test_non_finite_jacobi_matches_the_einsum_reference(name, seed, spoils):
     assert check.detail == where
 
 
+# the two Jacobi paths on small algebras: the join (forced below its
+# dimension cut), in one block of terms or in one block per first index,
+# and the dense scan
+_PATHS = {"join": {"_DENSE_DIM": 0},
+          "join-block-per-i": {"_DENSE_DIM": 0, "_TERM_BLOCK": 1},
+          "dense": {}}
+
+
+def _take(path, mp):
+    for name, value in _PATHS[path].items():
+        mp.setattr(colorlie, name, value)
+
+
+@pytest.mark.parametrize("path", ["join", "join-block-per-i"])
 @pytest.mark.parametrize("build", [
     spoiled_four_lines,
+    random_structure,
     lambda: random_structure(9, graded_antisymmetric=True),
-], ids=["spoiled-glV", "random-bracket"])
-def test_jacobi_in_blocks_of_one_basis_element_matches_the_reference(build, monkeypatch):
-    # each block of the join then holds the terms of one first index
-    monkeypatch.setattr(colorlie, "_TERM_BLOCK", 1)
+], ids=["spoiled-glV", "random-tensor", "random-bracket"])
+def test_the_jacobi_join_matches_the_einsum_reference(build, path, monkeypatch):
+    _take(path, monkeypatch)
     l = build()
     want, where = _einsum_jacobi(l)
     check = next(x for x in check_axioms(l).checks if x.name == "jacobi")
@@ -387,12 +401,12 @@ def test_jacobi_in_blocks_of_one_basis_element_matches_the_reference(build, monk
     assert check.detail == where
 
 
-@pytest.mark.parametrize("block", [colorlie._TERM_BLOCK, 1], ids=["one-block", "block-per-i"])
+@pytest.mark.parametrize("path", sorted(_PATHS))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_finite_constants_give_a_nan_jacobi_residual(block, monkeypatch):
+def test_overflowing_finite_constants_give_a_nan_jacobi_residual(path, monkeypatch):
     # finite constants whose products overflow: inf - inf is NaN in the join
     # as in the dense scan, and the NaN beats the table's 0.5 violation
-    monkeypatch.setattr(colorlie, "_TERM_BLOCK", block)
+    _take(path, monkeypatch)
     l = spoiled_four_lines()
     c = l.structure.copy()
     c[0, 4, 4] *= 1e200   # [E0_0, E0_1] = E0_1
@@ -407,12 +421,13 @@ def test_overflowing_finite_constants_give_a_nan_jacobi_residual(block, monkeypa
     assert check.detail == where
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(_ALGEBRAS)), seed=st.integers(0, 2 ** 16),
+       path=st.sampled_from(sorted(_PATHS)),
        scales=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.floats(150, 300)),
                        min_size=1, max_size=4))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_jacobi_matches_the_einsum_reference(name, seed, scales):
+def test_overflowing_jacobi_matches_the_einsum_reference(name, seed, path, scales):
     l = _ALGEBRAS[name](seed)
     c = l.structure.copy()
     t = l.triples
@@ -421,7 +436,9 @@ def test_overflowing_jacobi_matches_the_einsum_reference(name, seed, scales):
         c[t.i[q], t.j[q], t.k[q]] *= 10.0 ** power
     bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
     want, where = _einsum_jacobi(bad)
-    check = next(x for x in check_axioms(bad).checks if x.name == "jacobi")
+    with pytest.MonkeyPatch.context() as mp:
+        _take(path, mp)
+        check = next(x for x in check_axioms(bad).checks if x.name == "jacobi")
     assert check.passed == (want <= 1e-9)
     assert np.isnan(check.residual) if np.isnan(want) else check.residual == pytest.approx(want, rel=1e-12)
     assert check.detail == ("" if check.passed else where)
