@@ -178,12 +178,12 @@ def glV(v: GradedSpace) -> ColorLieAlgebra:
 def check_axioms(l: ColorLieAlgebra, tol: float = _AXIOM_TOL) -> Report:
     """Verify grading compatibility, beta-antisymmetry, and the Jacobi law.
 
-    All three read the nonzero triples (i, j, k, c) of ``l.triples``: an
-    entry of the dense check that no triple touches is exactly zero (for the
-    Jacobi law only while every constant is finite; see ``_jacobi_entries``).
-    Each residual is the largest entry of its dense check, and its location
-    the first such entry in (i, j, k[, m]) order, or the first NaN.
-    Algebras of dimension up to ``_DENSE_DIM`` take the dense Jacobi scan.
+    Grading and antisymmetry read the nonzero triples (i, j, k, c) of
+    ``l.triples``, and so does the Jacobi law above ``_DENSE_DIM`` while
+    every constant is finite (see ``_jacobi_entries``): an entry of the
+    dense check that no triple touches is then exactly zero.  Each residual
+    is the largest entry of its dense check, and its location the first
+    such entry in (i, j, k[, m]) order, or the first NaN.
 
     - grading: the triples with deg(k) != deg(i) deg(j);
     - antisymmetry: c[i,j,k] + beta(i,j) c[j,i,k] at each triple and at its
