@@ -172,11 +172,10 @@ def _do_stability_extend(config: SessionConfig, task: Task) -> Report:
         rep = restrict(rep)
     out = Report("stability extension")
     try:
-        full = stability_extend(rep, **_tol_kw(config))
+        full, final = stability_extend(rep, config.tol, report=True)
     except (PerfectnessError, ExtensionError) as e:
         out.add("extension", False, detail=str(e))
         return out
-    final = check_unitary_rep(full, **_tol_kw(config))
     out.add("extension", True,
             detail=f"extended {sum(rep.defined(i) for i in range(rep.algebra.dim))}"
                    f" given operators to {rep.algebra.dim}")

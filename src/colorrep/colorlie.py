@@ -10,6 +10,7 @@ drives the stability extension of partial representations.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -453,8 +454,8 @@ def decompose_odd(l: ColorLieAlgebra, x: np.ndarray, tol: float = 1e-9,
     if weight_seed is None:
         coeffs, *_ = np.linalg.lstsq(columns, target, rcond=None)
     else:
-        rng = np.random.default_rng(weight_seed)
-        w = 0.5 + rng.random(columns.shape[1])
+        rng = random.Random(weight_seed)
+        w = 0.5 + np.array([rng.random() for _ in range(columns.shape[1])])
         u, *_ = np.linalg.lstsq(columns * w[None, :], target, rcond=None)
         coeffs = u * w
     resid = float(np.linalg.norm(columns @ coeffs - target))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 
@@ -29,6 +30,8 @@ _GNS_TOL = 1e-9
 # the most normal words one level of the table route may index: at dim 16
 # with 8 odd letters, level 3 has 40,081 and level 4 has 265,729
 _WORD_BUDGET = 100_000
+# monoid products that witness each reproducing pick on the operator route
+_WITNESS = 4
 
 
 class PDFunction:
@@ -250,6 +253,35 @@ def _monoid_pair(a: MonoidElement, b: MonoidElement) -> MonoidElement:
     return _product(s_star(a), b)
 
 
+def _witness_gap(psi: PDFunction, samples: SampleSet, firsts, k: int,
+                 route, star: bool = False) -> float:
+    """Worst gap between psi(s t) through the monoid product and route(i, same).
+
+    For each sample index i of ``firsts``, s is sample i (its star when
+    ``star``), and t = s_j runs over sample i itself and the k - 1 other
+    samples of its degree code where the route's value is largest in
+    modulus, the first of equals first.  route(i, same) gives the route's
+    own values of psi(s t) for the sample indices ``same``.  Pairs of
+    different degree codes pair to zero on every route, and so do most
+    pairs of one code; a wrong product shows in the entries that carry
+    weight.  Only these samples are built as monoid elements.  A non-finite
+    compared entry makes the result non-finite.
+    """
+    codes = samples.codes
+    gaps = []
+    for i in firsts:
+        s_i = samples.element(i)
+        s = s_star(s_i) if star else s_i
+        same = np.flatnonzero(codes == codes[i])
+        value = np.asarray(route(i, same))
+        size = np.where(same == i, np.inf, np.abs(value))
+        for at in np.argsort(-size, kind="stable")[:k]:
+            j = int(same[at])
+            t = s_i if j == i else samples.element(j)
+            gaps.append(abs(psi(_product(s, t)) - value[at]))
+    return float(np.max(gaps))
+
+
 def _gram_of(psi: PDFunction, samples: SampleSet):
     """The Gram M[i, j] = psi(s_i* s_j) of the samples, built once.
 
@@ -265,7 +297,9 @@ def _gram_of(psi: PDFunction, samples: SampleSet):
     finite); ``dense()``, M; ``hermitian()``, residual and detail of the
     Hermitian check; ``route_gap()``, the sampled gap between the operator
     and monoid-product routes (None on the other two); ``values(idx)``, psi
-    at the samples idx; ``block(rows, cols)``, that block of M;
+    at the samples idx; ``products(i)``, psi(s_i t) for every sample t, with
+    the gap of the monoid products that witness it (0 where every entry is
+    one); ``block(rows, cols)``, that block of M;
     ``times(x)``, M x; ``sector(idx)``, the eigenvalues of the block of M on
     idx ascending, with eigenvectors for the last of them;
     ``translate(m_left, c)``, c^H P with the pairings P[t, s] =
@@ -330,6 +364,12 @@ class _DenseGram:
     def sector(self, idx):
         md = self.block(idx, idx)
         return np.linalg.eigh((md + md.conj().T) / 2.0)
+
+    def products(self, i: int) -> tuple[np.ndarray, float]:
+        # every entry is a monoid product already, so nothing to witness
+        s = self.samples.element(i)
+        return np.array([self.psi(_product(s, t)) for t in self.samples],
+                        dtype=complex), 0.0
 
     def translate(self, m_left: MonoidElement, c_mat=None):
         n = len(self.elements)
@@ -694,9 +734,12 @@ class _FactoredGram:
     ``_sample_columns``; ``eigs`` are sigma(W)^2 padded with exact zeros to
     length n, from a thin SVD of W; psi at every sample is the one product
     (G v)^H U; a sector's eigenpairs come from a thin SVD of its columns of
-    W; blocks, products and translates read W and U.  Only ``dense()``
-    forms M, for ``sample_gram``.  ``route_gap`` keeps its monoid products:
-    it is the independent side.
+    W; blocks, products and translates read W and U; the reproducing row
+    psi(s t) over all samples t is (G v)^H op(s) U.  Only ``dense()`` forms
+    M, for ``sample_gram``.  The monoid product (Carmeli, Cassinelli, Toigo
+    and Varadarajan, CMP 263 (2006)) stays the independent side, on a fixed
+    number of pairs drawn by ``_witness_gap``: eight entries of W^H W in
+    ``route_gap`` and ``_WITNESS`` entries of each reproducing row.
     """
 
     psd_detail = "singular values of W, verified on sample set"
@@ -727,28 +770,28 @@ class _FactoredGram:
     def route_gap(self) -> float:
         """Worst gap between psi(s_i* s_j) through the monoid product and W^H W.
 
-        Pairs of different degrees pair to zero on both routes, so each of
-        four draws takes a random sample s_i, a random sample s_j of the same
-        degree, and compares both (i, j) and the diagonal entry (i, i), which
-        is the squared length of a translate.  Only the two samples of a
-        draw are built as monoid elements.  A non-finite entry makes the
-        result non-finite.
+        Four random samples s_i, each compared on its diagonal entry (i, i),
+        the squared length of a translate, and on one entry (i, j) with s_j
+        of the same degree (see ``_witness_gap``).  A non-finite entry makes
+        the result non-finite.
         """
-        samples, w, codes = self.samples, self.w, self.samples.codes
-        rng = np.random.default_rng(0)
-        gaps = []
-        for _ in range(min(4, len(samples))):
-            i = int(rng.integers(len(samples)))
-            same = np.flatnonzero(codes == codes[i])
-            j = int(same[int(rng.integers(same.size))])
-            s_i, s_j = samples.element(i), samples.element(j)
-            for b, s_b in ((i, s_i), (j, s_j)):
-                direct = self.psi(_monoid_pair(s_i, s_b))
-                gaps.append(abs(direct - np.vdot(w[:, i], w[:, b])))
-        return float(np.max(gaps))
+        n, w = len(self.samples), self.w
+        rng = random.Random(0)
+        firsts = [rng.randrange(n) for _ in range(min(4, n))]
+        return _witness_gap(self.psi, self.samples, firsts, 2,
+                            lambda i, same: w[:, i].conj() @ w[:, same],
+                            star=True)
 
     def values(self, idx) -> np.ndarray:
         return (self.psi.vector.conj() @ self.gram) @ self.u[:, idx]
+
+    def products(self, i: int) -> tuple[np.ndarray, float]:
+        # psi(s_i t) = (G v)^H op(s_i) op(t) v for every t, in one row; the
+        # witness compares ``_WITNESS`` of its entries with monoid products
+        op = monoid_operator(self.psi.rep, self.samples.element(i))
+        row = (self.psi.vector.conj() @ self.gram) @ op @ self.u
+        return row, _witness_gap(self.psi, self.samples, [i], _WITNESS,
+                                 lambda _, same: row[same])
 
     def block(self, rows, cols) -> np.ndarray:
         return self.w[:, rows].conj().T @ self.w[:, cols]
@@ -918,15 +961,19 @@ def gns_construct(psi: PDFunction, group_samples=None,
     values of W; the grading check reads W block by block, one pair of
     sectors at a time; each sector's basis comes from a thin SVD of its
     columns of W; the orthonormality check and the cyclic class read W; a
-    translate's pairings are (U c)^H G (A U).  Hermitian symmetry and
-    positivity then hold by construction; the route agreement, grading,
+    translate's pairings are (U c)^H G (A U); the reproducing row psi(s t)
+    of a pick s over all samples t is (G v)^H op(s) U.  Hermitian symmetry
+    and positivity then hold by construction; the route agreement, grading,
     escape, orthonormality, representation and reproducing checks are
-    numerical, and the route agreement and reproducing checks keep their
-    monoid products as the independent side.  The report's ``columns``
-    counts the word columns held.  For tables, every level reads the same
-    left-multiplication operators, grown level by level, and the
-    reproducing check pairs them against monoid products; the report gives
-    ``words`` and ``operator_entries``.
+    numerical.  The monoid product is the independent side on a fixed
+    number of pairs, whatever the sample count: eight Gram entries in each
+    route agreement and ``_WITNESS`` entries of each reproducing row (see
+    ``_witness_gap``).  The report's ``columns`` counts the word columns
+    held.  For tables, every level reads the same left-multiplication
+    operators, grown level by level, and the reproducing check pairs them
+    against a monoid product for every sample; the report gives ``words``
+    and ``operator_entries``.  Picks and draws use the standard library's
+    ``random`` with fixed seeds, so a run repeats exactly.
 
     Raises StabilizationError when the rank is still growing at the cap, when
     a table-backed level needs more normal words than the budget allows, when
@@ -1104,19 +1151,17 @@ def gns_construct(psi: PDFunction, group_samples=None,
             "the sampled function is not consistent")
 
     # reproducing identity, on a handful of samples: pairing a basis class
-    # against the kernel class at s must reproduce evaluation at s
-    rng = np.random.default_rng(11)
-    picks = [0] + sorted(rng.choice(n, size=min(4, n), replace=False).tolist())
+    # against the kernel class at s must reproduce evaluation at s, whose
+    # row psi(s t) over the samples t comes with its witness gap
+    picks = {0, *random.Random(11).sample(range(n), min(4, n))}
 
-    def reproducing_gap(s: MonoidElement) -> float:
-        lhs = np.conj(p_mat @ gram.against(s_star(s)))
-        rhs = np.zeros(total, dtype=complex)
-        for t_idx, t in enumerate(samples):
-            rhs += c_mat[t_idx, :] * psi(_product(s, t))
-        return float(np.max(np.abs(lhs - rhs)))
+    def reproducing_gaps(i: int):
+        lhs = np.conj(p_mat @ gram.against(s_star(samples.element(i))))
+        row, witness = gram.products(i)
+        return float(np.max(np.abs(lhs - row @ c_mat))), witness
 
-    worst_repr, _ = worst_residual((reproducing_gap(samples.element(i)), None)
-                                   for i in set(picks))
+    worst_repr, _ = worst_residual((gap, None) for i in sorted(picks)
+                                   for gap in reproducing_gaps(i))
     report.add("reproducing property", worst_repr <= 1e-8, worst_repr, 1e-8,
                "verified on sample set")
 

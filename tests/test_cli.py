@@ -12,6 +12,7 @@ import pytest
 from helpers import cut_four_lines_table, four_lines_values, spoiled_clifford
 
 import colorrep
+from colorrep import cli, reps
 from colorrep.cli import _render, main
 from colorrep.fileio import load_algebra, load_rep, save_rep, save_table
 from colorrep.generators import clifford_algebra, counterexample_prerep
@@ -151,6 +152,26 @@ def test_stability_extend_writes_full_rep(tmp_path, capsys):
     back, _ = load_rep(out_path)
     assert isinstance(back, UnitaryRep)
     assert main(["check-rep", str(out_path)]) == 0
+
+
+def test_stability_extend_reports_the_extensions_own_check(tmp_path, capsys,
+                                                          monkeypatch):
+    pre, _ = partial_file(tmp_path)
+    calls = []
+    real = reps.check_unitary_rep
+
+    def counted(r, **kw):
+        calls.append(kw)
+        return real(r, **kw)
+    monkeypatch.setattr(reps, "check_unitary_rep", counted)
+    monkeypatch.setattr(cli, "check_unitary_rep", counted)
+    code, doc, _ = run_json(capsys, "stability-extend", pre)
+    assert code == 0
+    # one check of the extended rep, at the checker's default tolerance
+    assert calls == [{"tol": 1e-9}]
+    bracket = [c for c in doc["checks"]
+               if c["name"] == "extended rep: bracket property"]
+    assert bracket and bracket[0]["tolerance"] == 1e-9
 
 
 def test_check_prerep_accepts_partial_file(tmp_path, capsys):

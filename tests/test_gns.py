@@ -7,9 +7,9 @@ from helpers import (cut_four_lines_table, one_line_algebra, spoiled_clifford,
                      three_cycle_rep)
 from helpers import four_lines_values as _four_lines_values
 
-from colorrep import gns
-from colorrep import reps
-from colorrep.enveloping import EnvElement, MonoidElement, _nf, s_star, word_degree
+from colorrep import enveloping, gns, reps
+from colorrep.enveloping import (EnvElement, MonoidElement, _find_bad, _nf, env_ad,
+                                  env_mul, s_mul, s_star, word_degree)
 from colorrep.errors import EquivalenceError, PositivityError, StabilizationError
 from colorrep.generators import (
     _block_change,
@@ -243,6 +243,131 @@ def test_route_agreement_catches_a_scaled_monoid_route():
     rep = check_positive_definite(psi, samples)
     assert "assembly route agreement" in failing_names(rep)
     assert check_positive_definite(PDFunction.from_rep(r, v0), samples).passed
+
+
+# --------------------------------------------------- broken monoid products
+
+def _scaled_product(monkeypatch):
+    def mutant(a, b, level_cap):
+        s = s_mul(a, b, level_cap=level_cap)
+        return MonoidElement(s.group, s.env.scale(1.001))
+    monkeypatch.setattr(gns, "s_mul", mutant)
+
+
+def _unsigned_ad(monkeypatch):
+    # (g1 g2, (g2 . D1) D2): Ad(g2) where the product takes Ad(g2^-1)
+    def mutant(a, b, level_cap):
+        moved = env_ad(b.group, a.env)
+        return MonoidElement(a.group.compose(b.group),
+                             env_mul(a.env.algebra, moved, b.env, level_cap))
+    monkeypatch.setattr(gns, "s_mul", mutant)
+
+
+def _bracketless_rewriting(monkeypatch):
+    # x_b x_a -> beta(b, a) x_a x_b and x_a x_a -> 0: the bracket terms dropped
+    cache = {}
+
+    def mutant(l, word, strategy="leftmost"):
+        key = (id(l), word)
+        if key not in cache:
+            p = _find_bad(l, word, "leftmost")
+            if p is None:
+                out = {word: 1.0 + 0j}
+            elif word[p] == word[p + 1]:
+                out = {}
+            else:
+                sign = float(l.beta_table[word[p], word[p + 1]])
+                swapped = word[:p] + (word[p + 1], word[p]) + word[p + 2:]
+                out = {w: sign * c for w, c in mutant(l, swapped).items()}
+            cache[key] = out
+        return cache[key]
+    monkeypatch.setattr(enveloping, "_nf", mutant)
+
+
+_BROKEN_PRODUCTS = {"scaled": _scaled_product, "unsigned-ad": _unsigned_ad,
+                    "bracketless": _bracketless_rewriting}
+
+
+def _grouped_states():
+    """Reps whose default group samples are not only the identity: exp
+    samples of a non-abelian zero sector, and a bound parity generator."""
+    return {"conjugated-four-lines": conjugated_four_lines_state(),
+            "parity": _parity_rep()}
+
+
+# the parity generator is an involution, so Ad(g) = Ad(g^-1) there and the
+# unsigned-ad mutant equals the product on the parity rep
+_BROKEN_CASES = [(m, s) for m in sorted(_BROKEN_PRODUCTS)
+                 for s in ("conjugated-four-lines", "parity")
+                 if (m, s) != ("unsigned-ad", "parity")]
+
+
+@pytest.mark.parametrize("mutation, state", _BROKEN_CASES)
+def test_a_broken_monoid_product_fails_the_reconstruction(mutation, state,
+                                                          monkeypatch):
+    r, v = _grouped_states()[state]
+    assert len(default_group_samples(r)) > 1
+    assert gns_construct(PDFunction.from_rep(r, v)).report.passed
+    _BROKEN_PRODUCTS[mutation](monkeypatch)
+    with pytest.raises((PositivityError, StabilizationError)):
+        gns_construct(PDFunction.from_rep(r, v))
+
+
+@pytest.mark.parametrize("mutation, state", _BROKEN_CASES)
+def test_the_reproducing_check_alone_catches_a_broken_monoid_product(
+        mutation, state, monkeypatch):
+    # with the route agreement blinded, the reproducing check is the only
+    # step of the operator route that takes monoid products
+    r, v = _grouped_states()[state]
+    monkeypatch.setattr(gns._FactoredGram, "route_gap", lambda self: 0.0)
+    assert gns_construct(PDFunction.from_rep(r, v)).report.passed
+    _BROKEN_PRODUCTS[mutation](monkeypatch)
+    with pytest.raises(StabilizationError, match="consistency checks failed"):
+        gns_construct(PDFunction.from_rep(r, v))
+
+
+def test_the_operator_route_takes_a_fixed_number_of_monoid_products(monkeypatch):
+    # two route agreements of four diagonal and four same-degree entries,
+    # and at most five reproducing picks of _WITNESS entries each
+    space = GradedSpace(2, {d: 2 for d in (Degree((0, 0)), Degree((0, 1)),
+                                          Degree((1, 0)), Degree((1, 1)))})
+    r64 = conjugated_rep(skew_matrix_algebra(space)[1], seed=3)
+    v64 = np.zeros(8, dtype=complex)
+    v64[0] = 1.0
+    calls = []
+    monkeypatch.setattr(gns, "s_mul",
+                        lambda *a, **k: calls.append(a) or s_mul(*a, **k))
+    sizes = []
+    for r, v in (conjugated_four_lines_state(), (r64, v64)):
+        calls.clear()
+        res = gns_construct(PDFunction.from_rep(r, v))
+        assert res.report.passed
+        assert 2 * 8 < len(calls) <= 2 * 8 + 5 * gns._WITNESS
+        sizes.append(res.sample_count)
+    assert sizes[0] < 1000 < sizes[1]
+
+
+def test_the_witness_pairs_each_pick_with_itself_and_its_largest_entries(
+        monkeypatch):
+    r, v = conjugated_four_lines_state()
+    psi = PDFunction.from_rep(r, v)
+    samples = build_sample_set(r.algebra, default_group_samples(r), 1)
+    i = 40
+    row, gap = gns._gram_of(psi, samples).products(i)
+    assert gap <= 1e-12
+    # entries of another degree are zero on the operator route as well
+    other = samples.codes != samples.codes[i]
+    assert other.any() and (row[other] == 0).all()
+    taken = []
+    real = gns._product
+    monkeypatch.setattr(gns, "_product",
+                        lambda s, t: taken.append(t) or real(s, t))
+    gns._witness_gap(psi, samples, [i], 4, lambda _, same: row[same])
+    size = np.where(other, -1.0, np.abs(row))
+    size[i] = np.inf
+    want = [samples.element(int(j)) for j in np.argsort(-size, kind="stable")[:4]]
+    assert [(t.group.label, t.env.terms) for t in taken] == [
+        (t.group.label, t.env.terms) for t in want]
 
 
 def _route_states():

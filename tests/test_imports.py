@@ -1,5 +1,6 @@
 """Imports and private names: each imported name is used, each private name
-is referenced in the package, and the command line needs no scipy."""
+is referenced in the package, and the command line needs no scipy, nor
+numpy.random for its checks and reconstructions."""
 
 import ast
 import os
@@ -7,7 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from helpers import four_lines_values
+
+from colorrep.fileio import save_rep, save_table
+from colorrep.generators import conjugated_rep, skew_matrix_algebra
+from colorrep.gns import PDFunction
+from colorrep.grading import all_degrees
+from colorrep.reps import restrict
+from colorrep.spaces import GradedSpace
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "colorrep"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -108,4 +118,30 @@ def test_the_command_line_imports_no_scipy():
         [sys.executable, "-c",
          "import colorrep.cli, sys; assert 'scipy' not in sys.modules"],
         env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_the_reconstruction_commands_import_no_numpy_random(tmp_path):
+    # every draw on these paths uses the standard library's random; importing
+    # numpy.random costs a process about 15 ms and 5 MB
+    space = GradedSpace(2, {d: 1 for d in all_degrees(2)})
+    rep = conjugated_rep(skew_matrix_algebra(space)[1], seed=7)
+    cyclic = np.array([1.0, 0.0, 0.0, 0.0])
+    save_rep(tmp_path / "rep.json", rep, cyclic=cyclic)
+    save_rep(tmp_path / "pre.json", restrict(rep))
+    save_table(tmp_path / "table.json", PDFunction.from_table(*four_lines_values()))
+    commands = [["gns-roundtrip", "--rep", "rep.json"],
+                ["gns-construct", "--table", "table.json", "-o", "out.json"],
+                ["check-pd", "--rep", "rep.json", "--level", "1"],
+                ["stability-extend", "pre.json", "-o", "full.json"]]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys\n"
+         "from colorrep.cli import main\n"
+         f"for argv in {commands!r}:\n"
+         "    with contextlib.redirect_stdout(io.StringIO()):\n"
+         "        assert main(argv) == 0, argv\n"
+         "assert 'numpy.random' not in sys.modules"],
+        env=env, cwd=tmp_path, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

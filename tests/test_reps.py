@@ -25,7 +25,7 @@ from colorrep.generators import (
     skew_matrix_algebra,
 )
 from colorrep.grading import Character, Degree, all_degrees, is_even_like
-from colorrep.hcpair import GroupElement, HCPair
+from colorrep.hcpair import GroupElement, HCPair, _expm, ad_operator
 from colorrep.report import worst_residual
 from colorrep.reps import (
     PartialRep,
@@ -235,6 +235,24 @@ def test_exp_group_element_is_unitary_and_equivariant():
     with_g = UnitaryRep(HCPair(l, [g]), r.inner, r.rho)
     rep = check_unitary_rep(with_g)
     assert rep.passed, rep.to_text()
+
+
+def test_exp_samples_read_ad_from_the_structure_constants():
+    # ad(x_i) is structure[i].T, the einsum of ad_operator at a unit vector
+    r = _skew_2222()
+    l = r.algebra
+    exps = reps._zero_sector_exps(r)
+    zero = l.sector(Degree.zero(l.rank))
+    assert [i for i, _ in exps] == [i for i in zero for _ in reps._EXP_TIMES]
+    for (i, g), t in zip(exps, reps._EXP_TIMES * len(zero)):
+        coeffs = np.zeros(l.dim)
+        coeffs[i] = 1.0
+        assert np.array_equal(g.ad, _expm(t * ad_operator(l, coeffs)))
+    # a general combination of the zero sector, to rounding
+    x = np.zeros(l.dim)
+    x[zero] = np.linspace(-1.0, 1.0, len(zero))
+    g = exp_group_element(r, x, t=0.3)
+    assert np.allclose(g.ad, _expm(0.3 * ad_operator(l, x)), rtol=0, atol=1e-13)
 
 
 def test_exp_group_element_rejects_odd_support():
