@@ -290,7 +290,8 @@ _BROKEN_PRODUCTS = {"scaled": _scaled_product, "unsigned-ad": _unsigned_ad,
 
 def _grouped_states():
     """Reps whose default group samples are not only the identity: exp
-    samples of a non-abelian zero sector, and a bound parity generator."""
+    samples of a zero sector that moves the odd letters, and a bound
+    parity generator."""
     return {"conjugated-four-lines": conjugated_four_lines_state(),
             "parity": _parity_rep()}
 
@@ -327,8 +328,8 @@ def test_the_reproducing_check_alone_catches_a_broken_monoid_product(
 
 
 def test_the_operator_route_takes_a_fixed_number_of_monoid_products(monkeypatch):
-    # two route agreements of four diagonal and four same-degree entries,
-    # and at most five reproducing picks of _WITNESS entries each
+    # the route agreement's four diagonal and four same-degree entries, and
+    # at most five reproducing picks of _WITNESS entries each
     space = GradedSpace(2, {d: 2 for d in (Degree((0, 0)), Degree((0, 1)),
                                           Degree((1, 0)), Degree((1, 1)))})
     r64 = conjugated_rep(skew_matrix_algebra(space)[1], seed=3)
@@ -342,7 +343,7 @@ def test_the_operator_route_takes_a_fixed_number_of_monoid_products(monkeypatch)
         calls.clear()
         res = gns_construct(PDFunction.from_rep(r, v))
         assert res.report.passed
-        assert 2 * 8 < len(calls) <= 2 * 8 + 5 * gns._WITNESS
+        assert 8 < len(calls) <= 8 + 5 * gns._WITNESS
         sizes.append(res.sample_count)
     assert sizes[0] < 1000 < sizes[1]
 
