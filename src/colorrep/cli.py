@@ -172,7 +172,7 @@ def _do_stability_extend(config: SessionConfig, task: Task) -> Report:
         rep = restrict(rep)
     out = Report("stability extension")
     try:
-        full, final = stability_extend(rep, config.tol, report=True)
+        full, final = stability_extend(rep, **_tol_kw(config))
     except (PerfectnessError, ExtensionError) as e:
         out.add("extension", False, detail=str(e))
         return out

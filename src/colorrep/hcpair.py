@@ -155,7 +155,11 @@ def ad_operator(l: ColorLieAlgebra, coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (l.dim,):
         raise ValueError(f"coefficient vector must have length {l.dim}")
-    return np.einsum("i,ijk->kj", coeffs, l.structure)
+    # ad(x_i) is structure[i].T; sum over the nonzero coefficients only
+    out = np.zeros((l.dim, l.dim))
+    for i in np.flatnonzero(coeffs):
+        out += coeffs[i] * l.structure[i].T
+    return out
 
 
 def inner_element(l: ColorLieAlgebra, coeffs, t: float = 1.0,

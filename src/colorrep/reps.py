@@ -16,7 +16,7 @@ from .colorlie import ColorLieAlgebra, check_perfectness, decompose_odd
 from .enveloping import EnvElement, MonoidElement
 from .errors import ExtensionError, PerfectnessError, RankMismatchError
 from .grading import Character, Degree, alpha, is_even_like
-from .hcpair import GroupElement, HCPair, _expm
+from .hcpair import GroupElement, HCPair, _expm, ad_operator
 from .report import Report, worst_entry, worst_residual
 from .spaces import GammaInnerSpace, HomogeneousMap, _degree_pattern
 
@@ -204,15 +204,12 @@ def exp_group_element(r, coeffs, t: float = 1.0,
             raise ValueError(
                 f"basis element {l.labels[i]} lies outside the degree-zero "
                 "sector; group samples exponentiate degree-zero elements")
-    # ad(x_i) is structure[i].T; both sums run over the nonzero coefficients
-    ad = np.zeros((l.dim, l.dim))
     mat = np.zeros((r.space_dim, r.space_dim), dtype=complex)
     for i in np.flatnonzero(coeffs):
-        ad += coeffs[i] * l.structure[i].T
         mat += coeffs[i] * r.rho_matrix(i)
     if label is None:
         label = f"exp({t:g}x)"
-    return GroupElement(label, _expm(t * ad), _expm(t * mat))
+    return GroupElement(label, _expm(t * ad_operator(l, coeffs)), _expm(t * mat))
 
 
 def _zero_sector_exps(r) -> list[tuple[int, GroupElement]]:
@@ -481,18 +478,16 @@ def _extension_matrix(p: PartialRep, dec) -> np.ndarray:
     return out
 
 
-def stability_extend(p: PartialRep, tol: float | None = None, *,
-                     report: bool = False):
+def stability_extend(p: PartialRep,
+                     tol: float = _EXTEND_TOL) -> tuple[UnitaryRep, Report]:
     """Fill in the even-like nonzero sectors from the partial data.
 
     Each basis element there is decomposed into brackets of odd-like pairs
     and represented through the bracket property.  Two independent
     decompositions are compared to witness well-definedness, and the
     completed representation is checked in full before being returned.
-    The decompositions must agree to ``tol`` (default 1e-8) and the final
-    check passes at ``tol`` (default: the checker's own, 1e-9).  With
-    ``report``, the result is the pair of the representation and the
-    report of that final check.
+    Both the agreement of the decompositions and the final check are judged
+    at ``tol``.  Returns the representation and the report of that check.
     """
     l = p.algebra
     pre = check_pre_rep(p)
@@ -520,18 +515,18 @@ def stability_extend(p: PartialRep, tol: float | None = None, *,
             m2 = _extension_matrix(p, dec2)
             scale = max(1.0, float(np.max(np.abs(m1))))
             gap = float(np.max(np.abs(m1 - m2)))
-            if gap > (_EXTEND_TOL if tol is None else tol) * scale:
+            if gap > tol * scale:
                 raise ExtensionError(
                     f"extension of {l.labels[i]} depends on the decomposition "
                     f"(gap {gap:.3e}); the partial data is inconsistent")
             rho[i] = HomogeneousMap.from_dense(space, space, a, m1)
 
     full = UnitaryRep(p.pair, p.inner, [rho[i] for i in range(l.dim)])
-    final = check_unitary_rep(full, tol=_REP_TOL if tol is None else tol)
+    final = check_unitary_rep(full, tol=tol)
     if not final.passed:
         raise ExtensionError("extended operators fail the representation axioms",
                              report=final)
-    return (full, final) if report else full
+    return full, final
 
 
 def twist_rep(r: UnitaryRep, chi: Character) -> UnitaryRep:

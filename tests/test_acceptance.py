@@ -298,7 +298,7 @@ def test_criterion_08_stability_roundtrip(capsys):
         assert targets, "fixture must have sectors to reconstruct"
         for seed in range(4):
             r = conjugated_rep(base, seed=100 * si + seed)
-            full = stability_extend(restrict(r))
+            full, _ = stability_extend(restrict(r))
             diff = max(float(np.max(np.abs(full.rho_matrix(i)
                                            - r.rho_matrix(i))))
                        for i in targets)

@@ -167,11 +167,14 @@ def test_stability_extend_reports_the_extensions_own_check(tmp_path, capsys,
     monkeypatch.setattr(cli, "check_unitary_rep", counted)
     code, doc, _ = run_json(capsys, "stability-extend", pre)
     assert code == 0
-    # one check of the extended rep, at the checker's default tolerance
-    assert calls == [{"tol": 1e-9}]
+    # one check of the extended rep, the extension's own at its tolerance
+    assert calls == [{"tol": 1e-8}]
     bracket = [c for c in doc["checks"]
                if c["name"] == "extended rep: bracket property"]
-    assert bracket and bracket[0]["tolerance"] == 1e-9
+    assert bracket and bracket[0]["tolerance"] == 1e-8
+    calls.clear()
+    code, doc, _ = run_json(capsys, "stability-extend", pre, "--tol", "1e-7")
+    assert code == 0 and calls == [{"tol": 1e-7}]
 
 
 def test_check_prerep_accepts_partial_file(tmp_path, capsys):

@@ -353,22 +353,31 @@ def test_the_witness_pairs_each_pick_with_itself_and_its_largest_entries(
     r, v = conjugated_four_lines_state()
     psi = PDFunction.from_rep(r, v)
     samples = build_sample_set(r.algebra, default_group_samples(r), 1)
-    i = 40
+    key = {}
+    for j, t in enumerate(samples):
+        key[(t.group.label, tuple(t.env.terms))] = j
+    assert len(key) == len(samples)
+    i = 41  # 18 of the 36 entries of its degree code are nonzero
     row, gap = gns._gram_of(psi, samples).products(i)
     assert gap <= 1e-12
     # entries of another degree are zero on the operator route as well
-    other = samples.codes != samples.codes[i]
-    assert other.any() and (row[other] == 0).all()
+    same = samples.codes == samples.codes[i]
+    assert (~same).any() and (row[~same] == 0).all()
     taken = []
     real = gns._product
     monkeypatch.setattr(gns, "_product",
                         lambda s, t: taken.append(t) or real(s, t))
-    gns._witness_gap(psi, samples, [i], 4, lambda _, same: row[same])
-    size = np.where(other, -1.0, np.abs(row))
-    size[i] = np.inf
-    want = [samples.element(int(j)) for j in np.argsort(-size, kind="stable")[:4]]
-    assert [(t.group.label, t.env.terms) for t in taken] == [
-        (t.group.label, t.env.terms) for t in want]
+    gns._witness_gap(psi, samples, [i], 4, lambda _, idx: row[idx])
+    picked = [key[(t.group.label, tuple(t.env.terms))] for t in taken]
+    # the pick itself first, then three other samples of its degree code
+    assert picked[0] == i and len(set(picked)) == 4
+    assert all(same[j] for j in picked)
+    # no same-degree entry left out outweighs the smallest partner taken
+    left = np.ones(len(samples), dtype=bool)
+    left[picked] = False
+    smallest = min(abs(row[j]) for j in picked[1:])
+    assert smallest > 0
+    assert (np.abs(row[same & left]) <= smallest).all()
 
 
 def _route_states():

@@ -237,22 +237,27 @@ def test_exp_group_element_is_unitary_and_equivariant():
     assert rep.passed, rep.to_text()
 
 
-def test_exp_samples_read_ad_from_the_structure_constants():
-    # ad(x_i) is structure[i].T, the einsum of ad_operator at a unit vector
+def test_ad_operator_reads_ad_from_the_structure_constants():
+    # ad(x) is the contraction sum_i x_i structure[i, j, k], columns j
     r = _skew_2222()
     l = r.algebra
-    exps = reps._zero_sector_exps(r)
+    for i in range(l.dim):
+        coeffs = np.zeros(l.dim)
+        coeffs[i] = 1.0
+        assert np.array_equal(ad_operator(l, coeffs),
+                              np.einsum("i,ijk->kj", coeffs, l.structure))
+    x = np.linspace(-1.0, 1.0, l.dim)
+    assert np.allclose(ad_operator(l, x),
+                       np.einsum("i,ijk->kj", x, l.structure), rtol=0, atol=1e-13)
+    # the exp samples exponentiate it
     zero = l.sector(Degree.zero(l.rank))
+    exps = reps._zero_sector_exps(r)
     assert [i for i, _ in exps] == [i for i in zero for _ in reps._EXP_TIMES]
     for (i, g), t in zip(exps, reps._EXP_TIMES * len(zero)):
         coeffs = np.zeros(l.dim)
         coeffs[i] = 1.0
-        assert np.array_equal(g.ad, _expm(t * ad_operator(l, coeffs)))
-    # a general combination of the zero sector, to rounding
-    x = np.zeros(l.dim)
-    x[zero] = np.linspace(-1.0, 1.0, len(zero))
-    g = exp_group_element(r, x, t=0.3)
-    assert np.allclose(g.ad, _expm(0.3 * ad_operator(l, x)), rtol=0, atol=1e-13)
+        assert np.array_equal(
+            g.ad, _expm(t * np.einsum("i,ijk->kj", coeffs, l.structure)))
 
 
 def test_exp_group_element_rejects_odd_support():
@@ -399,7 +404,7 @@ def test_a_nan_degree_zero_operator_fails_the_sampled_equivariance():
 
 def test_stability_roundtrip_without_even_sectors_is_exact():
     r = clifford_rep(2, seed=2)
-    full = stability_extend(restrict(r))
+    full, _ = stability_extend(restrict(r))
     for i in range(r.algebra.dim):
         assert np.array_equal(full.rho_matrix(i), r.rho_matrix(i))
 
@@ -408,11 +413,14 @@ def test_stability_roundtrip_without_even_sectors_is_exact():
 def test_stability_roundtrip_recovers_even_sectors(seed):
     l4, base = skew_matrix_algebra(FOUR_LINES)
     r = base if seed is None else conjugated_rep(base, seed=seed)
-    full = stability_extend(restrict(r))
+    full, final = stability_extend(restrict(r))
     worst = max(float(np.max(np.abs(full.rho_matrix(i) - r.rho_matrix(i))))
                 for i in range(l4.dim))
     assert worst < 1e-8
     assert check_unitary_rep(full).passed
+    # the returned report is the final check, at the extension's tolerance
+    assert final.passed
+    assert {c.tolerance for c in final.checks} - {None} == {1e-8}
 
 
 def test_stability_requires_perfectness():
