@@ -195,7 +195,10 @@ def _do_check_pd(config: SessionConfig, task: Task) -> Report:
         raise CommandError(f"--level must be at least 0, got {level}")
     groups = default_group_samples(rep) if rep is not None else []
     samples = build_sample_set(psi.algebra, groups, level)
-    return check_positive_definite(psi, samples, **_tol_kw(config))
+    try:
+        return check_positive_definite(psi, samples, **_tol_kw(config))
+    except StabilizationError as e:   # the level is over the word budget
+        raise CommandError(f"--level {level}: {e}") from None
 
 
 def _do_gns_construct(config: SessionConfig, task: Task) -> Report:

@@ -29,6 +29,12 @@ _TERM_BLOCK = 1 << 19
 _DENSE_DIM = 16
 
 
+def beta_signs(degrees) -> np.ndarray:
+    """beta between every two of the degrees, as an int8 sign matrix."""
+    bits = np.array([deg.bits for deg in degrees], dtype=np.int64)
+    return np.where((bits @ bits.T) % 2 == 1, -1, 1).astype(np.int8)
+
+
 @dataclass(frozen=True)
 class StructureTriples:
     """The nonzero structure constants in coordinate form.
@@ -57,8 +63,10 @@ class ColorLieAlgebra:
     ``triples`` is a derived index of the nonzero structure constants: the
     (i, j, k, c) with c = structure[i, j, k] != 0, sorted by (i, j, k), with
     per-pair offsets.  It is built from ``structure`` on first use and kept,
-    so ``structure`` stays the single source of truth; the Jacobi check of
-    ``check_axioms`` joins it with itself on algebras above ``_DENSE_DIM``.
+    so ``structure`` stays the single source of truth, and it is the one list
+    of the nonzero constants: ``check_axioms`` (whose Jacobi check joins it
+    with itself above ``_DENSE_DIM``), the word operators of ``gns`` and
+    ``fileio.algebra_to_doc`` read it.
     """
 
     def __init__(self, rank: int, labels, degrees, structure, validate: bool = False,
@@ -87,9 +95,7 @@ class ColorLieAlgebra:
         self.degrees = degrees
         self.structure = structure
         self.deg_codes = np.array([deg.code for deg in degrees], dtype=np.int64)
-        # beta between basis elements, as a sign matrix
-        bits = np.array([deg.bits for deg in degrees], dtype=np.int64)
-        self.beta_table = np.where((bits @ bits.T) % 2 == 1, -1, 1).astype(np.int8)
+        self.beta_table = beta_signs(degrees)
         self._sectors: dict[Degree, list[int]] = {}
         for i, deg in enumerate(degrees):
             self._sectors.setdefault(deg, []).append(i)
@@ -235,16 +241,16 @@ def _join(lo, hi):
     return left, right
 
 
-def _grouped_triples(c: np.ndarray, axis: int):
-    """((i, j, k), values, offsets) of the nonzero entries of c, ordered by
-    index ``axis`` and then by the other two in order; the entries whose
-    index ``axis`` is n are offsets[n] : offsets[n + 1]."""
-    axes = (axis,) + tuple(a for a in range(3) if a != axis)
-    found = np.nonzero(c.transpose(axes))
-    ijk = tuple(found[axes.index(a)] for a in range(3))
-    offsets = np.zeros(len(c) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(found[0], minlength=len(c)), out=offsets[1:])
-    return ijk, c[ijk], offsets
+def _grouped_triples(l: ColorLieAlgebra, axis: int):
+    """((i, j, k), values, offsets) of ``l.triples`` stably sorted by index
+    ``axis``, so then by the other two in order; the entries whose index
+    ``axis`` is n are offsets[n] : offsets[n + 1]."""
+    t = l.triples
+    by = (t.i, t.j, t.k)[axis]
+    order = np.argsort(by, kind="stable")
+    offsets = np.zeros(l.dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(by, minlength=l.dim), out=offsets[1:])
+    return (t.i[order], t.j[order], t.k[order]), t.c[order], offsets
 
 
 def _jacobi_entries(l: ColorLieAlgebra):
@@ -278,8 +284,8 @@ def _jacobi_entries(l: ColorLieAlgebra):
         return
     key = _flat_key(d)
     # the triples again, grouped by their second and by their third index
-    (ji, _, jk), jc, j_off = _grouped_triples(l.structure, 1)
-    (ki, kj, _), kc, k_off = _grouped_triples(l.structure, 2)
+    (ji, _, jk), jc, j_off = _grouped_triples(l, 1)
+    (ki, kj, _), kc, k_off = _grouped_triples(l, 2)
     i_off = t.ptr[::d]
     # the terms each triple starts, summed per first index, cut into blocks
     load = np.bincount(t.i, minlength=d, weights=(

@@ -135,9 +135,9 @@ def _vector_from_json(data, where: str) -> np.ndarray:
 # ------------------------------------------------------------------ algebras
 
 def algebra_to_doc(l: ColorLieAlgebra) -> dict:
-    triples = []
-    for i, j, k in zip(*np.nonzero(l.structure)):
-        triples.append([int(i), int(j), int(k), float(l.structure[i, j, k])])
+    t = l.triples
+    triples = [list(x) for x in zip(t.i.tolist(), t.j.tolist(), t.k.tolist(),
+                                    t.c.tolist())]
     return {
         "schema": ALGEBRA_SCHEMA,
         "rank": l.rank,

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .colorlie import ColorLieAlgebra, glV
-from .grading import Character, Degree, alpha, beta, ucount
+from .colorlie import ColorLieAlgebra, beta_signs, glV
+from .grading import Character, Degree, alpha, ucount
 from .hcpair import GroupElement, HCPair
 from .reps import UnitaryRep
 from .spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
+
+# off-identity scale of the random changes of basis, on a space and an algebra
+_REP_SPREAD = 0.4
+_ALGEBRA_SPREAD = 0.3
 
 
 def clifford_algebra() -> ColorLieAlgebra:
@@ -105,36 +109,43 @@ def skew_matrix_algebra(v: GradedSpace, validate: bool = True):
     """The graded-skew matrices on a space, with their defining representation.
 
     Returns (algebra, rep).  The bracket is the beta-twisted commutator of
-    matrices; structure constants are extracted by expanding each bracket
-    over the basis and are real because the span is a real form.
+    matrices.  On or above the diagonal each basis matrix has one nonzero
+    entry, 1 or i, and no two share both entry and part (h_p is i at (p, p),
+    a_pq and b_pq are 1 and i at (p, q)), so a bracket's coordinates are
+    real or imaginary parts of its entries: sums of a few unit phases,
+    hence exact, and real because the span is a real form.  A bracket that
+    its coordinates do not rebuild left the span.
     """
     basis = _skew_basis(v)
     labels = [b[0] for b in basis]
     degs = [b[1] for b in basis]
-    mats = [b[2] for b in basis]
     d = len(basis)
     t = v.total_dim
+    mats = np.array([b[2] for b in basis]).reshape(d, t, t)
 
-    cols = np.zeros((2 * t * t, d))
-    for k, m in enumerate(mats):
-        cols[:t * t, k] = m.real.ravel()
-        cols[t * t:, k] = m.imag.ravel()
-    solver = np.linalg.pinv(cols)
+    # the owned entry of each basis matrix, and the phase that reads it
+    _, owned = np.nonzero(np.triu(mats).reshape(d, t * t))
+    read = mats.reshape(d, t * t)[np.arange(d), owned].conj()
+    flat = mats.reshape(d, t * t).view(float)
+    signs = beta_signs(degs)[:, :, None, None]
+    side = mats.transpose(1, 0, 2).reshape(t, d * t)   # [x_0 | x_1 | ...]
 
     structure = np.zeros((d, d, d))
     for i in range(d):
-        for j in range(d):
-            sign = beta(degs[i], degs[j])
-            br = mats[i] @ mats[j] - sign * (mats[j] @ mats[i])
-            target = np.concatenate([br.real.ravel(), br.imag.ravel()])
-            coeffs = solver @ target
-            resid = float(np.linalg.norm(cols @ coeffs - target))
-            if resid > 1e-9 * max(1.0, float(np.linalg.norm(target))):
-                raise RuntimeError(
-                    f"bracket of {labels[i]}, {labels[j]} left the span "
-                    f"(residual {resid:.3e})")
-            coeffs[np.abs(coeffs) < 1e-12] = 0.0  # solver dust on exact zeros
-            structure[i, j] = coeffs
+        left = (mats[i] @ side).reshape(t, d, t).transpose(1, 0, 2)
+        right = (mats.reshape(d * t, t) @ mats[i]).reshape(d, t, t)
+        br = (left - signs[i] * right).reshape(d, t * t)
+        coeffs = (br[:, owned] * read).real
+        target = br.view(float)
+        resid = np.linalg.norm(coeffs @ flat - target, axis=1)
+        bad = np.flatnonzero(resid > 1e-9 * np.maximum(
+            1.0, np.linalg.norm(target, axis=1)))
+        if bad.size:
+            j = int(bad[0])
+            raise RuntimeError(
+                f"bracket of {labels[i]}, {labels[j]} left the span "
+                f"(residual {resid[j]:.3e})")
+        structure[i] = coeffs
     l = ColorLieAlgebra(v.rank, labels, degs, structure, validate=validate)
 
     inner = GammaInnerSpace.standard(v)
@@ -156,22 +167,19 @@ def character_generator(v: GradedSpace, l: ColorLieAlgebra,
     return GroupElement(f"chi{chi.signs}", ad, pi)
 
 
-def _block_change(space: GradedSpace, rng, spread: float = 0.4,
-                  complex_blocks: bool = True) -> np.ndarray:
+def _block_change(space: GradedSpace, rng) -> np.ndarray:
     """Random degree-preserving invertible matrix, mildly conditioned."""
     t = space.total_dim
-    p = np.zeros((t, t), dtype=complex if complex_blocks else float)
+    p = np.zeros((t, t), dtype=complex)
     for deg in space.degrees:
         sl = space.slice_of(deg)
         k = space.dim(deg)
-        block = np.eye(k) + spread * rng.normal(size=(k, k))
-        if complex_blocks:
-            block = block + 1j * spread * rng.normal(size=(k, k))
-        p[sl, sl] = block
+        p[sl, sl] = (np.eye(k) + _REP_SPREAD * rng.normal(size=(k, k))
+                     + 1j * _REP_SPREAD * rng.normal(size=(k, k)))
     return p
 
 
-def conjugated_rep(rep: UnitaryRep, seed: int, spread: float = 0.4) -> UnitaryRep:
+def conjugated_rep(rep: UnitaryRep, seed: int) -> UnitaryRep:
     """Transport a representation along a random change of basis.
 
     The new operators are P rho P^-1 and the inner product moves with them,
@@ -179,7 +187,7 @@ def conjugated_rep(rep: UnitaryRep, seed: int, spread: float = 0.4) -> UnitaryRe
     """
     rng = np.random.default_rng(seed)
     space = rep.inner.space
-    p = _block_change(space, rng, spread)
+    p = _block_change(space, rng)
     pinv = np.linalg.inv(p)
     gram = {}
     for deg in space.degrees:
@@ -198,15 +206,14 @@ def conjugated_rep(rep: UnitaryRep, seed: int, spread: float = 0.4) -> UnitaryRe
     return UnitaryRep(pair, inner, rho)
 
 
-def _conjugated_algebra(l: ColorLieAlgebra, rng, spread: float = 0.3):
+def _conjugated_algebra(l: ColorLieAlgebra, rng):
     """Random degree-preserving real change of basis on an algebra."""
     d = l.dim
     t = np.zeros((d, d))
     for deg in sorted(l._sectors):
         idx = l.sector(deg)
         k = len(idx)
-        block = np.eye(k) + spread * rng.normal(size=(k, k))
-        t[np.ix_(idx, idx)] = block
+        t[np.ix_(idx, idx)] = np.eye(k) + _ALGEBRA_SPREAD * rng.normal(size=(k, k))
     tinv = np.linalg.inv(t)
     # x'_i = sum_p t[p,i] x_p, so s'[i,j,k] = t[p,i] t[q,j] s[p,q,m] tinv[k,m]
     s2 = np.einsum("pi,qj,pqm,km->ijk", t, t, l.structure, tinv)

@@ -15,7 +15,7 @@ import random
 
 import numpy as np
 
-from .colorlie import ColorLieAlgebra
+from .colorlie import ColorLieAlgebra, _join
 from .enveloping import (DEFAULT_LEVEL_CAP, EnvElement, MonoidElement, _nf,
                          is_normal_word, letter_star_phase, s_mul, s_star)
 from .errors import EquivalenceError, PositivityError, StabilizationError
@@ -296,16 +296,15 @@ def _gram_of(psi: PDFunction, samples: SampleSet):
     max(1, max |eigs|), which is ||M||_2 when M is Hermitian (1 when not
     finite); ``dense()``, M; ``hermitian()``, residual and detail of the
     Hermitian check; ``route_gap()``, the sampled gap between the operator
-    and monoid-product routes (None on the other two); ``values(idx)``, psi
-    at the samples idx; ``products(i)``, psi(s_i t) for every sample t, with
-    the gap of the monoid products that witness it (0 where every entry is
-    one); ``block(rows, cols)``, that block of M;
-    ``times(x)``, M x; ``sector(idx)``, the eigenvalues of the block of M on
-    idx ascending, with eigenvectors for the last of them;
-    ``translate(m_left, c)``, c^H P with the pairings P[t, s] =
-    psi(t* m_left s) (P itself when c is None), and the squared lengths of
-    the translates;
-    ``against(x)``, psi(t* x) for every sample t; and ``psd_detail``.
+    and monoid-product routes (None on the other two); ``products(i)``,
+    psi(s_i t) for every sample t, with the gap of the monoid products that
+    witness it (0 where every entry is one); ``block(rows, cols)``, that
+    block of M, whose row 0 is psi at the samples, as sample 0 is the
+    identity of the monoid; ``times(x)``, M x; ``sector(idx)``, the
+    eigenvalues of the block of M on idx ascending, with eigenvectors for
+    the last of them; ``translate(m_left, c)``, c^H P with the pairings
+    P[t, s] = psi(t* m_left s) (P itself when c is None), and the squared
+    lengths of the translates; ``against(x)``, psi(t* x) for every sample t; and ``psd_detail``.
     """
     if not isinstance(samples, SampleSet):
         raise TypeError(f"samples must be a SampleSet made by build_sample_set, "
@@ -351,10 +350,6 @@ class _DenseGram:
     def route_gap(self):
         return None
 
-    def values(self, idx) -> np.ndarray:
-        return np.array([self.psi(self.samples.element(i)) for i in idx],
-                        dtype=complex)
-
     def block(self, rows, cols) -> np.ndarray:
         return self.m[np.ix_(rows, cols)]
 
@@ -384,12 +379,6 @@ class _DenseGram:
     def against(self, x: MonoidElement) -> np.ndarray:
         return np.array([self.psi(_product(t_star, x)) for t_star in self.stars],
                         dtype=complex)
-
-
-def _segments(lo: np.ndarray, n: np.ndarray):
-    # for the runs [lo_i, lo_i + n_i): the run of each element, and its position
-    which = np.repeat(np.arange(n.size), n)
-    return which, np.arange(which.size) + np.repeat(lo - np.cumsum(n) + n, n)
 
 
 class _WordOperators:
@@ -443,11 +432,6 @@ class _WordOperators:
         self.count = np.zeros(0, dtype=np.int64)
         self.dst = np.zeros(0, dtype=np.int64)
         self.val = np.zeros(0, dtype=complex)
-        # [x_a, x_b] = sum_j c^j_ab x_j, as runs per pair a d + b
-        c = l.structure.reshape(d * d, d)
-        pair, self.bracket_j = np.nonzero(c)
-        self.bracket_c = c[pair, self.bracket_j]
-        self.bracket_at = np.searchsorted(pair, np.arange(d * d + 1))
         self.odd = np.diag(l.beta_table) == -1
         self.letter_phase = np.array([letter_star_phase(l, k)
                                       for k in range(d)])
@@ -541,14 +525,15 @@ class _WordOperators:
         self.built = end
 
     def _brackets(self, pairs: np.ndarray):
-        # (which pair, j, c^j) over the nonzero structure constants of each
-        which, pos = _segments(self.bracket_at[pairs],
-                               self.bracket_at[pairs + 1] - self.bracket_at[pairs])
-        return which, self.bracket_j[pos], self.bracket_c[pos]
+        # (which pair, j, c^j) over the nonzero c^j_ab of each pair a d + b
+        t = self.algebra.triples
+        which, pos = _join(t.ptr[pairs], t.ptr[pairs + 1])
+        return which, t.k[pos], t.c[pos]
 
     def _columns(self, keys: np.ndarray, coef=None):
         # (which key, row, value) over the stored columns, each scaled by coef
-        which, pos = _segments(self.start[keys], self.count[keys])
+        lo = self.start[keys]
+        which, pos = _join(lo, lo + self.count[keys])
         val = self.val[pos] if coef is None else self.val[pos] * coef[which]
         return which, self.dst[pos], val
 
@@ -732,14 +717,14 @@ class _FactoredGram:
     the Cholesky factor of the space Gram, so W is d x n.  Every step over
     the samples costs O(n d^2) and forms no n x n matrix: U comes from
     ``_sample_columns``; ``eigs`` are sigma(W)^2 padded with exact zeros to
-    length n, from a thin SVD of W; psi at every sample is the one product
-    (G v)^H U; a sector's eigenpairs come from a thin SVD of its columns of
-    W; blocks, products and translates read W and U; the reproducing row
-    psi(s t) over all samples t is (G v)^H op(s) U.  Only ``dense()`` forms
-    M, for ``sample_gram``.  The monoid product (Carmeli, Cassinelli, Toigo
-    and Varadarajan, CMP 263 (2006)) stays the independent side, on a fixed
-    number of pairs drawn by ``_witness_gap``: eight entries of W^H W in
-    ``route_gap`` and ``_WITNESS`` entries of each reproducing row.
+    length n, from a thin SVD of W; a sector's eigenpairs come from a thin
+    SVD of its columns of W; blocks, products and translates read W and U;
+    the reproducing row psi(s t) over all samples t is (G v)^H op(s) U.
+    Only ``dense()`` forms M, for ``sample_gram``.  The monoid product
+    (Carmeli, Cassinelli, Toigo and Varadarajan, CMP 263 (2006)) stays the
+    independent side, on a fixed number of pairs drawn by ``_witness_gap``:
+    eight entries of W^H W in ``route_gap`` and ``_WITNESS`` entries of each
+    reproducing row.
     """
 
     psd_detail = "singular values of W, verified on sample set"
@@ -781,9 +766,6 @@ class _FactoredGram:
         return _witness_gap(self.psi, self.samples, firsts, 2,
                             lambda i, same: w[:, i].conj() @ w[:, same],
                             star=True)
-
-    def values(self, idx) -> np.ndarray:
-        return (self.psi.vector.conj() @ self.gram) @ self.u[:, idx]
 
     def products(self, i: int) -> tuple[np.ndarray, float]:
         # psi(s_i t) = (G v)^H op(s_i) op(t) v for every t, in one row; the
@@ -846,14 +828,14 @@ def check_positive_definite(psi: PDFunction, samples: SampleSet,
     strings say so.  For representation-backed functions the Gram is kept
     as M = W^H W, so its Hermitian symmetry and positivity hold by
     construction, and no n x n matrix is formed: ``gram_norm`` and
-    ``min_eigenvalue`` come from the singular values of W, and psi on every
-    sample of non-zero degree is one product with the sample columns, at
-    O(n d^2) in all.  What is checked numerically there is the agreement of
-    W^H W with psi evaluated through the monoid product, on sampled
-    same-degree and diagonal entries.  Tables and other functions evaluate
-    psi once per sample of non-zero degree.  Non-finite sample data fail the
-    Gram checks.  The samples must come from ``build_sample_set``; anything
-    else raises TypeError.
+    ``min_eigenvalue`` come from the singular values of W, at O(n d^2) in
+    all.  What is checked numerically there is the agreement of W^H W with
+    psi evaluated through the monoid product, on sampled same-degree and
+    diagonal entries.  On every route the support condition reads psi on
+    the samples of non-zero degree off row 0 of the Gram, since sample 0 is
+    the identity of the monoid, and calls psi no further.  Non-finite
+    sample data fail the Gram checks.  The samples must come from
+    ``build_sample_set``; anything else raises TypeError.
     """
     return _positivity_report(_gram_of(psi, samples), tol)
 
@@ -862,12 +844,13 @@ def _positivity_report(gram, tol: float) -> Report:
     rep = Report("positive definiteness",
                  context={"samples": len(gram.samples), "tol": tol})
 
-    # the samples of non-zero degree
+    # psi on the samples of non-zero degree: sample 0 is the identity of the
+    # monoid, so row 0 of the Gram is psi(s_j)
     codes = gram.samples.codes
     idx = np.flatnonzero(codes != 0)
     rank = gram.psi.algebra.rank
     worst, at = worst_residual(
-        zip(np.abs(gram.values(idx)).tolist(), codes[idx].tolist()),
+        zip(np.abs(gram.block([0], idx)[0]).tolist(), codes[idx].tolist()),
         lambda c: f"degree {_degree_of(rank, c)}")
     rep.add("support condition", worst <= tol, worst, tol,
             "verified on sample set" + (f"; worst at {at}" if at else ""))

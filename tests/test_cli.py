@@ -290,6 +290,16 @@ def test_a_table_over_the_word_budget_fails_reconstruction(tmp_path, capsys):
     assert doc["checks"][0]["detail"].startswith(
         "level 4 needs the 265729 normal words")
 
+
+def test_check_pd_at_a_level_over_the_word_budget_is_input_error(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    save_table(path, PDFunction.from_table(*four_lines_values()))
+    code, out, err = run(capsys, "check-pd", "--table", str(path), "--level", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --level 4: level 4 needs the 265729 normal words")
+    assert "Traceback" not in err
+
+
 def test_vanishing_table_is_input_error(tmp_path, capsys):
     path = tmp_path / "zero.json"
     save_table(path, PDFunction.from_table(clifford_algebra(), {}))

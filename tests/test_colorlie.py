@@ -18,7 +18,7 @@ from colorrep.colorlie import (
     glV,
     odd_pair_columns,
 )
-from colorrep.generators import clifford_algebra
+from colorrep.generators import clifford_algebra, random_color_algebra
 from colorrep.grading import Degree, beta
 from colorrep.spaces import GradedSpace
 
@@ -461,3 +461,35 @@ def test_the_triple_index_lists_the_nonzero_structure_constants():
             lo, hi = t.ptr[i * d + j], t.ptr[i * d + j + 1]
             assert (t.i[lo:hi] == i).all() and (t.j[lo:hi] == j).all()
             assert list(t.k[lo:hi]) == list(np.flatnonzero(l.structure[i, j]))
+
+
+def _dense_grouped(c, axis):
+    """The nonzero entries of c by a scan of the tensor transposed to put
+    index ``axis`` first, as ``colorlie._grouped_triples`` returns them."""
+    axes = (axis,) + tuple(a for a in range(3) if a != axis)
+    found = np.nonzero(c.transpose(axes))
+    ijk = tuple(found[axes.index(a)] for a in range(3))
+    offsets = np.zeros(len(c) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(found[0], minlength=len(c)), out=offsets[1:])
+    return ijk, c[ijk], offsets
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda seed=seed: random_color_algebra(2, seed) for seed in range(6)),
+    lambda: random_structure(5, graded_antisymmetric=True),
+    spoiled_four_lines,
+], ids=[*(f"random-{seed}" for seed in range(6)), "random-bracket", "spoiled-glV"])
+def test_the_regrouped_triples_match_a_dense_scan(build, monkeypatch):
+    # the join regroups ``l.triples`` by their second and third index
+    _take("join", monkeypatch)
+    seen = []
+    real = colorlie._grouped_triples
+    monkeypatch.setattr(colorlie, "_grouped_triples",
+                        lambda l, axis: seen.append((axis, real(l, axis))) or seen[-1][1])
+    l = build()
+    check_axioms(l)
+    assert [axis for axis, _ in seen] == [1, 2]
+    for axis, ((i, j, k), c, offsets) in seen:
+        (ri, rj, rk), rc, roff = _dense_grouped(l.structure, axis)
+        for got, want in ((i, ri), (j, rj), (k, rk), (c, rc), (offsets, roff)):
+            assert np.array_equal(got, want)

@@ -65,6 +65,16 @@ def test_algebra_doc_is_sparse():
         assert isinstance(c, float)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_algebra_doc_lists_the_nonzero_constants_in_index_order(seed):
+    l = random_color_algebra(2, seed)
+    want = [[int(i), int(j), int(k), float(l.structure[i, j, k])]
+            for i, j, k in zip(*np.nonzero(l.structure))]
+    got = algebra_to_doc(l)["structure"]
+    assert json.dumps(got) == json.dumps(want)
+    assert all(type(x) is int for t in got for x in t[:3])
+
+
 def test_bad_schema_tag():
     with pytest.raises(SchemaError, match="algebra.schema"):
         algebra_from_doc({"schema": "mystery/9"})

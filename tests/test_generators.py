@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from colorrep import generators
 from colorrep.colorlie import check_axioms, check_perfectness
 from colorrep.generators import (
+    _skew_basis,
     character_generator,
     clifford_algebra,
     clifford_parity_generator,
@@ -15,7 +17,7 @@ from colorrep.generators import (
     random_color_algebra,
     skew_matrix_algebra,
 )
-from colorrep.grading import Character, Degree
+from colorrep.grading import Character, Degree, all_degrees, beta
 from colorrep.hcpair import HCPair, check_ad_map
 from colorrep.reps import UnitaryRep, check_pre_rep, check_unitary_rep
 from colorrep.spaces import GradedSpace
@@ -103,6 +105,47 @@ def test_skew_matrix_algebra_four_lines():
     assert check_axioms(l).passed
     rep = check_unitary_rep(r)
     assert rep.passed, rep.to_text()
+
+
+def _pinv_structure(v):
+    """The skew-matrix constants by a least-squares expansion of every
+    bracket over the flattened basis, with the solver dust left in."""
+    basis = _skew_basis(v)
+    mats = [m for _, _, m in basis]
+    cols = np.column_stack([np.concatenate([m.real.ravel(), m.imag.ravel()])
+                            for m in mats])
+    solver = np.linalg.pinv(cols)
+    d = len(mats)
+    out = np.zeros((d, d, d))
+    for i in range(d):
+        for j in range(d):
+            sign = beta(basis[i][1], basis[j][1])
+            br = mats[i] @ mats[j] - sign * (mats[j] @ mats[i])
+            out[i, j] = solver @ np.concatenate([br.real.ravel(), br.imag.ravel()])
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 1, 1, 0), (2, 2, 2, 2)])
+def test_skew_matrix_constants_are_exact(shape):
+    v = GradedSpace(2, {d: n for d, n in zip(all_degrees(2), shape) if n})
+    l, _ = skew_matrix_algebra(v, validate=False)
+    c = l.structure
+    # sums of a few unit phases: small integers, read off with no solve
+    assert set(np.unique(c)) <= {-2.0, -1.0, 0.0, 1.0, 2.0}
+    want = _pinv_structure(v)
+    assert np.max(np.abs(c - want)) <= 1e-15
+    assert np.array_equal(c != 0, np.abs(want) > 1e-12)
+
+
+def test_a_bracket_outside_the_basis_span_is_refused(monkeypatch):
+    # without h0, the bracket [a0_1, a0_1] = -2i I has no coordinates
+    monkeypatch.setattr(generators, "_skew_basis",
+                        lambda v: [b for b in _skew_basis(v) if b[0] != "h0"])
+    v = GradedSpace(1, {Degree((0,)): 1, Degree((1,)): 1})
+    with pytest.raises(RuntimeError) as err:
+        skew_matrix_algebra(v)
+    # h1 takes the -2i at (1, 1); the -2i at (0, 0) is left over
+    assert str(err.value) == "bracket of a0_1, a0_1 left the span (residual 2.000e+00)"
 
 
 def test_character_generator_equivariant():

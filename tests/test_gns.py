@@ -8,6 +8,7 @@ from helpers import (cut_four_lines_table, one_line_algebra, spoiled_clifford,
 from helpers import four_lines_values as _four_lines_values
 
 from colorrep import enveloping, gns, reps
+from colorrep.colorlie import ColorLieAlgebra, check_axioms
 from colorrep.enveloping import (EnvElement, MonoidElement, _find_bad, _nf, env_ad,
                                   env_mul, s_mul, s_star, word_degree)
 from colorrep.errors import EquivalenceError, PositivityError, StabilizationError
@@ -228,7 +229,7 @@ def conjugated_four_lines_state():
     """Four-lines rep in a non-orthonormal basis: a non-trivial space Gram."""
     r, v0 = four_lines_state()
     rc = conjugated_rep(r, seed=21)
-    p = _block_change(FOUR_LINES, np.random.default_rng(21), 0.4)
+    p = _block_change(FOUR_LINES, np.random.default_rng(21))
     return rc, p @ v0
 
 
@@ -389,7 +390,7 @@ def _route_states():
     level 1 because its level-2 Gram costs 145^2 monoid products densely.
     """
     rc = clifford_rep(2, seed=3)
-    pc = _block_change(rc.inner.space, np.random.default_rng(21), 0.4)
+    pc = _block_change(rc.inner.space, np.random.default_rng(21))
     rc = conjugated_rep(rc, seed=21)
     vc = np.zeros(4, dtype=complex)
     vc[0] = 1.0
@@ -483,7 +484,7 @@ def test_support_values_from_the_columns_are_psi(case):
     r, v, samples = _column_states()[case]
     psi = PDFunction.from_rep(r, v)
     gram = gns._gram_of(psi, samples)
-    values = gram.values(np.arange(len(samples)))
+    values = gram.block([0], np.arange(len(samples)))[0]
     direct = np.array([psi(s) for s in samples])
     assert np.max(np.abs(values - direct)) <= 1e-14 * gram.scale
 
@@ -532,10 +533,10 @@ def test_each_sample_gram_is_built_once():
     psi = PDFunction(l, lambda s: calls.append(s) or table(s))
     res = gns_construct(psi)
     assert res.level_used == 0
-    # Grams at levels 0 and 1 (1 + 9), the support condition on the odd
-    # sample (1), two generators translating one sample (2 * (1 + 1)) and
-    # one reproducing pick (1 + 1); the level-1 Gram is not built again
-    assert len(calls) == 1 + 9 + 1 + 4 + 2
+    # Grams at levels 0 and 1 (1 + 9), two generators translating one
+    # sample (2 * (1 + 1)) and one reproducing pick (1 + 1); the level-1
+    # Gram is not built again, and the support condition reads its row 0
+    assert len(calls) == 1 + 9 + 4 + 2
 
 
 def test_dense_gram_stars_each_sample_once(monkeypatch):
@@ -824,6 +825,19 @@ def test_every_operator_column_is_the_normal_form(name, top, odd):
                    for x in got.keys() | want.keys()) <= 1e-14
 
 
+def test_the_operators_and_the_axiom_check_read_one_triple_index(monkeypatch):
+    l = _ALGEBRAS["four-lines"]()
+    seen = []
+    real = ColorLieAlgebra.triples
+    monkeypatch.setattr(ColorLieAlgebra, "triples",
+                        property(lambda self: seen.append(real.fget(self)) or seen[-1]))
+    check_axioms(l)
+    by_axioms = len(seen)
+    _operators(l, 2)
+    assert 0 < by_axioms < len(seen)
+    assert all(t is seen[0] for t in seen)
+
+
 def test_the_table_route_rewrites_no_normal_word(monkeypatch):
     psi = four_lines_table()
     l = psi.algebra
@@ -1004,7 +1018,7 @@ def test_self_equivalence_is_the_identity():
 def test_equivalence_recovers_the_change_of_basis():
     r, v0 = four_lines_state()
     rc = conjugated_rep(r, seed=13)
-    p = _block_change(FOUR_LINES, np.random.default_rng(13), 0.4)
+    p = _block_change(FOUR_LINES, np.random.default_rng(13))
     t = unitary_equivalence(r, v0, rc, p @ v0)
     assert np.allclose(t, p, atol=1e-12)
 
@@ -1012,7 +1026,7 @@ def test_equivalence_recovers_the_change_of_basis():
 def test_equivalence_rejects_mutated_operators():
     r, v0 = four_lines_state()
     rc = conjugated_rep(r, seed=13)
-    p = _block_change(FOUR_LINES, np.random.default_rng(13), 0.4)
+    p = _block_change(FOUR_LINES, np.random.default_rng(13))
     l = r.algebra
     rho = [rc.rho_matrix(i).copy() for i in range(l.dim)]
     rho[2] = 1.05 * rho[2]
@@ -1101,7 +1115,7 @@ def test_four_lines_roundtrip():
 def test_conjugated_roundtrip_with_nontrivial_gram():
     r, v0 = four_lines_state()
     rc = conjugated_rep(r, seed=21)
-    p = _block_change(FOUR_LINES, np.random.default_rng(21), 0.4)
+    p = _block_change(FOUR_LINES, np.random.default_rng(21))
     rep = gns_roundtrip(rc, p @ v0)
     assert rep.passed, failing_names(rep)
 

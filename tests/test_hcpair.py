@@ -37,6 +37,16 @@ def _parity_ad():
     return np.diag([1.0, 1.0, -1.0, -1.0])
 
 
+def _abelian(dim):
+    """An abelian algebra of even lines: every invertible map is automorphic."""
+    return ColorLieAlgebra(1, [f"z{i:02d}" for i in range(dim)],
+                           [_d("0")] * dim, np.zeros((dim, dim, dim)))
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
 class TestGroupElement:
     def test_identity(self):
         e = GroupElement.identity(4)
@@ -189,6 +199,29 @@ class TestCheckAdMap:
     def test_shape_mismatch(self):
         with pytest.raises(RankMismatchError):
             check_ad_map(_gl11(), np.eye(3))
+
+    def test_a_small_determinant_does_not_make_a_scaling_singular(self):
+        # det(0.5 I) = 9.1e-13 on 40 lines, yet every singular value is 0.5
+        l = _abelian(40)
+        half = GroupElement("half", 0.5 * np.eye(40))
+        assert _check(check_ad_map(l, half.ad), "invertible").passed
+        assert HCPair(l, [half]).extra_generators == [half]
+
+    def test_a_rounding_determinant_does_not_make_a_singular_map_invertible(self):
+        # rank 2: the rounded det is about 1e-5, the least singular value 1e-13
+        ad = 1e3 * np.arange(1.0, 10.0).reshape(3, 3)
+        check = _check(check_ad_map(_abelian(3), ad), "invertible")
+        assert not check.passed
+        assert check.detail == "rank 2 of 3"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_map_is_not_invertible(self, bad):
+        ad = np.eye(3)
+        ad[1, 2] = bad
+        check = _check(check_ad_map(_abelian(3), ad), "invertible")
+        assert not check.passed
+        assert check.detail == "non-finite entries"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_fails_grading_on_a_single_sector_algebra(self):
