@@ -6,6 +6,7 @@ from .colorlie import (
     BracketDecomposition,
     BracketTerm,
     ColorLieAlgebra,
+    ad_operator,
     bracket,
     check_axioms,
     check_perfectness,
@@ -91,7 +92,6 @@ from .grading import (
 from .hcpair import (
     GroupElement,
     HCPair,
-    ad_operator,
     check_ad_map,
     check_pair,
 )

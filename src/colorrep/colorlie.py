@@ -11,11 +11,12 @@ drives the stability extension of partial representations.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PerfectnessError, RankMismatchError
+from .errors import AxiomError, PerfectnessError, RankMismatchError
 from .grading import Degree, beta, is_even_like
 from .report import Report, worst_entry, worst_residual
 from .spaces import GradedSpace
@@ -31,18 +32,17 @@ _DENSE_DIM = 16
 
 def beta_signs(degrees) -> np.ndarray:
     """beta between every two of the degrees, as an int8 sign matrix."""
-    bits = np.array([deg.bits for deg in degrees], dtype=np.int64)
+    bits = np.array([deg.bits for deg in degrees] or np.zeros((0, 0)), dtype=np.int64)
     return np.where((bits @ bits.T) % 2 == 1, -1, 1).astype(np.int8)
 
 
 @dataclass(frozen=True)
 class StructureTriples:
-    """The nonzero structure constants in coordinate form.
-
-    Entry t is c[t] = structure[i[t], j[t], k[t]] (NaN counts as nonzero),
-    in (i, j, k) order, so the entries of the pair (i, j) are
-    ptr[i * dim + j] : ptr[i * dim + j + 1], and those with first index i
-    are ptr[i * dim] : ptr[(i + 1) * dim].
+    """The one store of the structure constants: entry t is c[t], the
+    coefficient of x_k[t] in [x_i[t], x_j[t]], for every nonzero constant
+    (NaN counts as nonzero), sorted by (i, j, k), so the entries of the pair
+    (i, j) are ptr[i * dim + j] : ptr[i * dim + j + 1], and those with first
+    index i are ptr[i * dim] : ptr[(i + 1) * dim].
     """
 
     i: np.ndarray
@@ -55,18 +55,13 @@ class StructureTriples:
 class ColorLieAlgebra:
     """A finite-dimensional color Lie algebra given by structure constants.
 
-    ``structure[i, j, k]`` is the coefficient of basis element k in the
-    bracket of basis elements i and j.  The basis is kept sorted by
-    (lexicographic degree, label); constructing from unsorted input permutes
-    the structure tensor accordingly.
+    ``structure`` gives c[i, j, k], the coefficient of basis element k in
+    the bracket of basis elements i and j, as a dense (d, d, d) array or a
+    dict {(i, j, k): c}.  The basis is kept sorted by (lexicographic degree,
+    label); constructing from unsorted input maps the indices accordingly.
 
-    ``triples`` is a derived index of the nonzero structure constants: the
-    (i, j, k, c) with c = structure[i, j, k] != 0, sorted by (i, j, k), with
-    per-pair offsets.  It is built from ``structure`` on first use and kept,
-    so ``structure`` stays the single source of truth, and it is the one list
-    of the nonzero constants: ``check_axioms`` (whose Jacobi check joins it
-    with itself above ``_DENSE_DIM``), the word operators of ``gns`` and
-    ``fileio.algebra_to_doc`` read it.
+    ``triples`` is the one store of the constants (see ``StructureTriples``);
+    readers take them from there or from ``ad_operator``, one dense ad(x).
     """
 
     def __init__(self, rank: int, labels, degrees, structure, validate: bool = False,
@@ -82,30 +77,19 @@ class ColorLieAlgebra:
             if deg.rank != self.rank:
                 raise RankMismatchError(f"degree {deg} has rank {deg.rank}, expected {self.rank}")
         d = len(labels)
-        structure = np.asarray(structure, dtype=float)
-        if structure.shape != (d, d, d):
-            raise ValueError(f"structure tensor must be {(d, d, d)}, got {structure.shape}")
         order = sorted(range(d), key=lambda i: (degrees[i].bits, labels[i]))
-        if order != list(range(d)):
-            labels = [labels[i] for i in order]
-            degrees = [degrees[i] for i in order]
-            # c'_{ij}^k = c_{order[i], order[j]}^{order[k]}
-            structure = structure[np.ix_(order, order, order)]
-        self.labels = labels
-        self.degrees = degrees
-        self.structure = structure
-        self.deg_codes = np.array([deg.code for deg in degrees], dtype=np.int64)
-        self.beta_table = beta_signs(degrees)
+        self.labels = [labels[i] for i in order]
+        self.degrees = [degrees[i] for i in order]
+        self.triples = _triples(structure, sorted(range(d), key=order.__getitem__))
+        self.deg_codes = np.array([deg.code for deg in self.degrees], dtype=np.int64)
+        self.beta_table = beta_signs(self.degrees)
         self._sectors: dict[Degree, list[int]] = {}
-        for i, deg in enumerate(degrees):
+        for i, deg in enumerate(self.degrees):
             self._sectors.setdefault(deg, []).append(i)
         self._nf_cache: dict = {}
-        self._triples: StructureTriples | None = None
         if validate:
             rep = check_axioms(self, tol=tol)
             if not rep.passed:
-                from .errors import AxiomError
-
                 raise AxiomError("structure constants violate the bracket axioms:\n"
                                  + rep.to_text())
 
@@ -130,29 +114,54 @@ class ColorLieAlgebra:
     def odd_degrees(self) -> list[Degree]:
         return [d for d in self.sector_degrees if not is_even_like(d)]
 
-    @property
-    def triples(self) -> StructureTriples:
-        if self._triples is None:
-            i, j, k = np.nonzero(self.structure)
-            d = self.dim
-            ptr = np.zeros(d * d + 1, dtype=np.int64)
-            np.cumsum(np.bincount(i * d + j, minlength=d * d), out=ptr[1:])
-            self._triples = StructureTriples(i, j, k, self.structure[i, j, k], ptr)
-        return self._triples
-
-    def ad_matrix(self, i: int) -> np.ndarray:
-        """Matrix of bracketing with basis element i, columns indexed by j."""
-        return self.structure[i].T.copy()
-
     def __repr__(self) -> str:
         return f"ColorLieAlgebra(rank={self.rank}, dim={self.dim})"
 
 
+def _triples(structure, pos) -> StructureTriples:
+    """The nonzero constants of a dense array or a dict, as triples in the
+    sorted basis, where input element n is element pos[n].  Input in
+    (i, j, k) order, as a dense array or a written file is, takes no sort."""
+    d = len(pos)
+    if isinstance(structure, dict):
+        ijk = np.array(list(structure), dtype=np.int64).reshape(-1, 3)
+        c = np.array(list(structure.values()), dtype=float)
+        if ijk.size and not 0 <= ijk.min() <= ijk.max() < d:
+            raise ValueError(f"structure index out of range for dimension {d}")
+    else:
+        structure = np.asarray(structure, dtype=float)
+        if structure.shape != (d, d, d):
+            raise ValueError(f"structure tensor must be {(d, d, d)}, got {structure.shape}")
+        ijk, c = np.argwhere(structure), structure[structure != 0]
+    ijk, c = np.array(pos, dtype=np.int64)[ijk[c != 0]], c[c != 0]
+    key = ijk @ np.array([d * d, d, 1])
+    if (key[1:] < key[:-1]).any():
+        at = np.argsort(key)
+        ijk, c = ijk[at], c[at]
+    i, j, k = ijk.T.copy()
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(i * d + j, minlength=d * d))])
+    return StructureTriples(i, j, k, c, ptr)
+
+
+def ad_operator(l: ColorLieAlgebra, coeffs) -> np.ndarray:
+    """Matrix of bracketing with sum_i coeffs[i] x_i, columns indexed by j:
+    a sum over the triples whose coefficient is nonzero, so that a NaN
+    constant under a zero coefficient adds nothing."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    d = l.dim
+    if coeffs.shape != (d,):
+        raise ValueError(f"coefficient vector must have length {d}")
+    t = l.triples
+    on = coeffs[t.i] != 0
+    return np.bincount(t.k[on] * d + t.j[on], coeffs[t.i[on]] * t.c[on], d * d).reshape(d, d)
+
+
 def bracket(l: ColorLieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bracket of coefficient vectors, bilinear over the structure tensor."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    return np.einsum("i,j,ijk->k", x, y, l.structure)
+    """Bracket of coefficient vectors, real or complex, summed over the triples."""
+    t, x, y = l.triples, np.asarray(x), np.asarray(y)
+    out = np.zeros(l.dim, dtype=np.result_type(x, y, float))
+    np.add.at(out, t.k, x[t.i] * y[t.j] * t.c)
+    return out
 
 
 def glV(v: GradedSpace) -> ColorLieAlgebra:
@@ -169,8 +178,7 @@ def glV(v: GradedSpace) -> ColorLieAlgebra:
     width = len(str(t - 1))
     labels = [f"E{p:0{width}d}_{q:0{width}d}" for p, q in units]
     degs = [v.basis_degrees[p] * v.basis_degrees[q] for p, q in units]
-    d = len(units)
-    structure = np.zeros((d, d, d))
+    structure = Counter()
     index = {u: i for i, u in enumerate(units)}
     for i, (p, q) in enumerate(units):
         for j, (r, s) in enumerate(units):
@@ -185,21 +193,20 @@ def glV(v: GradedSpace) -> ColorLieAlgebra:
 def check_axioms(l: ColorLieAlgebra, tol: float = _AXIOM_TOL) -> Report:
     """Verify grading compatibility, beta-antisymmetry, and the Jacobi law.
 
-    Grading and antisymmetry read the nonzero triples (i, j, k, c) of
-    ``l.triples``, and so does the Jacobi law above ``_DENSE_DIM`` while
-    every constant is finite (see ``_jacobi_entries``): an entry of the
-    dense check that no triple touches is then exactly zero.  Each residual
-    is the largest entry of its dense check, and its location the first
-    such entry in (i, j, k[, m]) order, or the first NaN.
+    All three read the nonzero triples (i, j, k, c) of ``l.triples``; the
+    Jacobi law does so above ``_DENSE_DIM`` while every constant is finite
+    (see ``_jacobi_entries``): an entry of a dense check that no triple
+    touches is then exactly zero.  Each residual is the largest entry of its
+    dense check, and its location the first such entry in (i, j, k[, m])
+    order, or the first NaN.
 
     - grading: the triples with deg(k) != deg(i) deg(j);
-    - antisymmetry: c[i,j,k] + beta(i,j) c[j,i,k] at each triple and at its
-      mirror (j, i, k);
+    - antisymmetry: c[i,j,k] + beta(i,j) c[j,i,k] at each triple, and at
+      its mirror (j, i, k), looked up among the sorted keys;
     - Jacobi: a join of the triples with themselves on the shared index,
       summed per 4-index key (see ``_jacobi_entries``).
     """
     report = Report(f"bracket axioms, dim {l.dim}")
-    c = l.structure
     d = l.dim
     t = l.triples
     codes = l.deg_codes
@@ -213,13 +220,18 @@ def check_axioms(l: ColorLieAlgebra, tol: float = _AXIOM_TOL) -> Report:
                   f"-> {l.labels[t.k[at]]}")
     report.add("grading", grading_res <= tol, grading_res, tol, detail)
 
-    # (ii) [x,y] = -beta(x,y) [y,x]
-    nonzero = c != 0
-    i, j, k = np.nonzero(nonzero | nonzero.transpose(1, 0, 2))
-    anti_res, at = worst_entry(np.abs(c[i, j, k] + l.beta_table[i, j] * c[j, i, k]))
+    # (ii) [x,y] = -beta(x,y) [y,x]; the entries at a triple and at its
+    # mirror have the same size, so the location is the smaller key
+    key = (t.i * d + t.j) * d + t.k
+    mirror = (t.j * d + t.i) * d + t.k
+    at = np.minimum(np.searchsorted(key, mirror), len(key) - 1)
+    size = np.abs(t.c + l.beta_table[t.i, t.j] * np.where(key[at] == mirror, t.c[at], 0.0))
+    anti_res, _ = worst_entry(size)
     detail = ""
-    if at is not None and not anti_res <= tol:
-        detail = f"worst at ({l.labels[i[at]]}, {l.labels[j[at]]})"
+    if not anti_res <= tol:
+        worst = np.isnan(size) | (size == anti_res)
+        i, j, _ = np.unravel_index(np.minimum(key, mirror)[worst].min(), (d,) * 3)
+        detail = f"worst at ({l.labels[i]}, {l.labels[j]})"
     report.add("antisymmetry", anti_res <= tol, anti_res, tol, detail)
 
     # (iii) in derivation form: [x,[y,z]] = [[x,y],z] + beta(x,y) [y,[x,z]],
@@ -340,7 +352,7 @@ def _dense_jacobi(l: ColorLieAlgebra):
     """``_jacobi_entries`` by a dense scan, one i at a time: per x_i, three
     BLAS products over all (j, k, m) give [x_i,[y,z]], [[x_i,y],z] and
     [y,[x_i,z]] at y = x_j, z = x_k."""
-    c = l.structure
+    c = _dense_constants(l)
     d = l.dim
     bt = l.beta_table.astype(float)
     for i in range(d):
@@ -351,6 +363,14 @@ def _dense_jacobi(l: ColorLieAlgebra):
             resid = np.abs(lhs - t1 - bt[i][:, None, None] * t2)
         at = int(np.argmax(resid))
         yield float(resid.flat[at]), i * d ** 3 + at
+
+
+def _dense_constants(l: ColorLieAlgebra) -> np.ndarray:
+    """The constants as a dense (d, d, d) array, built from the triples."""
+    t = l.triples
+    c = np.zeros((l.dim,) * 3)
+    c[t.i, t.j, t.k] = t.c
+    return c
 
 
 def _flat_key(d):
@@ -365,14 +385,12 @@ def odd_pair_columns(l: ColorLieAlgebra, a: Degree):
     sector ``a``.
     """
     rows = l.sector(a)
-    pairs: list[tuple[int, int]] = []
-    blocks = [np.zeros((len(rows), 0))]
+    pairs, blocks = [], [np.zeros((len(rows), 0))]
     for b in l.odd_degrees():
         # a even-like and b odd-like force the complement a*b odd-like
         left, right = l.sector(b), l.sector(a * b)
         pairs += [(i, j) for i in left for j in right]
-        block = l.structure[np.ix_(left, right, rows)]
-        blocks.append(block.reshape(len(left) * len(right), len(rows)).T)
+        blocks += [ad_operator(l, np.eye(l.dim)[i])[np.ix_(rows, right)] for i in left]
     return pairs, np.hstack(blocks)
 
 
@@ -422,7 +440,7 @@ class BracketDecomposition:
     def evaluate(self, l: ColorLieAlgebra) -> np.ndarray:
         out = np.zeros(l.dim)
         for t in self.terms:
-            out += t.coefficient * l.structure[t.left, t.right]
+            out += t.coefficient * ad_operator(l, np.eye(l.dim)[t.left])[:, t.right]
         return out
 
 

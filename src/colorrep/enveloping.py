@@ -85,16 +85,12 @@ def _nf(l: ColorLieAlgebra, word: tuple, strategy: str = "leftmost") -> dict:
         out = {}
         a, b = word[p], word[p + 1]
         head, tail = word[:p], word[p + 2:]
-        if a == b:
-            for k in np.flatnonzero(l.structure[a, a]):
-                _acc(out, _nf(l, head + (int(k),) + tail, strategy),
-                     0.5 * l.structure[a, a, k])
-        else:
-            sign = float(l.beta_table[a, b])
-            _acc(out, _nf(l, head + (b, a) + tail, strategy), sign)
-            for k in np.flatnonzero(l.structure[a, b]):
-                _acc(out, _nf(l, head + (int(k),) + tail, strategy),
-                     l.structure[a, b, k])
+        if a != b:
+            _acc(out, _nf(l, head + (b, a) + tail, strategy), float(l.beta_table[a, b]))
+        t = l.triples
+        pair = slice(t.ptr[a * l.dim + b], t.ptr[a * l.dim + b + 1])
+        for k, c in zip(t.k[pair].tolist(), t.c[pair].tolist()):
+            _acc(out, _nf(l, head + (k,) + tail, strategy), 0.5 * c if a == b else c)
         out = {w: c for w, c in out.items() if c != 0}
     l._nf_cache[key] = out
     return out

@@ -159,7 +159,7 @@ def algebra_from_doc(doc: dict, validate: bool = True) -> ColorLieAlgebra:
     degrees = [_degree_from_json(d, rank, f"algebra.degrees[{i}]")
                for i, d in enumerate(raw_degs)]
     dim = len(labels)
-    structure = np.zeros((dim, dim, dim))
+    structure = {}
     for t, triple in enumerate(_need(doc, "structure", list, "algebra")):
         where = f"algebra.structure[{t}]"
         if not isinstance(triple, list) or len(triple) != 4:

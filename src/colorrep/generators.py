@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .colorlie import ColorLieAlgebra, beta_signs, glV
+from .colorlie import ColorLieAlgebra, ad_operator, beta_signs, glV
 from .grading import Character, Degree, alpha, ucount
 from .hcpair import GroupElement, HCPair
 from .reps import UnitaryRep
@@ -24,9 +24,7 @@ _ALGEBRA_SPREAD = 0.3
 def clifford_algebra() -> ColorLieAlgebra:
     """Two generators: even x, odd y, with [y, y] = x and all else zero."""
     degs = [Degree((0,)), Degree((1,))]
-    structure = np.zeros((2, 2, 2))
-    structure[1, 1, 0] = 1.0
-    return ColorLieAlgebra(1, ["x", "y"], degs, structure, validate=True)
+    return ColorLieAlgebra(1, ["x", "y"], degs, {(1, 1, 0): 1.0}, validate=True)
 
 
 def clifford_rep(k: int, b=None, seed: int | None = None) -> UnitaryRep:
@@ -68,7 +66,7 @@ def counterexample_algebra() -> ColorLieAlgebra:
     (1,1) sector and partial data over it can never extend.
     """
     deg = Degree((1, 1))
-    return ColorLieAlgebra(2, ["z"], [deg], np.zeros((1, 1, 1)), validate=True)
+    return ColorLieAlgebra(2, ["z"], [deg], {}, validate=True)
 
 
 def counterexample_prerep():
@@ -130,7 +128,7 @@ def skew_matrix_algebra(v: GradedSpace, validate: bool = True):
     signs = beta_signs(degs)[:, :, None, None]
     side = mats.transpose(1, 0, 2).reshape(t, d * t)   # [x_0 | x_1 | ...]
 
-    structure = np.zeros((d, d, d))
+    structure = {}
     for i in range(d):
         left = (mats[i] @ side).reshape(t, d, t).transpose(1, 0, 2)
         right = (mats.reshape(d * t, t) @ mats[i]).reshape(d, t, t)
@@ -145,7 +143,7 @@ def skew_matrix_algebra(v: GradedSpace, validate: bool = True):
             raise RuntimeError(
                 f"bracket of {labels[i]}, {labels[j]} left the span "
                 f"(residual {resid[j]:.3e})")
-        structure[i] = coeffs
+        structure.update({(i, j, k): coeffs[j, k] for j, k in np.argwhere(coeffs).tolist()})
     l = ColorLieAlgebra(v.rank, labels, degs, structure, validate=validate)
 
     inner = GammaInnerSpace.standard(v)
@@ -215,9 +213,12 @@ def _conjugated_algebra(l: ColorLieAlgebra, rng):
         k = len(idx)
         t[np.ix_(idx, idx)] = np.eye(k) + _ALGEBRA_SPREAD * rng.normal(size=(k, k))
     tinv = np.linalg.inv(t)
-    # x'_i = sum_p t[p,i] x_p, so s'[i,j,k] = t[p,i] t[q,j] s[p,q,m] tinv[k,m]
-    s2 = np.einsum("pi,qj,pqm,km->ijk", t, t, l.structure, tinv)
-    return ColorLieAlgebra(l.rank, list(l.labels), list(l.degrees), s2)
+    # x'_i = sum_p t[p,i] x_p, so ad(x'_i) = tinv ad(sum_p t[p,i] x_p) t
+    structure = {}
+    for i in range(d):
+        row = (tinv @ ad_operator(l, t[:, i]) @ t).T
+        structure.update({(i, j, k): row[j, k] for j, k in np.argwhere(row).tolist()})
+    return ColorLieAlgebra(l.rank, list(l.labels), list(l.degrees), structure)
 
 
 def _random_odd_degree(rank: int, rng) -> Degree:
@@ -242,18 +243,17 @@ def random_color_algebra(rank: int, seed: int, max_dim: int = 6) -> ColorLieAlge
         degs = [Degree(tuple(int(b) for b in rng.integers(0, 2, size=rank)))
                 for _ in range(d)]
         labels = [f"z{i}" for i in range(d)]
-        base = ColorLieAlgebra(rank, labels, degs, np.zeros((d, d, d)))
+        base = ColorLieAlgebra(rank, labels, degs, {})
     elif family == 1:
         # odd generators sharing one sector, bracketing into a central line
         m = int(rng.integers(1, max_dim))
         a = _random_odd_degree(rank, rng)
         degs = [Degree.zero(rank)] + [a] * m
         labels = ["z"] + [f"y{i}" for i in range(m)]
-        structure = np.zeros((m + 1, m + 1, m + 1))
         g = rng.normal(size=(m, m))
         g = g + g.T
-        structure[1:, 1:, 0] = g
-        base = ColorLieAlgebra(rank, labels, degs, structure)
+        base = ColorLieAlgebra(rank, labels, degs, {
+            (1 + p, 1 + q, 0): g[p, q] for p in range(m) for q in range(m)})
     else:
         d1 = Degree(tuple(int(b) for b in rng.integers(0, 2, size=rank)))
         d2 = Degree(tuple(int(b) for b in rng.integers(0, 2, size=rank)))

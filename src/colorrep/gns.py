@@ -221,7 +221,7 @@ def default_group_samples(r) -> list[GroupElement]:
     out = [GroupElement.identity(r.algebra.dim, r.space_dim)]
     out.extend(g for g in r.pair.extra_generators if g.pi is not None)
     out.extend(g for i, g in _zero_sector_exps(r)
-               if r.algebra.structure[i].any() or r.rho_matrix(i).any())
+               if (r.algebra.triples.i == i).any() or r.rho_matrix(i).any())
     return out
 
 

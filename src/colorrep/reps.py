@@ -3,8 +3,9 @@
 A full representation assigns a homogeneous operator to every basis element
 of the algebra; a partial one covers only the degree-zero sector and the
 odd-like sectors, the data the stability extension starts from.  Checkers
-return reports rather than raising, so callers can inspect residuals; the
-extension operation raises when its hypotheses fail.
+return reports rather than raising, so callers can inspect residuals, and
+name a check's worst location only when it fails (below tolerance it moves
+with rounding); the extension operation raises when its hypotheses fail.
 """
 from __future__ import annotations
 
@@ -12,11 +13,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .colorlie import ColorLieAlgebra, check_perfectness, decompose_odd
+from .colorlie import ColorLieAlgebra, ad_operator, check_perfectness, decompose_odd
 from .enveloping import EnvElement, MonoidElement
 from .errors import ExtensionError, PerfectnessError, RankMismatchError
 from .grading import Character, Degree, alpha, is_even_like
-from .hcpair import GroupElement, HCPair, _expm, ad_operator
+from .hcpair import GroupElement, HCPair, _expm
 from .report import Report, worst_entry, worst_residual
 from .spaces import GammaInnerSpace, HomogeneousMap, _degree_pattern
 
@@ -309,7 +310,7 @@ def _bracket_residual(r, idx) -> tuple[float, str]:
             ji = (col_rows @ stack[i]).reshape(m, n, n)
             ji *= l.beta_table[i, idx][:, None, None]
             rhs -= ji
-            coeffs = l.structure[i, idx]
+            coeffs = ad_operator(l, np.eye(l.dim)[i]).T[idx]   # c[i, j, k] over j in idx
             lhs = _combination(r, coeffs)
             lhs -= rhs
             leaks = np.where((coeffs != 0) & ~defined, np.abs(coeffs), 0.0)
@@ -393,7 +394,7 @@ def check_unitary_rep(r: UnitaryRep, tol: float = _REP_TOL,
     _pi_checks(r, rep, tol)
 
     res, detail = _bracket_residual(r, range(l.dim))
-    rep.add("bracket property", res <= tol, res, tol, detail)
+    rep.add("bracket property", res <= tol, res, tol, "" if res <= tol else detail)
 
     zero_idx = l.sector(Degree.zero(l.rank))
     res = _zero_skew_residual(r, zero_idx)
@@ -402,13 +403,13 @@ def check_unitary_rep(r: UnitaryRep, tol: float = _REP_TOL,
             "one-parameter group exists by construction at finite dimension")
 
     res, detail = _skew_residual(r, range(l.dim), twist)
-    rep.add("graded skew-adjointness", res <= tol, res, tol, detail)
+    rep.add("graded skew-adjointness", res <= tol, res, tol, "" if res <= tol else detail)
 
     for g in r.pair.extra_generators:
         if g.pi is None:
             continue
         res, detail = _conjugation_residual(r, g, range(l.dim))
-        rep.add(f"equivariance: {g.label}", res <= tol, res, tol, detail)
+        rep.add(f"equivariance: {g.label}", res <= tol, res, tol, "" if res <= tol else detail)
     if zero_idx:
         res, _ = worst_residual((_conjugation_residual(r, g, range(l.dim))[0],
                                  None) for _, g in _zero_sector_exps(r))
@@ -438,7 +439,7 @@ def check_pre_rep(p: PartialRep, tol: float = _REP_TOL,
     else:
         res, detail = _bracket_residual(p, zero_idx)
     rep.add("bracket property on even-plus-one-odd subalgebras",
-            res <= tol, res, tol, detail)
+            res <= tol, res, tol, "" if res <= tol else detail)
 
     rep.add("essential skew-adjointness", True,
             detail="matrix skewness below carries the content at finite dimension")
@@ -447,13 +448,13 @@ def check_pre_rep(p: PartialRep, tol: float = _REP_TOL,
     rep.add("degree-zero skewness", res <= tol, res, tol)
 
     res, detail = _skew_residual(p, sorted(p.rho), twist)
-    rep.add("graded skew-adjointness", res <= tol, res, tol, detail)
+    rep.add("graded skew-adjointness", res <= tol, res, tol, "" if res <= tol else detail)
 
     for g in p.pair.extra_generators:
         if g.pi is None:
             continue
         res, detail = _conjugation_residual(p, g, sorted(p.rho))
-        rep.add(f"equivariance: {g.label}", res <= tol, res, tol, detail)
+        rep.add(f"equivariance: {g.label}", res <= tol, res, tol, "" if res <= tol else detail)
     return rep
 
 

@@ -6,6 +6,7 @@ the elapsed time, then asserts the same facts.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -489,3 +490,25 @@ def test_criterion_12_character_twists(capsys):
     assert worst_res < tol
     assert worst_int < tol
     assert elapsed < 10.0
+
+
+def test_criterion_13_dim_256_validated_build_memory(capsys):
+    # the (4,4,4,4) skew algebra has 14,880 nonzero structure constants of
+    # 16.7M entries; a dense d x d x d tensor alone would take 134 MB
+    space = GradedSpace(2, {d: 4 for d in all_degrees(2)})
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        l, _ = skew_matrix_algebra(space, validate=True)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    worst = check_axioms(l).max_residual()
+    ok = l.dim == 256 and worst == 0.0 and peak < 100.0
+    _verdict(capsys, 13, "dim-256 validated build", ok,
+             f"residual {worst:.1e}, traced peak {peak:.0f} MB < 100 MB, "
+             f"{elapsed:.2f}s")
+    assert l.dim == 256
+    assert worst == 0.0
+    assert peak < 100.0

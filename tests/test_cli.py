@@ -121,6 +121,18 @@ def test_counterexample_fails_perfectness(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("command, check", [("check-algebra", "jacobi"),
+                                            ("check-perfect", "no-even-sectors")])
+def test_an_algebra_without_basis_elements_passes_vacuously(tmp_path, capsys, command, check):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"schema": "color-lie-algebra/1", "rank": 1, "labels": [],
+                                "degrees": [], "structure": []}))
+    code, doc, _ = run_json(capsys, command, str(path))
+    assert code == 0
+    assert doc["passed"]
+    assert check in [c["name"] for c in doc["checks"]]
+
+
 def test_stability_extend_counterexample_cites_hypothesis(tmp_path, capsys):
     path = tmp_path / "pre.json"
     save_rep(path, counterexample_prerep())

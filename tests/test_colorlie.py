@@ -11,6 +11,8 @@ from colorrep import colorlie
 from colorrep.errors import AxiomError, PerfectnessError
 from colorrep.colorlie import (
     ColorLieAlgebra,
+    _dense_constants,
+    ad_operator,
     bracket,
     check_axioms,
     check_perfectness,
@@ -20,6 +22,7 @@ from colorrep.colorlie import (
 )
 from colorrep.generators import clifford_algebra, random_color_algebra
 from colorrep.grading import Degree, beta
+from colorrep.report import worst_entry
 from colorrep.spaces import GradedSpace
 
 
@@ -70,8 +73,9 @@ def test_gl11_basis_order():
 
 def test_gl11_frozen_table():
     l = _gl11()
+    dense = _dense_constants(l)
     for (i, j), expect in GL11_TABLE.items():
-        got = l.structure[i, j]
+        got = dense[i, j]
         want = np.zeros(4)
         for k, c in expect.items():
             want[k] = c
@@ -96,11 +100,12 @@ def test_glv_matches_matrix_commutator_oracle():
             m = np.zeros((t, t))
             m[p, q] = 1.0
             mats.append(m)
+        c = _dense_constants(l)
         for i in range(l.dim):
             for j in range(l.dim):
                 sign = beta(l.degrees[i], l.degrees[j])
                 comm = mats[i] @ mats[j] - sign * mats[j] @ mats[i]
-                built = sum(l.structure[i, j, k] * mats[k] for k in range(l.dim))
+                built = sum(c[i, j, k] * mats[k] for k in range(l.dim))
                 assert np.allclose(comm, built)
 
 
@@ -109,8 +114,12 @@ def test_bracket_bilinear():
     rng = np.random.default_rng(22)
     x, y = rng.standard_normal(4), rng.standard_normal(4)
     direct = bracket(l, x, y)
-    expanded = sum(x[i] * y[j] * l.structure[i, j] for i in range(4) for j in range(4))
+    c = _dense_constants(l)
+    expanded = sum(x[i] * y[j] * c[i, j] for i in range(4) for j in range(4))
     assert np.allclose(direct, expanded)
+    # complex coefficients too: the bracket is bilinear over C
+    z = x + 1j * rng.standard_normal(4)
+    assert np.allclose(bracket(l, z, y), bracket(l, x, y) + 1j * bracket(l, z.imag, y))
 
 
 def test_constructor_sorts_basis():
@@ -120,10 +129,20 @@ def test_constructor_sorts_basis():
         1,
         [l.labels[i] for i in perm],
         [l.degrees[i] for i in perm],
-        l.structure[np.ix_(perm, perm, perm)],
+        _dense_constants(l)[np.ix_(perm, perm, perm)],
     )
     assert shuffled.labels == l.labels
-    assert np.allclose(shuffled.structure, l.structure)
+    assert np.array_equal(_dense_constants(shuffled), _dense_constants(l))
+    # the mapping form maps its indices the same way, in any entry order
+    t = l.triples
+    entries = {(perm.index(i), perm.index(j), perm.index(k)): c
+               for i, j, k, c in zip(t.i, t.j, t.k, t.c)}
+    mapped = ColorLieAlgebra(1, [l.labels[i] for i in perm], [l.degrees[i] for i in perm],
+                             dict(reversed(entries.items())))
+    assert mapped.labels == l.labels
+    for name in "ijkc":
+        assert np.array_equal(getattr(mapped.triples, name), getattr(t, name))
+    assert np.array_equal(mapped.triples.ptr, t.ptr)
 
 
 def test_check_axioms_glv():
@@ -136,7 +155,7 @@ def test_check_axioms_glv():
 
 def test_check_axioms_flags_mutations():
     l = _gl11()
-    bad = l.structure.copy()
+    bad = _dense_constants(l)
     bad[2, 3, 0] = -1.0  # breaks antisymmetry against [3, 2]
     mutated = ColorLieAlgebra(1, l.labels, l.degrees, bad)
     rep = check_axioms(mutated)
@@ -144,7 +163,7 @@ def test_check_axioms_flags_mutations():
     failed = {c.name for c in rep.checks if not c.passed}
     assert "antisymmetry" in failed or "jacobi" in failed
 
-    bad2 = l.structure.copy()
+    bad2 = _dense_constants(l)
     bad2[0, 1, 2] = 0.5  # even bracket landing in an odd sector
     mutated2 = ColorLieAlgebra(1, l.labels, l.degrees, bad2)
     rep2 = check_axioms(mutated2)
@@ -153,11 +172,11 @@ def test_check_axioms_flags_mutations():
 
 def test_validate_on_construction():
     l = _gl11()
-    bad = l.structure.copy()
+    bad = _dense_constants(l)
     bad[2, 3, 0] = 7.0
     with pytest.raises(AxiomError):
         ColorLieAlgebra(1, l.labels, l.degrees, bad, validate=True)
-    ColorLieAlgebra(1, l.labels, l.degrees, l.structure, validate=True)
+    ColorLieAlgebra(1, l.labels, l.degrees, _dense_constants(l), validate=True)
 
 
 def test_abelian_any_degrees_is_valid():
@@ -259,16 +278,16 @@ def test_decompose_odd_unsaturated_sector_raises():
     assert err.value.sector == _d("11")
 
 
-def test_ad_matrix_columns():
+def test_ad_operator_columns():
     l = _gl11()
-    a = l.ad_matrix(2)  # ad of E0_1
+    a = ad_operator(l, np.eye(4)[2])  # ad of E0_1
     assert np.allclose(a[:, 3], [1.0, 1.0, 0, 0])
     assert np.allclose(a[:, 2], 0)
 
 
 def test_jacobi_fails_on_a_nan_structure_constant():
     l = glV(GradedSpace(1, {Degree((0,)): 1, Degree((1,)): 1}))
-    c = l.structure.copy()
+    c = _dense_constants(l)
     c[0, 0, 0] = np.nan
     bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c, validate=False)
     jacobi = next(x for x in check_axioms(bad).checks if x.name == "jacobi")
@@ -283,7 +302,7 @@ def test_jacobi_fails_on_a_nan_structure_constant():
 ])
 def test_nan_residual_names_its_location(name, at, where):
     l = clifford_algebra()
-    c = l.structure.copy()
+    c = _dense_constants(l)
     c[at] = np.nan
     bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c, validate=False)
     check = next(x for x in check_axioms(bad).checks if x.name == name)
@@ -294,7 +313,7 @@ def test_nan_residual_names_its_location(name, at, where):
 
 def _einsum_jacobi(l):
     """The Jacobi residual and label as the per-i einsum loop computes them."""
-    c, d = l.structure, l.dim
+    c, d = _dense_constants(l), l.dim
     bt = l.beta_table.astype(float)
     top, at = 0.0, None
     for i in range(d):
@@ -313,7 +332,7 @@ def _einsum_jacobi(l):
 
 def _nan_gl11():
     l = _gl11()
-    c = l.structure.copy()
+    c = _dense_constants(l)
     c[2, 3, 1] = np.nan
     return ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
 
@@ -361,7 +380,7 @@ _ALGEBRAS = {
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_jacobi_matches_the_einsum_reference(name, seed, spoils):
     l = _ALGEBRAS[name](seed)
-    c = l.structure.copy()
+    c = _dense_constants(l)
     for x, y, z, value in spoils:
         c[int(x * l.dim), int(y * l.dim), int(z * l.dim)] = value
     bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
@@ -371,6 +390,41 @@ def test_non_finite_jacobi_matches_the_einsum_reference(name, seed, spoils):
     assert not np.isfinite(want)
     assert np.isnan(check.residual) if np.isnan(want) else check.residual == want
     assert check.detail == where
+
+
+def _dense_antisymmetry(l):
+    """The antisymmetry residual and label of a dense scan over the nonzero
+    entries and their mirrors (j, i, k), in (i, j, k) order."""
+    c = _dense_constants(l)
+    nonzero = c != 0
+    i, j, k = np.nonzero(nonzero | nonzero.transpose(1, 0, 2))
+    res, at = worst_entry(np.abs(c[i, j, k] + l.beta_table[i, j] * c[j, i, k]))
+    return res, "" if at is None else f"worst at ({l.labels[i[at]]}, {l.labels[j[at]]})"
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_ALGEBRAS)), seed=st.integers(0, 2 ** 16),
+       spoils=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                 st.floats(0, 1, exclude_max=True),
+                                 st.floats(0, 1, exclude_max=True),
+                                 st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 2.5])),
+                       max_size=4))
+@example(name="glV-(2|1)", seed=0, spoils=[])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_antisymmetry_matches_the_dense_reference(name, seed, spoils):
+    # the mirror of each triple is looked up among the sorted keys; spoiled
+    # constants (NaN, infinite, zeroed or scaled) move the worst entry
+    l = _ALGEBRAS[name](seed)
+    c = _dense_constants(l)
+    for x, y, z, value in spoils:
+        at = int(x * l.dim), int(y * l.dim), int(z * l.dim)
+        c[at] = c[at] * value if value == 2.5 else value
+    bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
+    want, where = _dense_antisymmetry(bad)
+    check = next(x for x in check_axioms(bad).checks if x.name == "antisymmetry")
+    assert check.passed == (want <= 1e-9)
+    assert np.isnan(check.residual) if np.isnan(want) else check.residual == want
+    assert check.detail == ("" if check.passed else where)
 
 
 # the two Jacobi paths on small algebras: the join (forced below its
@@ -408,11 +462,11 @@ def test_overflowing_finite_constants_give_a_nan_jacobi_residual(path, monkeypat
     # as in the dense scan, and the NaN beats the table's 0.5 violation
     _take(path, monkeypatch)
     l = spoiled_four_lines()
-    c = l.structure.copy()
+    c = _dense_constants(l)
     c[0, 4, 4] *= 1e200   # [E0_0, E0_1] = E0_1
     c[4, 0, 4] *= 1e200
     bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
-    assert np.isfinite(bad.structure).all()
+    assert np.isfinite(_dense_constants(bad)).all()
     want, where = _einsum_jacobi(bad)
     assert np.isnan(want)
     check = next(x for x in check_axioms(bad).checks if x.name == "jacobi")
@@ -430,7 +484,7 @@ def test_overflowing_finite_constants_give_a_nan_jacobi_residual(path, monkeypat
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_jacobi_matches_the_einsum_reference(name, seed, path, scales):
     l = _ALGEBRAS[name](seed)
-    c = l.structure.copy()
+    c = _dense_constants(l)
     t = l.triples
     # an algebra without nonzero constants has nothing to scale (seed 218
     # of random-bracket); it is still compared against the reference
@@ -448,19 +502,20 @@ def test_overflowing_jacobi_matches_the_einsum_reference(name, seed, path, scale
 
 
 def test_the_triple_index_lists_the_nonzero_structure_constants():
-    l = spoiled_four_lines()
+    base = spoiled_four_lines()
+    c = np.random.default_rng(3).standard_normal((base.dim,) * 3)
+    c[np.abs(c) < 1.0] = 0.0
+    c[1, 2, 3] = np.nan
+    l = ColorLieAlgebra(base.rank, base.labels, base.degrees, c)
     t = l.triples
-    assert t is l.triples   # built once
-    dense = np.zeros_like(l.structure)
-    dense[t.i, t.j, t.k] = t.c
-    assert np.array_equal(dense, l.structure)
+    assert np.array_equal(_dense_constants(l), c, equal_nan=True)
     assert np.all(t.c != 0)
     d = l.dim
     for i in range(d):
         for j in range(d):
             lo, hi = t.ptr[i * d + j], t.ptr[i * d + j + 1]
             assert (t.i[lo:hi] == i).all() and (t.j[lo:hi] == j).all()
-            assert list(t.k[lo:hi]) == list(np.flatnonzero(l.structure[i, j]))
+            assert list(t.k[lo:hi]) == list(np.flatnonzero(c[i, j]))
 
 
 def _dense_grouped(c, axis):
@@ -490,6 +545,6 @@ def test_the_regrouped_triples_match_a_dense_scan(build, monkeypatch):
     check_axioms(l)
     assert [axis for axis, _ in seen] == [1, 2]
     for axis, ((i, j, k), c, offsets) in seen:
-        (ri, rj, rk), rc, roff = _dense_grouped(l.structure, axis)
+        (ri, rj, rk), rc, roff = _dense_grouped(_dense_constants(l), axis)
         for got, want in ((i, ri), (j, rj), (k, rk), (c, rc), (offsets, roff)):
             assert np.array_equal(got, want)

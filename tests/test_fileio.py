@@ -1,16 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from colorrep.colorlie import check_axioms
+from colorrep import fileio
+from colorrep.colorlie import _dense_constants, check_axioms
 from colorrep.errors import AxiomError, SchemaError
 from colorrep.fileio import (algebra_from_doc, algebra_to_doc, load_algebra,
                              load_rep, load_table, rep_from_doc, rep_to_doc,
                              save_algebra, save_rep, save_table, table_from_doc,
                              table_to_doc)
-from colorrep.generators import (clifford_parity_generator, clifford_rep,
-                                 counterexample_algebra, glV,
+from colorrep.generators import (clifford_algebra, clifford_parity_generator,
+                                 clifford_rep, counterexample_algebra, glV,
                                  random_color_algebra, skew_matrix_algebra)
 from colorrep.gns import PDFunction
 from colorrep.grading import Degree, all_degrees
@@ -37,7 +39,7 @@ def test_algebra_roundtrip(tmp_path):
     back = load_algebra(path)
     assert back.labels == l.labels
     assert back.degrees == l.degrees
-    assert np.allclose(back.structure, l.structure)
+    assert np.allclose(_dense_constants(back), _dense_constants(l))
     assert check_axioms(back).passed
 
 
@@ -46,7 +48,7 @@ def test_random_algebra_roundtrip(tmp_path):
     path = tmp_path / "a.json"
     save_algebra(path, l)
     back = load_algebra(path)
-    assert np.allclose(back.structure, l.structure)
+    assert np.allclose(_dense_constants(back), _dense_constants(l))
 
 
 def test_counterexample_roundtrip(tmp_path):
@@ -68,8 +70,8 @@ def test_algebra_doc_is_sparse():
 @pytest.mark.parametrize("seed", range(4))
 def test_algebra_doc_lists_the_nonzero_constants_in_index_order(seed):
     l = random_color_algebra(2, seed)
-    want = [[int(i), int(j), int(k), float(l.structure[i, j, k])]
-            for i, j, k in zip(*np.nonzero(l.structure))]
+    c = _dense_constants(l)
+    want = [[int(i), int(j), int(k), float(c[i, j, k])] for i, j, k in zip(*np.nonzero(c))]
     got = algebra_to_doc(l)["structure"]
     assert json.dumps(got) == json.dumps(want)
     assert all(type(x) is int for t in got for x in t[:3])
@@ -99,6 +101,25 @@ def test_structure_index_out_of_range():
     doc["structure"][0][1] = 40
     with pytest.raises(SchemaError, match=r"structure\[0\].j"):
         algebra_from_doc(doc)
+
+
+def test_loaded_constants_keep_the_last_value_and_drop_listed_zeros(monkeypatch):
+    # the number reader refuses NaN; let it through to see what the
+    # structure list does with one
+    monkeypatch.setattr(fileio, "_real_from_json", lambda x, where: float(x))
+    doc = algebra_to_doc(clifford_algebra())
+    doc["structure"] = [
+        [1, 1, 0, 5.0], [1, 1, 0, 1.0],   # a repeated (i, j, k): the last value wins
+        [0, 1, 1, 0.0],                   # a listed 0: no triple
+        [0, 0, 0, math.nan],              # a listed NaN: a triple
+    ]
+    l = algebra_from_doc(doc, validate=False)
+    t = l.triples
+    assert list(zip(t.i.tolist(), t.j.tolist(), t.k.tolist())) == [(0, 0, 0), (1, 1, 0)]
+    assert np.isnan(t.c[0]) and t.c[1] == 1.0
+    anti = next(c for c in check_axioms(l).checks if c.name == "antisymmetry")
+    assert not anti.passed
+    assert np.isnan(anti.residual)
 
 
 def test_structure_triple_shape():

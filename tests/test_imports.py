@@ -111,6 +111,33 @@ def test_private_names_are_read_in_the_package(path):
     assert unreferenced_private_names(sources, path.stem) == []
 
 
+def dense_tensor_reads(source: str) -> list[str]:
+    """Reads of an attribute named ``structure`` and calls of ``ad_matrix``:
+    the dense structure tensor that the triples replaced."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "structure"
+                and isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, "structure"))
+        elif isinstance(node, ast.Call) and "ad_matrix" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+            found.append((node.lineno, "ad_matrix"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_the_scan_sees_dense_tensor_reads():
+    src = ("c = l.structure[i]\nstructure = {}\nm = l.ad_matrix(2)\n"
+           "n = ad_matrix(l, 2)\nd = doc['structure']\n")
+    assert dense_tensor_reads(src) == [
+        "structure (line 1)", "ad_matrix (line 3)", "ad_matrix (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_a_dense_structure_tensor(path):
+    # the structure constants are kept once, as ColorLieAlgebra.triples
+    assert dense_tensor_reads(path.read_text(encoding="utf-8")) == []
+
+
 def test_the_command_line_imports_no_scipy():
     # scipy is a test-only reference; the runtime needs numpy alone
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
