@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,22 +37,6 @@ CONFIG_ENV = "COLORREP_CONFIG"
 
 class CommandError(Exception):
     """Bad input or parameters; maps to exit code 2."""
-
-
-@dataclass
-class SessionConfig:
-    tol: float | None = None
-    level_cap: int | None = None
-    seed: int = 0
-    fmt: str = "text"
-    skip_validate: bool = False
-
-
-@dataclass
-class Task:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
 
 
 def _env_defaults() -> dict:
@@ -86,10 +69,6 @@ def _parse_signs(text: str) -> Character:
         raise CommandError(f"bad character signs {text!r}: {e}") from None
 
 
-def _load_rep_file(path: str, config: SessionConfig):
-    return load_rep(path, validate_algebra=not config.skip_validate)
-
-
 def _need_full(rep, path: str) -> UnitaryRep:
     if isinstance(rep, PartialRep):
         raise CommandError(
@@ -98,81 +77,74 @@ def _need_full(rep, path: str) -> UnitaryRep:
     return rep
 
 
-def _tol_kw(config: SessionConfig) -> dict:
-    return {} if config.tol is None else {"tol": config.tol}
+def _tol_kw(args: argparse.Namespace) -> dict:
+    return {} if args.tol is None else {"tol": args.tol}
 
 
-def _cap(config: SessionConfig) -> int:
-    return DEFAULT_LEVEL_CAP if config.level_cap is None else config.level_cap
-
-
-def _function_and_rep(config: SessionConfig, task: Task):
-    """The positive definite function a task refers to, plus its rep if any."""
-    table = task.inputs.get("table")
-    rep_path = task.inputs.get("rep")
-    if (table is None) == (rep_path is None):
+def _function(args: argparse.Namespace) -> PDFunction:
+    """The positive definite function of --table, or of --rep and a vector;
+    one from a rep keeps it and the vector as ``rep`` and ``vector``."""
+    table = getattr(args, "table", None)    # gns-roundtrip takes --rep only
+    if (table is None) == (args.rep is None):
         raise CommandError("give exactly one of --table or --rep")
     if table is not None:
-        return load_table(
-            table, validate_algebra=not config.skip_validate), None, None
-    rep, stored = _load_rep_file(rep_path, config)
-    rep = _need_full(rep, rep_path)
-    vec_text = task.params.get("vector")
-    if vec_text is not None:
-        v0 = _parse_vector(vec_text)
+        return load_table(table, validate_algebra=not args.skip_validate)
+    rep, stored = load_rep(args.rep, validate_algebra=not args.skip_validate)
+    rep = _need_full(rep, args.rep)
+    if args.vector is not None:
+        v0 = _parse_vector(args.vector)
     elif stored is not None:
         v0 = stored
     else:
         raise CommandError(
-            f"{rep_path} stores no cyclic vector; pass --vector")
+            f"{args.rep} stores no cyclic vector; pass --vector")
     if v0.shape != (rep.space_dim,):
         raise CommandError(
             f"vector has length {v0.shape[0]}, space has {rep.space_dim}")
-    return PDFunction.from_rep(rep, v0), rep, v0
+    return PDFunction.from_rep(rep, v0)
 
 
 # ----------------------------------------------------------------- handlers
+# each takes the parsed namespace, with the settings resolved by ``_settle``
 
-def _do_check_grading(config: SessionConfig, task: Task) -> Report:
-    n = task.params["n"]
-    if n < 1:
+def _do_check_grading(args: argparse.Namespace) -> Report:
+    if args.n < 1:
         raise CommandError("--n must be at least 1")
-    rep = Report("grading checks", context={"rank": n})
-    rep.extend(verify_alpha_cocycle(n))
-    rep.extend(verify_lifting_relation(n))
+    rep = Report("grading checks", context={"rank": args.n})
+    rep.extend(verify_alpha_cocycle(args.n))
+    rep.extend(verify_lifting_relation(args.n))
     return rep
 
 
-def _do_check_algebra(config: SessionConfig, task: Task) -> Report:
-    l = load_algebra(task.inputs["algebra"], validate=False)
-    return check_axioms(l, **_tol_kw(config))
+def _do_check_algebra(args: argparse.Namespace) -> Report:
+    l = load_algebra(args.algebra, validate=False)
+    return check_axioms(l, **_tol_kw(args))
 
 
-def _do_check_perfect(config: SessionConfig, task: Task) -> Report:
-    l = load_algebra(task.inputs["algebra"], validate=not config.skip_validate)
-    return check_perfectness(l, **_tol_kw(config))
+def _do_check_perfect(args: argparse.Namespace) -> Report:
+    l = load_algebra(args.algebra, validate=not args.skip_validate)
+    return check_perfectness(l, **_tol_kw(args))
 
 
-def _do_check_rep(config: SessionConfig, task: Task) -> Report:
-    rep, _ = _load_rep_file(task.inputs["rep"], config)
-    return check_unitary_rep(_need_full(rep, task.inputs["rep"]),
-                             **_tol_kw(config))
+def _do_check_rep(args: argparse.Namespace) -> Report:
+    rep, _ = load_rep(args.rep, validate_algebra=not args.skip_validate)
+    return check_unitary_rep(_need_full(rep, args.rep), **_tol_kw(args))
 
 
-def _do_check_prerep(config: SessionConfig, task: Task) -> Report:
-    rep, _ = _load_rep_file(task.inputs["rep"], config)
+def _do_check_prerep(args: argparse.Namespace) -> Report:
+    rep, _ = load_rep(args.rep, validate_algebra=not args.skip_validate)
     if isinstance(rep, UnitaryRep):
         rep = restrict(rep)
-    return check_pre_rep(rep, **_tol_kw(config))
+    return check_pre_rep(rep, **_tol_kw(args))
 
 
-def _do_stability_extend(config: SessionConfig, task: Task) -> Report:
-    rep, _ = _load_rep_file(task.inputs["rep"], config)
+def _do_stability_extend(args: argparse.Namespace) -> Report:
+    rep, _ = load_rep(args.rep, validate_algebra=not args.skip_validate)
     if isinstance(rep, UnitaryRep):
         rep = restrict(rep)
     out = Report("stability extension")
     try:
-        full, final = stability_extend(rep, **_tol_kw(config))
+        full, final = stability_extend(rep, **_tol_kw(args))
     except (PerfectnessError, ExtensionError) as e:
         out.add("extension", False, detail=str(e))
         return out
@@ -180,32 +152,29 @@ def _do_stability_extend(config: SessionConfig, task: Task) -> Report:
             detail=f"extended {sum(rep.defined(i) for i in range(rep.algebra.dim))}"
                    f" given operators to {rep.algebra.dim}")
     out.extend(final, prefix="extended rep: ")
-    if task.params.get("output"):
-        save_rep(task.params["output"], full)
-        out.context["output"] = task.params["output"]
+    if args.output:
+        save_rep(args.output, full)
+        out.context["output"] = args.output
     return out
 
 
-def _do_check_pd(config: SessionConfig, task: Task) -> Report:
-    psi, rep, _ = _function_and_rep(config, task)
-    level = task.params.get("level")
-    if level is None:
-        level = 2
-    if level < 0:
-        raise CommandError(f"--level must be at least 0, got {level}")
-    groups = default_group_samples(rep) if rep is not None else []
-    samples = build_sample_set(psi.algebra, groups, level)
+def _do_check_pd(args: argparse.Namespace) -> Report:
+    psi = _function(args)
+    if args.level < 0:
+        raise CommandError(f"--level must be at least 0, got {args.level}")
+    groups = [] if psi.rep is None else default_group_samples(psi.rep)
     try:
-        return check_positive_definite(psi, samples, **_tol_kw(config))
+        samples = build_sample_set(psi.algebra, groups, args.level)
+        return check_positive_definite(psi, samples, **_tol_kw(args))
     except StabilizationError as e:   # the level is over the word budget
-        raise CommandError(f"--level {level}: {e}") from None
+        raise CommandError(f"--level {args.level}: {e}") from None
 
 
-def _do_gns_construct(config: SessionConfig, task: Task) -> Report:
-    psi, rep, _ = _function_and_rep(config, task)
+def _do_gns_construct(args: argparse.Namespace) -> Report:
+    psi = _function(args)
     out = Report("gns construction")
     try:
-        result = gns_construct(psi, level_cap=_cap(config), **_tol_kw(config))
+        result = gns_construct(psi, level_cap=args.level_cap, **_tol_kw(args))
     except (StabilizationError, PositivityError) as e:
         out.add("reconstruction", False, detail=str(e))
         return out
@@ -223,60 +192,56 @@ def _do_gns_construct(config: SessionConfig, task: Task) -> Report:
     for key in ("words", "operator_entries", "columns"):
         if key in result.report.context:
             out.context[key] = result.report.context[key]
-    if task.params.get("output"):
-        save_rep(task.params["output"], result.rep, cyclic=result.cyclic)
-        out.context["output"] = task.params["output"]
+    if args.output:
+        save_rep(args.output, result.rep, cyclic=result.cyclic)
+        out.context["output"] = args.output
     return out
 
 
-def _do_gns_roundtrip(config: SessionConfig, task: Task) -> Report:
-    psi, rep, v0 = _function_and_rep(config, task)
-    if rep is None:
-        raise CommandError("gns-roundtrip needs --rep, not --table")
-    return gns_roundtrip(rep, v0, level_cap=_cap(config), **_tol_kw(config))
+def _do_gns_roundtrip(args: argparse.Namespace) -> Report:
+    psi = _function(args)
+    return gns_roundtrip(psi.rep, psi.vector, level_cap=args.level_cap,
+                         **_tol_kw(args))
 
 
-def _do_twist_rep(config: SessionConfig, task: Task) -> Report:
-    rep, stored = _load_rep_file(task.inputs["rep"], config)
-    rep = _need_full(rep, task.inputs["rep"])
-    chi = _parse_signs(task.params["signs"])
+def _do_twist_rep(args: argparse.Namespace) -> Report:
+    rep, stored = load_rep(args.rep, validate_algebra=not args.skip_validate)
+    rep = _need_full(rep, args.rep)
+    chi = _parse_signs(args.signs)
     if len(chi.signs) != rep.algebra.rank:
         raise CommandError(
             f"character has {len(chi.signs)} signs, rank is {rep.algebra.rank}")
     twisted = twist_rep(rep, chi)
     out = Report("character twist", context={"signs": list(chi.signs)})
-    out.extend(check_unitary_rep(twisted, **_tol_kw(config)),
+    out.extend(check_unitary_rep(twisted, **_tol_kw(args)),
                prefix="twisted rep: ")
-    if task.params.get("output"):
-        save_rep(task.params["output"], twisted, cyclic=stored)
-        out.context["output"] = task.params["output"]
+    if args.output:
+        save_rep(args.output, twisted, cyclic=stored)
+        out.context["output"] = args.output
     return out
 
 
-def _generate_glv(task: Task):
-    n = task.params.get("n")
-    dims_text = task.params.get("dims")
-    if n is None or dims_text is None:
+def _generate_glv(args: argparse.Namespace):
+    if args.n is None or args.dims is None:
         raise CommandError("generate glV needs --n and --dims")
     try:
-        dims = [int(p) for p in dims_text.split(",")]
+        dims = [int(p) for p in args.dims.split(",")]
     except ValueError:
-        raise CommandError(f"bad --dims {dims_text!r}") from None
-    degrees = all_degrees(n)
+        raise CommandError(f"bad --dims {args.dims!r}") from None
+    degrees = all_degrees(args.n)
     if len(dims) != len(degrees):
         raise CommandError(
-            f"--dims needs {len(degrees)} entries for rank {n}, got {len(dims)}")
-    space = GradedSpace(n, {d: k for d, k in zip(degrees, dims) if k > 0})
+            f"--dims needs {len(degrees)} entries for rank {args.n}, got {len(dims)}")
+    space = GradedSpace(args.n, {d: k for d, k in zip(degrees, dims) if k > 0})
     return glV(space), None, None
 
 
-def _do_generate(config: SessionConfig, task: Task) -> Report:
-    name = task.params["name"]
-    output = task.params.get("output")
+def _do_generate(args: argparse.Namespace) -> Report:
+    name, output = args.name, args.output
     if not output:
         raise CommandError("generate needs -o for the output file")
     if name == "glV":
-        obj, rep, cyclic = _generate_glv(task)
+        obj, rep, cyclic = _generate_glv(args)
     elif name == "counterexample-n2":
         obj, rep, cyclic = counterexample_algebra(), None, None
     elif name == "clifford-n1":
@@ -286,7 +251,7 @@ def _do_generate(config: SessionConfig, task: Task) -> Report:
     elif name == "random-rep":
         space = GradedSpace(2, {d: 1 for d in all_degrees(2)})
         base = skew_matrix_algebra(space)[1]
-        rep = conjugated_rep(base, seed=config.seed)
+        rep = conjugated_rep(base, seed=args.seed)
         obj = None
         cyclic = np.zeros(space.total_dim, dtype=complex)
         cyclic[0] = 1.0
@@ -306,42 +271,7 @@ def _do_generate(config: SessionConfig, task: Task) -> Report:
     return out
 
 
-_HANDLERS = {
-    "check-grading": _do_check_grading,
-    "check-algebra": _do_check_algebra,
-    "check-perfect": _do_check_perfect,
-    "check-rep": _do_check_rep,
-    "check-prerep": _do_check_prerep,
-    "stability-extend": _do_stability_extend,
-    "check-pd": _do_check_pd,
-    "gns-construct": _do_gns_construct,
-    "gns-roundtrip": _do_gns_roundtrip,
-    "twist-rep": _do_twist_rep,
-    "generate": _do_generate,
-}
-
-
-def run_task(config: SessionConfig, task: Task) -> Report:
-    handler = _HANDLERS.get(task.command)
-    if handler is None:
-        raise CommandError(f"unknown command {task.command!r}")
-    return handler(config, task)
-
-
 # -------------------------------------------------------------------- parser
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=None,
-                     help="override the checker tolerance")
-    sub.add_argument("--level-cap", type=int, default=None,
-                     help="rewriting and sampling level cap")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for seeded constructions")
-    sub.add_argument("--format", choices=("text", "json"), default=None,
-                     help="report format")
-    sub.add_argument("--skip-validate", action="store_true",
-                     help="skip axiom validation while loading")
-
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -350,55 +280,76 @@ def _parser() -> argparse.ArgumentParser:
                     "representations")
     subs = p.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("check-grading", help="sign calculus identities")
+    def command(name, run, help_text, tol=True, skip_validate=True):
+        s = subs.add_parser(name, help=help_text)
+        s.set_defaults(run=run)
+        s.add_argument("--format", choices=("text", "json"),
+                       help="report format")
+        if tol:
+            s.add_argument("--tol", type=float,
+                           help="override the checker tolerance")
+        if skip_validate:
+            s.add_argument("--skip-validate", action="store_true",
+                           help="skip axiom validation while loading")
+        return s
+
+    def function_source(s, table=True):
+        if table:
+            s.add_argument("--table")
+        s.add_argument("--rep", required=not table)
+        s.add_argument("--vector", help="comma-separated complex entries")
+
+    def level_cap(s):
+        s.add_argument("--level-cap", type=int,
+                       help="sampling level cap of the reconstruction")
+
+    s = command("check-grading", _do_check_grading, "sign calculus identities",
+                tol=False, skip_validate=False)
     s.add_argument("--n", type=int, required=True)
-    _add_common(s)
 
-    for name, help_text in (("check-algebra", "bracket axioms of an algebra file"),
-                            ("check-perfect", "perfectness hypothesis")):
-        s = subs.add_parser(name, help=help_text)
-        s.add_argument("algebra")
-        _add_common(s)
+    s = command("check-algebra", _do_check_algebra,
+                "bracket axioms of an algebra file", skip_validate=False)
+    s.add_argument("algebra")
+    s = command("check-perfect", _do_check_perfect, "perfectness hypothesis")
+    s.add_argument("algebra")
 
-    for name, help_text in (("check-rep", "unitary representation axioms"),
-                            ("check-prerep", "pre-representation axioms")):
-        s = subs.add_parser(name, help=help_text)
-        s.add_argument("rep")
-        _add_common(s)
+    command("check-rep", _do_check_rep,
+            "unitary representation axioms").add_argument("rep")
+    command("check-prerep", _do_check_prerep,
+            "pre-representation axioms").add_argument("rep")
 
-    s = subs.add_parser("stability-extend",
-                        help="extend a pre-representation")
+    s = command("stability-extend", _do_stability_extend,
+                "extend a pre-representation")
     s.add_argument("rep")
-    s.add_argument("-o", "--output", default=None)
-    _add_common(s)
+    s.add_argument("-o", "--output")
 
-    for name, help_text in (("check-pd", "positive definiteness"),
-                            ("gns-construct", "reconstruct from a function"),
-                            ("gns-roundtrip", "coefficient, rebuild, compare")):
-        s = subs.add_parser(name, help=help_text)
-        s.add_argument("--table", default=None)
-        s.add_argument("--rep", default=None)
-        s.add_argument("--vector", default=None,
-                       help="comma-separated complex entries")
-        if name == "check-pd":
-            s.add_argument("--level", type=int, default=None)
-        if name == "gns-construct":
-            s.add_argument("-o", "--output", default=None)
-        _add_common(s)
+    s = command("check-pd", _do_check_pd, "positive definiteness")
+    function_source(s)
+    s.add_argument("--level", type=int, default=2)
 
-    s = subs.add_parser("twist-rep", help="rescale by a sign character")
+    s = command("gns-construct", _do_gns_construct, "reconstruct from a function")
+    function_source(s)
+    s.add_argument("-o", "--output")
+    level_cap(s)
+
+    s = command("gns-roundtrip", _do_gns_roundtrip,
+                "coefficient, rebuild, compare")
+    function_source(s, table=False)
+    level_cap(s)
+
+    s = command("twist-rep", _do_twist_rep, "rescale by a sign character")
     s.add_argument("rep")
     s.add_argument("--signs", required=True,
                    help="comma-separated +1/-1 per grading generator")
-    s.add_argument("-o", "--output", default=None)
-    _add_common(s)
+    s.add_argument("-o", "--output")
 
-    s = subs.add_parser("generate", help="write a bundled example")
+    s = command("generate", _do_generate, "write a bundled example",
+                tol=False, skip_validate=False)
     s.add_argument("name")
     s.add_argument("-o", "--output", required=True)
-    s.add_argument("--n", type=int, default=None)
-    s.add_argument("--dims", default=None)
-    _add_common(s)
+    s.add_argument("--n", type=int)
+    s.add_argument("--dims")
+    s.add_argument("--seed", type=int, help="seed for seeded constructions")
     return p
 
 
@@ -422,45 +373,28 @@ def _tolerance(val, where: str) -> float:
     return val
 
 
-def _session(args: argparse.Namespace) -> SessionConfig:
-    """Settings from the flags, else the config file; null counts as unset.
+def _report_format(val, where: str) -> str:
+    if val not in ("text", "json"):
+        raise CommandError(f"{where} must be text or json, got {val!r}")
+    return val
 
-    Each setting is checked once, here, whichever of the two it came from.
+
+def _settle(args: argparse.Namespace) -> None:
+    """Put each setting on the namespace: its flag, else the config file,
+    where null counts as unset, else its default.
+
+    Each setting is checked once, here, whichever of the two it came from;
+    a value in the file is checked also where the command has no flag for it.
     """
     env = _env_defaults()
-
-    def pick(name, fallback=None, check=None):
+    for name, default, check in (("format", "text", _report_format),
+                                 ("tol", None, _tolerance),
+                                 ("level_cap", DEFAULT_LEVEL_CAP, _count),
+                                 ("seed", 0, _count)):
         val, where = getattr(args, name, None), "--" + name.replace("_", "-")
         if val is None:
             val, where = env.get(name), f"config {name}"
-        if val is None:
-            return fallback
-        return val if check is None else check(val, where)
-
-    fmt = pick("format", "text")
-    if fmt not in ("text", "json"):
-        raise CommandError(f"config format must be text or json, got {fmt!r}")
-    return SessionConfig(
-        tol=pick("tol", check=_tolerance),
-        level_cap=pick("level_cap", check=_count),
-        seed=pick("seed", 0, _count),
-        fmt=fmt,
-        skip_validate=bool(getattr(args, "skip_validate", False)),
-    )
-
-
-def _task(args: argparse.Namespace) -> Task:
-    inputs = {}
-    params = {}
-    for key in ("algebra", "rep", "table"):
-        val = getattr(args, key, None)
-        if val is not None:
-            inputs[key] = val
-    for key in ("n", "dims", "vector", "signs", "output", "level", "name"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    return Task(args.command, inputs, params)
+        setattr(args, name, default if val is None else check(val, where))
 
 
 def _finite_or_null(x):
@@ -489,8 +423,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage already; normalize other codes
         return 0 if e.code in (0, None) else 2
     try:
-        config = _session(args)
-        report = run_task(config, _task(args))
+        _settle(args)
+        report = args.run(args)
     except (CommandError, SchemaError, AxiomError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -500,7 +434,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    print(_render(report, config.fmt))
+    print(_render(report, args.format))
     return 0 if report.passed else 1
 
 

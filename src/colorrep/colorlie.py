@@ -124,7 +124,7 @@ def _triples(structure, pos) -> StructureTriples:
     (i, j, k) order, as a dense array or a written file is, takes no sort."""
     d = len(pos)
     if isinstance(structure, dict):
-        ijk = np.array(list(structure), dtype=np.int64).reshape(-1, 3)
+        ijk = _index_triples(list(structure))
         c = np.array(list(structure.values()), dtype=float)
         if ijk.size and not 0 <= ijk.min() <= ijk.max() < d:
             raise ValueError(f"structure index out of range for dimension {d}")
@@ -143,14 +143,40 @@ def _triples(structure, pos) -> StructureTriples:
     return StructureTriples(i, j, k, c, ptr)
 
 
+def _index_triples(keys) -> np.ndarray:
+    """Dict keys as an (m, 3) int64 array; a key that is not three integers
+    is an error that names it, where a cast would cut 1.7 to 1."""
+    try:
+        ijk = np.array(keys).reshape(len(keys), 3)
+    except ValueError:      # ragged keys, or not three entries each
+        ijk = None
+    if keys and (ijk is None or ijk.dtype.kind not in "iu"):
+        bad = next((key for key in keys if np.shape(key) != (3,)
+                    or np.asarray(key).dtype.kind not in "iu"), keys[0])
+        raise ValueError(f"structure index {bad!r} is not three integers")
+    return ijk.astype(np.int64, copy=False)
+
+
+def real_coefficients(l: ColorLieAlgebra, coeffs) -> np.ndarray:
+    """A coefficient vector over the basis of l, as floats: its length must
+    be l.dim, and an entry with a nonzero imaginary part is an error rather
+    than a lost imaginary part."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape != (l.dim,):
+        raise ValueError(f"coefficient vector must have length {l.dim}")
+    if np.iscomplexobj(coeffs):
+        if (coeffs.imag != 0).any():
+            raise ValueError("coefficient vector has a nonzero imaginary part")
+        coeffs = coeffs.real
+    return np.asarray(coeffs, dtype=float)
+
+
 def ad_operator(l: ColorLieAlgebra, coeffs) -> np.ndarray:
     """Matrix of bracketing with sum_i coeffs[i] x_i, columns indexed by j:
     a sum over the triples whose coefficient is nonzero, so that a NaN
     constant under a zero coefficient adds nothing."""
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = real_coefficients(l, coeffs)
     d = l.dim
-    if coeffs.shape != (d,):
-        raise ValueError(f"coefficient vector must have length {d}")
     t = l.triples
     on = coeffs[t.i] != 0
     return np.bincount(t.k[on] * d + t.j[on], coeffs[t.i[on]] * t.c[on], d * d).reshape(d, d)
@@ -454,9 +480,7 @@ def decompose_odd(l: ColorLieAlgebra, x: np.ndarray, tol: float = 1e-9,
     produce a genuinely different valid decomposition when slack exists.
     Raises PerfectnessError when the sector is not saturated.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (l.dim,):
-        raise ValueError(f"expected a coefficient vector of length {l.dim}")
+    x = real_coefficients(l, x)
     scale = float(np.max(np.abs(x)))
     if scale == 0.0:
         return BracketDecomposition(None, [])

@@ -27,8 +27,9 @@ from .reps import (UnitaryRep, _zero_sector_exps, check_unitary_rep,
 from .spaces import GammaInnerSpace, GradedSpace, HomogeneousMap, _degree_pattern
 
 _GNS_TOL = 1e-9
-# the most normal words one level of the table route may index: at dim 16
-# with 8 odd letters, level 3 has 40,081 and level 4 has 265,729
+# the most normal words one level may index: a sample set lists those up to
+# its level, the table route those up to twice its level; at dim 16 with 8
+# odd letters there are 40,081 up to length 6 and 265,729 up to length 8
 _WORD_BUDGET = 100_000
 # monoid products that witness each reproducing pick on the operator route
 _WITNESS = 4
@@ -232,10 +233,16 @@ def build_sample_set(l: ColorLieAlgebra, group_samples, level: int) -> SampleSet
     the identity by construction are folded into it; one whose matrices
     merely equal the identity stays an ordinary group sample.  Each degree
     code is computed once per normal word, and no monoid element is built.
-    A negative level raises ValueError.
+    A negative level raises ValueError; a level whose normal words number
+    more than ``_WORD_BUDGET`` raises StabilizationError before any is listed.
     """
     if level < 0:
         raise ValueError(f"sample level must be at least 0, got {level}")
+    words = normal_word_count(l, level)
+    if words > _WORD_BUDGET:
+        raise StabilizationError(
+            f"level {level} needs the {words} normal words up to length "
+            f"{level}, over the budget of {_WORD_BUDGET} words")
     groups = [g for g in group_samples if not g.is_identity()]
     # bind the identity whenever the others are bound, so that star and
     # product stay inside the bound part of the monoid
@@ -959,7 +966,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
     ``random`` with fixed seeds, so a run repeats exactly.
 
     Raises StabilizationError when the rank is still growing at the cap, when
-    a table-backed level needs more normal words than the budget allows, when
+    a level needs more normal words than the budget allows, when
     a translate escapes the span the rank test certified, or when the
     assembled operators fail validation.  Positivity failures on the sample
     set raise PositivityError.  A function that vanishes on every sample has

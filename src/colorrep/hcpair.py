@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .colorlie import ColorLieAlgebra, _relative_rank, ad_operator
+from .colorlie import ColorLieAlgebra, _relative_rank, ad_operator, real_coefficients
 from .errors import AxiomError, RankMismatchError
 from .grading import Degree, is_even_like
 from .report import Report, worst_entry, worst_residual
@@ -157,7 +157,7 @@ def inner_element(l: ColorLieAlgebra, coeffs, t: float = 1.0,
     The coefficient vector must be supported on even-like sectors, otherwise
     the exponential leaves the group acting on the algebra.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = real_coefficients(l, coeffs)
     for i in np.flatnonzero(coeffs):
         if not is_even_like(l.degrees[i]):
             raise ValueError(f"basis element {l.labels[i]} is odd-like; inner "

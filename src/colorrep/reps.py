@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .colorlie import ColorLieAlgebra, ad_operator, check_perfectness, decompose_odd
+from .colorlie import (ColorLieAlgebra, ad_operator, check_perfectness, decompose_odd,
+                       real_coefficients)
 from .enveloping import EnvElement, MonoidElement
 from .errors import ExtensionError, PerfectnessError, RankMismatchError
 from .grading import Character, Degree, alpha, is_even_like
@@ -196,9 +197,7 @@ def exp_group_element(r, coeffs, t: float = 1.0,
     finite-dimensional stand-in for the group's Lie algebra.
     """
     l = r.algebra
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (l.dim,):
-        raise ValueError(f"coefficient vector must have length {l.dim}")
+    coeffs = real_coefficients(l, coeffs)
     zero = Degree.zero(l.rank)
     for i in np.flatnonzero(coeffs):
         if l.degrees[i] != zero:

@@ -1,6 +1,8 @@
+import argparse
 import filecmp
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import pytest
 from helpers import cut_four_lines_table, four_lines_values, spoiled_clifford
 
 import colorrep
-from colorrep import cli, reps
+from colorrep import cli, gns, reps
 from colorrep.cli import _render, main
 from colorrep.fileio import load_algebra, load_rep, save_rep, save_table
 from colorrep.generators import clifford_algebra, counterexample_prerep
@@ -310,6 +312,19 @@ def test_check_pd_at_a_level_over_the_word_budget_is_input_error(tmp_path, capsy
     assert (code, out) == (2, "")
     assert err.startswith("error: --level 4: level 4 needs the 265729 normal words")
     assert "Traceback" not in err
+
+
+def test_check_pd_on_a_rep_at_a_level_over_the_word_budget_is_input_error(
+        tmp_path, capsys, monkeypatch):
+    # the rep route refuses the level before it lists a word, as the table
+    # route does; a small budget stands in for a level of millions of words
+    monkeypatch.setattr(gns, "_WORD_BUDGET", 4)
+    cliff = cliff_file(tmp_path, capsys)
+    assert run(capsys, "check-pd", "--rep", cliff, "--level", "1")[0] == 0
+    code, out, err = run(capsys, "check-pd", "--rep", cliff, "--level", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: --level 2: level 2 needs the 5 normal words up to "
+                   "length 2, over the budget of 4 words\n")
 
 
 def test_vanishing_table_is_input_error(tmp_path, capsys):
@@ -622,6 +637,86 @@ def test_tol_flag_reaches_extended_rep_checks(tmp_path, capsys):
     tols = [c["tolerance"] for c in doc["checks"]
             if c["name"].startswith("extended rep: ") and c["tolerance"] is not None]
     assert tols and set(tols) == {1e-3}
+
+
+# ------------------------------------------------------------------ parser
+
+# the flags each command takes besides --format: only those it reads
+COMMAND_FLAGS = {
+    "check-grading": {"--n"},
+    "check-algebra": {"--tol"},
+    "check-perfect": {"--tol", "--skip-validate"},
+    "check-rep": {"--tol", "--skip-validate"},
+    "check-prerep": {"--tol", "--skip-validate"},
+    "stability-extend": {"-o", "--tol", "--skip-validate"},
+    "twist-rep": {"--signs", "-o", "--tol", "--skip-validate"},
+    "check-pd": {"--table", "--rep", "--vector", "--level", "--tol", "--skip-validate"},
+    "gns-construct": {"--table", "--rep", "--vector", "-o", "--level-cap", "--tol",
+                      "--skip-validate"},
+    "gns-roundtrip": {"--rep", "--vector", "--level-cap", "--tol", "--skip-validate"},
+    "generate": {"-o", "--n", "--dims", "--seed"},
+}
+# arguments each command needs before the parser looks at a removed flag
+_REQUIRED = {"check-grading": ["--n", "2"], "twist-rep": ["r.json", "--signs", "1"],
+             "check-pd": ["--rep", "r.json"], "gns-construct": ["--rep", "r.json"],
+             "gns-roundtrip": ["--rep", "r.json"], "generate": ["clifford-n1", "-o", "f.json"]}
+# every command took these four and --format before each declared its own flags
+_ONCE_COMMON = {"--tol", "--level-cap", "--seed", "--skip-validate"}
+
+
+def parser_flags():
+    """Each subcommand's flags, by the first option string of each."""
+    subs = next(a for a in cli._parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.option_strings[0] for a in sub._actions
+                   if a.option_strings and a.dest != "help"}
+            for name, sub in subs.choices.items()}
+
+
+def _removed():
+    out = [(name, flag) for name in COMMAND_FLAGS
+           for flag in sorted(_ONCE_COMMON - COMMAND_FLAGS[name])]
+    return out + [("gns-roundtrip", "--table")]
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_FLAGS))
+def test_each_command_declares_only_the_flags_it_reads(name):
+    assert parser_flags()[name] == COMMAND_FLAGS[name] | {"--format"}
+
+
+def test_the_parser_has_no_command_without_a_flag_row():
+    assert set(parser_flags()) == set(COMMAND_FLAGS)
+    # 73 flags when every command took the once-common ones, 48 now
+    assert len(_removed()) == 25
+
+
+@pytest.mark.parametrize("name, flag", _removed(), ids=" ".join)
+def test_a_removed_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, name, flag):
+    # e.g. check-grading --n 2 --seed 1 or generate clifford-n1 -o f.json --tol 1
+    monkeypatch.chdir(tmp_path)
+    extra = [flag] if flag == "--skip-validate" else [flag, "1"]
+    code, out, err = run(capsys, name, *_REQUIRED.get(name, ["in.json"]), *extra)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(extra)}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def readme_flag_table():
+    """The README's table of the flags each command takes besides --format."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for row in section.splitlines():
+        cells = row.strip("|").split("|")
+        if row.startswith("| `") and len(cells) == 2:
+            for name in re.findall(r"`([^`]+)`", cells[0]):
+                table[name] = set(re.findall(r"`(-[^`]+)`", cells[1]))
+    return table
+
+
+def test_the_readme_flag_table_matches_the_parser():
+    flags = parser_flags()
+    assert readme_flag_table() == {name: f - {"--format"} for name, f in flags.items()}
 
 
 def readme_commands():

@@ -268,6 +268,12 @@ def test_decompose_odd_rejects_bad_input():
         decompose_odd(l, x)  # odd sector
     dec = decompose_odd(l, np.zeros(l.dim))
     assert dec.terms == [] and dec.degree is None
+    # a cast to float would drop it and return the empty decomposition
+    even_idx = l.sector(_d("11"))[0]
+    x = np.zeros(l.dim, dtype=complex)
+    x[even_idx] = 1j
+    with pytest.raises(ValueError, match="nonzero imaginary part"):
+        decompose_odd(l, x)
 
 
 def test_decompose_odd_unsaturated_sector_raises():
@@ -548,3 +554,29 @@ def test_the_regrouped_triples_match_a_dense_scan(build, monkeypatch):
         (ri, rj, rk), rc, roff = _dense_grouped(_dense_constants(l), axis)
         for got, want in ((i, ri), (j, rj), (k, rk), (c, rc), (offsets, roff)):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("key", [(1.7, 1, 0), (1, 1.0, 0), ("1", 1, 0), (1, 1)],
+                         ids=["float", "integral-float", "string", "pair"])
+def test_a_structure_index_that_is_not_an_integer_is_refused(key):
+    # a cast to int64 would read (1.7, 1, 0) as the triple (1, 1, 0)
+    degs = [_d("0"), _d("0")]
+    with pytest.raises(ValueError) as raised:
+        ColorLieAlgebra(1, ["x", "y"], degs, {(0, 1, 1): 0.0, key: 1.0})
+    assert str(raised.value) == f"structure index {key!r} is not three integers"
+
+
+def test_integer_structure_indices_of_any_integer_type_are_read():
+    degs = [_d("0"), _d("0")]
+    l = ColorLieAlgebra(1, ["x", "y"], degs, {(np.int32(0), 1, np.int64(1)): 2.0})
+    assert (list(l.triples.i), list(l.triples.j), list(l.triples.k)) == ([0], [1], [1])
+    assert list(l.triples.c) == [2.0]
+
+
+def test_ad_operator_refuses_a_complex_coefficient():
+    l = clifford_algebra()
+    with pytest.raises(ValueError, match="nonzero imaginary part"):
+        ad_operator(l, np.array([0, 1j]))
+    # a complex vector whose imaginary part is zero is read as its real part
+    np.testing.assert_array_equal(ad_operator(l, np.array([0, 1 + 0j])),
+                                  ad_operator(l, np.array([0.0, 1.0])))

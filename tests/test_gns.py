@@ -137,6 +137,23 @@ def test_a_negative_sample_level_is_refused():
         build_sample_set(clifford_algebra(), [], -1)
 
 
+def test_a_sample_level_over_the_word_budget_is_refused_before_any_word_is_listed(
+        monkeypatch):
+    # clifford-n1 has 3 normal words up to length 1 and 5 up to length 2
+    l = clifford_algebra()
+    monkeypatch.setattr(gns, "_WORD_BUDGET", 4)
+    listed = []
+    monkeypatch.setattr(gns, "normal_words",
+                        lambda *a: listed.append(a) or normal_words(*a))
+    assert len(build_sample_set(l, [], 1).words) == 3
+    listed.clear()
+    with pytest.raises(StabilizationError,
+                       match="level 2 needs the 5 normal words up to length 2, "
+                             "over the budget of 4 words"):
+        build_sample_set(l, [], 2)
+    assert listed == []
+
+
 def test_a_negative_level_cap_is_refused_before_any_sampling(monkeypatch):
     r, v = clifford_state()
     built = []

@@ -166,6 +166,15 @@ class TestAdOperator:
             ad_operator(_gl11(), np.ones(3))
 
 
+def test_inner_element_refuses_a_complex_coefficient():
+    # a cast to float would drop the imaginary part and give exp(0) = I
+    l = _gl11()
+    coeffs = np.zeros(l.dim, dtype=complex)
+    coeffs[0] = 1j
+    with pytest.raises(ValueError, match="nonzero imaginary part"):
+        inner_element(l, coeffs)
+
+
 class TestCheckAdMap:
     def test_identity_passes(self):
         l = _gl11()

@@ -259,6 +259,13 @@ def test_ad_operator_reads_ad_from_the_structure_constants():
             g.ad, _expm(t * np.einsum("i,ijk->kj", coeffs, c)))
 
 
+def test_exp_group_element_refuses_a_complex_coefficient():
+    # a cast to float would drop the imaginary part and give the identity
+    r = clifford_rep(1, b=[[1.0]])
+    with pytest.raises(ValueError, match="nonzero imaginary part"):
+        exp_group_element(r, np.array([1j, 0]))
+
+
 def test_exp_group_element_rejects_odd_support():
     l, r = skew_matrix_algebra(ONE_ONE)
     coeffs = np.zeros(l.dim)
