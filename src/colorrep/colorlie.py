@@ -24,10 +24,6 @@ from .spaces import GradedSpace
 _AXIOM_TOL = 1e-9
 # bound on the product terms of one block of the Jacobi join
 _TERM_BLOCK = 1 << 19
-# up to this dimension the dense Jacobi scan is the faster one (0.5 ms
-# against the join's 0.7 ms at dim 16, 4.2 ms against 2.4 ms at dim 25), and
-# it runs no sort, whose code a short process would otherwise page in
-_DENSE_DIM = 16
 
 
 def beta_signs(degrees) -> np.ndarray:
@@ -39,8 +35,8 @@ def beta_signs(degrees) -> np.ndarray:
 @dataclass(frozen=True)
 class StructureTriples:
     """The one store of the structure constants: entry t is c[t], the
-    coefficient of x_k[t] in [x_i[t], x_j[t]], for every nonzero constant
-    (NaN counts as nonzero), sorted by (i, j, k), so the entries of the pair
+    coefficient of x_k[t] in [x_i[t], x_j[t]], for every nonzero constant,
+    all finite, sorted by (i, j, k), so the entries of the pair
     (i, j) are ptr[i * dim + j] : ptr[i * dim + j + 1], and those with first
     index i are ptr[i * dim] : ptr[(i + 1) * dim].
     """
@@ -59,6 +55,7 @@ class ColorLieAlgebra:
     the bracket of basis elements i and j, as a dense (d, d, d) array or a
     dict {(i, j, k): c}.  The basis is kept sorted by (lexicographic degree,
     label); constructing from unsorted input maps the indices accordingly.
+    A constant that is NaN or infinite is an error that names its (i, j, k).
 
     ``triples`` is the one store of the constants (see ``StructureTriples``);
     readers take them from there or from ``ad_operator``, one dense ad(x).
@@ -121,18 +118,23 @@ class ColorLieAlgebra:
 def _triples(structure, pos) -> StructureTriples:
     """The nonzero constants of a dense array or a dict, as triples in the
     sorted basis, where input element n is element pos[n].  Input in
-    (i, j, k) order, as a dense array or a written file is, takes no sort."""
+    (i, j, k) order, as a dense array or a written file is, takes no sort.
+    The first non-finite constant in input order is an error."""
     d = len(pos)
     if isinstance(structure, dict):
         ijk = _index_triples(list(structure))
-        c = np.array(list(structure.values()), dtype=float)
+        c = real_array(list(structure.values()), "structure constant")
         if ijk.size and not 0 <= ijk.min() <= ijk.max() < d:
             raise ValueError(f"structure index out of range for dimension {d}")
     else:
-        structure = np.asarray(structure, dtype=float)
+        structure = real_array(structure, "structure tensor")
         if structure.shape != (d, d, d):
             raise ValueError(f"structure tensor must be {(d, d, d)}, got {structure.shape}")
         ijk, c = np.argwhere(structure), structure[structure != 0]
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        i, j, k = ijk[bad[0]].tolist()
+        raise ValueError(f"structure constant ({i}, {j}, {k}) is {c[bad[0]]}, not finite")
     ijk, c = np.array(pos, dtype=np.int64)[ijk[c != 0]], c[c != 0]
     key = ijk @ np.array([d * d, d, 1])
     if (key[1:] < key[:-1]).any():
@@ -157,29 +159,33 @@ def _index_triples(keys) -> np.ndarray:
     return ijk.astype(np.int64, copy=False)
 
 
+def real_array(x, what: str) -> np.ndarray:
+    """An array as floats: an entry with a nonzero imaginary part is an
+    error that names ``what``, rather than a lost imaginary part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        if (x.imag != 0).any():
+            raise ValueError(f"{what} has a nonzero imaginary part")
+        x = x.real
+    return np.asarray(x, dtype=float)
+
+
 def real_coefficients(l: ColorLieAlgebra, coeffs) -> np.ndarray:
-    """A coefficient vector over the basis of l, as floats: its length must
-    be l.dim, and an entry with a nonzero imaginary part is an error rather
-    than a lost imaginary part."""
+    """A coefficient vector over the basis of l, as floats (see
+    ``real_array``): its length must be l.dim."""
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (l.dim,):
         raise ValueError(f"coefficient vector must have length {l.dim}")
-    if np.iscomplexobj(coeffs):
-        if (coeffs.imag != 0).any():
-            raise ValueError("coefficient vector has a nonzero imaginary part")
-        coeffs = coeffs.real
-    return np.asarray(coeffs, dtype=float)
+    return real_array(coeffs, "coefficient vector")
 
 
 def ad_operator(l: ColorLieAlgebra, coeffs) -> np.ndarray:
     """Matrix of bracketing with sum_i coeffs[i] x_i, columns indexed by j:
-    a sum over the triples whose coefficient is nonzero, so that a NaN
-    constant under a zero coefficient adds nothing."""
+    a sum over the triples."""
     coeffs = real_coefficients(l, coeffs)
     d = l.dim
     t = l.triples
-    on = coeffs[t.i] != 0
-    return np.bincount(t.k[on] * d + t.j[on], coeffs[t.i[on]] * t.c[on], d * d).reshape(d, d)
+    return np.bincount(t.k * d + t.j, coeffs[t.i] * t.c, d * d).reshape(d, d)
 
 
 def bracket(l: ColorLieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -219,10 +225,9 @@ def glV(v: GradedSpace) -> ColorLieAlgebra:
 def check_axioms(l: ColorLieAlgebra, tol: float = _AXIOM_TOL) -> Report:
     """Verify grading compatibility, beta-antisymmetry, and the Jacobi law.
 
-    All three read the nonzero triples (i, j, k, c) of ``l.triples``; the
-    Jacobi law does so above ``_DENSE_DIM`` while every constant is finite
-    (see ``_jacobi_entries``): an entry of a dense check that no triple
-    touches is then exactly zero.  Each residual is the largest entry of its
+    All three read the nonzero triples (i, j, k, c) of ``l.triples``.  The
+    constants are finite, so an entry of a dense check that no triple
+    touches is exactly zero.  Each residual is the largest entry of its
     dense check, and its location the first such entry in (i, j, k[, m])
     order, or the first NaN.
 
@@ -255,8 +260,7 @@ def check_axioms(l: ColorLieAlgebra, tol: float = _AXIOM_TOL) -> Report:
     anti_res, _ = worst_entry(size)
     detail = ""
     if not anti_res <= tol:
-        worst = np.isnan(size) | (size == anti_res)
-        i, j, _ = np.unravel_index(np.minimum(key, mirror)[worst].min(), (d,) * 3)
+        i, j, _ = np.unravel_index(np.minimum(key, mirror)[size == anti_res].min(), (d,) * 3)
         detail = f"worst at ({l.labels[i]}, {l.labels[j]})"
     report.add("antisymmetry", anti_res <= tol, anti_res, tol, detail)
 
@@ -310,15 +314,12 @@ def _jacobi_entries(l: ColorLieAlgebra):
     the offsets of n in the triples grouped by the index it matches, and
     keeps n ascending within each pair of indices it fixes.  The terms are
     summed per 4-index key, one block of i at a time so that no block holds
-    more than about ``_TERM_BLOCK`` terms.  A dense scan multiplies a NaN or
-    infinite constant with zeros too, spreading it further than the nonzero
-    terms reach, so such constants take the dense scan (``_dense_jacobi``),
-    as do algebras of dimension up to ``_DENSE_DIM``.
+    more than about ``_TERM_BLOCK`` terms.  An algebra without triples,
+    the empty one among them, has no terms.
     """
     d = l.dim
     t = l.triples
-    if d <= _DENSE_DIM or not np.isfinite(t.c).all():
-        yield from _dense_jacobi(l)
+    if not t.c.size:
         return
     key = _flat_key(d)
     # the triples again, grouped by their second and by their third index
@@ -362,8 +363,8 @@ def _jacobi_entries(l: ColorLieAlgebra):
         inverse[order] = np.cumsum(first) - 1
         keys = keys[first]
         # the three sums are kept apart, each with its terms in n order, and
-        # combined as the dense scan combines them; finite constants can
-        # still overflow into inf - inf = NaN
+        # combined in the order of J; finite constants can still overflow
+        # into inf - inf = NaN
         sums = []
         for _, val in parts:
             sums.append(np.bincount(inverse[:len(val)], weights=val, minlength=len(keys)))
@@ -372,31 +373,6 @@ def _jacobi_entries(l: ColorLieAlgebra):
             worst, pos = worst_entry(np.abs(sums[0] - sums[1] - sums[2]))
         if pos is not None:
             yield worst, int(keys[pos])
-
-
-def _dense_jacobi(l: ColorLieAlgebra):
-    """``_jacobi_entries`` by a dense scan, one i at a time: per x_i, three
-    BLAS products over all (j, k, m) give [x_i,[y,z]], [[x_i,y],z] and
-    [y,[x_i,z]] at y = x_j, z = x_k."""
-    c = _dense_constants(l)
-    d = l.dim
-    bt = l.beta_table.astype(float)
-    for i in range(d):
-        with np.errstate(invalid="ignore", over="ignore"):
-            lhs = (c.reshape(d * d, d) @ c[i]).reshape(d, d, d)
-            t1 = (c[i] @ c.reshape(d, d * d)).reshape(d, d, d)
-            t2 = np.matmul(c[i], c)
-            resid = np.abs(lhs - t1 - bt[i][:, None, None] * t2)
-        at = int(np.argmax(resid))
-        yield float(resid.flat[at]), i * d ** 3 + at
-
-
-def _dense_constants(l: ColorLieAlgebra) -> np.ndarray:
-    """The constants as a dense (d, d, d) array, built from the triples."""
-    t = l.triples
-    c = np.zeros((l.dim,) * 3)
-    c[t.i, t.j, t.k] = t.c
-    return c
 
 
 def _flat_key(d):

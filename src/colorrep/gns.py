@@ -21,7 +21,7 @@ from .enveloping import (DEFAULT_LEVEL_CAP, EnvElement, MonoidElement, _nf,
 from .errors import EquivalenceError, PositivityError, StabilizationError
 from .grading import Degree
 from .hcpair import GroupElement, HCPair
-from .report import Report, worst_residual
+from .report import Report, worst_entry, worst_residual
 from .reps import (UnitaryRep, _zero_sector_exps, check_unitary_rep,
                    matrix_coefficient, monoid_operator)
 from .spaces import GammaInnerSpace, GradedSpace, HomogeneousMap, _degree_pattern
@@ -742,9 +742,7 @@ class _FactoredGram:
         self.u = _sample_columns(psi, samples)
         self.gram = psi.rep.inner.gram_dense()
         self.eigs, self.scale = None, 1.0
-        if not np.isfinite(self.gram).all():
-            self.w = np.full(self.u.shape, np.nan, dtype=complex)
-            return
+        # the space Gram is finite and positive definite (GammaInnerSpace)
         self.w = np.linalg.cholesky(self.gram).conj().T @ self.u
         if np.isfinite(self.w).all():
             sv = np.linalg.svd(self.w, compute_uv=False)
@@ -1078,12 +1076,12 @@ def gns_construct(psi: PDFunction, group_samples=None,
     # one escape budget for everything: discarded spectral mass bounds what an
     # honest translate can lose, so the threshold scales with the sample count
     escape_tol = n * max(tol, 1e-8) * norm_scale
-    strays = []
+    escapes = []   # the worst stray of each translate, as ``worst_entry`` picks it
 
     def translated_matrix(m_left: MonoidElement, what: str) -> np.ndarray:
         kappa, norms = gram.translate(m_left, c_mat)
         stray = norms - np.sum(np.abs(kappa) ** 2, axis=0)
-        strays.extend((float(x), None) for x in stray)
+        escapes.append(worst_entry(stray)[0])
         over = np.flatnonzero(stray > escape_tol)
         if over.size:
             raise StabilizationError(
@@ -1113,7 +1111,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
                                   f"pi({g.label})")
         new_gens.append(GroupElement(g.label, g.ad, dense))
 
-    worst_escape, _ = worst_residual(strays)
+    worst_escape, _ = worst_entry(np.array(escapes))
     report.add("translates stay in the span", worst_escape <= escape_tol,
                worst_escape, escape_tol)
 

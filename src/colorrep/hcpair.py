@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .colorlie import ColorLieAlgebra, _relative_rank, ad_operator, real_coefficients
+from .colorlie import ColorLieAlgebra, _relative_rank, ad_operator, real_array, real_coefficients
 from .errors import AxiomError, RankMismatchError
 from .grading import Degree, is_even_like
 from .report import Report, worst_entry, worst_residual
@@ -84,16 +84,16 @@ class GroupElement:
     """One group sample: its action on the algebra and, optionally, a space.
 
     ``ad`` is the matrix of the action on the algebra basis (columns are
-    images of basis vectors).  ``pi`` is the matrix on a representation
-    space, present only once a representation has bound it.  The inverse is
-    computed on first use and kept.
+    images of basis vectors), read by ``real_array``.  ``pi`` is the matrix
+    on a representation space, present only once a representation has bound
+    it.  The inverse is computed on first use and kept.
     """
 
     __slots__ = ("label", "ad", "pi", "_identity", "_inverse")
 
     def __init__(self, label: str, ad, pi=None):
         self.label = str(label)
-        self.ad = np.asarray(ad, dtype=float)
+        self.ad = real_array(ad, "ad matrix")
         if self.ad.ndim != 2 or self.ad.shape[0] != self.ad.shape[1]:
             raise ValueError("ad matrix must be square")
         self.pi = None if pi is None else np.asarray(pi, dtype=complex)
@@ -169,8 +169,9 @@ def inner_element(l: ColorLieAlgebra, coeffs, t: float = 1.0,
 
 def check_ad_map(l: ColorLieAlgebra, ad, tol: float = _PAIR_TOL,
                  name: str = "ad") -> Report:
-    """Is a matrix a degree-preserving bracket automorphism of the algebra?"""
-    ad = np.asarray(ad, dtype=float)
+    """Is a matrix, read by ``real_array``, a degree-preserving bracket
+    automorphism of the algebra?"""
+    ad = real_array(ad, "ad matrix")
     rep = Report(f"automorphism check: {name}", context={"dim": l.dim})
     if ad.shape != (l.dim, l.dim):
         raise RankMismatchError(

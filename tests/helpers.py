@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from colorrep.colorlie import ColorLieAlgebra, _dense_constants, glV
+from colorrep.colorlie import ColorLieAlgebra, glV
 from colorrep.enveloping import EnvElement, MonoidElement
 from colorrep.generators import clifford_rep, conjugated_rep, skew_matrix_algebra
 from colorrep.gns import PDFunction, normal_words
@@ -14,6 +14,14 @@ from colorrep.grading import Degree, all_degrees
 from colorrep.hcpair import GroupElement, HCPair
 from colorrep.reps import UnitaryRep
 from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
+
+
+def dense_constants(l):
+    """The structure constants as a dense (d, d, d) array, built from the triples."""
+    t = l.triples
+    c = np.zeros((l.dim,) * 3)
+    c[t.i, t.j, t.k] = t.c
+    return c
 
 
 def random_space(rng, rank, max_dim=3, min_sectors=1, ensure_zero=False):
@@ -82,7 +90,7 @@ def spoiled_clifford(value):
 def spoiled_four_lines():
     """glV of the rank-2 four-lines space with one structure constant off by 0.5."""
     l = glV(GradedSpace(2, {d: 1 for d in all_degrees(2)}))
-    c = _dense_constants(l)
+    c = dense_constants(l)
     c[3, 5, 9] += 0.5
     return ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
 
@@ -99,7 +107,7 @@ def random_structure(seed=7, graded_antisymmetric=False):
                         rng.standard_normal((9, 9, 9)))
     if not graded_antisymmetric:
         return l
-    c = _dense_constants(l)
+    c = dense_constants(l)
     c = 0.5 * (c - l.beta_table[:, :, None] * c.transpose(1, 0, 2))
     codes = l.deg_codes
     c[(codes[:, None, None] ^ codes[None, :, None]) != codes[None, None, :]] = 0.0

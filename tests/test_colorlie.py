@@ -5,13 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_space, random_structure, spoiled_four_lines
+from helpers import dense_constants, random_space, random_structure, spoiled_four_lines
 
 from colorrep import colorlie
 from colorrep.errors import AxiomError, PerfectnessError
 from colorrep.colorlie import (
     ColorLieAlgebra,
-    _dense_constants,
     ad_operator,
     bracket,
     check_axioms,
@@ -20,7 +19,8 @@ from colorrep.colorlie import (
     glV,
     odd_pair_columns,
 )
-from colorrep.generators import clifford_algebra, random_color_algebra
+from colorrep.generators import (clifford_algebra, counterexample_algebra, random_color_algebra,
+                                  skew_matrix_algebra)
 from colorrep.grading import Degree, beta
 from colorrep.report import worst_entry
 from colorrep.spaces import GradedSpace
@@ -73,7 +73,7 @@ def test_gl11_basis_order():
 
 def test_gl11_frozen_table():
     l = _gl11()
-    dense = _dense_constants(l)
+    dense = dense_constants(l)
     for (i, j), expect in GL11_TABLE.items():
         got = dense[i, j]
         want = np.zeros(4)
@@ -100,7 +100,7 @@ def test_glv_matches_matrix_commutator_oracle():
             m = np.zeros((t, t))
             m[p, q] = 1.0
             mats.append(m)
-        c = _dense_constants(l)
+        c = dense_constants(l)
         for i in range(l.dim):
             for j in range(l.dim):
                 sign = beta(l.degrees[i], l.degrees[j])
@@ -114,7 +114,7 @@ def test_bracket_bilinear():
     rng = np.random.default_rng(22)
     x, y = rng.standard_normal(4), rng.standard_normal(4)
     direct = bracket(l, x, y)
-    c = _dense_constants(l)
+    c = dense_constants(l)
     expanded = sum(x[i] * y[j] * c[i, j] for i in range(4) for j in range(4))
     assert np.allclose(direct, expanded)
     # complex coefficients too: the bracket is bilinear over C
@@ -129,10 +129,10 @@ def test_constructor_sorts_basis():
         1,
         [l.labels[i] for i in perm],
         [l.degrees[i] for i in perm],
-        _dense_constants(l)[np.ix_(perm, perm, perm)],
+        dense_constants(l)[np.ix_(perm, perm, perm)],
     )
     assert shuffled.labels == l.labels
-    assert np.array_equal(_dense_constants(shuffled), _dense_constants(l))
+    assert np.array_equal(dense_constants(shuffled), dense_constants(l))
     # the mapping form maps its indices the same way, in any entry order
     t = l.triples
     entries = {(perm.index(i), perm.index(j), perm.index(k)): c
@@ -155,7 +155,7 @@ def test_check_axioms_glv():
 
 def test_check_axioms_flags_mutations():
     l = _gl11()
-    bad = _dense_constants(l)
+    bad = dense_constants(l)
     bad[2, 3, 0] = -1.0  # breaks antisymmetry against [3, 2]
     mutated = ColorLieAlgebra(1, l.labels, l.degrees, bad)
     rep = check_axioms(mutated)
@@ -163,7 +163,7 @@ def test_check_axioms_flags_mutations():
     failed = {c.name for c in rep.checks if not c.passed}
     assert "antisymmetry" in failed or "jacobi" in failed
 
-    bad2 = _dense_constants(l)
+    bad2 = dense_constants(l)
     bad2[0, 1, 2] = 0.5  # even bracket landing in an odd sector
     mutated2 = ColorLieAlgebra(1, l.labels, l.degrees, bad2)
     rep2 = check_axioms(mutated2)
@@ -172,11 +172,11 @@ def test_check_axioms_flags_mutations():
 
 def test_validate_on_construction():
     l = _gl11()
-    bad = _dense_constants(l)
+    bad = dense_constants(l)
     bad[2, 3, 0] = 7.0
     with pytest.raises(AxiomError):
         ColorLieAlgebra(1, l.labels, l.degrees, bad, validate=True)
-    ColorLieAlgebra(1, l.labels, l.degrees, _dense_constants(l), validate=True)
+    ColorLieAlgebra(1, l.labels, l.degrees, dense_constants(l), validate=True)
 
 
 def test_abelian_any_degrees_is_valid():
@@ -291,35 +291,31 @@ def test_ad_operator_columns():
     assert np.allclose(a[:, 2], 0)
 
 
-def test_jacobi_fails_on_a_nan_structure_constant():
-    l = glV(GradedSpace(1, {Degree((0,)): 1, Degree((1,)): 1}))
-    c = _dense_constants(l)
-    c[0, 0, 0] = np.nan
-    bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c, validate=False)
-    jacobi = next(x for x in check_axioms(bad).checks if x.name == "jacobi")
-    assert not jacobi.passed
-    assert np.isnan(jacobi.residual)
-    assert jacobi.detail.startswith("worst triple")
-
-
-@pytest.mark.parametrize("name, at, where", [
-    ("antisymmetry", (1, 1, 0), "worst at (y, y)"),
-    ("grading", (0, 1, 0), "worst at (x, y) -> x"),
-])
-def test_nan_residual_names_its_location(name, at, where):
-    l = clifford_algebra()
-    c = _dense_constants(l)
-    c[at] = np.nan
-    bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c, validate=False)
-    check = next(x for x in check_axioms(bad).checks if x.name == name)
-    assert not check.passed
-    assert np.isnan(check.residual)
-    assert check.detail == where
+@pytest.mark.parametrize("validate", [False, True], ids=["unvalidated", "validated"])
+@pytest.mark.parametrize("form", ["dense", "dict"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_structure_constant_is_refused(value, form, validate):
+    # the basis is given unsorted, and the error names the input indices of
+    # the first non-finite constant in input order: (i, j, k) order for a
+    # dense array, key order for a dict
+    l = _gl11()
+    perm = [3, 0, 2, 1]
+    if form == "dense":
+        structure = dense_constants(l)[np.ix_(perm, perm, perm)]
+        structure[2, 3, 0], structure[3, 0, 1] = value, np.nan
+        first = (2, 3, 0)
+    else:
+        structure = {(0, 0, 0): 1.0, (3, 0, 1): value, (2, 3, 0): np.nan}
+        first = (3, 0, 1)
+    with pytest.raises(ValueError) as raised:
+        ColorLieAlgebra(1, [l.labels[i] for i in perm], [l.degrees[i] for i in perm],
+                        structure, validate=validate)
+    assert str(raised.value) == f"structure constant {first} is {value}, not finite"
 
 
 def _einsum_jacobi(l):
     """The Jacobi residual and label as the per-i einsum loop computes them."""
-    c, d = _dense_constants(l), l.dim
+    c, d = dense_constants(l), l.dim
     bt = l.beta_table.astype(float)
     top, at = 0.0, None
     for i in range(d):
@@ -336,29 +332,18 @@ def _einsum_jacobi(l):
     return top, f"worst triple ({l.labels[at[0]]}, {l.labels[j]}, {l.labels[k]})"
 
 
-def _nan_gl11():
-    l = _gl11()
-    c = _dense_constants(l)
-    c[2, 3, 1] = np.nan
-    return ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
-
-
 @pytest.mark.parametrize("build", [
     spoiled_four_lines,
     random_structure,
     lambda: random_structure(9, graded_antisymmetric=True),
-    _nan_gl11,
-], ids=["spoiled-glV", "random-tensor", "random-bracket", "nan-gl11"])
+], ids=["spoiled-glV", "random-tensor", "random-bracket"])
 def test_jacobi_matches_the_einsum_reference(build):
     l = build()
     want, where = _einsum_jacobi(l)
     check = next(x for x in check_axioms(l).checks if x.name == "jacobi")
     assert not check.passed
     assert check.detail == where
-    if np.isnan(want):
-        assert np.isnan(check.residual)
-    else:
-        assert check.residual == pytest.approx(want, rel=1e-12)
+    assert check.residual == pytest.approx(want, rel=1e-12)
 
 
 def test_jacobi_of_a_spoiled_integer_table_is_exact():
@@ -366,6 +351,26 @@ def test_jacobi_of_a_spoiled_integer_table_is_exact():
     l = spoiled_four_lines()
     check = next(x for x in check_axioms(l).checks if x.name == "jacobi")
     assert check.residual == _einsum_jacobi(l)[0] == 0.5
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ColorLieAlgebra(1, [], [], {}),
+    clifford_algebra,
+    counterexample_algebra,
+    lambda: glV(_four_lines()),
+    lambda: glV(GradedSpace(1, {_d("0"): 2, _d("1"): 1})),
+    lambda: skew_matrix_algebra(_four_lines())[0],
+    *(lambda seed=seed: random_color_algebra(2, seed) for seed in range(4)),
+], ids=["empty", "clifford", "counterexample", "glV-four-lines", "glV-(2|1)",
+        "skew-four-lines", *(f"random-{seed}" for seed in range(4))])
+def test_the_join_matches_the_einsum_reference_on_small_algebras(build):
+    # algebras of dimension up to 16; at tolerance 0 any rounding residual
+    # fails, so its label is compared too
+    l = build()
+    want, where = _einsum_jacobi(l)
+    check = next(x for x in check_axioms(l, tol=0.0).checks if x.name == "jacobi")
+    assert check.residual == pytest.approx(want, rel=1e-12)
+    assert check.detail == (where or "")
 
 
 _ALGEBRAS = {
@@ -376,32 +381,23 @@ _ALGEBRAS = {
 }
 
 
-@settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(_ALGEBRAS)), seed=st.integers(0, 2 ** 16),
-       spoils=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
-                                 st.floats(0, 1, exclude_max=True),
-                                 st.floats(0, 1, exclude_max=True),
-                                 st.sampled_from([np.nan, np.inf, -np.inf])),
-                       min_size=1, max_size=4))
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_jacobi_matches_the_einsum_reference(name, seed, spoils):
-    l = _ALGEBRAS[name](seed)
-    c = _dense_constants(l)
-    for x, y, z, value in spoils:
-        c[int(x * l.dim), int(y * l.dim), int(z * l.dim)] = value
-    bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
-    want, where = _einsum_jacobi(bad)
-    check = next(x for x in check_axioms(bad).checks if x.name == "jacobi")
-    assert not check.passed
-    assert not np.isfinite(want)
-    assert np.isnan(check.residual) if np.isnan(want) else check.residual == want
-    assert check.detail == where
+def _refused(l, c):
+    """Whether building l's basis over constants c is refused, as it must be
+    exactly when a constant is not finite, naming the first in (i, j, k)
+    order."""
+    bad = np.argwhere(~np.isfinite(c))
+    if not len(bad):
+        return False
+    i, j, k = bad[0]
+    with pytest.raises(ValueError, match=rf"^structure constant \({i}, {j}, {k}\) is "):
+        ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
+    return True
 
 
 def _dense_antisymmetry(l):
     """The antisymmetry residual and label of a dense scan over the nonzero
     entries and their mirrors (j, i, k), in (i, j, k) order."""
-    c = _dense_constants(l)
+    c = dense_constants(l)
     nonzero = c != 0
     i, j, k = np.nonzero(nonzero | nonzero.transpose(1, 0, 2))
     res, at = worst_entry(np.abs(c[i, j, k] + l.beta_table[i, j] * c[j, i, k]))
@@ -416,29 +412,28 @@ def _dense_antisymmetry(l):
                                  st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 2.5])),
                        max_size=4))
 @example(name="glV-(2|1)", seed=0, spoils=[])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_antisymmetry_matches_the_dense_reference(name, seed, spoils):
     # the mirror of each triple is looked up among the sorted keys; spoiled
-    # constants (NaN, infinite, zeroed or scaled) move the worst entry
+    # constants (zeroed or scaled) move the worst entry, and a NaN or
+    # infinite one is refused when the algebra is built
     l = _ALGEBRAS[name](seed)
-    c = _dense_constants(l)
+    c = dense_constants(l)
     for x, y, z, value in spoils:
         at = int(x * l.dim), int(y * l.dim), int(z * l.dim)
         c[at] = c[at] * value if value == 2.5 else value
+    if _refused(l, c):
+        return
     bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
     want, where = _dense_antisymmetry(bad)
     check = next(x for x in check_axioms(bad).checks if x.name == "antisymmetry")
     assert check.passed == (want <= 1e-9)
-    assert np.isnan(check.residual) if np.isnan(want) else check.residual == want
+    assert check.residual == want
     assert check.detail == ("" if check.passed else where)
 
 
-# the two Jacobi paths on small algebras: the join (forced below its
-# dimension cut), in one block of terms or in one block per first index,
-# and the dense scan
-_PATHS = {"join": {"_DENSE_DIM": 0},
-          "join-block-per-i": {"_DENSE_DIM": 0, "_TERM_BLOCK": 1},
-          "dense": {}}
+# the Jacobi join in one block of terms, or in one block per first index
+_PATHS = {"join": {},
+          "join-block-per-i": {"_TERM_BLOCK": 1}}
 
 
 def _take(path, mp):
@@ -465,14 +460,14 @@ def test_the_jacobi_join_matches_the_einsum_reference(build, path, monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_finite_constants_give_a_nan_jacobi_residual(path, monkeypatch):
     # finite constants whose products overflow: inf - inf is NaN in the join
-    # as in the dense scan, and the NaN beats the table's 0.5 violation
+    # as in the einsum reference, and the NaN beats the table's 0.5 violation
     _take(path, monkeypatch)
     l = spoiled_four_lines()
-    c = _dense_constants(l)
+    c = dense_constants(l)
     c[0, 4, 4] *= 1e200   # [E0_0, E0_1] = E0_1
     c[4, 0, 4] *= 1e200
     bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
-    assert np.isfinite(_dense_constants(bad)).all()
+    assert np.isfinite(dense_constants(bad)).all()
     want, where = _einsum_jacobi(bad)
     assert np.isnan(want)
     check = next(x for x in check_axioms(bad).checks if x.name == "jacobi")
@@ -486,17 +481,20 @@ def test_overflowing_finite_constants_give_a_nan_jacobi_residual(path, monkeypat
        path=st.sampled_from(sorted(_PATHS)),
        scales=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.floats(150, 300)),
                        min_size=1, max_size=4))
-@example(name="random-bracket", seed=218, path="dense", scales=[(0.0, 150.0)])
+@example(name="random-bracket", seed=218, path="join", scales=[(0.0, 150.0)])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_jacobi_matches_the_einsum_reference(name, seed, path, scales):
     l = _ALGEBRAS[name](seed)
-    c = _dense_constants(l)
+    c = dense_constants(l)
     t = l.triples
     # an algebra without nonzero constants has nothing to scale (seed 218
-    # of random-bracket); it is still compared against the reference
+    # of random-bracket); it is still compared against the reference.  A
+    # constant scaled twice can overflow to infinity, and is refused
     for at, power in scales if len(t.c) else []:
         q = int(at * len(t.c))
         c[t.i[q], t.j[q], t.k[q]] *= 10.0 ** power
+    if _refused(l, c):
+        return
     bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
     want, where = _einsum_jacobi(bad)
     with pytest.MonkeyPatch.context() as mp:
@@ -511,10 +509,9 @@ def test_the_triple_index_lists_the_nonzero_structure_constants():
     base = spoiled_four_lines()
     c = np.random.default_rng(3).standard_normal((base.dim,) * 3)
     c[np.abs(c) < 1.0] = 0.0
-    c[1, 2, 3] = np.nan
     l = ColorLieAlgebra(base.rank, base.labels, base.degrees, c)
     t = l.triples
-    assert np.array_equal(_dense_constants(l), c, equal_nan=True)
+    assert np.array_equal(dense_constants(l), c)
     assert np.all(t.c != 0)
     d = l.dim
     for i in range(d):
@@ -542,7 +539,6 @@ def _dense_grouped(c, axis):
 ], ids=[*(f"random-{seed}" for seed in range(6)), "random-bracket", "spoiled-glV"])
 def test_the_regrouped_triples_match_a_dense_scan(build, monkeypatch):
     # the join regroups ``l.triples`` by their second and third index
-    _take("join", monkeypatch)
     seen = []
     real = colorlie._grouped_triples
     monkeypatch.setattr(colorlie, "_grouped_triples",
@@ -551,7 +547,7 @@ def test_the_regrouped_triples_match_a_dense_scan(build, monkeypatch):
     check_axioms(l)
     assert [axis for axis, _ in seen] == [1, 2]
     for axis, ((i, j, k), c, offsets) in seen:
-        (ri, rj, rk), rc, roff = _dense_grouped(_dense_constants(l), axis)
+        (ri, rj, rk), rc, roff = _dense_grouped(dense_constants(l), axis)
         for got, want in ((i, ri), (j, rj), (k, rk), (c, rc), (offsets, roff)):
             assert np.array_equal(got, want)
 
@@ -571,6 +567,21 @@ def test_integer_structure_indices_of_any_integer_type_are_read():
     l = ColorLieAlgebra(1, ["x", "y"], degs, {(np.int32(0), 1, np.int64(1)): 2.0})
     assert (list(l.triples.i), list(l.triples.j), list(l.triples.k)) == ([0], [1], [1])
     assert list(l.triples.c) == [2.0]
+
+
+@pytest.mark.parametrize("form", ["dense", "dict"])
+def test_a_complex_structure_constant_is_refused(form):
+    # a cast to float would build the abelian algebra from the dense tensor
+    degs = [_d("0"), _d("0")]
+    c = np.zeros((2, 2, 2), dtype=complex)
+    c[0, 1, 1], c[1, 0, 1] = 1j, -1j
+    structure = c if form == "dense" else {(0, 1, 1): 1j, (1, 0, 1): -1j}
+    with pytest.raises(ValueError, match="has a nonzero imaginary part"):
+        ColorLieAlgebra(1, ["x", "y"], degs, structure)
+    # constants whose imaginary part is zero are read as their real part
+    structure = c.imag + 0j if form == "dense" else {(0, 1, 1): 1 + 0j, (1, 0, 1): -1 + 0j}
+    l = ColorLieAlgebra(1, ["x", "y"], degs, structure, validate=True)
+    assert l.triples.c.tolist() == [1.0, -1.0]
 
 
 def test_ad_operator_refuses_a_complex_coefficient():

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import dense_constants
+
 from colorrep import fileio
-from colorrep.colorlie import _dense_constants, check_axioms
+from colorrep.colorlie import check_axioms
 from colorrep.errors import AxiomError, SchemaError
 from colorrep.fileio import (algebra_from_doc, algebra_to_doc, load_algebra,
                              load_rep, load_table, rep_from_doc, rep_to_doc,
@@ -39,7 +41,7 @@ def test_algebra_roundtrip(tmp_path):
     back = load_algebra(path)
     assert back.labels == l.labels
     assert back.degrees == l.degrees
-    assert np.allclose(_dense_constants(back), _dense_constants(l))
+    assert np.allclose(dense_constants(back), dense_constants(l))
     assert check_axioms(back).passed
 
 
@@ -48,7 +50,7 @@ def test_random_algebra_roundtrip(tmp_path):
     path = tmp_path / "a.json"
     save_algebra(path, l)
     back = load_algebra(path)
-    assert np.allclose(_dense_constants(back), _dense_constants(l))
+    assert np.allclose(dense_constants(back), dense_constants(l))
 
 
 def test_counterexample_roundtrip(tmp_path):
@@ -70,7 +72,7 @@ def test_algebra_doc_is_sparse():
 @pytest.mark.parametrize("seed", range(4))
 def test_algebra_doc_lists_the_nonzero_constants_in_index_order(seed):
     l = random_color_algebra(2, seed)
-    c = _dense_constants(l)
+    c = dense_constants(l)
     want = [[int(i), int(j), int(k), float(c[i, j, k])] for i, j, k in zip(*np.nonzero(c))]
     got = algebra_to_doc(l)["structure"]
     assert json.dumps(got) == json.dumps(want)
@@ -104,22 +106,21 @@ def test_structure_index_out_of_range():
 
 
 def test_loaded_constants_keep_the_last_value_and_drop_listed_zeros(monkeypatch):
-    # the number reader refuses NaN; let it through to see what the
-    # structure list does with one
-    monkeypatch.setattr(fileio, "_real_from_json", lambda x, where: float(x))
     doc = algebra_to_doc(clifford_algebra())
     doc["structure"] = [
         [1, 1, 0, 5.0], [1, 1, 0, 1.0],   # a repeated (i, j, k): the last value wins
         [0, 1, 1, 0.0],                   # a listed 0: no triple
-        [0, 0, 0, math.nan],              # a listed NaN: a triple
     ]
     l = algebra_from_doc(doc, validate=False)
     t = l.triples
-    assert list(zip(t.i.tolist(), t.j.tolist(), t.k.tolist())) == [(0, 0, 0), (1, 1, 0)]
-    assert np.isnan(t.c[0]) and t.c[1] == 1.0
-    anti = next(c for c in check_axioms(l).checks if c.name == "antisymmetry")
-    assert not anti.passed
-    assert np.isnan(anti.residual)
+    assert list(zip(t.i.tolist(), t.j.tolist(), t.k.tolist())) == [(1, 1, 0)]
+    assert t.c.tolist() == [1.0]
+    # the number reader refuses NaN; let it through to see that the
+    # constructor's refusal of it is a schema error too
+    monkeypatch.setattr(fileio, "_real_from_json", lambda x, where: float(x))
+    doc["structure"].append([0, 0, 0, math.nan])
+    with pytest.raises(SchemaError, match=r"^algebra: structure constant \(0, 0, 0\) is nan"):
+        algebra_from_doc(doc, validate=False)
 
 
 def test_structure_triple_shape():

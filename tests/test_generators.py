@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from helpers import dense_constants
+
 from colorrep import generators
-from colorrep.colorlie import _dense_constants, check_axioms, check_perfectness
+from colorrep.colorlie import check_axioms, check_perfectness
 from colorrep.generators import (
     _skew_basis,
     character_generator,
@@ -30,7 +32,7 @@ def test_clifford_algebra_structure():
     assert l.degrees == [Degree((0,)), Degree((1,))]
     expected = np.zeros((2, 2, 2))
     expected[1, 1, 0] = 1.0  # [y, y] = x
-    assert np.array_equal(_dense_constants(l), expected)
+    assert np.array_equal(dense_constants(l), expected)
     assert check_axioms(l).passed
 
 
@@ -86,7 +88,7 @@ def test_skew_matrix_algebra_one_one_frozen():
     assert l.dim == 4
     assert l.labels == ["h0", "h1", "a0_1", "b0_1"]
     # worked by hand: [a, a] = 2 a^2 = -2i I and [h0, a] = b
-    c = _dense_constants(l)
+    c = dense_constants(l)
     assert c[2, 2, 0] == pytest.approx(-2.0)
     assert c[2, 2, 1] == pytest.approx(-2.0)
     assert c[0, 2, 3] == pytest.approx(1.0)
@@ -130,7 +132,7 @@ def _pinv_structure(v):
 def test_skew_matrix_constants_are_exact(shape):
     v = GradedSpace(2, {d: n for d, n in zip(all_degrees(2), shape) if n})
     l, _ = skew_matrix_algebra(v, validate=False)
-    c = _dense_constants(l)
+    c = dense_constants(l)
     # sums of a few unit phases: small integers, read off with no solve
     assert set(np.unique(c)) <= {-2.0, -1.0, 0.0, 1.0, 2.0}
     want = _pinv_structure(v)

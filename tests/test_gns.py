@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (cut_four_lines_table, one_line_algebra, spoiled_clifford,
                      three_cycle_rep)
@@ -34,7 +36,7 @@ from colorrep.gns import (
     sample_gram,
     unitary_equivalence,
 )
-from colorrep.grading import Degree
+from colorrep.grading import Degree, all_degrees
 from colorrep.hcpair import GroupElement, HCPair
 from colorrep.reps import (UnitaryRep, check_unitary_rep, matrix_coefficient,
                            monoid_operator)
@@ -541,6 +543,25 @@ def test_escaping_translate_is_refused_on_both_routes():
         assert str(err.value) == (
             "left translation by pi(h) leaves the certified span "
             "(escape 1.000e+00 on sample 1)")
+
+
+@pytest.mark.parametrize("state", sorted(_grouped_states()))
+def test_the_escape_residual_is_the_worst_stray_of_every_translated_sample(
+        state, monkeypatch):
+    # a sample's stray is its translate's squared length less the part the
+    # retained basis carries, recomputed here from each translate's pairings
+    r, v = _grouped_states()[state]
+    seen = []
+    translate = gns._FactoredGram.translate
+    monkeypatch.setattr(gns._FactoredGram, "translate",
+                        lambda self, *a: seen.append(translate(self, *a)) or seen[-1])
+    res = gns_construct(PDFunction.from_rep(r, v))
+    assert len(seen) == r.algebra.dim + len(default_group_samples(r)) - 1
+    strays = [x for kappa, norms in seen
+              for x in (norms - np.sum(np.abs(kappa) ** 2, axis=0)).tolist()]
+    assert len(strays) == len(seen) * res.sample_count
+    check = next(c for c in res.report.checks if c.name == "translates stay in the span")
+    assert check.residual == max(0.0, *strays)
 
 
 def test_each_sample_gram_is_built_once():
@@ -1204,6 +1225,61 @@ def test_roundtrip_rejects_inhomogeneous_vectors():
     rep = gns_roundtrip(r, np.array([1.0, 1.0]))
     assert not rep.passed
     assert "vector homogeneous of degree zero" in failing_names(rep)
+
+
+def _skew_shape_state(rank, dims, seed):
+    """The conjugated skew-matrix rep of the space with these sector dims,
+    in the order of ``all_degrees``, the slice of its degree-zero sector and
+    the Gram there."""
+    space = GradedSpace(rank, {d: n for d, n in zip(all_degrees(rank), dims) if n})
+    r = conjugated_rep(skew_matrix_algebra(space)[1], seed=seed)
+    zero = Degree.zero(rank)
+    return r, space.slice_of(zero), r.inner.gram[zero]
+
+
+@st.composite
+def _skew_shapes(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    top = 2 if rank == 2 else 1
+    dims = [draw(st.integers(1, top))] + [draw(st.integers(0, top))
+                                          for _ in range(2 ** rank - 1)]
+    return rank, dims, draw(st.integers(0, 2 ** 16))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(shape=_skew_shapes(), data=st.data())
+def test_the_gns_correspondence_holds_on_random_shapes(shape, data):
+    # the rebuilt rep has the dimension of the cyclic hull of v; and the
+    # difference of the coefficients of two orthogonal degree-zero vectors of
+    # equal norm vanishes at 1 but not at some degree-zero x, so it is not
+    # positive definite on the level-1 samples
+    rank, dims, seed = shape
+    r, zero, g0 = _skew_shape_state(rank, dims, seed)
+    entries = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+    v0 = np.array(data.draw(st.lists(entries, min_size=dims[0], max_size=dims[0])))
+    assume(np.linalg.norm(v0) >= 0.5)
+    v = np.zeros(r.space_dim, dtype=complex)
+    v[zero] = v0
+    rep = gns_roundtrip(r, v)
+    assert rep.passed, rep.to_text()
+    assert rep.context["level_used"] <= 2
+    rank_v = check_cyclic(r, v).context["rank"]
+    check = next(c for c in rep.checks if c.name == "reconstruction")
+    assert check.detail == f"dimension {rank_v}, level {rep.context['level_used']}"
+    if dims[0] < 2:
+        return
+    # w: the unit vector of the zero sector furthest from v, made
+    # orthogonal to v and as long, in the Gram of that sector
+    norm2 = np.real(v0.conj() @ g0 @ v0)
+    rest = np.eye(dims[0]) - np.outer(v0, v0.conj() @ g0) / norm2
+    w0 = rest[:, np.argmax(np.real(np.sum(rest.conj() * (g0 @ rest), axis=0)))]
+    w0 *= np.sqrt(norm2 / np.real(w0.conj() @ g0 @ w0))
+    w = np.zeros(r.space_dim, dtype=complex)
+    w[zero] = w0
+    psi_v, psi_w = PDFunction.from_rep(r, v), PDFunction.from_rep(r, w)
+    diff = PDFunction(r.algebra, lambda s: psi_v(s) - psi_w(s))
+    pd = check_positive_definite(diff, build_sample_set(r.algebra, [], 1))
+    assert "gram positive semidefinite" in failing_names(pd)
 
 
 # ------------------------------------------------------------- non-finite data

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from helpers import random_structure, spoiled_four_lines
+from helpers import dense_constants, random_structure, spoiled_four_lines
 
-from colorrep.colorlie import ColorLieAlgebra, _dense_constants, ad_operator, bracket, glV
+from colorrep.colorlie import ColorLieAlgebra, ad_operator, bracket, glV
 from colorrep.errors import AxiomError, RankMismatchError
-from colorrep.generators import skew_matrix_algebra
+from colorrep.generators import clifford_algebra, skew_matrix_algebra
 from colorrep.grading import Degree
 from colorrep.hcpair import (
     _THETA,
@@ -144,6 +144,15 @@ class TestGroupElement:
         with pytest.raises(ValueError):
             GroupElement("g", np.zeros((2, 3)))
 
+    def test_a_complex_ad_matrix_is_refused(self):
+        # a cast to float would keep the zero matrix, with only a warning
+        with pytest.raises(ValueError, match="ad matrix has a nonzero imaginary part"):
+            GroupElement("g", 1j * np.eye(2))
+        # a complex matrix whose imaginary part is zero is read as its real part
+        g = GroupElement("g", np.eye(2) + 0j)
+        assert g.ad.dtype == float
+        np.testing.assert_array_equal(g.ad, np.eye(2))
+
 
 class TestAdOperator:
     def test_matches_basis_ad(self):
@@ -151,7 +160,7 @@ class TestAdOperator:
         for i in range(l.dim):
             e = np.zeros(l.dim)
             e[i] = 1.0
-            np.testing.assert_array_equal(ad_operator(l, e), _dense_constants(l)[i].T)
+            np.testing.assert_array_equal(ad_operator(l, e), dense_constants(l)[i].T)
 
     def test_matches_bracket(self):
         l = _gl11()
@@ -203,6 +212,13 @@ class TestCheckAdMap:
         l = _gl11()
         rep = check_ad_map(l, np.zeros((l.dim, l.dim)))
         assert not rep.passed
+
+    def test_a_complex_map_is_refused(self):
+        # a cast to float would judge the zero matrix: "invertible (rank 0 of 2)"
+        l = clifford_algebra()
+        with pytest.raises(ValueError, match="ad matrix has a nonzero imaginary part"):
+            check_ad_map(l, 1j * np.eye(2))
+        assert check_ad_map(l, np.eye(2) + 0j).passed
 
     def test_shape_mismatch(self):
         with pytest.raises(RankMismatchError):
@@ -256,7 +272,7 @@ class TestCheckAdMap:
 
 def _einsum_ad_bracket(l, ad):
     """The bracket-automorphism residual and detail in the einsum form."""
-    c = _dense_constants(l)
+    c = dense_constants(l)
     resid = (np.einsum("ijm,km->ijk", c, ad)
              - np.einsum("pi,qj,pqk->ijk", ad, ad, c))
     i, j, _ = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from helpers import spoiled_clifford
+from helpers import dense_constants, spoiled_clifford
 
 from colorrep import reps
 
-from colorrep.colorlie import ColorLieAlgebra, _dense_constants, ad_operator, check_perfectness, glV
+from colorrep.colorlie import ColorLieAlgebra, ad_operator, check_perfectness, glV
 from colorrep.enveloping import (
     EnvElement,
     MonoidElement,
@@ -241,7 +241,7 @@ def test_ad_operator_reads_ad_from_the_structure_constants():
     # ad(x) is the contraction sum_i x_i structure[i, j, k], columns j
     r = _skew_2222()
     l = r.algebra
-    c = _dense_constants(l)
+    c = dense_constants(l)
     for i in range(l.dim):
         coeffs = np.zeros(l.dim)
         coeffs[i] = 1.0
@@ -611,7 +611,7 @@ def _loop_bracket(r, idx):
     """The bracket residual and label over the pairs of idx, one pair at a
     time: the undefined terms first, each as a residual, then the pair."""
     l = r.algebra
-    c = _dense_constants(l)
+    c = dense_constants(l)
 
     def entries():
         for i in idx:
@@ -720,7 +720,7 @@ def _leaking_four_lines():
     # [h, y] for h in the zero sector and y odd gains a term on an
     # even-like nonzero element, which a partial rep does not cover
     l, r = skew_matrix_algebra(FOUR_LINES)
-    c = _dense_constants(l)
+    c = dense_constants(l)
     h = l.sector(Degree((0, 0)))[0]
     y = l.sector(Degree((0, 1)))[0]
     w = l.sector(Degree((1, 1)))[-1]
