@@ -29,7 +29,7 @@ from .grading import (Character, all_degrees, verify_alpha_cocycle,
                       verify_lifting_relation)
 from .report import Report
 from .reps import (PartialRep, UnitaryRep, check_pre_rep, check_unitary_rep,
-                   restrict, stability_extend, twist_rep)
+                   stability_extend, twist_rep)
 from .spaces import GradedSpace
 
 CONFIG_ENV = "COLORREP_CONFIG"
@@ -133,24 +133,21 @@ def _do_check_rep(args: argparse.Namespace) -> Report:
 
 def _do_check_prerep(args: argparse.Namespace) -> Report:
     rep, _ = load_rep(args.rep, validate_algebra=not args.skip_validate)
-    if isinstance(rep, UnitaryRep):
-        rep = restrict(rep)
     return check_pre_rep(rep, **_tol_kw(args))
 
 
 def _do_stability_extend(args: argparse.Namespace) -> Report:
     rep, _ = load_rep(args.rep, validate_algebra=not args.skip_validate)
-    if isinstance(rep, UnitaryRep):
-        rep = restrict(rep)
     out = Report("stability extension")
     try:
         full, final = stability_extend(rep, **_tol_kw(args))
     except (PerfectnessError, ExtensionError) as e:
         out.add("extension", False, detail=str(e))
         return out
+    l = rep.algebra
+    filled = sum(l.sector_dim(a) for a in l.even_nonzero_degrees())
     out.add("extension", True,
-            detail=f"extended {sum(rep.defined(i) for i in range(rep.algebra.dim))}"
-                   f" given operators to {rep.algebra.dim}")
+            detail=f"extended {l.dim - filled} given operators to {l.dim}")
     out.extend(final, prefix="extended rep: ")
     if args.output:
         save_rep(args.output, full)

@@ -22,8 +22,10 @@ from .report import Report, worst_entry, worst_residual
 from .spaces import GradedSpace
 
 _AXIOM_TOL = 1e-9
-# bound on the product terms of one block of the Jacobi join
-_TERM_BLOCK = 1 << 19
+# bound on the terms that one block of a structure-constant kernel holds
+# (the Jacobi join here, the residuals of ``reps``): its temporaries stay
+# near cache size, so the peak of a check does not grow with the algebra
+_TERM_BLOCK = 1 << 15
 
 
 def beta_signs(degrees) -> np.ndarray:
@@ -283,6 +285,19 @@ def _join(lo, hi):
     return left, right
 
 
+def load_blocks(load, budget: float) -> list[slice]:
+    """Consecutive slices of range(len(load)) whose loads sum to at most
+    ``budget``; an entry whose load alone is more is a slice of its own."""
+    edges, acc = [0], 0.0
+    for n, w in enumerate(np.asarray(load, dtype=float).tolist()):
+        if acc and acc + w > budget:
+            edges.append(n)
+            acc = 0.0
+        acc += w
+    edges.append(len(load))
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+
+
 def _grouped_triples(l: ColorLieAlgebra, axis: int):
     """((i, j, k), values, offsets) of ``l.triples`` stably sorted by index
     ``axis``, so then by the other two in order; the entries whose index
@@ -330,15 +345,8 @@ def _jacobi_entries(l: ColorLieAlgebra):
     load = np.bincount(t.i, minlength=d, weights=(
         k_off[t.j + 1] - k_off[t.j] + j_off[t.k + 1] - j_off[t.k]
         + i_off[t.k + 1] - i_off[t.k]))
-    edges, acc = [0], 0.0
-    for i, w in enumerate(load):
-        if acc and acc + w > _TERM_BLOCK:
-            edges.append(i)
-            acc = 0.0
-        acc += w
-    edges.append(d)
-    for i0, i1 in zip(edges[:-1], edges[1:]):
-        s, e = i_off[i0], i_off[i1]
+    for block in load_blocks(load, _TERM_BLOCK):
+        s, e = i_off[block.start], i_off[block.stop]
         n_u, n_p = t.j[s:e], t.k[s:e]
         # first sum: u = (i,n,m) in the block, v = (j,k,n)
         u, v = _join(k_off[n_u], k_off[n_u + 1])

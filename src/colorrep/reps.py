@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .colorlie import (ColorLieAlgebra, ad_operator, check_perfectness, decompose_odd,
-                       real_coefficients)
+from .colorlie import (_TERM_BLOCK, ColorLieAlgebra, _join, ad_operator, check_perfectness,
+                       decompose_odd, load_blocks, real_coefficients)
 from .enveloping import EnvElement, MonoidElement
 from .errors import ExtensionError, PerfectnessError, RankMismatchError
 from .grading import Character, Degree, alpha, is_even_like
@@ -73,21 +73,16 @@ class _Rep:
             ops = np.zeros((d, n, n), dtype=complex)
             for i in np.flatnonzero(defined):
                 ops[i] = self.rho_matrix(int(i))
-            flat = ops.reshape(d, n * n)
-            usable = defined & np.isfinite(flat).all(axis=1)
-            self._stack = _Stack(ops, defined, usable, flat[usable].view(float))
+            self._stack = _Stack(ops, defined)
         return self._stack
 
 
 class _Stack(NamedTuple):
     """rho(x_i) as ops[i], a (dim, n, n) array that is zero where ``defined``
-    is False.  ``usable`` marks the defined operators with finite entries,
-    and ``real`` holds them as rows of (re, im) pairs."""
+    is False."""
 
     ops: np.ndarray
     defined: np.ndarray
-    usable: np.ndarray
-    real: np.ndarray
 
 
 class UnitaryRep(_Rep):
@@ -253,76 +248,86 @@ def _pi_checks(r, rep: Report, tol: float) -> None:
         rep.add(f"pi unitary: {g.label}", ures <= tol, ures, tol)
 
 
-# bound on the entries that one block of indices holds per temporary of a
-# batched residual: n x n, or dim coefficients, per index
-_BLOCK = 1 << 12
+# the Jacobi join's term budget, for the residuals here: a block of indices
+# holds about ``_BLOCK`` entries per temporary, n x n per index or per term
+_BLOCK = _TERM_BLOCK
 
 
-def _combination(r, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[..., k] rho(x_k) over the defined k, as (..., n, n).
+def _ranks(key: np.ndarray) -> np.ndarray:
+    """The place of each entry of the sorted ``key`` among its equal ones.
 
-    Only nonzero coefficients count, as in a sum over the nonzero terms: an
-    operator holding a NaN or an infinity adds nothing where its
-    coefficient is zero.
+    The terms of one rank fall on distinct places, so a residual takes its
+    terms off one rank at a time, and only the terms count: an operator
+    holding a NaN or an infinity adds nothing where no term reads it.
     """
-    st = r.rho_stack()
-    n = st.ops.shape[1]
-    # real coefficients: one real product on the (re, im) pairs
-    out = (coeffs[..., st.usable] @ st.real).view(complex)
-    for k in np.flatnonzero(st.defined & ~st.usable):
-        ck = coeffs[..., k, None]
-        with np.errstate(invalid="ignore"):
-            out += np.where(ck != 0, ck * st.ops[k].ravel(), 0)
-    return out.reshape(coeffs.shape[:-1] + (n, n))
-
-
-def _blocks(r, count: int):
-    """Consecutive slices of range(count) of about ``_BLOCK`` entries each."""
-    n = r.space_dim
-    step = max(1, _BLOCK // max(n * n, r.algebra.dim))
-    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
+    return np.arange(len(key)) - np.searchsorted(key, key)
 
 
 def _bracket_residual(r, idx) -> tuple[float, str]:
     """rho([x_i, x_j]) against rho(x_i) rho(x_j) - beta rho(x_j) rho(x_i),
     worst over the pairs i, j in ``idx``, in row-major order.
 
-    A nonzero structure constant onto a basis element that ``r`` does not
-    cover counts as a residual of its own, streamed just before its pair:
-    exact data has exact zeros there.  A row i is one combination of the
-    stacked operators and two products, formed in place.
+    rho([x_i, x_j]) is the sum of c rho(x_k) over the triples (i, j, k, c)
+    in the slice ``ptr[i*d] : ptr[(i+1)*d]`` of row i.  A triple onto a
+    basis element that ``r`` does not cover counts as a residual of its
+    own, streamed just before its pair: exact data has exact zeros there.
+    A block of rows of one degree takes two products for the right side
+    over every j, and its terms are taken off the pairs they fall on.
     """
     l = r.algebra
+    t = l.triples
     st = r.rho_stack()
-    stack, defined = st.ops, st.defined
-    n = r.space_dim
+    d, n = l.dim, r.space_dim
     idx = np.asarray(idx, dtype=np.int64)
     m = len(idx)
-    # rho(x_j) for j in idx, stacked as rows (j, p) and as columns (q, (j, s))
-    col_rows = stack[idx].reshape(m * n, n)
-    col_cols = stack[idx].transpose(1, 0, 2).reshape(n, m * n)
+    pos = np.full(d, -1)
+    pos[idx] = np.arange(m)
+    # rho(x_j)[p, q] for j in idx at [p, j, q], read as rows (p, j) or as
+    # columns (j, q)
+    cols = np.ascontiguousarray(st.ops[idx].transpose(1, 0, 2))
+    # the triples of the rows with j in idx, by flat pair position, then k
+    _, u = _join(t.ptr[idx * d], t.ptr[idx * d + d])
+    u = u[pos[t.j[u]] >= 0]
+    pair = pos[t.i[u]] * m + pos[t.j[u]]
+    order = np.argsort(pair, kind="stable")
+    pair, k, c = pair[order], t.k[u[order]], t.c[u[order]]
+    rank = _ranks(pair)
+    start = np.searchsorted(pair, np.arange(m + 1) * m)
+    leak = ~st.defined[k]
+    load = (m + np.diff(start)) * n * n
+    codes = l.deg_codes[idx]
 
     def entries():
-        for i in idx:
-            # rho(x_i) rho(x_j) and rho(x_j) rho(x_i) over j, as (j, p, s)
-            rhs = (stack[i] @ col_cols).reshape(n, m, n).transpose(1, 0, 2)
-            ji = (col_rows @ stack[i]).reshape(m, n, n)
-            ji *= l.beta_table[i, idx][:, None, None]
-            rhs -= ji
-            coeffs = ad_operator(l, np.eye(l.dim)[i]).T[idx]   # c[i, j, k] over j in idx
-            lhs = _combination(r, coeffs)
-            lhs -= rhs
-            leaks = np.where((coeffs != 0) & ~defined, np.abs(coeffs), 0.0)
-            value, at = worst_entry(
-                np.concatenate([leaks, np.abs(lhs).max(axis=(1, 2))[:, None]], axis=1))
-            if at is not None:
-                j, k = divmod(at, l.dim + 1)
-                yield value, (int(i), int(idx[j])) + ((k,) if k < l.dim else ())
+        runs = np.flatnonzero(np.diff(codes, prepend=-1))
+        for lo, hi in zip(runs, np.append(runs[1:], m)):
+            # beta(x_i, x_j) rho(x_j) at [p, j, q] for the rows i of this degree
+            signed = (cols * l.beta_table[idx[lo], idx][:, None]).reshape(n * m, n)
+            for block in load_blocks(load[lo:hi], _BLOCK):
+                block = slice(lo + block.start, lo + block.stop)
+                rows, b = st.ops[idx[block]], block.stop - block.start
+                # rho(x_i) rho(x_j) - beta rho(x_j) rho(x_i) at [i, p, j, s]
+                diff = (rows @ cols.reshape(n, m * n)).reshape(b, n, m, n)
+                diff -= (signed @ rows).reshape(b, n, m, n)
+                s = np.arange(start[block.start], start[block.stop])
+                for q in range(rank[s].max(initial=-1) + 1):
+                    at = s[rank[s] == q]
+                    p = pair[at] - block.start * m
+                    diff[p // m, :, p % m] -= c[at, None, None] * st.ops[k[at]]
+                # the leaks and the pairs of the block, in stream order
+                worst = np.abs(diff).transpose(0, 2, 1, 3).reshape(b * m, n * n).max(axis=1)
+                lk = s[leak[s]]
+                keys = np.concatenate([pair[lk] * (d + 1) + k[lk],
+                                       np.arange(block.start * m, block.stop * m) * (d + 1) + d])
+                order = np.argsort(keys)
+                value, at = worst_entry(np.concatenate([np.abs(c[lk]), worst])[order])
+                if at is not None:
+                    yield value, int(keys[order[at]])
 
     def label(key):
-        a, b, *leak = (l.labels[x] for x in key)
-        return (f"bracket of ({a}, {b}) leaks onto uncovered {leak[0]}"
-                if leak else f"worst pair ({a}, {b})")
+        p, k = divmod(key, d + 1)
+        a, b = (l.labels[idx[x]] for x in divmod(p, m))
+        return (f"bracket of ({a}, {b}) leaks onto uncovered {l.labels[k]}"
+                if k < d else f"worst pair ({a}, {b})")
 
     return worst_residual(entries(), label)
 
@@ -336,11 +341,12 @@ def _skew_residual(r, indices, twist):
     l = r.algebra
     stack = r.rho_stack().ops
     gram = r.inner.gram_dense()
+    n = r.space_dim
     indices = np.asarray(list(indices), dtype=np.int64)
     phase = np.array([alpha(l.degrees[i], twist).value for i in indices])
 
     def entries():
-        for block in _blocks(r, len(indices)):
+        for block in load_blocks(np.full(len(indices), n * n), _BLOCK):
             ops = stack[indices[block]]
             adj = np.linalg.solve(gram, ops.conj().transpose(0, 2, 1) @ gram)
             value, at = worst_entry(
@@ -362,23 +368,40 @@ def _zero_skew_residual(r, indices) -> float:
 def _conjugation_residual(r, g: GroupElement, indices) -> tuple[float, str]:
     """pi rho(x) pi^-1 against rho(Ad(g) x), maximized over given indices.
 
-    Ad(g) x_i is read from column i of ``g.ad``, over the entries above
-    1e-300 in size and the basis elements ``r`` covers; a block of indices
-    is one batched conjugation against one combination of the operators.
+    rho(Ad(g) x_i) is a gather over column i of ``g.ad``: the sum of
+    ad[k, i] rho(x_k) over its entries above 1e-300 in size at the basis
+    elements ``r`` covers.  A block of indices is one batched conjugation,
+    from which its terms are taken off.
     """
     pi = np.asarray(g.pi, dtype=complex)
     pinv = np.linalg.inv(pi)
-    stack = r.rho_stack().ops
-    ad = np.where(np.abs(g.ad) > 1e-300, g.ad, 0.0)
+    st = r.rho_stack()
+    d, n = r.algebra.dim, r.space_dim
     indices = np.asarray(indices, dtype=np.int64)
+    pos = np.full(d, -1)
+    pos[indices] = np.arange(len(indices))
+    # the terms (k, col), col the index position: cols ascending, then k
+    k, i = np.divmod(np.flatnonzero(g.ad), d)
+    keep = (np.abs(g.ad[k, i]) > 1e-300) & st.defined[k] & (pos[i] >= 0)
+    order = np.argsort(pos[i[keep]], kind="stable")
+    k, i = k[keep][order], i[keep][order]
+    col, coef = pos[i], g.ad[k, i]
+    rank = _ranks(col)
+    start = np.searchsorted(col, np.arange(len(indices) + 1))
 
     def entries():
-        for block in _blocks(r, len(indices)):
-            i = indices[block]
-            value, at = worst_entry(
-                np.abs(pi @ stack[i] @ pinv - _combination(r, ad[:, i].T)).max(axis=(1, 2)))
+        for block in load_blocks((1 + np.diff(start)) * n * n, _BLOCK):
+            b = block.stop - block.start
+            # pi rho(x_i) pi^-1 at [p, i, s]
+            diff = pi @ st.ops[indices[block]].transpose(1, 0, 2).reshape(n, b * n)
+            diff = (diff.reshape(n * b, n) @ pinv).reshape(n, b, n)
+            s = np.arange(start[block.start], start[block.stop])
+            for q in range(rank[s].max(initial=-1) + 1):
+                e = s[rank[s] == q]
+                diff.transpose(1, 0, 2)[col[e] - block.start] -= coef[e, None, None] * st.ops[k[e]]
+            value, at = worst_entry(np.abs(diff).transpose(1, 0, 2).reshape(b, n * n).max(axis=1))
             if at is not None:
-                yield value, int(i[at])
+                yield value, int(indices[block][at])
 
     return worst_residual(entries(), lambda i: f"worst at {r.algebra.labels[i]}")
 
@@ -418,9 +441,11 @@ def check_unitary_rep(r: UnitaryRep, tol: float = _REP_TOL,
     return rep
 
 
-def check_pre_rep(p: PartialRep, tol: float = _REP_TOL,
+def check_pre_rep(p: PartialRep | UnitaryRep, tol: float = _REP_TOL,
                   twist: Character | None = None) -> Report:
-    """Pre-representation axioms on the supplied sectors only."""
+    """Pre-representation axioms on the supplied sectors only; a full
+    representation is checked on its ``restrict``."""
+    p = _partial(p)
     l = p.algebra
     rep = Report("pre-representation check",
                  context={"algebra_dim": l.dim, "space_dim": p.space_dim,
@@ -457,6 +482,11 @@ def check_pre_rep(p: PartialRep, tol: float = _REP_TOL,
     return rep
 
 
+def _partial(r: PartialRep | UnitaryRep) -> PartialRep:
+    """Partial data as given, or restricted from a full representation."""
+    return restrict(r) if isinstance(r, UnitaryRep) else r
+
+
 def restrict(r: UnitaryRep) -> PartialRep:
     """Forget the even-like nonzero sectors, keeping the extendable data."""
     l = r.algebra
@@ -478,9 +508,10 @@ def _extension_matrix(p: PartialRep, dec) -> np.ndarray:
     return out
 
 
-def stability_extend(p: PartialRep,
+def stability_extend(p: PartialRep | UnitaryRep,
                      tol: float = _EXTEND_TOL) -> tuple[UnitaryRep, Report]:
-    """Fill in the even-like nonzero sectors from the partial data.
+    """Fill in the even-like nonzero sectors from the partial data, or from
+    the ``restrict`` of a full representation.
 
     Each basis element there is decomposed into brackets of odd-like pairs
     and represented through the bracket property.  Two independent
@@ -489,6 +520,7 @@ def stability_extend(p: PartialRep,
     Both the agreement of the decompositions and the final check are judged
     at ``tol``.  Returns the representation and the report of that check.
     """
+    p = _partial(p)
     l = p.algebra
     pre = check_pre_rep(p)
     if not pre.passed:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import numpy as np
 
@@ -14,6 +15,16 @@ from colorrep.grading import Degree, all_degrees
 from colorrep.hcpair import GroupElement, HCPair
 from colorrep.reps import UnitaryRep
 from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
+
+
+def traced_peak_mb(fn):
+    """(the traced peak of Python allocations while fn() runs, in MB, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6, result
+    finally:
+        tracemalloc.stop()
 
 
 def dense_constants(l):

@@ -6,12 +6,12 @@ the elapsed time, then asserts the same facts.
 """
 
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import random_gamma_space, random_homog_map, random_homog_vector, random_space
+from helpers import (random_gamma_space, random_homog_map, random_homog_vector, random_space,
+                     traced_peak_mb)
 
 from colorrep.colorlie import check_axioms, check_perfectness, decompose_odd, glV
 from colorrep.enveloping import (DEFAULT_LEVEL_CAP, EnvElement, MonoidElement,
@@ -496,14 +496,9 @@ def test_criterion_13_dim_256_validated_build_memory(capsys):
     # the (4,4,4,4) skew algebra has 14,880 nonzero structure constants of
     # 16.7M entries; a dense d x d x d tensor alone would take 134 MB
     space = GradedSpace(2, {d: 4 for d in all_degrees(2)})
-    tracemalloc.start()
-    try:
-        t0 = time.perf_counter()
-        l, _ = skew_matrix_algebra(space, validate=True)
-        elapsed = time.perf_counter() - t0
-        peak = tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
+    t0 = time.perf_counter()
+    peak, (l, _) = traced_peak_mb(lambda: skew_matrix_algebra(space, validate=True))
+    elapsed = time.perf_counter() - t0
     worst = check_axioms(l).max_residual()
     ok = l.dim == 256 and worst == 0.0 and peak < 100.0
     _verdict(capsys, 13, "dim-256 validated build", ok,

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_constants, random_space, random_structure, spoiled_four_lines
+from helpers import (dense_constants, random_space, random_structure, spoiled_four_lines,
+                     traced_peak_mb)
 
 from colorrep import colorlie
 from colorrep.errors import AxiomError, PerfectnessError
@@ -21,7 +22,7 @@ from colorrep.colorlie import (
 )
 from colorrep.generators import (clifford_algebra, counterexample_algebra, random_color_algebra,
                                   skew_matrix_algebra)
-from colorrep.grading import Degree, beta
+from colorrep.grading import Degree, all_degrees, beta
 from colorrep.report import worst_entry
 from colorrep.spaces import GradedSpace
 
@@ -431,8 +432,10 @@ def test_antisymmetry_matches_the_dense_reference(name, seed, spoils):
     assert check.detail == ("" if check.passed else where)
 
 
-# the Jacobi join in one block of terms, or in one block per first index
+# the Jacobi join in its own blocks of terms, in blocks of 2^19 terms, or in
+# one block per first index
 _PATHS = {"join": {},
+          "join-2^19": {"_TERM_BLOCK": 1 << 19},
           "join-block-per-i": {"_TERM_BLOCK": 1}}
 
 
@@ -441,7 +444,7 @@ def _take(path, mp):
         mp.setattr(colorlie, name, value)
 
 
-@pytest.mark.parametrize("path", ["join", "join-block-per-i"])
+@pytest.mark.parametrize("path", sorted(_PATHS))
 @pytest.mark.parametrize("build", [
     spoiled_four_lines,
     random_structure,
@@ -456,17 +459,22 @@ def test_the_jacobi_join_matches_the_einsum_reference(build, path, monkeypatch):
     assert check.detail == where
 
 
+def _overflowing_four_lines():
+    """``spoiled_four_lines`` with [E0_0, E0_1] = E0_1 scaled by 1e200."""
+    l = spoiled_four_lines()
+    c = dense_constants(l)
+    c[0, 4, 4] *= 1e200
+    c[4, 0, 4] *= 1e200
+    return ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
+
+
 @pytest.mark.parametrize("path", sorted(_PATHS))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_finite_constants_give_a_nan_jacobi_residual(path, monkeypatch):
     # finite constants whose products overflow: inf - inf is NaN in the join
     # as in the einsum reference, and the NaN beats the table's 0.5 violation
     _take(path, monkeypatch)
-    l = spoiled_four_lines()
-    c = dense_constants(l)
-    c[0, 4, 4] *= 1e200   # [E0_0, E0_1] = E0_1
-    c[4, 0, 4] *= 1e200
-    bad = ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
+    bad = _overflowing_four_lines()
     assert np.isfinite(dense_constants(bad)).all()
     want, where = _einsum_jacobi(bad)
     assert np.isnan(want)
@@ -503,6 +511,50 @@ def test_overflowing_jacobi_matches_the_einsum_reference(name, seed, path, scale
     assert check.passed == (want <= 1e-9)
     assert np.isnan(check.residual) if np.isnan(want) else check.residual == pytest.approx(want, rel=1e-12)
     assert check.detail == ("" if check.passed else where)
+
+
+def _skew_2222(spoil=0.0):
+    """The dim-64 skew-matrix algebra of the (2,2,2,2) space, with ``spoil``
+    added to one structure constant."""
+    l, _ = skew_matrix_algebra(GradedSpace(2, {d: 2 for d in all_degrees(2)}))
+    if not spoil:
+        return l
+    c = dense_constants(l)
+    t = l.triples
+    c[t.i[100], t.j[100], t.k[100]] += spoil
+    return ColorLieAlgebra(l.rank, l.labels, l.degrees, c)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("build", [
+    spoiled_four_lines,
+    random_structure,
+    lambda: random_structure(9, graded_antisymmetric=True),
+    _overflowing_four_lines,
+    _skew_2222,
+    lambda: _skew_2222(0.5),
+], ids=["spoiled-glV", "random-tensor", "random-bracket", "overflow", "skew-2222",
+        "spoiled-skew-2222"])
+def test_every_block_of_the_join_gives_the_same_report(build):
+    # the residuals are bit-identical (repr of a float is exact) and so are
+    # the labels, whatever the blocks
+    l = build()
+    seen = set()
+    for path in _PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            _take(path, mp)
+            report = check_axioms(l)
+        seen.add(tuple((c.name, repr(c.residual), c.detail) for c in report.checks))
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("width, bound", [(2, 5.0), (4, 10.0)], ids=["dim-64", "dim-256"])
+def test_the_jacobi_join_keeps_its_working_set_small(width, bound):
+    # blocks of 2^19 terms peaked at 10.1 MB (dim 64) and 48.3 MB (dim 256)
+    l, _ = skew_matrix_algebra(GradedSpace(2, {d: width for d in all_degrees(2)}))
+    peak, report = traced_peak_mb(lambda: check_axioms(l))
+    assert report.passed
+    assert peak < bound, f"traced peak {peak:.1f} MB"
 
 
 def test_the_triple_index_lists_the_nonzero_structure_constants():

@@ -952,6 +952,33 @@ def test_non_hermitian_function_raises_positivity_error():
         gns_construct(psi, group_samples=default_group_samples(r))
 
 
+def _off_diagonal_gram():
+    r, v0 = clifford_state()
+    w0 = np.array([0.0, 1.0], dtype=complex)
+    psi = PDFunction(r.algebra, lambda s: matrix_coefficient(r, v0, w0, s))
+    return gns._gram_of(psi, build_sample_set(r.algebra, default_group_samples(r), 1))
+
+
+def _spoiled_table_gram():
+    psi = four_lines_table()
+    gram = gns._gram_of(psi, build_sample_set(psi.algebra, [], 2))
+    rng = np.random.default_rng(5)
+    gram.m = gram.m + 1e-3 * (rng.standard_normal(gram.m.shape)
+                              + 1j * rng.standard_normal(gram.m.shape))
+    return gram
+
+
+@pytest.mark.parametrize("build", [_off_diagonal_gram, _spoiled_table_gram],
+                         ids=["off-diagonal", "spoiled-table"])
+def test_the_hermitian_residual_is_the_spectral_norm_of_m_minus_m_dagger(build):
+    # read off the eigenvalues of i (M - M^H), it is the 2-norm an SVD gives
+    gram = build()
+    want = np.linalg.norm(gram.m - gram.m.conj().T, 2)
+    got, _ = gram.hermitian()
+    assert want > 1e-3
+    assert abs(got - want) <= 1e-12 * want
+
+
 # ------------------------------------------------------------------ cyclicity
 
 def direct_sum_of_cliffords():

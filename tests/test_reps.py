@@ -429,6 +429,19 @@ def test_stability_roundtrip_recovers_even_sectors(seed):
     assert {c.tolerance for c in final.checks} - {None} == {1e-8}
 
 
+@pytest.mark.parametrize("build", [
+    lambda: clifford_rep(1, b=[[1.0]]),
+    lambda: conjugated_rep(skew_matrix_algebra(FOUR_LINES)[1], seed=13),
+], ids=["clifford-n1", "four-lines"])
+def test_a_full_rep_is_checked_and_extended_as_its_restriction(build):
+    r = build()
+    assert check_pre_rep(r).to_dict() == check_pre_rep(restrict(r)).to_dict()
+    (full, final), (want, want_final) = stability_extend(r), stability_extend(restrict(r))
+    assert final.to_dict() == want_final.to_dict()
+    for i in range(r.algebra.dim):
+        assert np.array_equal(full.rho_matrix(i), want.rho_matrix(i))
+
+
 def test_stability_requires_perfectness():
     with pytest.raises(PerfectnessError) as exc:
         stability_extend(counterexample_prerep())
