@@ -9,9 +9,9 @@ certifies what it verified, and compares independent reconstructions.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,18 +39,20 @@ class PDFunction:
     """Scalar function on the monoid, linear over the enveloping part.
 
     Instances remember where they came from, and the sample Gram is built
-    the fastest way that provenance allows (see ``_gram_of``).  Diagonal
-    coefficients of a representation keep the representation and vector and
-    are evaluated through the operators; their sample columns rho(w) v are
-    built by prefix sharing (``_WordColumns``), each new word's column from
-    the column of its suffix, and kept across levels.  Table-backed
-    functions only know their values on normal words with trivial group
-    part; they keep the table, and their Grams read it through
-    left-multiplication operators on normal words (``_WordOperators``).
-    Those are built on first use by the PBW recursion, with
-    ``enveloping._nf`` as the reference they are tested against, grown with
-    the level under a word budget, and kept.  Any other evaluator is called
-    once per Gram entry.
+    the fastest way that provenance allows (see ``_gram_of``).  Both fast
+    routes walk one index of the normal words (``_WordIndex``), where each
+    word (a, u') knows its first letter a and the index of its suffix u'.
+    Diagonal coefficients of a representation keep the representation and
+    vector and are evaluated through the operators; their word columns
+    rho(w) v are rho(x_a) times the columns of the suffixes, one product per
+    word length and first letter, kept across levels (``_sample_columns``).
+    Table-backed functions only know their values on normal words with
+    trivial group part; they keep the table, and their Grams are blocks of
+    the word Gram K that ``_WordOperators`` builds from the table through
+    left multiplication on normal words.  The operators are built on first
+    use by the PBW recursion, with ``enveloping._nf`` as the reference they
+    are tested against, grown with the level under a word budget, and kept.
+    Any other evaluator is called once per Gram entry.
     """
 
     __slots__ = ("algebra", "provenance", "rep", "vector", "table", "_eval",
@@ -133,21 +135,24 @@ class SampleSet:
 
     Sample k is (groups[k // len(words)], words[k % len(words)]).  The
     identity group element comes first and the words start with the empty
-    word, so sample 0 is the identity of the monoid.  ``codes`` holds the
-    degree code (``Degree.code``) of each sample; the group part has degree
-    zero, so these are the word codes, tiled.  The samples are not stored as
+    word, so sample 0 is the identity of the monoid.  ``index`` is the
+    ``_WordIndex`` of the words; ``codes`` holds the degree code
+    (``Degree.code``) of each sample, and since the group part has degree
+    zero, these are the word codes, tiled.  The samples are not stored as
     monoid elements: ``element(k)`` builds one on demand, for the routes
     that take monoid products.  Made by ``build_sample_set``.
     """
 
-    __slots__ = ("algebra", "groups", "words", "level", "codes")
+    __slots__ = ("algebra", "groups", "index", "words", "level", "codes")
 
-    def __init__(self, l: ColorLieAlgebra, groups, words, level: int):
+    def __init__(self, l: ColorLieAlgebra, groups, index: _WordIndex,
+                 level: int):
         self.algebra = l
         self.groups = groups
-        self.words = words
+        self.index = index
+        self.words = index.words
         self.level = level
-        self.codes = np.tile(_word_codes(l, words), len(groups))
+        self.codes = np.tile(index.codes, len(groups))
 
     def __len__(self) -> int:
         return len(self.groups) * len(self.words)
@@ -166,37 +171,73 @@ class SampleSet:
                 f"level={self.level}, groups={len(self.groups)})")
 
 
-def _word_codes(l: ColorLieAlgebra, words) -> np.ndarray:
-    # the degree code of a word is the xor of its letters' codes
-    letter = l.deg_codes.tolist()
-    out = np.zeros(len(words), dtype=np.int64)
-    for k, w in enumerate(words):
-        code = 0
-        for i in w:
-            code ^= letter[i]
-        out[k] = code
-    return out
-
-
 def _degree_of(rank: int, code: int) -> Degree:
     return Degree((code >> (rank - 1 - j)) & 1 for j in range(rank))
 
 
+class _WordIndex(NamedTuple):
+    """The normal words up to a length, shortest first and lexicographic
+    within a length.  ``counts[m]`` words have length at most m; for the
+    word (a, u'), ``first`` is a and ``tail`` the index of u' (dim g and -1
+    for the empty word); ``codes`` are the degree codes (``Degree.code``)."""
+
+    words: list
+    counts: np.ndarray
+    first: np.ndarray
+    tail: np.ndarray
+    codes: np.ndarray
+
+    def runs(self, m: int) -> list[tuple[int, int, int]]:
+        """(k, a, b) for each letter k that starts words of length m >= 1:
+        those are the words a..b-1."""
+        lo, hi = int(self.counts[m - 1]), int(self.counts[m])
+        cut = (lo + 1 + np.flatnonzero(np.diff(self.first[lo:hi]))).tolist()
+        ends = [lo, *cut, hi]
+        return [(int(self.first[a]), a, b)
+                for a, b in zip(ends, ends[1:]) if a < b]
+
+
+def _index_words(l: ColorLieAlgebra, length: int) -> _WordIndex:
+    # the words of length m + 1 are the (k,) + u with u of length m starting
+    # above k, or at k when beta(k, k) = +1 (squares of the other letters
+    # rewrite away); those u are the last words of length m
+    d = l.dim
+    odd = np.diag(l.beta_table) == -1
+    letters = np.arange(d)
+    words: list[tuple] = [()]
+    counts = [1]
+    first = [np.array([d])]
+    tail = [np.array([-1])]
+    codes = [np.zeros(1, dtype=np.int64)]
+    for m in range(length):
+        lo, hi = (counts[-2] if m else 0), counts[-1]
+        start = lo + np.where(odd, np.searchsorted(first[-1], letters, "right"),
+                              np.searchsorted(first[-1], letters, "left"))
+        f = np.repeat(letters, hi - start)
+        t = hi - np.searchsorted(f, f, "right") + np.arange(f.size)
+        words.extend([(k,) + words[u] for k, u in zip(f.tolist(), t.tolist())])
+        counts.append(hi + f.size)
+        first.append(f)
+        tail.append(t)
+        codes.append(l.deg_codes[f] ^ codes[-1][t - lo])
+    return _WordIndex(words, np.array(counts), np.concatenate(first),
+                      np.concatenate(tail), np.concatenate(codes))
+
+
+def _word_index(l: ColorLieAlgebra, level: int, length: int) -> _WordIndex:
+    """The ``_WordIndex`` up to the length that a level reads; more than
+    ``_WORD_BUDGET`` words raise StabilizationError before any is listed."""
+    words = normal_word_count(l, length)
+    if words > _WORD_BUDGET:
+        raise StabilizationError(
+            f"level {level} needs the {words} normal words up to length "
+            f"{length}, over the budget of {_WORD_BUDGET} words")
+    return _index_words(l, length)
+
+
 def normal_words(l: ColorLieAlgebra, max_level: int) -> list[tuple]:
     """All rewriting-stable index words up to the length bound, shortest first."""
-    words: list[tuple] = [()]
-    frontier: list[tuple] = [()]
-    for _ in range(max_level):
-        grown = []
-        for w in frontier:
-            start = w[-1] if w else 0
-            for i in range(start, l.dim):
-                if w and i == w[-1] and l.beta_table[i, i] == -1:
-                    continue  # squares of these letters rewrite away
-                grown.append(w + (i,))
-        words.extend(grown)
-        frontier = grown
-    return words
+    return _index_words(l, max_level).words
 
 
 def normal_word_count(l: ColorLieAlgebra, max_level: int) -> int:
@@ -238,17 +279,13 @@ def build_sample_set(l: ColorLieAlgebra, group_samples, level: int) -> SampleSet
     """
     if level < 0:
         raise ValueError(f"sample level must be at least 0, got {level}")
-    words = normal_word_count(l, level)
-    if words > _WORD_BUDGET:
-        raise StabilizationError(
-            f"level {level} needs the {words} normal words up to length "
-            f"{level}, over the budget of {_WORD_BUDGET} words")
+    index = _word_index(l, level, level)
     groups = [g for g in group_samples if not g.is_identity()]
     # bind the identity whenever the others are bound, so that star and
     # product stay inside the bound part of the monoid
     pi_dim = next((g.pi.shape[0] for g in groups if g.pi is not None), None)
     groups.insert(0, GroupElement.identity(l.dim, pi_dim))
-    return SampleSet(l, groups, normal_words(l, level), level)
+    return SampleSet(l, groups, index, level)
 
 
 def _product(a: MonoidElement, b: MonoidElement) -> MonoidElement:
@@ -295,7 +332,8 @@ def _gram_of(psi: PDFunction, samples: SampleSet):
     The only place that picks a route, from provenance alone.
     Representation-backed psi takes the operator route (``_FactoredGram``),
     table-backed psi the table route (``_TableGram``, which refuses any
-    group part but the identity), and every other psi the monoid-product
+    group part but the identity, and whose M is a leading block of the word
+    Gram K of ``_WordOperators``), and every other psi the monoid-product
     route (``_DenseGram``).  The samples must come from
     ``build_sample_set``; anything else raises TypeError.  Each route gives
     ``samples``; ``eigs``, the eigenvalues of M (of its Hermitian part off the
@@ -311,7 +349,8 @@ def _gram_of(psi: PDFunction, samples: SampleSet):
     eigenvalues of the block of M on idx ascending, with eigenvectors for
     the last of them; ``translate(m_left, c)``, c^H P with the pairings
     P[t, s] = psi(t* m_left s) (P itself when c is None), and the squared
-    lengths of the translates; ``against(x)``, psi(t* x) for every sample t; and ``psd_detail``.
+    lengths of the translates; ``against(x)``, psi(t* x) for every sample
+    t; and ``psd_detail``.
     """
     if not isinstance(samples, SampleSet):
         raise TypeError(f"samples must be a SampleSet made by build_sample_set, "
@@ -417,12 +456,15 @@ class _WordOperators:
     For a normal word w = (a_1, ..., a_r), psi(w* u) = phase(w) t(x_{a_r} ...
     x_{a_1} u) with the star phase phase(w), so its row is rho_w = t^T L_{a_r}
     ... L_{a_1} = rho_{(a_2, ..., a_r)} L_{a_1}: the suffix is a shorter
-    normal word, and each row costs one sparse product.  At ``top`` the words
-    run up to length 2 top, the operators act on words up to length 2 top - 1,
+    normal word, and the rows of the words of one length and first letter
+    are the rows of their suffixes times one L_k.  At ``top`` the words (the
+    ``_WordIndex`` fields ``words``, ``counts``, ``first`` and ``tail``) run
+    up to length 2 top, the operators act on words up to length 2 top - 1,
     and the row of a word of length r is exact on words up to length
-    2 top - r.  A ``top`` whose words number more than ``_WORD_BUDGET`` is
-    refused before anything is allocated.  Built on first use, grown with the
-    level and kept on the function.
+    2 top - r.  Only the phased square word Gram K[u, v] = psi(u* v) of the
+    words up to length ``top`` is kept.  A ``top`` whose words number more
+    than ``_WORD_BUDGET`` is refused before anything is allocated.  Built on
+    first use, grown with the level and kept on the function.
     """
 
     def __init__(self, psi: PDFunction):
@@ -432,10 +474,6 @@ class _WordOperators:
         self.table = psi.table
         self.top = -1
         self.built = 0           # words whose columns the store holds
-        self.words: list[tuple] = []
-        self.index: dict[tuple, int] = {}
-        self.counts = np.zeros(0, dtype=np.int64)
-        self.tail = np.zeros(0, dtype=np.int64)
         # column u d + k: entries start[u d + k] onwards, count[u d + k] many
         self.start = np.zeros(0, dtype=np.int64)
         self.count = np.zeros(0, dtype=np.int64)
@@ -444,8 +482,6 @@ class _WordOperators:
         self.odd = np.diag(l.beta_table) == -1
         self.letter_phase = np.array([letter_star_phase(l, k)
                                       for k in range(d)])
-        self.rows: list[np.ndarray] = []
-        self.phase = np.ones(0, dtype=complex)
 
     @property
     def entries(self) -> int:
@@ -455,50 +491,41 @@ class _WordOperators:
     def grow(self, top: int) -> None:
         if top <= self.top:
             return
-        l = self.algebra
-        words = normal_word_count(l, 2 * top)
-        if words > _WORD_BUDGET:
-            raise StabilizationError(
-                f"level {top} needs the {words} normal words up to length "
-                f"{2 * top}, over the budget of {_WORD_BUDGET} words")
-        self.words = normal_words(l, 2 * top)
+        index = _word_index(self.algebra, top, 2 * top)
+        self.words, self.counts, self.first, self.tail, _ = index
         self.index = {w: i for i, w in enumerate(self.words)}
-        # counts[m]: how many words have length at most m
-        self.counts = np.searchsorted([len(w) for w in self.words],
-                                      np.arange(2 * top + 1), side="right")
         self._build_columns(top)
         self.top = top
 
+        # rows: those of the words of length m - 1, on the words they are
+        # exact on; K[lo:hi] holds the rows of the words of length m
         n = int(self.counts[top])
-        rows = [np.array([self.table.get(w, 0.0) for w in self.words],
-                         dtype=complex)]
+        rows = np.array([[self.table.get(w, 0.0) for w in self.words]],
+                        dtype=complex)
+        k_mat = np.empty((n, n), dtype=complex)
+        k_mat[0] = rows[0, :n]
         phase = np.ones(n, dtype=complex)
-        for i in range(1, n):
-            w, j = self.words[i], int(self.tail[i])
-            out = int(self.counts[2 * top - len(w)])
-            rows.append(self._times(w[0], rows[j], out))
-            phase[i] = self.letter_phase[w[0]] * phase[j]
-        self.rows, self.phase = rows, phase
+        for m in range(1, top + 1):
+            lo, hi = int(self.counts[m - 1]), int(self.counts[m])
+            out, base = int(self.counts[2 * top - m]), lo - len(rows)
+            grown = np.empty((hi - lo, out), dtype=complex)
+            for k, a, b in index.runs(m):
+                grown[a - lo:b - lo] = self._times(k, rows[self.tail[a:b] - base], out)
+            phase[lo:hi] = self.letter_phase[self.first[lo:hi]] * phase[self.tail[lo:hi]]
+            rows, k_mat[lo:hi] = grown, grown[:, :n]
+        self.k = phase[:, None] * k_mat
 
     def _build_columns(self, top: int) -> None:
         # the columns of the words of length up to 2 top - 1 not yet built
         d = self.algebra.dim
         end = int(self.counts[2 * top - 1]) if top else 0
-        first = np.array([w[0] if w else d for w in self.words])
+        first = self.first
         bounds = np.concatenate([[0], self.counts])
-        # pre[k, u]: the index of the normal word (k,) + u, or -1.  The words
-        # of one length are in lexicographic order, so the words (k,) + u are
-        # a run, and so are their suffixes u
+        # pre[k, u]: the index of the normal word (k,) + u, or -1; the words
+        # of length 1 to 2 top have suffixes up to length 2 top - 1
         pre = np.full((d, end), -1, dtype=np.int64)
-        self.tail = np.full(len(self.words), -1, dtype=np.int64)
-        for m in range(2 * top):
-            lo, hi, nxt = bounds[m], bounds[m + 1], bounds[m + 2]
-            for k in range(d):
-                s = lo + np.searchsorted(first[lo:hi], k,
-                                         side="right" if self.odd[k] else "left")
-                p = hi + np.searchsorted(first[hi:nxt], k)
-                pre[k, s:hi] = p + np.arange(hi - s)
-                self.tail[p:p + hi - s] = np.arange(s, hi)
+        p = np.arange(1, len(self.words))
+        pre[first[p], self.tail[p]] = p
         grown = np.zeros((end - self.built) * d, dtype=np.int64)
         self.start = np.concatenate([self.start, grown])
         self.count = np.concatenate([self.count, grown])
@@ -566,25 +593,27 @@ class _WordOperators:
         # L_k on the first ``cols`` words, as (column, row, value) arrays
         return self._columns(np.arange(cols) * self.algebra.dim + k)
 
-    def _times(self, k: int, row: np.ndarray, out: int) -> np.ndarray:
-        # row^T L_k on the first ``out`` words
+    def _times(self, k: int, rows: np.ndarray, out: int) -> np.ndarray:
+        # rows L_k on the first ``out`` words
         src, dst, val = self._operator(k, out)
-        wts = row[dst] * val
-        return (np.bincount(src, wts.real, out)
-                + 1j * np.bincount(src, wts.imag, out))
+        wts = (rows[:, dst] * val).ravel()
+        at = (np.arange(len(rows))[:, None] * out + src).ravel()
+        size = len(rows) * out
+        return (np.bincount(at, wts.real, size)
+                + 1j * np.bincount(at, wts.imag, size)).reshape(len(rows), out)
 
     def coordinates(self, env: EnvElement) -> np.ndarray:
-        """The normal-word coefficients of env, as one column.
+        """The normal-word coefficients of env, on the words up to its level.
 
         Normal words are looked up; only a word that is not normal is
         rewritten through ``_nf``.
         """
         self.grow(env.level)
-        x = np.zeros((int(self.counts[env.level]), 1), dtype=complex)
+        x = np.zeros(int(self.counts[env.level]), dtype=complex)
         for w, c in env.terms.items():
             terms = {w: 1.0} if w in self.index else _nf(self.algebra, w)
             for v, cv in terms.items():
-                x[self.index[v], 0] += c * cv
+                x[self.index[v]] += c * cv
         return x
 
     def left_multiply(self, env: EnvElement, level: int) -> np.ndarray:
@@ -605,32 +634,25 @@ class _WordOperators:
         return out
 
     def gram(self, level: int) -> np.ndarray:
-        """psi(u* v) for every pair of words u, v up to the level."""
+        """psi(u* v) for every pair of words u, v up to the level: a leading
+        block of K."""
         self.grow(level)
         n = int(self.counts[level])
-        return self.phase[:n, None] * np.stack([row[:n] for row in self.rows[:n]])
-
-    def pairings(self, level: int, x: np.ndarray, x_level: int) -> np.ndarray:
-        """psi(u* x) for every word u up to the level and every column x.
-
-        The columns hold coefficients on the words up to ``x_level``.
-        """
-        self.grow(max(level, x_level))
-        n = int(self.counts[level])
-        rows = np.stack([row[:x.shape[0]] for row in self.rows[:n]])
-        return self.phase[:n, None] * (rows @ x)
+        return self.k[:n, :n]
 
 
 class _TableGram(_DenseGram):
     """Table route: Gram entries read the table through left multiplication.
 
     The samples are the normal words up to the level, which are the first n
-    words of ``_WordOperators``, so M is the word Gram K[u, v] = psi(u* v) on
-    them.  Both triangles of K are computed, so the Hermitian check stays a
-    real one.  Left translation by x_k maps the samples to the columns
-    Y = L_k on words one longer, so its pairings against the columns of c
-    are c^H (K Y)[:n] and the squared lengths of the translates are the
-    diagonal of Y^H K Y.
+    words of the ``_WordIndex`` of ``_WordOperators``, so M is the leading
+    n x n block of its word Gram K.  Both triangles of K are computed, so the
+    Hermitian check stays a real one.  Left translation by x_k maps the
+    samples to the columns Y = L_k on the m words one longer, so its
+    pairings against the columns of c are c^H (K Y)[:n] with the leading
+    m x m block of K, and the squared lengths of the translates are the
+    diagonal of Y^H K Y.  psi(t* x) reads the rows of the samples in K
+    against the normal-word coordinates of x.
     """
 
     def __init__(self, psi: PDFunction, samples: SampleSet):
@@ -647,9 +669,9 @@ class _TableGram(_DenseGram):
 
     def translate(self, m_left: MonoidElement, c_mat=None):
         _refuse_group_part(m_left.group)
-        top = self.level + m_left.level
         y = self.words.left_multiply(m_left.env, self.level)
-        ky = self.words.pairings(top, y, top)
+        m = y.shape[0]
+        ky = self.words.k[:m, :m] @ y
         pairs = ky[:y.shape[1]]
         return (pairs if c_mat is None else c_mat.conj().T @ pairs,
                 np.real(np.sum(y.conj() * ky, axis=0)))
@@ -657,59 +679,35 @@ class _TableGram(_DenseGram):
     def against(self, x: MonoidElement) -> np.ndarray:
         _refuse_group_part(x.group)
         col = self.words.coordinates(x.env)
-        return self.words.pairings(self.level, col, x.level)[:, 0]
-
-
-class _WordColumns:
-    """The columns rho(w) v of words w, for a representation-backed psi.
-
-    rho(w) is the product of the rho(x_i) over the letters of w, left to
-    right, so the column of the word (i, w') is rho(x_i) times the column of
-    w'.  Missing words are added together with their missing suffixes,
-    shortest first, one matrix product per (length, first letter).  Built on
-    first use and kept on the function, so a level computes only the columns
-    of its new words.
-    """
-
-    def __init__(self, r: UnitaryRep, v: np.ndarray):
-        self.rep = r
-        self.index: dict[tuple, int] = {(): 0}
-        self.store = np.array(v, dtype=complex)[:, None]
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def lookup(self, words) -> np.ndarray:
-        """Store positions of the words' columns, computing the missing ones."""
-        missing = set()
-        for w in words:
-            while w not in self.index and w not in missing:
-                missing.add(w)
-                w = w[1:]
-        order = sorted(missing, key=lambda w: (len(w), w))
-        for _, same_length in itertools.groupby(order, key=len):
-            blocks = []
-            for i, run in itertools.groupby(same_length, key=lambda w: w[0]):
-                run = list(run)
-                tails = [self.index[w[1:]] for w in run]
-                blocks.append(self.rep.rho_matrix(i) @ self.store[:, tails])
-                for w in run:
-                    self.index[w] = len(self.index)
-            self.store = np.hstack([self.store] + blocks)
-        return np.array([self.index[w] for w in words], dtype=np.intp)
+        return self.words.k[:len(self.samples), :col.size] @ col
 
 
 def _sample_columns(psi: PDFunction, samples: SampleSet) -> np.ndarray:
     """op(s) v for every sample s, as the columns of a d x n array.
 
-    With B the block of word columns rho(w) v from ``_WordColumns``, the
-    identity group sample gives B and every other group sample g gives
-    pi(g) B.
+    The word columns rho(w) v are built on first use and kept on the
+    function as ``_columns``, column p that of word p of the ``_WordIndex``.
+    rho(w) is the product of the rho(x_i) over the letters of w, left to
+    right, so the column of the word (i, w') is rho(x_i) times the column of
+    w': a level adds the word lengths not held, shortest first, with one
+    matrix product per (length, first letter).  With B the block of word
+    columns, the identity group sample gives B and every other group sample
+    g gives pi(g) B.
     """
     if psi._columns is None:
-        psi._columns = _WordColumns(psi.rep, psi.vector)
-    at = psi._columns.lookup(samples.words)
-    block = psi._columns.store[:, at]
+        psi._columns = np.array(psi.vector, dtype=complex)[:, None]
+    index, held = samples.index, psi._columns.shape[1]
+    n = len(samples.words)
+    if n > held:
+        ops = psi.rep.rho_stack().ops
+        cols = np.empty((psi._columns.shape[0], n), dtype=complex)
+        cols[:, :held] = psi._columns
+        for m in range(1, len(index.counts)):
+            if index.counts[m] > held:
+                for k, a, b in index.runs(m):
+                    cols[:, a:b] = ops[k] @ cols[:, index.tail[a:b]]
+        psi._columns = cols
+    block = psi._columns[:, :n]
     blocks = [block]
     for g in samples.groups[1:]:
         if g.pi is None:
@@ -812,7 +810,7 @@ def sample_gram(psi: PDFunction, samples: SampleSet) -> tuple[np.ndarray, float]
 
     Representation-backed functions evaluate through the operators, as
     M = W^H W from the factor W = R U (R the Cholesky factor of the space
-    Gram, U the sample columns, built by prefix sharing over the words); a
+    Gram, U the sample columns, each word's from the column of its suffix); a
     few same-degree and diagonal entries are then recomputed through the
     monoid product as an independent route, and the worst disagreement is
     returned alongside the matrix.  This is the one place that forms M on
@@ -945,30 +943,26 @@ def gns_construct(psi: PDFunction, group_samples=None,
 
     Each level's sample Gram is built once and reused by the positivity
     certificate, and the degree codes of the samples come with the sample
-    set.  For representation-backed functions it is kept as M = W^H W (see
-    ``_FactoredGram``) and no n x n matrix is formed: every step over the n
-    samples is O(n d^2).  The rank and norm are read from the singular
-    values of W; the grading check reads W block by block, one pair of
-    sectors at a time; each sector's basis comes from a thin SVD of its
-    columns of W; the orthonormality check and the cyclic class read W; a
-    translate's pairings are (U c)^H G (A U); the reproducing row psi(s t)
-    of a pick s over all samples t is (G v)^H op(s) U.  Hermitian symmetry
-    and positivity then hold by construction; the route agreement, grading,
-    escape, orthonormality, representation and reproducing checks are
-    numerical.  The monoid product is the independent side on a fixed
-    number of pairs, whatever the sample count: eight Gram entries in each
-    route agreement and ``_WITNESS`` entries of each reproducing row (see
-    ``_witness_gap``).  The report's ``columns`` counts the word columns
-    held.  For tables, every level reads the same left-multiplication
-    operators, grown level by level, and the reproducing check pairs them
+    set.  For representation-backed functions it is kept as M = W^H W and no
+    n x n matrix is formed: every step over the n samples is O(n d^2) (see
+    ``_FactoredGram`` for what reads W and the sample columns U), so
+    Hermitian symmetry and positivity hold by construction; the route
+    agreement, grading, escape, orthonormality, representation and
+    reproducing checks are numerical.  The monoid product is the
+    independent side on a fixed number of pairs, whatever the sample count:
+    eight Gram entries in each route agreement and ``_WITNESS`` entries of
+    each reproducing row (see ``_witness_gap``).  The report's ``columns``
+    counts the word columns held.  For tables, each level's Gram is a
+    leading block of one word Gram, read through left-multiplication
+    operators grown level by level, and the reproducing check pairs them
     against a monoid product for every sample; the report gives ``words``
     and ``operator_entries``.  Picks and draws use the standard library's
     ``random`` with fixed seeds, so a run repeats exactly.
 
-    Raises StabilizationError when the rank is still growing at the cap, when
-    a level needs more normal words than the budget allows, when
-    a translate escapes the span the rank test certified, or when the
-    assembled operators fail validation.  Positivity failures on the sample
+    Raises StabilizationError when the rank is still growing at the cap, or
+    is left unconfirmed by a cap of 0, when a level needs more normal words
+    than the budget allows, when a translate escapes the span the rank test
+    certified, or when the assembled operators fail validation.  Positivity failures on the sample
     set raise PositivityError.  A function that vanishes on every sample has
     nothing to reconstruct and raises ValueError, as does a negative
     ``level_cap``.
@@ -999,6 +993,10 @@ def gns_construct(psi: PDFunction, group_samples=None,
             chosen = level - 1
             break
         prev_rank = rank
+    if chosen is None and level_cap == 0:
+        raise StabilizationError(
+            f"a level cap of 0 samples level 0 only (rank {prev_rank}), which "
+            "leaves no second level to confirm the rank")
     if chosen is None:
         raise StabilizationError(
             f"gram rank still growing at level {level_cap} "
@@ -1169,7 +1167,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
         report.context["words"] = len(gram.words.words)
         report.context["operator_entries"] = gram.words.entries
     elif isinstance(gram, _FactoredGram):
-        report.context["columns"] = len(psi._columns)
+        report.context["columns"] = psi._columns.shape[1]
     return GNSResult(rep, v0_clean, spectrum, chosen, report, n)
 
 
@@ -1195,8 +1193,8 @@ def check_cyclic(r: UnitaryRep, v, tol: float = _GNS_TOL) -> Report:
 
 def _actions(r: UnitaryRep, groups) -> np.ndarray:
     # every rho(x_k), then every pi(g), stacked
-    return np.stack([r.rho_matrix(i) for i in range(r.algebra.dim)]
-                    + [np.asarray(g.pi, dtype=complex) for g in groups])
+    return np.concatenate([r.rho_stack().ops]
+                          + [np.asarray(g.pi, dtype=complex)[None] for g in groups])
 
 
 def _hull(actions: np.ndarray, v: np.ndarray, tol: float):

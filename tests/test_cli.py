@@ -294,6 +294,20 @@ def test_rep_construction_reports_its_word_columns(tmp_path, capsys):
     assert "columns" not in doc["context"]
 
 
+def test_a_level_cap_of_zero_says_no_second_level_confirms_the_rank(tmp_path, capsys):
+    # level 0 alone sees no growth; the rank is unconfirmed, not growing
+    table = tmp_path / "table.json"
+    save_table(table, PDFunction.from_table(*four_lines_values()))
+    want = ("a level cap of 0 samples level 0 only (rank 1), which leaves no "
+            "second level to confirm the rank")
+    for argv in (["gns-roundtrip", "--rep", cliff_file(tmp_path, capsys)],
+                 ["gns-construct", "--table", str(table)]):
+        code, doc, _ = run_json(capsys, *argv, "--level-cap", "0")
+        assert code == 1
+        check = next(c for c in doc["checks"] if c["name"] == "reconstruction")
+        assert (check["passed"], check["detail"]) == (False, want)
+
+
 def test_a_table_over_the_word_budget_fails_reconstruction(tmp_path, capsys):
     path = tmp_path / "cut.json"
     save_table(path, cut_four_lines_table())

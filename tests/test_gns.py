@@ -145,8 +145,9 @@ def test_a_sample_level_over_the_word_budget_is_refused_before_any_word_is_liste
     l = clifford_algebra()
     monkeypatch.setattr(gns, "_WORD_BUDGET", 4)
     listed = []
-    monkeypatch.setattr(gns, "normal_words",
-                        lambda *a: listed.append(a) or normal_words(*a))
+    index_words = gns._index_words
+    monkeypatch.setattr(gns, "_index_words",
+                        lambda *a: listed.append(a) or index_words(*a))
     assert len(build_sample_set(l, [], 1).words) == 3
     listed.clear()
     with pytest.raises(StabilizationError,
@@ -491,11 +492,21 @@ def test_prefix_shared_columns_are_the_monoid_operator_columns(case):
     u = gns._sample_columns(psi, samples)
     ref = np.column_stack([monoid_operator(r, s) @ v for s in samples])
     assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(ref))))
-    # kept on the function: a second call computes no new word column
-    held = len(psi._columns)
-    assert held == len(normal_words(r.algebra, samples.level))
+    # column p is that of word p of the sample set's index; kept on the
+    # function, so a second call computes no new word column
+    store = psi._columns
+    assert store.shape[1] == int(samples.index.counts[-1]) == len(samples.words)
     gns._sample_columns(psi, samples)
-    assert len(psi._columns) == held
+    assert psi._columns is store
+    # a lower level reads the leading columns, a higher one adds whole lengths
+    low = build_sample_set(r.algebra, samples.groups, samples.level - 1)
+    gns._sample_columns(psi, low)
+    assert psi._columns is store
+    high = build_sample_set(r.algebra, samples.groups, samples.level + 1)
+    grown = gns._sample_columns(psi, high)
+    assert np.array_equal(psi._columns[:, :store.shape[1]], store)
+    ref = np.column_stack([monoid_operator(r, s) @ v for s in high])
+    assert np.max(np.abs(grown - ref)) <= 1e-14 * max(1.0, float(np.max(np.abs(ref))))
 
 
 @pytest.mark.parametrize("case", range(2))
@@ -904,13 +915,53 @@ def test_growing_the_operators_matches_building_them_at_once():
     l = _four_lines_values()[0]
     once = _operators(l, 2)
     step = _operators(l, 1)
+    low = step.k
     step.grow(2)
     assert step.words == once.words
-    for name in ("counts", "tail", "start", "count", "dst", "val", "phase"):
+    for name in ("counts", "first", "tail", "start", "count", "dst", "val", "k"):
         np.testing.assert_array_equal(getattr(step, name), getattr(once, name))
-    assert len(step.rows) == len(once.rows)
-    for a, b in zip(step.rows, once.rows):
-        np.testing.assert_array_equal(a, b)
+    # the word Gram of a lower top is a leading block of the higher one
+    np.testing.assert_array_equal(once.k[:len(low), :len(low)], low)
+    assert once.k.shape == (int(once.counts[2]),) * 2
+
+
+def test_the_word_index_is_the_normal_words_with_their_first_letters_and_suffixes():
+    l = _four_lines_values()[0]
+    index = gns._word_index(l, 2, 4)
+    # distinct normal words, as many as the closed form counts: all of them
+    assert all(enveloping.is_normal_word(l, w) for w in index.words)
+    assert index.words == sorted(set(index.words), key=lambda w: (len(w), w))
+    assert index.counts.tolist() == [normal_word_count(l, m) for m in range(5)]
+    assert (index.first[0], index.tail[0], index.codes[0]) == (l.dim, -1, 0)
+    for p, w in enumerate(index.words[1:], start=1):
+        assert (index.first[p], index.words[index.tail[p]]) == (w[0], w[1:])
+        assert index.codes[p] == word_degree(l, w).code
+    # runs: one per first letter, covering each length in order
+    for m in range(1, 5):
+        runs = index.runs(m)
+        cover = [p for _, a, b in runs for p in range(a, b)]
+        assert cover == list(range(int(index.counts[m - 1]), int(index.counts[m])))
+        assert all(index.words[p][0] == k for k, a, b in runs for p in range(a, b))
+        assert len({k for k, _, _ in runs}) == len(runs)
+
+
+def test_a_sample_set_lists_the_first_words_of_the_table_route_index():
+    # _TableGram reads the samples as the leading words of the operators' index
+    psi = four_lines_table()
+    l = psi.algebra
+    ops = gns._WordOperators(psi)
+    ops.grow(2)
+    for level in range(3):
+        samples = build_sample_set(l, [], level)
+        n = len(samples)
+        assert ops.words[:n] == samples.words
+        assert int(ops.counts[level]) == n
+        for name in ("counts", "first", "tail", "codes"):
+            mine = getattr(samples.index, name)
+            theirs = getattr(gns._word_index(l, 2, 4), name)
+            np.testing.assert_array_equal(theirs[:mine.size], mine)
+        np.testing.assert_array_equal(gns._gram_of(psi, samples).dense(),
+                                      ops.k[:n, :n])
 
 
 @pytest.mark.parametrize("name", sorted(_ALGEBRAS))
@@ -1307,6 +1358,36 @@ def test_the_gns_correspondence_holds_on_random_shapes(shape, data):
     diff = PDFunction(r.algebra, lambda s: psi_v(s) - psi_w(s))
     pd = check_positive_definite(diff, build_sample_set(r.algebra, [], 1))
     assert "gram positive semidefinite" in failing_names(pd)
+
+
+@st.composite
+def _unit_rank_two_shapes(draw):
+    return [1] + [draw(st.integers(0, 1)) for _ in range(3)], draw(st.integers(0, 2 ** 16))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(shape=_unit_rank_two_shapes(),
+       v0=st.complex_numbers(min_magnitude=0.5, max_magnitude=2,
+                             allow_nan=False, allow_infinity=False))
+def test_the_table_route_rebuilds_the_rep_route_on_random_shapes(shape, v0):
+    # psi = (rho(w) v, v) tabulated on the words the table route reads at
+    # the level after the one the rep route settles on, without group samples
+    dims, seed = shape
+    r, zero, _ = _skew_shape_state(2, dims, seed)
+    l = r.algebra
+    v = np.zeros(r.space_dim, dtype=complex)
+    v[zero] = v0
+    by_rep = gns_construct(PDFunction.from_rep(r, v), group_samples=[])
+    gv = r.inner.gram_dense() @ v
+    cols, table = {(): v}, {}
+    for w in normal_words(l, 2 * (by_rep.level_used + 1)):
+        if w:
+            cols[w] = r.rho_matrix(w[0]) @ cols[w[1:]]
+        table[w] = gv.conj() @ cols[w]
+    by_table = gns_construct(PDFunction.from_table(l, table))
+    assert ((by_table.rep.space_dim, by_table.level_used)
+            == (by_rep.rep.space_dim, by_rep.level_used))
+    unitary_equivalence(r, v, by_table.rep, by_table.cyclic)
 
 
 # ------------------------------------------------------------- non-finite data
