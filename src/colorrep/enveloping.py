@@ -124,14 +124,6 @@ class EnvElement:
             raise ValueError(f"basis index {i} out of range for dimension {l.dim}")
         return cls(l, {(i,): 1.0})
 
-    @classmethod
-    def from_vector(cls, l: ColorLieAlgebra, coeffs) -> "EnvElement":
-        """Degree-one element from a coefficient vector on the basis."""
-        coeffs = np.asarray(coeffs)
-        if coeffs.shape != (l.dim,):
-            raise ValueError(f"coefficient vector must have length {l.dim}")
-        return cls(l, {(int(i),): coeffs[i] for i in np.flatnonzero(coeffs)})
-
     @property
     def level(self) -> int:
         return max((len(w) for w in self.terms), default=0)
@@ -186,13 +178,6 @@ class EnvElement:
             name = "*".join(self.algebra.labels[i] for i in w) if w else "1"
             bits.append(f"({c:.4g})*{name}")
         return "EnvElement(" + " + ".join(bits) + ")"
-
-
-def env_max_diff(d1: EnvElement, d2: EnvElement) -> float:
-    """Largest coefficient gap between two elements, over the joint support."""
-    keys = set(d1.terms) | set(d2.terms)
-    return max((abs(d1.coefficient(w) - d2.coefficient(w)) for w in keys),
-               default=0.0)
 
 
 def normal_form(l: ColorLieAlgebra, word, level_cap: int = DEFAULT_LEVEL_CAP,

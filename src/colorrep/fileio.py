@@ -15,7 +15,7 @@ import numpy as np
 
 from .colorlie import ColorLieAlgebra
 from .errors import AxiomError, ColorrepError, SchemaError
-from .gns import PDFunction
+from .gns import PDFunction, _key_fault, _odd_letters
 from .grading import Degree
 from .hcpair import GroupElement, HCPair
 from .reps import PartialRep, UnitaryRep
@@ -175,9 +175,23 @@ def algebra_from_doc(doc: dict, validate: bool = True) -> ColorLieAlgebra:
 
 
 def _write_doc(path, doc: dict) -> None:
+    """Write a document one line per top-level field, and a list-valued
+    field one line per element.  Each line is one ``json.dumps`` (the C
+    encoder), streamed to the file, so no whole-document string is built;
+    a non-finite float is written as NaN or Infinity, which the loaders
+    refuse."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write("{")
+        for n, (key, val) in enumerate(doc.items()):
+            fh.write(f"{',' if n else ''}\n {json.dumps(key)}: ")
+            if isinstance(val, list) and val:
+                fh.write("[")
+                for m, item in enumerate(val):
+                    fh.write(f"{',' if m else ''}\n  {json.dumps(item)}")
+                fh.write("\n ]")
+            else:
+                fh.write(json.dumps(val))
+        fh.write("\n}\n")
 
 
 def save_algebra(path, l: ColorLieAlgebra) -> None:
@@ -352,19 +366,23 @@ def table_from_doc(doc: dict, validate_algebra: bool = True) -> PDFunction:
                          validate=validate_algebra)
     if l.rank != rank:
         raise SchemaError("table.rank: differs from the embedded algebra rank")
-    values = {}
+    # each word is checked once, here: the first word out of normal order
+    # is refused only after every entry has passed its own checks
+    odd, values, unordered = _odd_letters(l), {}, None
     for i, pair in enumerate(_need(doc, "values", list, "table")):
-        where = f"table.values[{i}]"
         if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{where}: expected [word, value]")
+            raise SchemaError(f"table.values[{i}]: expected [word, value]")
         word, val = pair
-        if (not isinstance(word, list)
-                or any(not _is_int(x) or not 0 <= x < l.dim
-                       for x in word)):
-            raise SchemaError(f"{where}: word indices out of range")
-        values[tuple(word)] = _complex_from_json(val, where)
-    with _built("table.values"):
-        return PDFunction.from_table(l, values)
+        fault = _key_fault(word, l.dim, odd) if isinstance(word, list) else "range"
+        if fault == "range":
+            raise SchemaError(f"table.values[{i}]: word indices out of range")
+        word = tuple(word)
+        if fault == "order" and unordered is None:
+            unordered = word
+        values[word] = _complex_from_json(val, f"table.values[{i}]")
+    if unordered is not None:
+        raise SchemaError(f"table.values: table key {unordered} is not a normal word")
+    return PDFunction._tabulated(l, values)
 
 
 def save_table(path, psi: PDFunction) -> None:

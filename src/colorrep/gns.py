@@ -17,13 +17,12 @@ import numpy as np
 
 from .colorlie import ColorLieAlgebra, _join
 from .enveloping import (DEFAULT_LEVEL_CAP, EnvElement, MonoidElement, _nf,
-                         is_normal_word, letter_star_phase, s_mul, s_star)
+                         letter_star_phase, s_mul, s_star)
 from .errors import EquivalenceError, PositivityError, StabilizationError
 from .grading import Degree
 from .hcpair import GroupElement, HCPair
 from .report import Report, worst_entry, worst_residual
-from .reps import (UnitaryRep, _zero_sector_exps, check_unitary_rep,
-                   matrix_coefficient, monoid_operator)
+from .reps import UnitaryRep, _act, _zero_sector_exps, check_unitary_rep
 from .spaces import GammaInnerSpace, GradedSpace, HomogeneousMap, _degree_pattern
 
 _GNS_TOL = 1e-9
@@ -43,9 +42,11 @@ class PDFunction:
     routes walk one index of the normal words (``_WordIndex``), where each
     word (a, u') knows its first letter a and the index of its suffix u'.
     Diagonal coefficients of a representation keep the representation and
-    vector and are evaluated through the operators; their word columns
-    rho(w) v are rho(x_a) times the columns of the suffixes, one product per
-    word length and first letter, kept across levels (``_sample_columns``).
+    vector and are evaluated through the operators acting on the vector:
+    each call reads the kept image rho(w) v of each word w (``_images``,
+    see ``from_rep``).  Their sample columns are rho(x_a) times the columns
+    of the suffixes, one product per word length and first letter, kept
+    across levels (``_sample_columns``).
     Table-backed functions only know their values on normal words with
     trivial group part; they keep the table, and their Grams are blocks of
     the word Gram K that ``_WordOperators`` builds from the table through
@@ -56,7 +57,7 @@ class PDFunction:
     """
 
     __slots__ = ("algebra", "provenance", "rep", "vector", "table", "_eval",
-                 "_words", "_columns")
+                 "_words", "_columns", "_images")
 
     def __init__(self, algebra: ColorLieAlgebra, evaluator,
                  provenance: str = "custom"):
@@ -68,6 +69,7 @@ class PDFunction:
         self.table = None
         self._words = None
         self._columns = None
+        self._images = None
 
     def __call__(self, s: MonoidElement) -> complex:
         if s.env.algebra is not self.algebra:
@@ -76,32 +78,57 @@ class PDFunction:
 
     @classmethod
     def from_rep(cls, r: UnitaryRep, v) -> "PDFunction":
-        """Diagonal matrix coefficient s -> (op(s) v, v)."""
+        """Diagonal matrix coefficient psi(g, D) = (pi(g) rho(D) v, v).
+
+        A value costs one matrix-vector product per word it has not seen.
+        The dual vector G v, G the space Gram, is computed once.  The images
+        rho(w) v are kept per word in ``_images``, each built from the image
+        of its suffix by one product with rho(x_k), at most ``_WORD_BUDGET``
+        of them; past that they are computed and not kept.  The value is
+        vdot(G v, pi(g) sum_w c_w rho(w) v) (see ``reps._act``), so no
+        operator is formed.  A group part that is not the identity and
+        carries no matrix is refused, as by ``monoid_operator``.
+        """
         v = _vector_of(r, v)
-        out = cls(r.algebra, lambda s: matrix_coefficient(r, v, v, s),
+        dual = r.inner.gram_dense() @ v
+        out = cls(r.algebra, lambda s: np.vdot(dual, out._image(s)),
                   provenance="diagonal coefficient")
         out.rep = r
         out.vector = v
+        out._images = {(): v}
         return out
+
+    def _image(self, s: MonoidElement) -> np.ndarray:
+        # pi(g) rho(D) v through the kept word images
+        return _act(self.rep, s.env, self.vector, s.group, self._images,
+                    _WORD_BUDGET)
 
     @classmethod
     def from_table(cls, l: ColorLieAlgebra, table) -> "PDFunction":
         """Function given by values on normal words.
 
-        Table keys are index tuples in rewriting-stable form.  Only elements
-        whose group part is the identity by construction can be evaluated
-        (see ``GroupElement.is_identity``); a group element whose matrix merely
+        Table keys are index tuples in rewriting-stable form, each checked in
+        one pass over its letters (see ``_key_fault``).  Only elements whose
+        group part is the identity by construction can be evaluated (see
+        ``GroupElement.is_identity``); a group element whose matrix merely
         equals the identity is refused.  Missing words count as zero.
         """
+        odd = _odd_letters(l)
         clean: dict[tuple, complex] = {}
         for word, val in table.items():
-            word = tuple(int(i) for i in word)
-            if word and not (min(word) >= 0 and max(word) < l.dim):
+            word = tuple(map(int, word))
+            fault = _key_fault(word, l.dim, odd)
+            if fault == "range":
                 raise ValueError(f"table key {word} has a letter outside the algebra")
-            if not is_normal_word(l, word):
+            if fault == "order":
                 raise ValueError(f"table key {word} is not a normal word")
             clean[word] = complex(val)
+        return cls._tabulated(l, clean)
 
+    @classmethod
+    def _tabulated(cls, l: ColorLieAlgebra, clean: dict) -> "PDFunction":
+        # the function of a table whose keys are checked already, its values
+        # complex
         def ev(s: MonoidElement) -> complex:
             _refuse_group_part(s.group)
             return sum((c * clean.get(w, 0.0) for w, c in s.env.terms.items()),
@@ -120,6 +147,25 @@ def _vector_of(r: UnitaryRep, v) -> np.ndarray:
     if v.shape != (r.space_dim,):
         raise ValueError(f"vector must have length {r.space_dim}")
     return v
+
+
+def _odd_letters(l: ColorLieAlgebra) -> list[bool]:
+    """Per letter, whether beta(k, k) = -1, so that k may not repeat."""
+    return (np.diag(l.beta_table) == -1).tolist()
+
+
+def _key_fault(word, dim: int, odd: list[bool]) -> str | None:
+    """What keeps a word from being a table key, in one pass: "range" for a
+    letter that is not an int in [0, dim) (a bool is not an int here),
+    else "order" for a pair out of normal order, else None."""
+    normal, prev = True, -1
+    for k in word:
+        if type(k) is not int or not 0 <= k < dim:
+            return "range"
+        if k < prev or (k == prev and odd[k]):
+            normal = False
+        prev = k
+    return None if normal else "order"
 
 
 def _refuse_group_part(g: GroupElement) -> None:
@@ -727,7 +773,9 @@ class _FactoredGram:
     length n, from a thin SVD of W; a sector's eigenpairs come from a thin
     SVD of its columns of W; blocks, products and translates read W and U;
     the reproducing row psi(s t) over all samples t is (G v)^H op(s) U.
-    Only ``dense()`` forms M, for ``sample_gram``.  The monoid product
+    Products, translates and ``against`` apply op(s) to U or v through
+    ``reps._act`` and never form op(s).  Only ``dense()`` forms M, for
+    ``sample_gram``.  The monoid product
     (Carmeli, Cassinelli, Toigo and Varadarajan, CMP 263 (2006)) stays the
     independent side, on a fixed number of pairs drawn by ``_witness_gap``:
     eight entries of W^H W in ``route_gap`` and ``_WITNESS`` entries of each
@@ -741,6 +789,7 @@ class _FactoredGram:
         self.samples = samples
         self.u = _sample_columns(psi, samples)
         self.gram = psi.rep.inner.gram_dense()
+        self.dual = self.gram @ psi.vector
         self.eigs, self.scale = None, 1.0
         # the space Gram is finite and positive definite (GammaInnerSpace)
         self.w = np.linalg.cholesky(self.gram).conj().T @ self.u
@@ -775,8 +824,8 @@ class _FactoredGram:
     def products(self, i: int) -> tuple[np.ndarray, float]:
         # psi(s_i t) = (G v)^H op(s_i) op(t) v for every t, in one row; the
         # witness compares ``_WITNESS`` of its entries with monoid products
-        op = monoid_operator(self.psi.rep, self.samples.element(i))
-        row = (self.psi.vector.conj() @ self.gram) @ op @ self.u
+        s = self.samples.element(i)
+        row = self.dual.conj() @ _act(self.psi.rep, s.env, self.u, s.group)
         return row, _witness_gap(self.psi, self.samples, [i], _WITNESS,
                                  lambda _, same: row[same])
 
@@ -794,15 +843,14 @@ class _FactoredGram:
         return lam, vh[::-1].conj().T
 
     def translate(self, m_left: MonoidElement, c_mat=None):
-        au = monoid_operator(self.psi.rep, m_left) @ self.u
+        au = _act(self.psi.rep, m_left.env, self.u, m_left.group)
         gau = self.gram @ au
         left = self.u if c_mat is None else self.u @ c_mat
         return (left.conj().T @ gau,
                 np.real(np.sum(au.conj() * gau, axis=0)))
 
     def against(self, x: MonoidElement) -> np.ndarray:
-        vec = monoid_operator(self.psi.rep, x) @ self.psi.vector
-        return self.u.conj().T @ (self.gram @ vec)
+        return self.u.conj().T @ (self.gram @ self.psi._image(x))
 
 
 def sample_gram(psi: PDFunction, samples: SampleSet) -> tuple[np.ndarray, float]:

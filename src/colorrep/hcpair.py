@@ -102,9 +102,24 @@ class GroupElement:
 
     @classmethod
     def identity(cls, dim: int, pi_dim: int | None = None) -> "GroupElement":
-        pi = None if pi_dim is None else np.eye(pi_dim, dtype=complex)
-        e = cls("1", np.eye(dim), pi)
-        e._identity = True
+        """The identity on an algebra of dimension ``dim``, bound to a space
+        of dimension ``pi_dim`` when that is given.
+
+        One element per (dim, pi_dim) is made, on first use, and shared by
+        every caller, so building a monoid element costs no new matrix.
+        Its ``ad`` and ``pi`` are read-only: writing into them raises.
+        """
+        key = (dim, pi_dim)
+        e = _IDENTITIES.get(key)
+        if e is None:
+            ad = np.eye(dim)
+            pi = None if pi_dim is None else np.eye(pi_dim, dtype=complex)
+            for m in (ad, pi):
+                if m is not None:
+                    m.flags.writeable = False
+            e = cls("1", ad, pi)
+            e._identity = True
+            _IDENTITIES[key] = e
         return e
 
     def compose(self, other: "GroupElement") -> "GroupElement":
@@ -130,10 +145,6 @@ class GroupElement:
                                          np.linalg.inv(self.ad), pi)
         return self._inverse
 
-    def bind(self, pi) -> "GroupElement":
-        """Attach a representation-space matrix, keeping the algebra action."""
-        return GroupElement(self.label, self.ad, pi)
-
     def is_identity(self) -> bool:
         """Whether this is the identity by construction.
 
@@ -148,6 +159,10 @@ class GroupElement:
     def __repr__(self) -> str:
         bound = "bound" if self.pi is not None else "unbound"
         return f"GroupElement({self.label!r}, dim={self.ad.shape[0]}, {bound})"
+
+
+# the shared identity elements of ``GroupElement.identity``, by (dim, pi_dim)
+_IDENTITIES: dict[tuple, GroupElement] = {}
 
 
 def inner_element(l: ColorLieAlgebra, coeffs, t: float = 1.0,

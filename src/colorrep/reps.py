@@ -146,29 +146,51 @@ class PartialRep(_Rep):
                 f"defined on {len(self.rho)}, space dim={self.space_dim})")
 
 
-def rho_env(r, d: EnvElement) -> np.ndarray:
-    """Multiplicative extension of rho to enveloping elements, as a matrix."""
+def _act(r, d: EnvElement, x: np.ndarray, group: GroupElement | None = None,
+         memo: dict | None = None, budget: int = 0) -> np.ndarray:
+    """pi(g) rho(D) x for a vector or a block of columns x: the one place
+    where a monoid element acts on the space.
+
+    rho(w) x for a word w = (a_1, ..., a_r) is rho(x_{a_1}) applied to
+    rho(w') x, w' = (a_2, ..., a_r), so each word costs one product per
+    letter, right to left.  ``memo`` maps words u to rho(u) x and holds
+    () -> x; a word starts from its longest suffix there, and each image
+    made on the way is kept while the memo holds fewer than ``budget``.
+    An element of another algebra is refused first, then a ``group`` that
+    is not the identity and carries no matrix; the identity applies
+    nothing.
+    """
     if d.algebra is not r.algebra:
         raise ValueError("element belongs to a different algebra")
-    t = r.space_dim
-    out = np.zeros((t, t), dtype=complex)
+    moved = group is not None and not group.is_identity()
+    if moved and group.pi is None:
+        raise ValueError(f"group element {group.label!r} carries no action on the space")
+    if memo is None:
+        memo = {(): x}
+    out = None
     for w, c in d.terms.items():
-        m = np.eye(t, dtype=complex)
-        for i in w:
-            m = m @ r.rho_matrix(i)
-        out += c * m
-    return out
+        j = 0
+        while w[j:] not in memo:
+            j += 1
+        y = memo[w[j:]]
+        for p in range(j - 1, -1, -1):
+            y = r.rho_matrix(w[p]) @ y
+            if len(memo) < budget:
+                memo[w[p:]] = y
+        out = c * y if out is None else out + c * y
+    if out is None:
+        out = np.zeros(np.shape(x), dtype=complex)
+    return group.pi @ out if moved else out
+
+
+def rho_env(r, d: EnvElement) -> np.ndarray:
+    """Multiplicative extension of rho to enveloping elements, as a matrix."""
+    return _act(r, d, np.eye(r.space_dim, dtype=complex))
 
 
 def monoid_operator(r, s: MonoidElement) -> np.ndarray:
     """The operator pi(g) rho(D) attached to a monoid element."""
-    m = rho_env(r, s.env)
-    g = s.group
-    if g.pi is not None:
-        return np.asarray(g.pi, dtype=complex) @ m
-    if g.is_identity():
-        return m
-    raise ValueError(f"group element {g.label!r} carries no action on the space")
+    return _act(r, s.env, np.eye(r.space_dim, dtype=complex), s.group)
 
 
 def ordinary_adjoint(h: GammaInnerSpace, m: np.ndarray) -> np.ndarray:
@@ -178,10 +200,14 @@ def ordinary_adjoint(h: GammaInnerSpace, m: np.ndarray) -> np.ndarray:
 
 
 def matrix_coefficient(r: UnitaryRep, v, w, s: MonoidElement) -> complex:
-    """The function value (pi(g) rho(D) v, w) in the ordinary inner product."""
+    """The function value (pi(g) rho(D) v, w) in the ordinary inner product.
+
+    pi(g) rho(D) acts on v alone (see ``_act``): no operator is formed, and
+    the value is vdot(G w, pi(g) rho(D) v) with the space Gram G.
+    """
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    return complex(r.inner.ordinary_inner(monoid_operator(r, s) @ v, w))
+    return complex(np.vdot(r.inner.gram_dense() @ w, _act(r, s.env, v, s.group)))
 
 
 def exp_group_element(r, coeffs, t: float = 1.0,

@@ -157,13 +157,6 @@ class HomogeneousMap:
             out[self.target.slice_of(self.degree * b), self.source.slice_of(b)] = mat
         return out
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        out = np.zeros(self.target.total_dim, dtype=complex)
-        for b, mat in self.blocks.items():
-            out[self.target.slice_of(self.degree * b)] += mat @ v[self.source.slice_of(b)]
-        return out
-
     def compose(self, other: "HomogeneousMap") -> "HomogeneousMap":
         """self after other; degrees multiply."""
         if other.target != self.source:
@@ -197,9 +190,6 @@ class HomogeneousMap:
         if not self.blocks:
             return 0.0
         return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in self.blocks.values())))
-
-    def distance(self, other: "HomogeneousMap") -> float:
-        return (self - other).norm()
 
     def __repr__(self) -> str:
         return f"HomogeneousMap(degree={self.degree}, blocks={sorted(map(str, self.blocks))})"
@@ -298,7 +288,10 @@ class GammaInnerSpace:
     The ordinary inner product is linear in the first slot and conjugate linear
     in the second, and different degrees are orthogonal.  The graded form is
     obtained by multiplying with the conjugated phase alpha of the degree; see
-    :func:`gamma_inner`.
+    :func:`gamma_inner`.  The dense Gram G of the whole space, the blocks on
+    its diagonal and zeros off it, is built once with the space and is
+    read-only: ``gram_dense()`` returns that one array, and the ordinary
+    inner product is one ``vdot`` against it.
     """
 
     def __init__(self, space: GradedSpace, gram: dict[Degree, np.ndarray]):
@@ -324,25 +317,23 @@ class GammaInnerSpace:
                 raise PositivityError(
                     f"Gram at {deg} is not positive definite (min eigenvalue {evals[0]:.3e})")
             self.gram[deg] = g
+        self._dense = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+        for deg, g in self.gram.items():
+            s = space.slice_of(deg)
+            self._dense[s, s] = g
+        self._dense.flags.writeable = False
 
     @classmethod
     def standard(cls, space: GradedSpace) -> "GammaInnerSpace":
         return cls(space, {deg: np.eye(d) for deg, d in space.dims.items()})
 
     def gram_dense(self) -> np.ndarray:
-        out = np.zeros((self.space.total_dim, self.space.total_dim), dtype=complex)
-        for deg, g in self.gram.items():
-            s = self.space.slice_of(deg)
-            out[s, s] = g
-        return out
+        """The dense Gram G of the whole space, built once and read-only."""
+        return self._dense
 
     def ordinary_inner(self, v: np.ndarray, w: np.ndarray) -> complex:
-        """(v, w): linear in v, conjugate linear in w, degrees orthogonal."""
-        total = 0.0 + 0.0j
-        for deg, g in self.gram.items():
-            s = self.space.slice_of(deg)
-            total += np.conj(np.asarray(w)[s]) @ (g @ np.asarray(v)[s])
-        return complex(total)
+        """(v, w) = w^H G v: linear in v, conjugate linear in w, degrees orthogonal."""
+        return complex(np.vdot(w, self._dense @ np.asarray(v)))
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(0.0, self.ordinary_inner(v, v).real)))

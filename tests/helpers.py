@@ -17,6 +17,42 @@ from colorrep.reps import UnitaryRep
 from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
 
 
+def env_max_diff(d1, d2):
+    """Largest coefficient gap between two enveloping elements, over the
+    joint support."""
+    keys = set(d1.terms) | set(d2.terms)
+    return max((abs(d1.coefficient(w) - d2.coefficient(w)) for w in keys),
+               default=0.0)
+
+
+def env_from_vector(l, coeffs):
+    """Degree-one enveloping element from a coefficient vector on the basis."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape != (l.dim,):
+        raise ValueError(f"coefficient vector must have length {l.dim}")
+    return EnvElement(l, {(int(i),): coeffs[i] for i in np.flatnonzero(coeffs)})
+
+
+def apply(t, v):
+    """A homogeneous map applied to a vector, block by block."""
+    v = np.asarray(v, dtype=complex)
+    out = np.zeros(t.target.total_dim, dtype=complex)
+    for b, mat in t.blocks.items():
+        out[t.target.slice_of(t.degree * b)] += mat @ v[t.source.slice_of(b)]
+    return out
+
+
+def distance(s, t):
+    """The Frobenius distance between two homogeneous maps."""
+    return (s - t).norm()
+
+
+def bind(g, pi):
+    """A group element with a representation-space matrix attached, keeping
+    its algebra action."""
+    return GroupElement(g.label, g.ad, pi)
+
+
 def traced_peak_mb(fn):
     """(the traced peak of Python allocations while fn() runs, in MB, its result)."""
     tracemalloc.start()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import env_from_vector, env_max_diff
 
 from colorrep.colorlie import ColorLieAlgebra, glV
 from colorrep.enveloping import (
@@ -9,7 +10,6 @@ from colorrep.enveloping import (
     EnvElement,
     MonoidElement,
     env_ad,
-    env_max_diff,
     env_mul,
     env_star,
     is_normal_word,
@@ -207,7 +207,7 @@ class TestEnvElement:
 
     def test_from_vector(self):
         l = _gl11()
-        d = EnvElement.from_vector(l, [0.0, 1.5, 0.0, -2.0])
+        d = env_from_vector(l, [0.0, 1.5, 0.0, -2.0])
         assert d.terms == {(1,): 1.5 + 0j, (3,): -2.0 + 0j}
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_constants
+from helpers import dense_constants, spoiled_clifford
 
 from colorrep import fileio
 from colorrep.colorlie import check_axioms
@@ -288,6 +288,72 @@ def test_table_requires_normal_words():
     from colorrep.fileio import table_from_doc
     with pytest.raises(SchemaError, match="normal"):
         table_from_doc(doc)
+
+
+# ------------------------------------------------------------- file layout
+
+def _saved_docs():
+    """(saver, object, its document, the document of what a load gives back)
+    for each kind of data file."""
+    rep = skew_matrix_algebra(four_line_space())[1]
+    cyclic = np.array([1.0, 0.5j, 0.0, 0.0])
+    table = PDFunction.from_table(small_glv(), {(): 1.5, (0,): 0.25j, (0, 2): -2.0j})
+
+    def reloaded_rep(path):
+        return rep_to_doc(*load_rep(path))
+
+    return [
+        (save_algebra, rep.algebra, algebra_to_doc(rep.algebra),
+         lambda p: algebra_to_doc(load_algebra(p))),
+        (save_rep, parity_rep(), rep_to_doc(parity_rep()), reloaded_rep),
+        (lambda p, r: save_rep(p, r, cyclic=cyclic), rep,
+         rep_to_doc(rep, cyclic=cyclic), reloaded_rep),
+        (save_rep, restrict(rep), rep_to_doc(restrict(rep)), reloaded_rep),
+        (save_table, table, table_to_doc(table),
+         lambda p: table_to_doc(load_table(p))),
+    ]
+
+
+def test_data_files_round_trip_to_equal_documents(tmp_path):
+    path = tmp_path / "doc.json"
+    for save, obj, doc, reloaded in _saved_docs():
+        save(path, obj)
+        assert json.loads(path.read_text(encoding="utf-8")) == doc
+        assert reloaded(path) == doc
+
+
+def test_data_files_take_one_line_per_field_and_per_list_element(tmp_path):
+    path = tmp_path / "doc.json"
+    for save, obj, doc, _ in _saved_docs():
+        save(path, obj)
+        expected = ["{"]
+        for n, (key, val) in enumerate(doc.items()):
+            comma = "," if n < len(doc) - 1 else ""
+            if isinstance(val, list) and val:
+                expected.append(f" {json.dumps(key)}: [")
+                expected += [f"  {json.dumps(x)}" + ("," if m < len(val) - 1 else "")
+                             for m, x in enumerate(val)]
+                expected.append(" ]" + comma)
+            else:
+                expected.append(f" {json.dumps(key)}: {json.dumps(val)}" + comma)
+        assert path.read_text(encoding="utf-8").split("\n") == expected + ["}", ""]
+
+
+def test_files_in_the_indent_one_layout_still_load(tmp_path):
+    path = tmp_path / "doc.json"
+    for _, _, doc, reloaded in _saved_docs():
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        assert reloaded(path) == doc
+
+
+def test_a_nan_is_written_as_nan_and_refused_on_load(tmp_path):
+    path = tmp_path / "nan.json"
+    save_rep(path, spoiled_clifford(np.nan))
+    assert "[NaN, 0.0]" in path.read_text(encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"rep.rho\[1\]\[1\]\[0\]: expected a finite real number, got nan"):
+        load_rep(path)
 
 
 # ------------------------------------------------------------ schema files

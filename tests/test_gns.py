@@ -117,6 +117,75 @@ def test_rep_function_matches_matrix_coefficient():
     assert psi(s) == pytest.approx(matrix_coefficient(r, v0, v0, s))
 
 
+def _operator_coefficient(r, v, s):
+    # (pi(g) rho(D) v, v) through the formed operator
+    return np.vdot(r.inner.gram_dense() @ v, monoid_operator(r, s) @ v)
+
+
+def test_a_rep_function_refuses_unbound_groups_and_foreign_algebras():
+    r, v0 = clifford_state()
+    psi = PDFunction.from_rep(r, v0)
+    unbound = MonoidElement.from_group(r.algebra, GroupElement("flip", np.diag([1.0, -1.0])))
+    for evaluate in (psi, lambda s: matrix_coefficient(r, v0, v0, s),
+                     lambda s: monoid_operator(r, s)):
+        with pytest.raises(ValueError) as err:
+            evaluate(unbound)
+        assert str(err.value) == "group element 'flip' carries no action on the space"
+    foreign = MonoidElement.from_env(EnvElement.one(clifford_algebra()))
+    with pytest.raises(ValueError) as err:
+        psi(foreign)
+    assert str(err.value) == "monoid element belongs to a different algebra"
+    for evaluate in (lambda s: matrix_coefficient(r, v0, v0, s),
+                     lambda s: monoid_operator(r, s), lambda s: reps.rho_env(r, s.env)):
+        with pytest.raises(ValueError) as err:
+            evaluate(foreign)
+        assert str(err.value) == "element belongs to a different algebra"
+    assert psi._images == {(): v0}
+
+
+def test_the_word_images_stop_growing_at_the_word_budget(monkeypatch):
+    monkeypatch.setattr(gns, "_WORD_BUDGET", 10)
+    r = conjugated_rep(skew_matrix_algebra(FOUR_LINES)[1], seed=3)
+    v = np.array([1.0, 0.5j, 0.0, 0.0])
+    psi = PDFunction.from_rep(r, v)
+    words = normal_words(r.algebra, 3)
+    elements = [MonoidElement.from_env(EnvElement(r.algebra, {w: 1.0})) for w in words]
+    values = [psi(s) for s in elements]
+    assert len(psi._images) == 10
+    assert list(psi._images) == words[:10]
+    values += [psi(s) for s in elements]
+    assert len(psi._images) == 10
+    expected = [_operator_coefficient(r, v, s) for s in elements]
+    np.testing.assert_allclose(values, expected * 2, rtol=1e-12, atol=1e-12)
+
+
+def test_tabulating_a_coefficient_forms_no_operator_and_one_product_per_word(
+        monkeypatch):
+    # the words of the benchmark's pd-table inputs, on the four-lines rep
+    formed, products = [], []
+    for name in ("rho_env", "monoid_operator"):
+        monkeypatch.setattr(reps, name, lambda *a, name=name: formed.append(name))
+    rho_matrix = reps._Rep.rho_matrix
+
+    def counted(self, i):
+        products.append(i)
+        return rho_matrix(self, i)
+
+    monkeypatch.setattr(reps._Rep, "rho_matrix", counted)
+    r = conjugated_rep(skew_matrix_algebra(FOUR_LINES)[1], seed=7)
+    l = r.algebra
+    psi = PDFunction.from_rep(r, np.array([1.0, 0.0, 0.0, 0.0]))
+    words = normal_words(l, 4)
+    assert len(words) == 3649
+    products.clear()
+    for w in words:
+        psi(MonoidElement.from_env(EnvElement(l, {w: 1.0})))
+    for w in words[::7]:
+        psi(MonoidElement.from_env(EnvElement(l, {w: 2.0})))
+    assert formed == []
+    assert len(products) <= len(set(words))
+
+
 # ------------------------------------------------------------------ samples
 
 def test_normal_words_skip_odd_squares():
@@ -1388,6 +1457,35 @@ def test_the_table_route_rebuilds_the_rep_route_on_random_shapes(shape, v0):
     assert ((by_table.rep.space_dim, by_table.level_used)
             == (by_rep.rep.space_dim, by_rep.level_used))
     unitary_equivalence(r, v, by_table.rep, by_table.cyclic)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(shape=_skew_shapes(), data=st.data())
+def test_a_rep_function_is_the_coefficient_of_the_formed_operator(shape, data):
+    # conjugated reps have non-standard Grams; every element has a word out
+    # of normal order among its terms, and the group part is drawn from the
+    # default samples, all bound to the space
+    rank, dims, seed = shape
+    r, _, _ = _skew_shape_state(rank, dims, seed)
+    l = r.algebra
+    assume(l.dim >= 2)
+    entries = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+    v = np.array(data.draw(st.lists(entries, min_size=r.space_dim,
+                                    max_size=r.space_dim)), dtype=complex)
+    letters = st.integers(0, l.dim - 1)
+    words = st.lists(letters, max_size=4).map(tuple)
+    top = data.draw(st.integers(1, l.dim - 1))
+    unordered = (top, data.draw(st.integers(0, top - 1))) + data.draw(words)
+    terms = {unordered: data.draw(entries), **data.draw(
+        st.dictionaries(words, entries, min_size=1, max_size=4))}
+    groups = default_group_samples(r)
+    assert all(g.pi is not None for g in groups)
+    psi = PDFunction.from_rep(r, v)
+    for g in (groups[0], groups[data.draw(st.integers(0, len(groups) - 1))]):
+        for s in (MonoidElement(g, EnvElement(l, terms)),
+                  MonoidElement(g, EnvElement(l, {unordered: 1.0}))):
+            value = psi(s)
+            assert abs(value - _operator_coefficient(r, v, s)) <= 1e-12 * max(1.0, abs(value))
 
 
 # ------------------------------------------------------------- non-finite data

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import dense_constants, random_structure, spoiled_four_lines
+from helpers import bind, dense_constants, random_structure, spoiled_four_lines
 
 from colorrep.colorlie import ColorLieAlgebra, ad_operator, bracket, glV
 from colorrep.errors import AxiomError, RankMismatchError
@@ -56,6 +56,18 @@ class TestGroupElement:
         e = GroupElement.identity(4, pi_dim=3)
         assert e.is_identity()
         assert e.pi.shape == (3, 3)
+
+    def test_the_identity_is_shared_and_read_only(self):
+        e = GroupElement.identity(4, pi_dim=3)
+        assert GroupElement.identity(4, 3) is e
+        assert GroupElement.identity(4) is not e
+        for m in (e.ad, e.pi, GroupElement.identity(4).ad):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                m += 1.0
+        np.testing.assert_array_equal(e.ad, np.eye(4))
+        np.testing.assert_array_equal(e.pi, np.eye(3))
 
     def test_compose_inverse_roundtrip(self):
         rng = np.random.default_rng(7)
@@ -136,7 +148,7 @@ class TestGroupElement:
 
     def test_bind(self):
         g = GroupElement("g", np.eye(2))
-        h = g.bind(np.eye(5))
+        h = bind(g, np.eye(5))
         assert h.pi.shape == (5, 5)
         assert g.pi is None
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import dense_constants, spoiled_clifford
+from helpers import dense_constants, distance, spoiled_clifford
 
 from colorrep import reps
 
@@ -691,7 +691,7 @@ def _loop_checks(r, twist=None):
         if g.pi is not None:
             out[f"equivariance: {g.label}"] = _loop_conjugation(r, g, indices)
     out["graded skew-adjointness"] = worst_residual(
-        ((dagger_adjoint(r.inner, r.rho[i], twist=twist).distance(r.rho[i] * -1.0), i)
+        ((distance(dagger_adjoint(r.inner, r.rho[i], twist=twist), r.rho[i] * -1.0), i)
          for i in indices), lambda i: f"worst at {l.labels[i]}")
     return {name: (value, "" if detail is not None and value <= reps._REP_TOL else detail)
             for name, (value, detail) in out.items()}

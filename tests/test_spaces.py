@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    apply,
+    distance,
     random_gamma_space,
     random_homog_map,
     random_homog_vector,
@@ -70,7 +72,7 @@ def test_homogeneous_map_blocks_and_dense():
     # degree-1 map on (1|1): off-diagonal pattern
     assert dense[0, 0] == 0 and dense[1, 1] == 0
     back = HomogeneousMap.from_dense(v, v, _d("1"), dense, rtol=1e-12)
-    assert back.distance(t) < 1e-14
+    assert distance(back, t) < 1e-14
     with pytest.raises(ValueError):
         HomogeneousMap.from_dense(v, v, _d("0"), dense, rtol=1e-12)
 
@@ -91,7 +93,7 @@ def test_apply_matches_dense():
     for deg in v.degrees:
         t = random_homog_map(rng, v, deg)
         x = random_vector(rng, v)
-        assert np.allclose(t.apply(x), t.to_dense() @ x)
+        assert np.allclose(apply(t, x), t.to_dense() @ x)
 
 
 def test_split_homogeneous_roundtrip():
@@ -194,6 +196,22 @@ def test_gamma_inner_hermitian_like():
         assert pos.real > 0
 
 
+def test_ordinary_inner_is_one_vdot_against_the_read_only_dense_gram():
+    rng = np.random.default_rng(9)
+    h = random_gamma_space(rng, rank=2)
+    g = h.gram_dense()
+    assert h.gram_dense() is g
+    with pytest.raises(ValueError, match="read-only"):
+        g[0, 0] = 2.0
+    for deg, block in h.gram.items():
+        s = h.space.slice_of(deg)
+        np.testing.assert_array_equal(g[s, s], block)
+    v, w = random_vector(rng, h.space), random_vector(rng, h.space)
+    expected = sum(np.conj(w[h.space.slice_of(d)]) @ b @ v[h.space.slice_of(d)]
+                   for d, b in h.gram.items())
+    assert h.ordinary_inner(v, w) == pytest.approx(expected, rel=1e-12)
+
+
 def test_gram_validation_rejects_bad_input():
     v = _super_space(2, 0)
     with pytest.raises(PositivityError):
@@ -224,7 +242,7 @@ def test_star_identity_fixed():
     rng = np.random.default_rng(8)
     h = random_gamma_space(rng, rank=2)
     ident = HomogeneousMap.identity(h.space)
-    assert star_adjoint(h, ident).distance(ident) < 1e-12
+    assert distance(star_adjoint(h, ident), ident) < 1e-12
 
 
 def test_star_standard_gram_is_conj_transpose():
@@ -245,8 +263,8 @@ def test_star_matches_dense_oracle_and_defining_relation():
             ts = star_adjoint(h, t)
             assert np.max(np.abs(ts.to_dense() - _dense_star_oracle(h, t))) < 1e-9
             v, w = random_vector(rng, h.space), random_vector(rng, h.space)
-            lhs = h.ordinary_inner(t.apply(v), w)
-            rhs = h.ordinary_inner(v, ts.apply(w))
+            lhs = h.ordinary_inner(apply(t, v), w)
+            rhs = h.ordinary_inner(v, apply(ts, w))
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
@@ -257,8 +275,8 @@ def test_dagger_phase_relation():
         h = random_gamma_space(rng, space=_super_space(2, 2))
     t0 = random_homog_map(rng, h.space, _d("0"))
     t1 = random_homog_map(rng, h.space, _d("1"))
-    assert dagger_adjoint(h, t0).distance(star_adjoint(h, t0)) < 1e-12
-    assert dagger_adjoint(h, t1).distance(star_adjoint(h, t1) * 1j) < 1e-12
+    assert distance(dagger_adjoint(h, t0), star_adjoint(h, t0)) < 1e-12
+    assert distance(dagger_adjoint(h, t1), star_adjoint(h, t1) * 1j) < 1e-12
 
 
 def test_dagger_involution_and_product_rule():
@@ -269,10 +287,10 @@ def test_dagger_involution_and_product_rule():
         s = random_homog_map(rng, h.space, degs[int(rng.integers(len(degs)))])
         t = random_homog_map(rng, h.space, degs[int(rng.integers(len(degs)))])
         tdd = dagger_adjoint(h, dagger_adjoint(h, t))
-        assert tdd.distance(t) < 1e-9 * max(1.0, t.norm())
+        assert distance(tdd, t) < 1e-9 * max(1.0, t.norm())
         lhs = dagger_adjoint(h, s.compose(t))
         rhs = dagger_adjoint(h, t).compose(dagger_adjoint(h, s)) * beta(s.degree, t.degree)
-        assert lhs.distance(rhs) < 1e-9 * max(1.0, lhs.norm())
+        assert distance(lhs, rhs) < 1e-9 * max(1.0, lhs.norm())
 
 
 def test_dagger_defining_relation_graded_form():
@@ -284,8 +302,8 @@ def test_dagger_defining_relation_graded_form():
         for vdeg in h.space.degrees:
             v = random_homog_vector(rng, h.space, deg * vdeg)
             w = random_homog_vector(rng, h.space, vdeg)
-            lhs = gamma_inner(h, v, t.apply(w))
-            rhs = beta(t.degree, (deg * vdeg)) * gamma_inner(h, td.apply(v), w)
+            lhs = gamma_inner(h, v, apply(t, w))
+            rhs = beta(t.degree, (deg * vdeg)) * gamma_inner(h, apply(td, v), w)
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
@@ -296,7 +314,7 @@ def test_dagger_with_twist():
     for deg in h.space.degrees:
         t = random_homog_map(rng, h.space, deg)
         expected = star_adjoint(h, t) * alpha(deg, chi).value
-        assert dagger_adjoint(h, t, twist=chi).distance(expected) < 1e-12
+        assert distance(dagger_adjoint(h, t, twist=chi), expected) < 1e-12
 
 
 # ---------------------------------------------------------------- tensor inner
@@ -375,7 +393,7 @@ def test_symmetry_involutive():
         s_vw = symmetry(v, w)
         s_wv = symmetry(w, v)
         comp = s_wv.compose(s_vw)
-        assert comp.distance(HomogeneousMap.identity(s_vw.source)) < 1e-12
+        assert distance(comp, HomogeneousMap.identity(s_vw.source)) < 1e-12
 
 
 def test_symmetry_swaps_pure_tensors_with_sign():
@@ -388,7 +406,7 @@ def test_symmetry_swaps_pure_tensors_with_sign():
         for cdeg in w.degrees:
             x = random_homog_vector(rng, v, bdeg)
             y = random_homog_vector(rng, w, cdeg)
-            lhs = s.apply(src.pure_tensor(x, y))
+            lhs = apply(s, src.pure_tensor(x, y))
             rhs = beta(bdeg, cdeg) * dst.pure_tensor(y, x)
             assert np.allclose(lhs, rhs)
 
@@ -407,7 +425,7 @@ def test_symmetry_naturality():
         gf = tensor_map(g, f, target=s.target)
         lhs = s.compose(fg)
         rhs = gf.compose(s) * beta(f.degree, g.degree)
-        assert lhs.distance(rhs) < 1e-9 * max(1.0, lhs.norm())
+        assert distance(lhs, rhs) < 1e-9 * max(1.0, lhs.norm())
 
 
 def test_tensor_map_on_pure_tensors():
@@ -422,6 +440,6 @@ def test_tensor_map_on_pure_tensors():
         for bdeg in v.degrees:
             x = random_homog_vector(rng, v, bdeg)
             y = random_vector(rng, w)
-            lhs = fg.apply(fg.source.pure_tensor(x, y))
-            rhs = beta(g.degree, bdeg) * fg.target.pure_tensor(f.apply(x), g.apply(y))
+            lhs = apply(fg, fg.source.pure_tensor(x, y))
+            rhs = beta(g.degree, bdeg) * fg.target.pure_tensor(apply(f, x), apply(g, y))
             assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
