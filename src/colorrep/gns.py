@@ -9,6 +9,7 @@ certifies what it verified, and compares independent reconstructions.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import NamedTuple
@@ -16,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .colorlie import ColorLieAlgebra, _join
-from .enveloping import (DEFAULT_LEVEL_CAP, EnvElement, MonoidElement, _nf,
+from .enveloping import (DEFAULT_LEVEL_CAP, EnvElement, MonoidElement,
                          letter_star_phase, s_mul, s_star)
 from .errors import EquivalenceError, PositivityError, StabilizationError
 from .grading import Degree
@@ -38,22 +39,17 @@ class PDFunction:
     """Scalar function on the monoid, linear over the enveloping part.
 
     Instances remember where they came from, and the sample Gram is built
-    the fastest way that provenance allows (see ``_gram_of``).  Both fast
-    routes walk one index of the normal words (``_WordIndex``), where each
-    word (a, u') knows its first letter a and the index of its suffix u'.
-    Diagonal coefficients of a representation keep the representation and
-    vector and are evaluated through the operators acting on the vector:
-    each call reads the kept image rho(w) v of each word w (``_images``,
-    see ``from_rep``).  Their sample columns are rho(x_a) times the columns
-    of the suffixes, one product per word length and first letter, kept
-    across levels (``_sample_columns``).
-    Table-backed functions only know their values on normal words with
-    trivial group part; they keep the table, and their Grams are blocks of
-    the word Gram K that ``_WordOperators`` builds from the table through
-    left multiplication on normal words.  The operators are built on first
-    use by the PBW recursion, with ``enveloping._nf`` as the reference they
-    are tested against, grown with the level under a word budget, and kept.
-    Any other evaluator is called once per Gram entry.
+    the fastest way that provenance allows (see ``_gram_of``).  The two
+    fast routes are one GNS construction in two coordinate systems, over
+    one index of the normal words (``_WordIndex``).  Diagonal coefficients
+    of a representation keep the representation and vector; a call reads
+    the kept images rho(w) v (``_images``, see ``from_rep``), and their
+    sample columns are kept across levels (``_sample_columns``).
+    Table-backed functions know their values on normal words with trivial
+    group part; they keep the table and the left multiplications L_k on
+    normal words with the word Gram K (``_WordOperators``), built on first
+    use and grown with the level under a word budget.  Any other evaluator
+    is called once per Gram entry.
     """
 
     __slots__ = ("algebra", "provenance", "rep", "vector", "table", "_eval",
@@ -339,23 +335,17 @@ def _product(a: MonoidElement, b: MonoidElement) -> MonoidElement:
     return s_mul(a, b, level_cap=max(1, a.level + b.level))
 
 
-def _monoid_pair(a: MonoidElement, b: MonoidElement) -> MonoidElement:
-    return _product(s_star(a), b)
-
-
 def _witness_gap(psi: PDFunction, samples: SampleSet, firsts, k: int,
                  route, star: bool = False) -> float:
     """Worst gap between psi(s t) through the monoid product and route(i, same).
 
     For each sample index i of ``firsts``, s is sample i (its star when
     ``star``), and t = s_j runs over sample i itself and the k - 1 other
-    samples of its degree code where the route's value is largest in
-    modulus, the first of equals first.  route(i, same) gives the route's
-    own values of psi(s t) for the sample indices ``same``.  Pairs of
-    different degree codes pair to zero on every route, and so do most
-    pairs of one code; a wrong product shows in the entries that carry
-    weight.  Only these samples are built as monoid elements.  A non-finite
-    compared entry makes the result non-finite.
+    samples of its degree code where the route's value, route(i, same) for
+    the sample indices ``same``, is largest in modulus, the first of equals
+    first.  Pairs of different degree codes pair to zero on every route, and
+    so do most pairs of one code; a wrong product shows in the entries that
+    carry weight.  A non-finite compared entry makes the result non-finite.
     """
     codes = samples.codes
     gaps = []
@@ -375,28 +365,27 @@ def _witness_gap(psi: PDFunction, samples: SampleSet, firsts, k: int,
 def _gram_of(psi: PDFunction, samples: SampleSet):
     """The Gram M[i, j] = psi(s_i* s_j) of the samples, built once.
 
-    The only place that picks a route, from provenance alone.
-    Representation-backed psi takes the operator route (``_FactoredGram``),
-    table-backed psi the table route (``_TableGram``, which refuses any
-    group part but the identity, and whose M is a leading block of the word
-    Gram K of ``_WordOperators``), and every other psi the monoid-product
-    route (``_DenseGram``).  The samples must come from
+    The only place that picks a route, from provenance alone:
+    representation-backed psi takes the operator route (``_FactoredGram``),
+    table-backed psi the table route (``_TableGram``), and every other psi
+    the monoid-product route (``_DenseGram``).  The two fast routes share
+    their pairings and one evidence model (``_PairedGram``): the monoid
+    product checks a fixed number of entries of each reproducing row,
+    whatever the sample count.  The samples must come from
     ``build_sample_set``; anything else raises TypeError.  Each route gives
-    ``samples``; ``eigs``, the eigenvalues of M (of its Hermitian part off the
-    operator route) ascending, None when the data are not finite; ``scale``,
-    max(1, max |eigs|), which is ||M||_2 when M is Hermitian (1 when not
-    finite); ``dense()``, M; ``hermitian()``, residual and detail of the
-    Hermitian check; ``route_gap()``, the sampled gap between the operator
-    and monoid-product routes (None on the other two); ``products(i)``,
-    psi(s_i t) for every sample t, with the gap of the monoid products that
-    witness it (0 where every entry is one); ``block(rows, cols)``, that
-    block of M, whose row 0 is psi at the samples, as sample 0 is the
-    identity of the monoid; ``times(x)``, M x; ``sector(idx)``, the
-    eigenvalues of the block of M on idx ascending, with eigenvectors for
-    the last of them; ``translate(m_left, c)``, c^H P with the pairings
-    P[t, s] = psi(t* m_left s) (P itself when c is None), and the squared
-    lengths of the translates; ``against(x)``, psi(t* x) for every sample
-    t; and ``psd_detail``.
+    ``samples``; ``eigs``, the eigenvalues of M (of its Hermitian part off
+    the operator route) ascending, None when the data are not finite;
+    ``scale``, max(1, max |eigs|) (1 when not finite); ``dense()``, M;
+    ``hermitian()``, residual and detail of the Hermitian check;
+    ``route_gap()``, the sampled gap between the operator and
+    monoid-product routes (None on the other two); ``products(i)``,
+    psi(s_i t) for every sample t and the gap of its witness (0 where every
+    entry is a monoid product); ``block(rows, cols)``, whose row 0 is psi
+    at the samples; ``times(x)``, M x; ``sector(idx)``, the eigenpairs of
+    M on idx ascending; ``translate(m_left, c)``, c^H P with the pairings
+    P[t, s] = psi(t* m_left s) (P when c is None), and the squared lengths
+    of the translates; ``against(x)``, psi(t* x) for every sample t; and
+    ``psd_detail``.
     """
     if not isinstance(samples, SampleSet):
         raise TypeError(f"samples must be a SampleSet made by build_sample_set, "
@@ -419,18 +408,10 @@ def _spectrum(m: np.ndarray):
     return eigs, max(1.0, float(np.max(np.abs(eigs))))
 
 
-class _DenseGram:
-    """Monoid-product route: each entry is one monoid product and one psi call."""
+class _HeldGram:
+    """A sample Gram held as its matrix ``m``: table and monoid products."""
 
     psd_detail = "verified on sample set"
-
-    def __init__(self, psi: PDFunction, samples: SampleSet):
-        self.psi = psi
-        self.samples = samples
-        self.elements = list(samples)
-        self.stars = [s_star(t) for t in self.elements]
-        self.m = np.column_stack([self.against(b) for b in self.elements])
-        self.eigs, self.scale = _spectrum(self.m)
 
     def dense(self) -> np.ndarray:
         return self.m
@@ -454,6 +435,18 @@ class _DenseGram:
         md = self.block(idx, idx)
         return np.linalg.eigh((md + md.conj().T) / 2.0)
 
+
+class _DenseGram(_HeldGram):
+    """Monoid-product route: each entry is one monoid product and one psi call."""
+
+    def __init__(self, psi: PDFunction, samples: SampleSet):
+        self.psi = psi
+        self.samples = samples
+        self.elements = list(samples)
+        self.stars = [s_star(t) for t in self.elements]
+        self.m = np.column_stack([self.against(b) for b in self.elements])
+        self.eigs, self.scale = _spectrum(self.m)
+
     def products(self, i: int) -> tuple[np.ndarray, float]:
         # every entry is a monoid product already, so nothing to witness
         s = self.samples.element(i)
@@ -467,12 +460,54 @@ class _DenseGram:
         for k, s in enumerate(self.elements):
             ms = _product(m_left, s)
             pairs[:, k] = self.against(ms)
-            norms[k] = float(np.real(self.psi(_monoid_pair(ms, ms))))
+            norms[k] = float(np.real(self.psi(_product(s_star(ms), ms))))
         return pairs if c_mat is None else c_mat.conj().T @ pairs, norms
 
     def against(self, x: MonoidElement) -> np.ndarray:
         return np.array([self.psi(_product(t_star, x)) for t_star in self.stars],
                         dtype=complex)
+
+
+class _PairedGram:
+    """The pairings of the two fast routes, which are one GNS construction.
+
+    The GNS space is the monoid algebra modulo the kernel of <a, b> =
+    psi(b* a).  The operator route works in its image D -> op(D) v, the table
+    route in word coordinates, where v is the empty word.  Each supplies
+    ``u``, the sample columns, whose column 0 is v (sample 0 is the identity
+    of the monoid); ``_act(m, x)``, m applied to a vector or block x;
+    ``_paired(y)``, G y for the Gram G that columns pair in; and ``dual``,
+    G v, so that psi(D) = dual^H (D v).  A table column on fewer words is a
+    longer one with zeros appended, so each product reads the leading rows
+    it needs.  Translates pair as (U c)^H G (m U), with squared lengths the
+    diagonal of (m U)^H G (m U); psi(t* x) is U^H G (x v); the reproducing
+    row psi(s_i t) is dual^H (s_i U), and ``_WITNESS`` of its entries are
+    compared with monoid products (see ``_witness_gap``).
+    """
+
+    def translate(self, m_left: MonoidElement, c_mat=None):
+        au = self._act(m_left, self.u)
+        gau = self._paired(au)
+        left = self.u if c_mat is None else self.u @ c_mat
+        return (left.conj().T @ gau[:len(left)],
+                np.real(np.sum(au.conj() * gau[:len(au)], axis=0)))
+
+    def against(self, x: MonoidElement) -> np.ndarray:
+        xv = self._paired(self._act(x, self.u[:, 0]))
+        return self.u.conj().T @ xv[:len(self.u)]
+
+    def products(self, i: int) -> tuple[np.ndarray, float]:
+        s = self.samples.element(i)
+        su = self._act(s, self.u)
+        row = self.dual[:len(su)].conj() @ su
+        return row, _witness_gap(self.psi, self.samples, [i], _WITNESS,
+                                 lambda _, same: row[same])
+
+
+def _sum_into(at: np.ndarray, val: np.ndarray, size: int) -> np.ndarray:
+    # the complex values summed by index into an array of the size
+    return (np.bincount(at, val.real, size)
+            + 1j * np.bincount(at, val.imag, size))
 
 
 class _WordOperators:
@@ -496,8 +531,8 @@ class _WordOperators:
     first two cases, which are built first.  Growth computes only the new
     columns.  Normal forms are unique when the algebra satisfies its axioms
     (Bergman, Adv. Math. 29 (1978)), so the columns are the normal forms
-    that ``enveloping._nf`` rewrites to; ``_nf`` is the reference that the
-    tests and the reproducing check of ``gns_construct`` compare against.
+    that ``enveloping._nf`` rewrites to, the reference of the tests and,
+    through the monoid product, of the reproducing witness.
 
     For a normal word w = (a_1, ..., a_r), psi(w* u) = phase(w) t(x_{a_r} ...
     x_{a_1} u) with the star phase phase(w), so its row is rho_w = t^T L_{a_r}
@@ -508,14 +543,14 @@ class _WordOperators:
     up to length 2 top, the operators act on words up to length 2 top - 1,
     and the row of a word of length r is exact on words up to length
     2 top - r.  Only the phased square word Gram K[u, v] = psi(u* v) of the
-    words up to length ``top`` is kept.  A ``top`` whose words number more
-    than ``_WORD_BUDGET`` is refused before anything is allocated.  Built on
-    first use, grown with the level and kept on the function.
+    words up to length ``top`` is kept, with ``dual``, the conjugated table
+    on every word of the index, so that psi(x) = dual^H x.  A ``top`` whose
+    words number more than ``_WORD_BUDGET`` is refused before anything is
+    allocated.  Built on first use, grown with the level and kept.
     """
 
     def __init__(self, psi: PDFunction):
         l = psi.algebra
-        d = l.dim
         self.algebra = l
         self.table = psi.table
         self.top = -1
@@ -527,7 +562,7 @@ class _WordOperators:
         self.val = np.zeros(0, dtype=complex)
         self.odd = np.diag(l.beta_table) == -1
         self.letter_phase = np.array([letter_star_phase(l, k)
-                                      for k in range(d)])
+                                      for k in range(l.dim)])
 
     @property
     def entries(self) -> int:
@@ -539,7 +574,6 @@ class _WordOperators:
             return
         index = _word_index(self.algebra, top, 2 * top)
         self.words, self.counts, self.first, self.tail, _ = index
-        self.index = {w: i for i, w in enumerate(self.words)}
         self._build_columns(top)
         self.top = top
 
@@ -548,6 +582,7 @@ class _WordOperators:
         n = int(self.counts[top])
         rows = np.array([[self.table.get(w, 0.0) for w in self.words]],
                         dtype=complex)
+        self.dual = rows[0].conj()
         k_mat = np.empty((n, n), dtype=complex)
         k_mat[0] = rows[0, :n]
         phase = np.ones(n, dtype=complex)
@@ -624,8 +659,7 @@ class _WordOperators:
         keys, dst, val = (np.concatenate(x) for x in zip(*parts))
         n = len(self.words)
         code, inv = np.unique(keys * n + dst, return_inverse=True)
-        val = (np.bincount(inv, val.real, code.size)
-               + 1j * np.bincount(inv, val.imag, code.size))
+        val = _sum_into(inv, val, code.size)
         keep = val != 0
         code, val = code[keep], val[keep]
         keys, at, count = np.unique(code // n, return_index=True,
@@ -644,61 +678,49 @@ class _WordOperators:
         src, dst, val = self._operator(k, out)
         wts = (rows[:, dst] * val).ravel()
         at = (np.arange(len(rows))[:, None] * out + src).ravel()
-        size = len(rows) * out
-        return (np.bincount(at, wts.real, size)
-                + 1j * np.bincount(at, wts.imag, size)).reshape(len(rows), out)
+        return _sum_into(at, wts, len(rows) * out).reshape(len(rows), out)
 
-    def coordinates(self, env: EnvElement) -> np.ndarray:
-        """The normal-word coefficients of env, on the words up to its level.
+    def length(self, rows: int) -> int:
+        # the shortest word length m with counts[m] >= rows
+        return int(np.searchsorted(self.counts, rows))
 
-        Normal words are looked up; only a word that is not normal is
-        rewritten through ``_nf``.
+    def act(self, env: EnvElement, x: np.ndarray) -> np.ndarray:
+        """env times a word column or a block of them, on the words up to
+        length m + env.level when x is zero past the words up to length m.
+
+        Each word of env applies its letters right to left to the nonzero
+        entries of x, an entry at word u taking the stored column of L_k at
+        u, so no operator matrix is formed.  The operators grow only as far
+        as those columns reach.
         """
-        self.grow(env.level)
-        x = np.zeros(int(self.counts[env.level]), dtype=complex)
-        for w, c in env.terms.items():
-            terms = {w: 1.0} if w in self.index else _nf(self.algebra, w)
-            for v, cv in terms.items():
-                x[self.index[v]] += c * cv
-        return x
-
-    def left_multiply(self, env: EnvElement, level: int) -> np.ndarray:
-        """env times each word up to the level, as columns on longer words."""
-        top = level + env.level
-        self.grow(top)
-        n = int(self.counts[level])
-        out = np.zeros((int(self.counts[top]), n), dtype=complex)
+        block = x.reshape(len(x), -1)
+        rows, cols = np.nonzero(block)
+        top = self.length(rows.max(initial=0) + 1) + env.level
+        self.grow((top + 1) // 2)
+        d, width = self.algebra.dim, block.shape[1]
+        at, val = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
         for word, c in env.terms.items():
-            y, m = np.eye(n, dtype=complex), level
+            u, col, cv = rows, cols, c * block[rows, cols]
             for k in reversed(word):
-                src, dst, val = self._operator(k, y.shape[0])
-                op = np.zeros((int(self.counts[m + 1]), y.shape[0]),
-                              dtype=complex)
-                op[dst, src] = val
-                y, m = op @ y, m + 1
-            out[:y.shape[0]] += c * y
-        return out
-
-    def gram(self, level: int) -> np.ndarray:
-        """psi(u* v) for every pair of words u, v up to the level: a leading
-        block of K."""
-        self.grow(level)
-        n = int(self.counts[level])
-        return self.k[:n, :n]
+                which, u, cv = self._columns(u * d + k, cv)
+                col = col[which]
+            at.append(u * width + col)
+            val.append(cv)
+        n = int(self.counts[top])
+        out = _sum_into(np.concatenate(at), np.concatenate(val), n * width)
+        return out.reshape((n,) + x.shape[1:])
 
 
-class _TableGram(_DenseGram):
-    """Table route: Gram entries read the table through left multiplication.
+class _TableGram(_HeldGram, _PairedGram):
+    """Table route: the GNS space in word coordinates.
 
-    The samples are the normal words up to the level, which are the first n
-    words of the ``_WordIndex`` of ``_WordOperators``, so M is the leading
-    n x n block of its word Gram K.  Both triangles of K are computed, so the
-    Hermitian check stays a real one.  Left translation by x_k maps the
-    samples to the columns Y = L_k on the m words one longer, so its
-    pairings against the columns of c are c^H (K Y)[:n] with the leading
-    m x m block of K, and the squared lengths of the translates are the
-    diagonal of Y^H K Y.  psi(t* x) reads the rows of the samples in K
-    against the normal-word coordinates of x.
+    The samples are the first n words of the ``_WordIndex`` of
+    ``_WordOperators``, so M is the leading n x n block of its word Gram K,
+    both triangles computed, so the Hermitian check stays a real one.  For
+    ``_PairedGram`` the sample columns are the unit vectors of those words,
+    a monoid element acts through the stored columns of the L_k, the
+    columns pair in K, reading only the rows they reach, and the dual vector
+    is the conjugated table.  Any group part but the identity is refused.
     """
 
     def __init__(self, psi: PDFunction, samples: SampleSet):
@@ -709,23 +731,26 @@ class _TableGram(_DenseGram):
         if psi._words is None:
             psi._words = _WordOperators(psi)
         self.words = psi._words
-        self.level = samples.level
-        self.m = self.words.gram(self.level)
+        self.words.grow(samples.level)
+        self.m = self.words.k[:len(samples), :len(samples)]
         self.eigs, self.scale = _spectrum(self.m)
 
-    def translate(self, m_left: MonoidElement, c_mat=None):
-        _refuse_group_part(m_left.group)
-        y = self.words.left_multiply(m_left.env, self.level)
-        m = y.shape[0]
-        ky = self.words.k[:m, :m] @ y
-        pairs = ky[:y.shape[1]]
-        return (pairs if c_mat is None else c_mat.conj().T @ pairs,
-                np.real(np.sum(y.conj() * ky, axis=0)))
+    @functools.cached_property
+    def u(self) -> np.ndarray:
+        return np.eye(len(self.samples), dtype=complex)
 
-    def against(self, x: MonoidElement) -> np.ndarray:
-        _refuse_group_part(x.group)
-        col = self.words.coordinates(x.env)
-        return self.words.k[:len(self.samples), :col.size] @ col
+    @property
+    def dual(self) -> np.ndarray:
+        return self.words.dual
+
+    def _act(self, m: MonoidElement, x: np.ndarray) -> np.ndarray:
+        _refuse_group_part(m.group)
+        return self.words.act(m.env, x)
+
+    def _paired(self, y: np.ndarray) -> np.ndarray:
+        self.words.grow(self.words.length(len(y)))
+        reach = np.flatnonzero(np.any(y.reshape(len(y), -1), axis=1))
+        return self.words.k[:, reach] @ y[reach]
 
 
 def _sample_columns(psi: PDFunction, samples: SampleSet) -> np.ndarray:
@@ -763,7 +788,7 @@ def _sample_columns(psi: PDFunction, samples: SampleSet) -> np.ndarray:
     return np.hstack(blocks)
 
 
-class _FactoredGram:
+class _FactoredGram(_PairedGram):
     """Operator route: the sample Gram in factored form.
 
     M = W^H W with W = R U, where U holds the sample columns op(s) v and R is
@@ -771,15 +796,11 @@ class _FactoredGram:
     the samples costs O(n d^2) and forms no n x n matrix: U comes from
     ``_sample_columns``; ``eigs`` are sigma(W)^2 padded with exact zeros to
     length n, from a thin SVD of W; a sector's eigenpairs come from a thin
-    SVD of its columns of W; blocks, products and translates read W and U;
-    the reproducing row psi(s t) over all samples t is (G v)^H op(s) U.
-    Products, translates and ``against`` apply op(s) to U or v through
-    ``reps._act`` and never form op(s).  Only ``dense()`` forms M, for
-    ``sample_gram``.  The monoid product
-    (Carmeli, Cassinelli, Toigo and Varadarajan, CMP 263 (2006)) stays the
-    independent side, on a fixed number of pairs drawn by ``_witness_gap``:
-    eight entries of W^H W in ``route_gap`` and ``_WITNESS`` entries of each
-    reproducing row.
+    SVD of its columns of W.  For ``_PairedGram`` a monoid element acts
+    through ``reps._act``, which never forms op(s), the columns pair in the
+    space Gram G, and the dual vector is G v.  Only ``dense()`` forms M.
+    The monoid product (Carmeli, Cassinelli, Toigo and Varadarajan, CMP 263
+    (2006)) checks eight entries of W^H W in ``route_gap``.
     """
 
     psd_detail = "singular values of W, verified on sample set"
@@ -821,14 +842,6 @@ class _FactoredGram:
                             lambda i, same: w[:, i].conj() @ w[:, same],
                             star=True)
 
-    def products(self, i: int) -> tuple[np.ndarray, float]:
-        # psi(s_i t) = (G v)^H op(s_i) op(t) v for every t, in one row; the
-        # witness compares ``_WITNESS`` of its entries with monoid products
-        s = self.samples.element(i)
-        row = self.dual.conj() @ _act(self.psi.rep, s.env, self.u, s.group)
-        return row, _witness_gap(self.psi, self.samples, [i], _WITNESS,
-                                 lambda _, same: row[same])
-
     def block(self, rows, cols) -> np.ndarray:
         return self.w[:, rows].conj().T @ self.w[:, cols]
 
@@ -842,30 +855,21 @@ class _FactoredGram:
         lam[lam.size - sv.size:] = sv[::-1] ** 2
         return lam, vh[::-1].conj().T
 
-    def translate(self, m_left: MonoidElement, c_mat=None):
-        au = _act(self.psi.rep, m_left.env, self.u, m_left.group)
-        gau = self.gram @ au
-        left = self.u if c_mat is None else self.u @ c_mat
-        return (left.conj().T @ gau,
-                np.real(np.sum(au.conj() * gau, axis=0)))
+    def _act(self, m: MonoidElement, x: np.ndarray) -> np.ndarray:
+        return _act(self.psi.rep, m.env, x, m.group)
 
-    def against(self, x: MonoidElement) -> np.ndarray:
-        return self.u.conj().T @ (self.gram @ self.psi._image(x))
+    def _paired(self, y: np.ndarray) -> np.ndarray:
+        return self.gram @ y
 
 
 def sample_gram(psi: PDFunction, samples: SampleSet) -> tuple[np.ndarray, float]:
-    """Gram matrix M[i, j] = psi(s_i* s_j) over a sample set.
+    """Gram matrix M[i, j] = psi(s_i* s_j) over a sample set, and a gap.
 
-    Representation-backed functions evaluate through the operators, as
-    M = W^H W from the factor W = R U (R the Cholesky factor of the space
-    Gram, U the sample columns, each word's from the column of its suffix); a
-    few same-degree and diagonal entries are then recomputed through the
-    monoid product as an independent route, and the worst disagreement is
-    returned alongside the matrix.  This is the one place that forms M on
-    that route.  Tables read their values through left multiplication on
-    normal words, and other functions pay for every entry through the
-    monoid product; on both the returned disagreement is zero.  The samples
-    must come from ``build_sample_set``; anything else raises TypeError.
+    On the operator route (see ``_gram_of``) this is the one place that
+    forms M = W^H W, and the gap is the worst disagreement of a few
+    same-degree and diagonal entries with the monoid product; on the other
+    routes it is zero.  The samples must come from ``build_sample_set``;
+    anything else raises TypeError.
     """
     gram = _gram_of(psi, samples)
     gap = gram.route_gap()
@@ -880,14 +884,12 @@ def check_positive_definite(psi: PDFunction, samples: SampleSet,
     eigenvalue floor are all certified on the given samples only; the detail
     strings say so.  For representation-backed functions the Gram is kept
     as M = W^H W, so its Hermitian symmetry and positivity hold by
-    construction, and no n x n matrix is formed: ``gram_norm`` and
-    ``min_eigenvalue`` come from the singular values of W, at O(n d^2) in
-    all.  What is checked numerically there is the agreement of W^H W with
-    psi evaluated through the monoid product, on sampled same-degree and
-    diagonal entries.  On every route the support condition reads psi on
-    the samples of non-zero degree off row 0 of the Gram, since sample 0 is
-    the identity of the monoid, and calls psi no further.  Non-finite
-    sample data fail the Gram checks.  The samples must come from
+    construction: ``gram_norm`` and ``min_eigenvalue`` come from the
+    singular values of W, and what is checked numerically is the agreement
+    of W^H W with the monoid product on sampled entries.  On every route the
+    support condition reads psi on the samples of non-zero degree off row 0
+    of the Gram (sample 0 is the identity of the monoid).  Non-finite sample
+    data fail the Gram checks.  The samples must come from
     ``build_sample_set``; anything else raises TypeError.
     """
     return _positivity_report(_gram_of(psi, samples), tol)
@@ -990,28 +992,24 @@ def gns_construct(psi: PDFunction, group_samples=None,
     reconstruction is validated before it is returned.
 
     Each level's sample Gram is built once and reused by the positivity
-    certificate, and the degree codes of the samples come with the sample
-    set.  For representation-backed functions it is kept as M = W^H W and no
-    n x n matrix is formed: every step over the n samples is O(n d^2) (see
-    ``_FactoredGram`` for what reads W and the sample columns U), so
-    Hermitian symmetry and positivity hold by construction; the route
-    agreement, grading, escape, orthonormality, representation and
-    reproducing checks are numerical.  The monoid product is the
-    independent side on a fixed number of pairs, whatever the sample count:
-    eight Gram entries in each route agreement and ``_WITNESS`` entries of
-    each reproducing row (see ``_witness_gap``).  The report's ``columns``
-    counts the word columns held.  For tables, each level's Gram is a
-    leading block of one word Gram, read through left-multiplication
-    operators grown level by level, and the reproducing check pairs them
-    against a monoid product for every sample; the report gives ``words``
-    and ``operator_entries``.  Picks and draws use the standard library's
-    ``random`` with fixed seeds, so a run repeats exactly.
+    certificate.  For representation-backed functions it is kept as
+    M = W^H W, so Hermitian symmetry and positivity hold by construction
+    (see ``_FactoredGram``); for tables it is a leading block of one word
+    Gram (see ``_TableGram``).  Both fast routes translate and pair through
+    one code path (``_PairedGram``), with one evidence model: the monoid
+    product is the independent side on a fixed number of pairs, whatever
+    the sample count, namely ``_WITNESS`` entries of each reproducing row
+    (see ``_witness_gap``), and on the operator route eight Gram entries in
+    each route agreement.  The report gives ``columns``, the word columns
+    held, on the operator route, and ``words`` and ``operator_entries`` on
+    the table route.  Picks and draws use the standard library's ``random``
+    with fixed seeds, so a run repeats exactly.
 
     Raises StabilizationError when the rank is still growing at the cap, or
     is left unconfirmed by a cap of 0, when a level needs more normal words
     than the budget allows, when a translate escapes the span the rank test
-    certified, or when the assembled operators fail validation.  Positivity failures on the sample
-    set raise PositivityError.  A function that vanishes on every sample has
+    certified, or when the assembled operators fail validation.  Positivity
+    failures on the sample set raise PositivityError.  A function that vanishes on every sample has
     nothing to reconstruct and raises ValueError, as does a negative
     ``level_cap``.
     """

@@ -14,7 +14,8 @@ from colorrep.gns import PDFunction, normal_words
 from colorrep.grading import Degree, all_degrees
 from colorrep.hcpair import GroupElement, HCPair
 from colorrep.reps import UnitaryRep
-from colorrep.spaces import GammaInnerSpace, GradedSpace, HomogeneousMap
+from colorrep.spaces import (GammaInnerSpace, GradedSpace, HomogeneousMap,
+                             tensor_inner, tensor_map, tensor_space)
 
 
 def env_max_diff(d1, d2):
@@ -186,6 +187,30 @@ def cut_four_lines_table():
     l, values = four_lines_values()
     return PDFunction.from_table(
         l, {w: v for w, v in values.items() if len(w) <= 3})
+
+
+@functools.lru_cache(maxsize=1)
+def four_lines_square_values():
+    """The four-lines algebra and the coefficient of e0 (x) e0 in the graded
+    tensor square of its conjugated rep (seed 7), on the normal words up to
+    length 6.
+
+    Level-1 words reach only v and x v = x e0 (x) e0 + (sign) e0 (x) x e0,
+    so the Gram rank grows up to level 2 (rank 8), and a table rebuild
+    retains the 145 level-2 samples.
+    """
+    space = GradedSpace(2, {d: 1 for d in all_degrees(2)})
+    r = conjugated_rep(skew_matrix_algebra(space)[1], seed=7)
+    l = r.algebra
+    one = HomogeneousMap.identity(space)
+    square = tensor_space(space, space)
+    rho = [tensor_map(x, one, square, square) + tensor_map(one, x, square, square)
+           for x in r.rho]
+    r2 = UnitaryRep(HCPair(l), tensor_inner(r.inner, r.inner), rho)
+    e0 = np.eye(4)[0]
+    psi = PDFunction.from_rep(r2, square.pure_tensor(e0, e0))
+    return l, {w: psi(MonoidElement.from_env(EnvElement(l, {w: 1.0})))
+               for w in normal_words(l, 6)}
 
 
 def one_line_algebra():

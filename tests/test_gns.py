@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (cut_four_lines_table, one_line_algebra, spoiled_clifford,
-                     three_cycle_rep)
+from helpers import (cut_four_lines_table, four_lines_square_values,
+                     one_line_algebra, spoiled_clifford, three_cycle_rep)
 from helpers import four_lines_values as _four_lines_values
 
 from colorrep import enveloping, gns, reps
@@ -404,17 +404,25 @@ def test_a_broken_monoid_product_fails_the_reconstruction(mutation, state,
         gns_construct(PDFunction.from_rep(r, v))
 
 
-@pytest.mark.parametrize("mutation, state", _BROKEN_CASES)
+# a table has no group part, so the unsigned-ad mutant equals the product
+_TABLE_CASES = [(m, "four-lines-table") for m in ("bracketless", "scaled")]
+
+
+@pytest.mark.parametrize("mutation, state", _BROKEN_CASES + _TABLE_CASES)
 def test_the_reproducing_check_alone_catches_a_broken_monoid_product(
         mutation, state, monkeypatch):
     # with the route agreement blinded, the reproducing check is the only
-    # step of the operator route that takes monoid products
-    r, v = _grouped_states()[state]
+    # step of either fast route that takes monoid products
+    def psi():
+        if state == "four-lines-table":
+            return four_lines_table()
+        return PDFunction.from_rep(*_grouped_states()[state])
+
     monkeypatch.setattr(gns._FactoredGram, "route_gap", lambda self: 0.0)
-    assert gns_construct(PDFunction.from_rep(r, v)).report.passed
+    assert gns_construct(psi()).report.passed
     _BROKEN_PRODUCTS[mutation](monkeypatch)
     with pytest.raises(StabilizationError, match="consistency checks failed"):
-        gns_construct(PDFunction.from_rep(r, v))
+        gns_construct(psi())
 
 
 def test_the_operator_route_takes_a_fixed_number_of_monoid_products(monkeypatch):
@@ -436,6 +444,23 @@ def test_the_operator_route_takes_a_fixed_number_of_monoid_products(monkeypatch)
         assert 8 < len(calls) <= 8 + 5 * gns._WITNESS
         sizes.append(res.sample_count)
     assert sizes[0] < 1000 < sizes[1]
+
+
+def test_the_table_route_takes_a_fixed_number_of_monoid_products(monkeypatch):
+    # no route agreement, and at most five reproducing picks of _WITNESS
+    # entries each, whatever the sample count
+    calls = []
+    monkeypatch.setattr(gns, "s_mul",
+                        lambda *a, **k: calls.append(a) or s_mul(*a, **k))
+    sizes = []
+    for psi in (four_lines_table(),
+                PDFunction.from_table(*four_lines_square_values())):
+        calls.clear()
+        res = gns_construct(psi)
+        assert res.report.passed
+        assert 0 < len(calls) <= 5 * gns._WITNESS
+        sizes.append(res.sample_count)
+    assert sizes == [17, 145]
 
 
 def test_the_witness_pairs_each_pick_with_itself_and_its_largest_entries(
@@ -865,6 +890,11 @@ def test_table_and_monoid_product_translates_agree(name, level):
         scale = max(1.0, float(np.max(np.abs(dn))))
         assert np.max(np.abs(tp - dp)) <= 1e-12 * scale
         assert np.max(np.abs(tn - dn)) <= 1e-12 * scale
+    # the reproducing rows psi(s_i t), read off L_{w_i} on the table route
+    for i in range(len(samples)):
+        (t_row, gap), (d_row, _) = table.products(i), dense.products(i)
+        assert np.max(np.abs(t_row - d_row)) <= 1e-12 * dense.scale
+        assert gap <= 1e-12 * dense.scale
 
 
 @pytest.mark.parametrize("name", sorted(_TABLES))
@@ -933,11 +963,12 @@ def test_every_operator_column_is_the_normal_form(name, top, odd):
     assert int(np.sum(np.diag(l.beta_table) == -1)) == odd
     ops = _operators(l, top)
     assert ops.built == int(ops.counts[2 * top - 1])
+    index = {w: p for p, w in enumerate(ops.words)}
     for k in range(l.dim):
         got: dict = {}
         for u, w, c in zip(*ops._operator(k, ops.built)):
             got[u, w] = got.get((u, w), 0j) + c
-        want = {(u, ops.index[w]): c for u in range(ops.built)
+        want = {(u, index[w]): c for u in range(ops.built)
                 for w, c in _nf(l, (k,) + ops.words[u]).items()}
         assert max(abs(got.get(x, 0j) - want.get(x, 0j))
                    for x in got.keys() | want.keys()) <= 1e-14
@@ -967,14 +998,16 @@ def test_the_operators_and_the_axiom_check_read_one_triple_index(monkeypatch):
 def test_the_table_route_rewrites_no_normal_word(monkeypatch):
     psi = four_lines_table()
     l = psi.algebra
+    samples = build_sample_set(l, [], 2)
+    last_star = s_star(samples.element(-1))
     calls = []
-    nf = gns._nf
-    monkeypatch.setattr(gns, "_nf", lambda *a: calls.append(a) or nf(*a))
+    nf = enveloping._nf
+    monkeypatch.setattr(enveloping, "_nf", lambda *a: calls.append(a) or nf(*a))
     cached = len(l._nf_cache)
-    gram = gns._gram_of(psi, build_sample_set(l, [], 2))
+    gram = gns._gram_of(psi, samples)
     for k in range(l.dim):
         gram.translate(MonoidElement.from_env(EnvElement.generator(l, k)))
-    gram.against(s_star(gram.samples.element(-1)))
+    gram.against(last_star)
     assert psi._words.top == 3
     assert calls == []
     assert len(l._nf_cache) == cached
