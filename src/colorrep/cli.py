@@ -143,6 +143,10 @@ def _do_stability_extend(args: argparse.Namespace) -> Report:
         full, final = stability_extend(rep, **_tol_kw(args))
     except (PerfectnessError, ExtensionError) as e:
         out.add("extension", False, detail=str(e))
+        failed = getattr(e, "report", None)   # the partial data's check or the final one
+        if failed is not None:
+            pre = failed.title == "pre-representation check"
+            out.extend(failed, prefix="pre-rep: " if pre else "extended rep: ")
         return out
     l = rep.algebra
     filled = sum(l.sector_dim(a) for a in l.even_nonzero_degrees())

@@ -388,20 +388,19 @@ def _flat_key(d):
 
 
 def odd_pair_columns(l: ColorLieAlgebra, a: Degree):
-    """All brackets [y, z] with y, z odd-like and degrees composing to ``a``.
-
-    Returns (pairs, columns) where columns[:, q] is the coefficient vector of
-    the bracket for pairs[q] = (i, j), restricted to the coordinates of
-    sector ``a``.
-    """
-    rows = l.sector(a)
-    pairs, blocks = [], [np.zeros((len(rows), 0))]
-    for b in l.odd_degrees():
-        # a even-like and b odd-like force the complement a*b odd-like
-        left, right = l.sector(b), l.sector(a * b)
-        pairs += [(i, j) for i in left for j in right]
-        blocks += [ad_operator(l, np.eye(l.dim)[i])[np.ix_(rows, right)] for i in left]
-    return pairs, np.hstack(blocks)
+    """All brackets [x_i, x_j] with x_i, x_j odd-like and degrees composing to
+    ``a``, read off the structure triples: (pairs, columns), where row q of
+    the (m, 2) array ``pairs`` is (i, j), by degree of x_i, then i, then j,
+    and columns[:, q] the bracket's coordinates in sector ``a``."""
+    d, t, rows = l.dim, l.triples, l.sector(a)
+    # a even-like and b odd-like force the complement a*b odd-like
+    pairs = np.array([(i, j) for b in l.odd_degrees() for i in l.sector(b)
+                      for j in l.sector(a * b)], dtype=np.int64).reshape(-1, 2)
+    which, u = _join(t.ptr[pairs @ [d, 1]], t.ptr[pairs @ [d, 1] + 1])
+    keep = l.deg_codes[t.k[u]] == a.code
+    columns = np.zeros((len(rows), len(pairs)))
+    columns[np.searchsorted(rows, t.k[u[keep]]), which[keep]] = t.c[u[keep]]
+    return pairs, columns
 
 
 def _relative_rank(columns: np.ndarray, tol: float) -> int:
@@ -412,24 +411,55 @@ def _relative_rank(columns: np.ndarray, tol: float) -> int:
     return int(np.sum(svals > tol * svals[0])) if svals[0] > 0 else 0
 
 
+class OddBracketSpan:
+    """The ``pairs`` and ``columns`` of ``odd_pair_columns`` for the nonzero
+    even-like sector ``degree`` with basis ``rows``, built once, and their
+    ``rank``: the singular values above ``tol`` times the largest."""
+
+    def __init__(self, l: ColorLieAlgebra, a: Degree, tol: float = 1e-9):
+        self.degree, self.rows, self.tol = a, l.sector(a), tol
+        self.pairs, self.columns = odd_pair_columns(l, a)
+        self.rank = _relative_rank(self.columns, tol)
+
+    def solve(self, targets: np.ndarray, weight_seed: int | None = None) -> np.ndarray:
+        """Bracket coefficients (pairs, m) of the m columns of ``targets``, in
+        sector coordinates: least-norm, or with the columns reweighted by one
+        vector drawn from ``weight_seed``, another valid decomposition where
+        slack exists.  Entries at most 1e-13 times their column's largest (or
+        1) are zero.  Raises PerfectnessError when the sector is not spanned
+        or a residual exceeds ``tol`` times its target's norm (or 1)."""
+        a, columns = self.degree, self.columns
+        if self.rank < len(self.rows):
+            raise PerfectnessError(
+                f"sector {a} is not spanned by brackets of odd-like elements (rank "
+                f"{self.rank} < dim {len(self.rows)}); the stability hypothesis fails", sector=a)
+        w = np.ones(columns.shape[1])
+        if weight_seed is not None:
+            rng = random.Random(weight_seed)
+            w = 0.5 + np.array([rng.random() for _ in w])
+        coeffs = np.linalg.lstsq(columns * w, targets, rcond=None)[0] * w[:, None]
+        resid = np.linalg.norm(columns @ coeffs - targets, axis=0)
+        bad = np.flatnonzero(resid > self.tol * np.maximum(1.0, np.linalg.norm(targets, axis=0)))
+        if bad.size:
+            raise PerfectnessError(
+                f"decomposition in sector {a} left residual {resid[bad[0]]:.3e}", sector=a)
+        coeffs[np.abs(coeffs) <= 1e-13 * np.maximum(1.0, np.abs(coeffs).max(0, initial=0.0))] = 0.0
+        return coeffs
+
+
 def check_perfectness(l: ColorLieAlgebra, tol: float = 1e-9) -> Report:
     """Is every nonzero even-like sector spanned by odd-by-odd brackets?
 
     Rank is measured by singular values above ``tol`` times the largest one.
     """
     report = Report(f"perfectness, dim {l.dim}")
-    sectors = {}
-    targets = l.even_nonzero_degrees()
-    if not targets:
+    spans = [OddBracketSpan(l, a, tol) for a in l.even_nonzero_degrees()]
+    if not spans:
         report.add("no-even-sectors", True, detail="no nonzero even-like sectors present")
-    for a in targets:
-        dim_a = l.sector_dim(a)
-        _, columns = odd_pair_columns(l, a)
-        rank = _relative_rank(columns, tol)
-        sectors[str(a)] = {"dim": dim_a, "rank": rank}
-        report.add(f"sector-{a}", rank >= dim_a,
-                   detail=f"bracket span rank {rank} of dim {dim_a}")
-    report.context["sectors"] = sectors
+    for s in spans:
+        report.add(f"sector-{s.degree}", s.rank >= len(s.rows),
+                   detail=f"bracket span rank {s.rank} of dim {len(s.rows)}")
+    report.context["sectors"] = {str(s.degree): {"dim": len(s.rows), "rank": s.rank} for s in spans}
     return report
 
 
@@ -448,10 +478,12 @@ class BracketDecomposition:
     terms: list[BracketTerm]
 
     def evaluate(self, l: ColorLieAlgebra) -> np.ndarray:
-        out = np.zeros(l.dim)
-        for t in self.terms:
-            out += t.coefficient * ad_operator(l, np.eye(l.dim)[t.left])[:, t.right]
-        return out
+        """The sum of the terms, read off the structure triples."""
+        t, d = l.triples, l.dim
+        key = np.array([u.left * d + u.right for u in self.terms], dtype=np.int64)
+        coeffs = np.array([u.coefficient for u in self.terms], dtype=float)
+        which, at = _join(t.ptr[key], t.ptr[key + 1])
+        return np.bincount(t.k[at], coeffs[which] * t.c[at], d)
 
 
 def decompose_odd(l: ColorLieAlgebra, x: np.ndarray, tol: float = 1e-9,
@@ -459,10 +491,9 @@ def decompose_odd(l: ColorLieAlgebra, x: np.ndarray, tol: float = 1e-9,
     """Write an even-like vector as a combination of odd-by-odd brackets.
 
     ``x`` is a real coefficient vector supported in a single nonzero
-    even-like sector.  The decomposition is not unique; the default solve
-    returns the least-norm one, and ``weight_seed`` reweights the columns to
-    produce a genuinely different valid decomposition when slack exists.
-    Raises PerfectnessError when the sector is not saturated.
+    even-like sector; this is the one-target call of ``OddBracketSpan.solve``,
+    least-norm or reweighted by ``weight_seed``.  Raises PerfectnessError when
+    the sector is not saturated.
     """
     x = real_coefficients(l, x)
     scale = float(np.max(np.abs(x)))
@@ -474,27 +505,7 @@ def decompose_odd(l: ColorLieAlgebra, x: np.ndarray, tol: float = 1e-9,
     a = support.pop()
     if not is_even_like(a) or a.is_zero:
         raise ValueError(f"sector {a} is not a nonzero even-like degree")
-    rows = l.sector(a)
-    pairs, columns = odd_pair_columns(l, a)
-    target = x[rows]
-    rank = _relative_rank(columns, tol)
-    if rank < len(rows):
-        raise PerfectnessError(
-            f"sector {a} is not spanned by brackets of odd-like elements "
-            f"(rank {rank} < dim {len(rows)}); the stability hypothesis fails",
-            sector=a)
-    if weight_seed is None:
-        coeffs, *_ = np.linalg.lstsq(columns, target, rcond=None)
-    else:
-        rng = random.Random(weight_seed)
-        w = 0.5 + np.array([rng.random() for _ in range(columns.shape[1])])
-        u, *_ = np.linalg.lstsq(columns * w[None, :], target, rcond=None)
-        coeffs = u * w
-    resid = float(np.linalg.norm(columns @ coeffs - target))
-    if resid > tol * max(1.0, float(np.linalg.norm(target))):
-        raise PerfectnessError(
-            f"decomposition in sector {a} left residual {resid:.3e}", sector=a)
-    cmax = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    terms = [BracketTerm(float(c), i, j)
-             for c, (i, j) in zip(coeffs, pairs) if abs(c) > 1e-13 * max(1.0, cmax)]
-    return BracketDecomposition(a, terms)
+    span = OddBracketSpan(l, a, tol)
+    coeffs = span.solve(x[span.rows, None], weight_seed)[:, 0]
+    return BracketDecomposition(a, [BracketTerm(c, i, j) for c, (i, j)
+                                    in zip(coeffs.tolist(), span.pairs.tolist()) if c])

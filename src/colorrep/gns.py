@@ -33,6 +33,9 @@ _GNS_TOL = 1e-9
 _WORD_BUDGET = 100_000
 # monoid products that witness each reproducing pick on the operator route
 _WITNESS = 4
+# the words per batch of the k > a step of ``_WordOperators._build_columns``:
+# one batch of every word of a length sets the peak of a table task
+_COLUMN_BLOCK = 64
 
 
 class PDFunction:
@@ -628,17 +631,20 @@ class _WordOperators:
             self._store(parts)
             if not m:
                 continue
-            # k > a: beta(k, a) L_a L_k e_u' + sum_j c^j_ka L_j e_u'
-            ks, us = np.nonzero(np.arange(d)[:, None] > first[lo:hi])
-            us += lo
-            a, t, keys = first[us], self.tail[us], us * d + ks
-            p, j, c = self._brackets(ks * d + a)
-            w, dst, val = self._columns(t[p] * d + j, c)
-            parts = [(keys[p[w]], dst, val)]
-            w, v, cv = self._columns(t * d + ks, beta[ks, a])
-            w2, dst, val = self._columns(v * d + a[w], cv)
-            parts.append((keys[w[w2]], dst, val))
-            self._store(parts)
+            # k > a: beta(k, a) L_a L_k e_u' + sum_j c^j_ka L_j e_u', which
+            # reads only the columns built above, so a block of words at a time
+            for b in range(lo, hi, _COLUMN_BLOCK):
+                e = min(b + _COLUMN_BLOCK, hi)
+                ks, us = np.nonzero(np.arange(d)[:, None] > first[b:e])
+                us += b
+                a, t, keys = first[us], self.tail[us], us * d + ks
+                p, j, c = self._brackets(ks * d + a)
+                w, dst, val = self._columns(t[p] * d + j, c)
+                parts = [(keys[p[w]], dst, val)]
+                w, v, cv = self._columns(t * d + ks, beta[ks, a])
+                w2, dst, val = self._columns(v * d + a[w], cv)
+                parts.append((keys[w[w2]], dst, val))
+                self._store(parts)
         self.built = end
 
     def _brackets(self, pairs: np.ndarray):

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .colorlie import (_TERM_BLOCK, ColorLieAlgebra, _join, ad_operator, check_perfectness,
-                       decompose_odd, load_blocks, real_coefficients)
+from .colorlie import (_TERM_BLOCK, ColorLieAlgebra, OddBracketSpan, _join, ad_operator,
+                       load_blocks, real_coefficients)
 from .enveloping import EnvElement, MonoidElement
 from .errors import ExtensionError, PerfectnessError, RankMismatchError
 from .grading import Character, Degree, alpha, is_even_like
@@ -25,6 +25,8 @@ from .spaces import GammaInnerSpace, HomogeneousMap, _degree_pattern
 _REP_TOL = 1e-9
 _EXTEND_TOL = 1e-8
 _EXP_TIMES = (0.5, 1.0)
+# the seed of the extension's reweighted decompositions, one per sector
+_WEIGHT_SEED = 997
 
 
 def _check_rho_entry(space, degrees, i, t):
@@ -522,16 +524,32 @@ def restrict(r: UnitaryRep) -> PartialRep:
     return PartialRep(r.pair, r.inner, rho)
 
 
-def _extension_matrix(p: PartialRep, dec) -> np.ndarray:
-    l = p.algebra
-    t = p.space_dim
-    out = np.zeros((t, t), dtype=complex)
-    for term in dec.terms:
-        my = p.rho_matrix(term.left)
-        mz = p.rho_matrix(term.right)
-        sign = float(l.beta_table[term.left, term.right])
-        out += term.coefficient * (my @ mz - sign * (mz @ my))
-    return out
+def _extended(p: PartialRep, tol: float) -> UnitaryRep:
+    """p with the nonzero even-like sectors filled in (``stability_extend``)."""
+    l, rho, space = p.algebra, dict(p.rho), p.inner.space
+    ops, n = p.rho_stack().ops, p.space_dim
+    spans = [OddBracketSpan(l, a) for a in l.even_nonzero_degrees()]
+    bad = [str(s.degree) for s in spans if s.rank < len(s.rows)]
+    if bad:
+        raise PerfectnessError(
+            "extension hypothesis fails: even-like sector(s) "
+            f"{bad} are not spanned by brackets of odd-like elements", sector=bad[0])
+    for s in spans:
+        eye, (i, j) = np.eye(len(s.rows)), s.pairs.T
+        coeffs = np.hstack([s.solve(eye), s.solve(eye, _WEIGHT_SEED)])
+        ext = np.zeros((coeffs.shape[1], n, n), dtype=complex)
+        # each pair's bracket once; a block's six temporaries hold about _BLOCK entries
+        for b in load_blocks(np.full(len(i), 6 * n * n), _BLOCK):
+            y, z, sign = ops[i[b]], ops[j[b]], l.beta_table[i[b], j[b], None, None]
+            ext += np.tensordot(coeffs[b], y @ z - sign * (z @ y), axes=(0, 0))
+        for x, one, two in zip(s.rows, ext, ext[len(s.rows):]):
+            gap = float(np.max(np.abs(one - two)))
+            if gap > tol * max(1.0, float(np.max(np.abs(one)))):
+                raise ExtensionError(
+                    f"extension of {l.labels[x]} depends on the decomposition "
+                    f"(gap {gap:.3e}); the partial data is inconsistent")
+            rho[x] = HomogeneousMap.from_dense(space, space, s.degree, one.copy())
+    return UnitaryRep(p.pair, p.inner, [rho[x] for x in range(l.dim)])
 
 
 def stability_extend(p: PartialRep | UnitaryRep,
@@ -539,47 +557,17 @@ def stability_extend(p: PartialRep | UnitaryRep,
     """Fill in the even-like nonzero sectors from the partial data, or from
     the ``restrict`` of a full representation.
 
-    Each basis element there is decomposed into brackets of odd-like pairs
-    and represented through the bracket property.  Two independent
-    decompositions are compared to witness well-definedness, and the
-    completed representation is checked in full before being returned.
-    Both the agreement of the decompositions and the final check are judged
-    at ``tol``.  Returns the representation and the report of that check.
+    Each sector is solved once (``OddBracketSpan``) for all its basis
+    elements, least-norm and with a fixed-seed reweighting.  The two
+    extensions through the bracket property must agree at ``tol``, and so
+    must the full check of the result, whose report is returned with it.
     """
     p = _partial(p)
-    l = p.algebra
     pre = check_pre_rep(p)
     if not pre.passed:
         raise ExtensionError("partial data fails the pre-representation axioms",
                              report=pre)
-    perf = check_perfectness(l)
-    if not perf.passed:
-        bad = [name for name, info in perf.context.get("sectors", {}).items()
-               if info["rank"] < info["dim"]]
-        raise PerfectnessError(
-            "extension hypothesis fails: even-like sector(s) "
-            f"{bad} are not spanned by brackets of odd-like elements",
-            sector=bad[0] if bad else None)
-
-    space = p.inner.space
-    rho = dict(p.rho)
-    for a in l.even_nonzero_degrees():
-        for i in l.sector(a):
-            x = np.zeros(l.dim)
-            x[i] = 1.0
-            dec1 = decompose_odd(l, x)
-            dec2 = decompose_odd(l, x, weight_seed=997 + i)
-            m1 = _extension_matrix(p, dec1)
-            m2 = _extension_matrix(p, dec2)
-            scale = max(1.0, float(np.max(np.abs(m1))))
-            gap = float(np.max(np.abs(m1 - m2)))
-            if gap > tol * scale:
-                raise ExtensionError(
-                    f"extension of {l.labels[i]} depends on the decomposition "
-                    f"(gap {gap:.3e}); the partial data is inconsistent")
-            rho[i] = HomogeneousMap.from_dense(space, space, a, m1)
-
-    full = UnitaryRep(p.pair, p.inner, [rho[i] for i in range(l.dim)])
+    full = _extended(p, tol)    # the sector columns are freed before the final check
     final = check_unitary_rep(full, tol=tol)
     if not final.passed:
         raise ExtensionError("extended operators fail the representation axioms",

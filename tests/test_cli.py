@@ -191,6 +191,41 @@ def test_stability_extend_reports_the_extensions_own_check(tmp_path, capsys,
     assert code == 0 and calls == [{"tol": 1e-7}]
 
 
+def test_stability_extend_shows_the_failed_pre_rep_check(tmp_path, capsys):
+    # the doubled odd operators of the four-line rep fail the pre-rep check
+    from colorrep.grading import is_even_like
+    pre, _ = partial_file(tmp_path)
+    part, _ = load_rep(pre)
+    doubled = {i: (t if is_even_like(part.algebra.degrees[i]) else t * 2.0)
+               for i, t in part.rho.items()}
+    save_rep(pre, PartialRep(part.pair, part.inner, doubled))
+    code, doc, _ = run_json(capsys, "stability-extend", pre)
+    assert code == 1 and not doc["passed"]
+    first, *carried = doc["checks"]
+    assert first["name"] == "extension" and not first["passed"]
+    assert "pre-representation" in first["detail"]
+    assert carried and all(c["name"].startswith("pre-rep: ") for c in carried)
+    assert "pre-rep: bracket property on even-plus-one-odd subalgebras" in [
+        c["name"] for c in carried if not c["passed"]]
+
+
+def test_stability_extend_shows_the_failed_final_check(tmp_path, capsys, monkeypatch):
+    pre, _ = partial_file(tmp_path)
+    calls = []
+
+    def failing(r, **kw):
+        calls.append(kw)
+        out = Report("unitary representation check")
+        out.add("bracket property", False, 1.0, kw["tol"], "worst pair (a, b)")
+        return out
+    monkeypatch.setattr(reps, "check_unitary_rep", failing)
+    code, doc, _ = run_json(capsys, "stability-extend", pre)
+    assert code == 1 and calls == [{"tol": 1e-8}]
+    assert [(c["name"], c["passed"]) for c in doc["checks"]] == [
+        ("extension", False), ("extended rep: bracket property", False)]
+    assert "fail the representation axioms" in doc["checks"][0]["detail"]
+
+
 def test_check_prerep_accepts_partial_file(tmp_path, capsys):
     pre, _ = partial_file(tmp_path)
     assert main(["check-prerep", str(pre)]) == 0

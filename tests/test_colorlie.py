@@ -11,6 +11,8 @@ from helpers import (dense_constants, random_space, random_structure, spoiled_fo
 from colorrep import colorlie
 from colorrep.errors import AxiomError, PerfectnessError
 from colorrep.colorlie import (
+    BracketDecomposition,
+    BracketTerm,
     ColorLieAlgebra,
     ad_operator,
     bracket,
@@ -242,6 +244,50 @@ def test_subset_of_columns_never_increases_rank():
         full = np.linalg.matrix_rank(columns)
         half = np.linalg.matrix_rank(columns[:, : columns.shape[1] // 2])
         assert half <= full
+
+
+def _dense_odd_pair_columns(l, a):
+    """odd_pair_columns built from one dense ad(x_i) per odd-like x_i."""
+    rows = l.sector(a)
+    pairs, blocks = [], [np.zeros((len(rows), 0))]
+    for b in l.odd_degrees():
+        left, right = l.sector(b), l.sector(a * b)
+        pairs += [[i, j] for i in left for j in right]
+        blocks += [ad_operator(l, np.eye(l.dim)[i])[np.ix_(rows, right)] for i in left]
+    return pairs, np.hstack(blocks)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: glV(_four_lines()),
+    lambda: glV(GradedSpace(3, {d: 1 for d in all_degrees(3)})),
+    lambda: skew_matrix_algebra(_four_lines(), validate=False)[0],
+    lambda: skew_matrix_algebra(GradedSpace(2, {_d("00"): 2, _d("01"): 1, _d("10"): 1}),
+                                validate=False)[0],
+    lambda: skew_matrix_algebra(GradedSpace(2, {d: 2 for d in all_degrees(2)}),
+                                validate=False)[0],
+    lambda: ColorLieAlgebra(3, [f"z{i}" for i in range(12)],
+                            [all_degrees(3)[i % 8] for i in range(12)],
+                            np.random.default_rng(5).standard_normal((12, 12, 12))),
+], ids=["glV-four-lines", "glV-rank-3", "skew-1111", "skew-2110", "skew-2222",
+        "ungraded-rank-3"])
+def test_odd_pair_columns_match_the_dense_ad_reference(build):
+    # read off the triples, entry for entry; the ungraded tensor has
+    # constants outside the sector, which the rows of ad leave out too
+    l = build()
+    rng = np.random.default_rng(0)
+    assert l.even_nonzero_degrees()
+    for a in l.even_nonzero_degrees():
+        pairs, columns = odd_pair_columns(l, a)
+        want_pairs, want = _dense_odd_pair_columns(l, a)
+        assert pairs.tolist() == want_pairs
+        assert np.array_equal(columns, want)
+        # a decomposition over every pair evaluates to the same sums
+        coeffs = rng.standard_normal(len(pairs))
+        dec = BracketDecomposition(a, [BracketTerm(c, i, j)
+                                       for c, (i, j) in zip(coeffs, want_pairs)])
+        ref = sum((c * ad_operator(l, np.eye(l.dim)[i])[:, j]
+                   for c, (i, j) in zip(coeffs, want_pairs)), np.zeros(l.dim))
+        assert np.allclose(dec.evaluate(l), ref, rtol=0, atol=1e-12)
 
 
 def test_decompose_odd_roundtrip():

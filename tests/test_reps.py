@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import dense_constants, distance, spoiled_clifford
 
-from colorrep import reps
+from colorrep import colorlie, hcpair, reps
 
-from colorrep.colorlie import ColorLieAlgebra, ad_operator, check_perfectness, glV
+from colorrep.colorlie import (ColorLieAlgebra, ad_operator, check_perfectness,
+                               decompose_odd, glV, odd_pair_columns)
 from colorrep.enveloping import (
     EnvElement,
     MonoidElement,
@@ -24,7 +27,7 @@ from colorrep.generators import (
     counterexample_prerep,
     skew_matrix_algebra,
 )
-from colorrep.grading import Character, Degree, all_degrees, is_even_like
+from colorrep.grading import Character, Degree, all_degrees, beta, is_even_like
 from colorrep.hcpair import GroupElement, HCPair, _expm
 from colorrep.report import worst_residual
 from colorrep.reps import (
@@ -455,6 +458,85 @@ def test_stability_rejects_inconsistent_partial_data():
               for i, t in part.rho.items()}
     with pytest.raises(ExtensionError, match="pre-representation"):
         stability_extend(PartialRep(part.pair, part.inner, scaled))
+
+
+def _extension_of(shape, seed):
+    # the conjugated skew rep on the space of the given sector dims, one per
+    # degree of rank log2(len(shape))
+    rank = len(shape).bit_length() - 1
+    space = GradedSpace(rank, {d: k for d, k in zip(all_degrees(rank), shape) if k})
+    l, base = skew_matrix_algebra(space, validate=False)
+    return l, conjugated_rep(base, seed=seed)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(shape=st.tuples(*[st.integers(0, 2)] * 4).filter(any), seed=st.integers(0, 2 ** 16))
+def test_stability_extend_matches_the_per_element_rebuild(shape, seed):
+    # each filled operator is the least-norm decomposition of decompose_odd,
+    # rebuilt term by term as acceptance criterion 8 does, and recovers the
+    # operator that restrict dropped
+    l, r = _extension_of(shape, seed)
+    assume(check_perfectness(l).passed)
+    part = restrict(r)
+    full, _ = stability_extend(part)
+    for i in range(l.dim):
+        if part.defined(i):
+            continue
+        x = np.zeros(l.dim)
+        x[i] = 1.0
+        want = np.zeros((r.space_dim, r.space_dim), dtype=complex)
+        for term in decompose_odd(l, x).terms:
+            ry, rz = r.rho_matrix(term.left), r.rho_matrix(term.right)
+            sign = beta(l.degrees[term.left], l.degrees[term.right])
+            want += term.coefficient * (ry @ rz - sign * rz @ ry)
+        scale = max(1.0, float(np.max(np.abs(r.rho_matrix(i)))))
+        assert np.max(np.abs(full.rho_matrix(i) - want)) <= 1e-12 * scale
+        assert np.max(np.abs(full.rho_matrix(i) - r.rho_matrix(i))) < 1e-8
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 0, 0, 0, 0, 0, 1), (1,) * 8])
+def test_stability_extend_signs_each_odd_pair_by_beta(shape):
+    # at rank 2 every odd pair of an even-like sector commutes (beta = +1);
+    # these rank-3 sectors also hold pairs with beta = -1
+    l, r = _extension_of(shape, seed=2)
+    pairs = np.vstack([odd_pair_columns(l, a)[0] for a in l.even_nonzero_degrees()])
+    assert (l.beta_table[pairs[:, 0], pairs[:, 1]] == -1).any()
+    full, _ = stability_extend(restrict(r))
+    for i in range(l.dim):
+        assert np.max(np.abs(full.rho_matrix(i) - r.rho_matrix(i))) < 1e-8
+
+
+def test_stability_extend_builds_each_sectors_columns_once(monkeypatch):
+    # one set of bracket columns per even-like sector, read off the triples;
+    # the only dense ad matrices are those of the exp samples
+    l, r = _extension_of((2, 2, 2, 2), seed=3)
+    built, ads = [], []
+    real_columns, real_ad = colorlie.odd_pair_columns, colorlie.ad_operator
+
+    def columns(l, a):
+        built.append(a)
+        return real_columns(l, a)
+
+    def ad(l, coeffs):
+        ads.append(np.flatnonzero(coeffs).tolist())
+        return real_ad(l, coeffs)
+    monkeypatch.setattr(colorlie, "odd_pair_columns", columns)
+    for module in (colorlie, reps, hcpair):
+        monkeypatch.setattr(module, "ad_operator", ad)
+    full, _ = stability_extend(restrict(r))
+    assert l.dim == 64 and built == l.even_nonzero_degrees()
+    zero = l.sector(Degree.zero(2))
+    assert len(ads) == len(reps._EXP_TIMES) * len(zero)
+    assert sorted(ads) == sorted([i] for i in zero for _ in reps._EXP_TIMES)
+
+
+def test_stability_extend_in_blocks_of_pairs_matches_one_block(monkeypatch):
+    l, r = _extension_of((2, 2, 2, 2), seed=3)
+    want, _ = stability_extend(restrict(r))
+    monkeypatch.setattr(reps, "_BLOCK", 5 * 6 * r.space_dim ** 2)   # 5 pairs a block
+    got, _ = stability_extend(restrict(r))
+    for i in range(l.dim):
+        assert np.max(np.abs(got.rho_matrix(i) - want.rho_matrix(i))) <= 1e-12
 
 
 def two_route_fixture():
