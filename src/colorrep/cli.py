@@ -178,6 +178,8 @@ def _do_gns_construct(args: argparse.Namespace) -> Report:
         result = gns_construct(psi, level_cap=args.level_cap, **_tol_kw(args))
     except (StabilizationError, PositivityError) as e:
         out.add("reconstruction", False, detail=str(e))
+        if getattr(e, "rank_history", None) is not None:
+            out.context["rank_history"] = e.rank_history
         return out
     except ValueError as e:
         # degenerate input, e.g. a function that vanishes on every sample
@@ -188,9 +190,10 @@ def _do_gns_construct(args: argparse.Namespace) -> Report:
     out.extend(result.report)
     out.context["gram_spectrum"] = result.gram_spectrum
     out.context["level_used"] = result.level_used
-    # the size the route's cost grows with: words and operator entries on
-    # the table route, word columns on the representation route
-    for key in ("words", "operator_entries", "columns"):
+    # the rank at each level sampled; the size the route's cost grows
+    # with: words and operator entries on the table route, word columns on
+    # the representation route
+    for key in ("rank_history", "words", "operator_entries", "columns"):
         if key in result.report.context:
             out.context[key] = result.report.context[key]
     if args.output:

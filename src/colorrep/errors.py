@@ -53,8 +53,14 @@ class StabilizationError(ColorrepError):
     """A sampled reconstruction did not close up at the configured level.
 
     Raised when the Gram rank keeps growing at the level cap, or when a
-    translation operator leaves the span the rank test certified.
+    translation operator leaves the span the rank test certified.  The
+    ``rank_history`` attribute, when set, holds the rank at each level
+    sampled, from level 0.
     """
+
+    def __init__(self, message: str, rank_history=None):
+        super().__init__(message)
+        self.rank_history = rank_history
 
 
 class EquivalenceError(ColorrepError):

@@ -107,15 +107,17 @@ class PDFunction:
         """Function given by values on normal words.
 
         Table keys are index tuples in rewriting-stable form, each checked in
-        one pass over its letters (see ``_key_fault``).  Only elements whose
-        group part is the identity by construction can be evaluated (see
-        ``GroupElement.is_identity``); a group element whose matrix merely
-        equals the identity is refused.  Missing words count as zero.
+        one pass over its letters (see ``_key_fault``); a letter that is not
+        an int or a numpy integer is refused, never rounded.  Only elements
+        whose group part is the identity by construction can be evaluated
+        (see ``GroupElement.is_identity``); a group element whose matrix
+        merely equals the identity is refused.  Missing words count as zero.
         """
         odd = _odd_letters(l)
         clean: dict[tuple, complex] = {}
         for word, val in table.items():
-            word = tuple(map(int, word))
+            word = tuple(int(k) if isinstance(k, np.integer) else k
+                         for k in word)
             fault = _key_fault(word, l.dim, odd)
             if fault == "range":
                 raise ValueError(f"table key {word} has a letter outside the algebra")
@@ -340,7 +342,8 @@ def _product(a: MonoidElement, b: MonoidElement) -> MonoidElement:
 
 def _witness_gap(psi: PDFunction, samples: SampleSet, firsts, k: int,
                  route, star: bool = False) -> float:
-    """Worst gap between psi(s t) through the monoid product and route(i, same).
+    """Worst gap between psi(s t) through the monoid product and route(i, same),
+    each relative to max(1, |route value|).
 
     For each sample index i of ``firsts``, s is sample i (its star when
     ``star``), and t = s_j runs over sample i itself and the k - 1 other
@@ -348,7 +351,9 @@ def _witness_gap(psi: PDFunction, samples: SampleSet, firsts, k: int,
     the sample indices ``same``, is largest in modulus, the first of equals
     first.  Pairs of different degree codes pair to zero on every route, and
     so do most pairs of one code; a wrong product shows in the entries that
-    carry weight.  A non-finite compared entry makes the result non-finite.
+    carry weight.  Those grow geometrically with the word length, and so
+    does their rounding, which an absolute gap would take for a fault.  A
+    non-finite compared entry makes the result non-finite.
     """
     codes = samples.codes
     gaps = []
@@ -361,7 +366,8 @@ def _witness_gap(psi: PDFunction, samples: SampleSet, firsts, k: int,
         for at in np.argsort(-size, kind="stable")[:k]:
             j = int(same[at])
             t = s_i if j == i else samples.element(j)
-            gaps.append(abs(psi(_product(s, t)) - value[at]))
+            gaps.append(abs(psi(_product(s, t)) - value[at])
+                        / max(1.0, abs(value[at])))
     return float(np.max(gaps))
 
 
@@ -376,19 +382,22 @@ def _gram_of(psi: PDFunction, samples: SampleSet):
     product checks a fixed number of entries of each reproducing row,
     whatever the sample count.  The samples must come from
     ``build_sample_set``; anything else raises TypeError.  Each route gives
-    ``samples``; ``eigs``, the eigenvalues of M (of its Hermitian part off
-    the operator route) ascending, None when the data are not finite;
-    ``scale``, max(1, max |eigs|) (1 when not finite); ``dense()``, M;
-    ``hermitian()``, residual and detail of the Hermitian check;
-    ``route_gap()``, the sampled gap between the operator and
-    monoid-product routes (None on the other two); ``products(i)``,
-    psi(s_i t) for every sample t and the gap of its witness (0 where every
-    entry is a monoid product); ``block(rows, cols)``, whose row 0 is psi
-    at the samples; ``times(x)``, M x; ``sector(idx)``, the eigenpairs of
-    M on idx ascending; ``translate(m_left, c)``, c^H P with the pairings
-    P[t, s] = psi(t* m_left s) (P when c is None), and the squared lengths
-    of the translates; ``against(x)``, psi(t* x) for every sample t; and
-    ``psd_detail``.
+    ``samples``; ``finite``, whether its data are finite; ``sizes(idx)`` and
+    ``residuals(sector, kept, cands)``, its own quantities for the rank rule
+    that picks the pivot basis (``_Pivots``): lengths of the columns of W
+    and of their CGS2 residuals on the operator route, the diagonals of M
+    and of its Schur complement on the other two; ``eigs``, the eigenvalues
+    of M (of its Hermitian part off the operator route) ascending, None when
+    the data are not finite, and ``scale``, max(1, max |eigs|) (1 when not
+    finite), both computed on first use; ``dense()``, M; ``hermitian()``,
+    residual and detail of the Hermitian check; ``route_gap()``, the sampled
+    gap between the operator and monoid-product routes (None on the other
+    two); ``products(i)``, psi(s_i t) for every sample t and the gap of its
+    witness (0 where every entry is a monoid product); ``block(rows,
+    cols)``, whose row 0 is psi at the samples; ``translate(m_left, c)``,
+    c^H P with the pairings P[t, s] = psi(t* m_left s) (P when c is None),
+    and the squared lengths of the translates; ``against(x)``, psi(t* x)
+    for every sample t; and ``psd_detail``.
     """
     if not isinstance(samples, SampleSet):
         raise TypeError(f"samples must be a SampleSet made by build_sample_set, "
@@ -402,19 +411,70 @@ def _gram_of(psi: PDFunction, samples: SampleSet):
     return _DenseGram(psi, samples)
 
 
-def _spectrum(m: np.ndarray):
-    # eigenvalues of (M + M^H) / 2 ascending and max(1, their top modulus),
-    # which is at most max(1, ||M||_2); None and 1 when not finite
-    if not np.isfinite(m).all():
-        return None, 1.0
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    return eigs, max(1.0, float(np.max(np.abs(eigs))))
+class _Sector:
+    """One degree sector of the nested rank rule (see ``_Pivots``): ``kept``,
+    its kept samples as (group sample, word) pairs; ``t`` = R^-1 for
+    M[P, P] = R^H R on them; ``lost``, (word, ratio) for each sample not
+    kept.  A route's ``residuals`` leaves here the coefficients h =
+    R^-H M[P, j] and the residual lengths of its candidates, and in factor
+    form their residual columns and ``q``, an orthonormal basis of the kept
+    columns of W."""
+
+    def __init__(self):
+        self.kept, self.lost, self.q, self.x = [], [], None, None
+        self.t = np.zeros((0, 0), dtype=complex)
+
+    def rows(self, nw: int) -> list[int]:
+        # the kept samples, as indices at a level of nw words
+        return [g * nw + w for g, w in self.kept]
+
+    def keep(self, j: int, sample: tuple) -> None:
+        # the factor grows to [[R, h], [0, sigma]], whose inverse this is
+        h, sigma = self.h[:, j:j + 1], self.sigma[j]
+        self.t = np.block([[self.t, -(self.t @ h) / sigma],
+                           [np.zeros((1, len(self.t))), 1 / sigma]])
+        if self.x is not None:
+            self.q = np.hstack([self.q, self.x[:, j:j + 1] / sigma])
+        self.kept.append(sample)
 
 
-class _HeldGram:
+class _Gram:
+    """What every route shares: the spectrum, computed on first use."""
+
+    @functools.cached_property
+    def eigs(self):
+        return self._eigenvalues() if self.finite else None
+
+    @property
+    def scale(self) -> float:
+        # max(1, the top |eigenvalue|), at most max(1, ||M||_2); 1 if not finite
+        return 1.0 if self.eigs is None else max(
+            1.0, float(np.max(np.abs(self.eigs), initial=0.0)))
+
+
+class _HeldGram(_Gram):
     """A sample Gram held as its matrix ``m``: table and monoid products."""
 
     psd_detail = "verified on sample set"
+
+    @property
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.m).all())
+
+    def _eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh((self.m + self.m.conj().T) / 2.0)
+
+    def sizes(self, idx) -> np.ndarray:
+        return self.m[idx, idx].real
+
+    def residuals(self, sector: _Sector, kept, cands) -> np.ndarray:
+        # a pivoted Cholesky in the rule's order: the Schur-complement
+        # diagonals M[j, j] - |R^-H M[P, j]|^2 (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2nd ed. (2002), ch. 10)
+        sector.h = sector.t.conj().T @ self.block(kept, cands)
+        res = self.sizes(cands) - np.sum(np.abs(sector.h) ** 2, axis=0)
+        sector.sigma = np.sqrt(np.abs(res))     # read where res > 0 only
+        return res
 
     def dense(self) -> np.ndarray:
         return self.m
@@ -431,13 +491,6 @@ class _HeldGram:
     def block(self, rows, cols) -> np.ndarray:
         return self.m[np.ix_(rows, cols)]
 
-    def times(self, x: np.ndarray) -> np.ndarray:
-        return self.m @ x
-
-    def sector(self, idx):
-        md = self.block(idx, idx)
-        return np.linalg.eigh((md + md.conj().T) / 2.0)
-
 
 class _DenseGram(_HeldGram):
     """Monoid-product route: each entry is one monoid product and one psi call."""
@@ -448,7 +501,6 @@ class _DenseGram(_HeldGram):
         self.elements = list(samples)
         self.stars = [s_star(t) for t in self.elements]
         self.m = np.column_stack([self.against(b) for b in self.elements])
-        self.eigs, self.scale = _spectrum(self.m)
 
     def products(self, i: int) -> tuple[np.ndarray, float]:
         # every entry is a monoid product already, so nothing to witness
@@ -531,11 +583,12 @@ class _WordOperators:
 
     Every word of L_k e_u' that is as long as u starts at a letter >= a, so
     the last case reads only columns of shorter words and columns of the
-    first two cases, which are built first.  Growth computes only the new
-    columns.  Normal forms are unique when the algebra satisfies its axioms
-    (Bergman, Adv. Math. 29 (1978)), so the columns are the normal forms
-    that ``enveloping._nf`` rewrites to, the reference of the tests and,
-    through the monoid product, of the reproducing witness.
+    first two cases, which are stored first: the store takes one append for
+    the first two cases of a word length and one for its last case.  Growth
+    computes only the new columns.  Normal forms are unique when the algebra
+    satisfies its axioms (Bergman, Adv. Math. 29 (1978)), so the columns are
+    the normal forms that ``enveloping._nf`` rewrites to, the reference of
+    the tests and, through the monoid product, of the reproducing witness.
 
     For a normal word w = (a_1, ..., a_r), psi(w* u) = phase(w) t(x_{a_r} ...
     x_{a_1} u) with the star phase phase(w), so its row is rho_w = t^T L_{a_r}
@@ -628,11 +681,13 @@ class _WordOperators:
                 p, j, c = self._brackets(a * d + a)
                 w, dst, val = self._columns(self.tail[sq[p]] * d + j, 0.5 * c)
                 parts.append(((sq * d + a)[p[w]], dst, val))
-            self._store(parts)
+            self._append([self._summed(parts)])
             if not m:
                 continue
             # k > a: beta(k, a) L_a L_k e_u' + sum_j c^j_ka L_j e_u', which
-            # reads only the columns built above, so a block of words at a time
+            # reads only the columns built above, so a block of words at a
+            # time; the blocks' columns are appended together
+            blocks = []
             for b in range(lo, hi, _COLUMN_BLOCK):
                 e = min(b + _COLUMN_BLOCK, hi)
                 ks, us = np.nonzero(np.arange(d)[:, None] > first[b:e])
@@ -644,7 +699,8 @@ class _WordOperators:
                 w, v, cv = self._columns(t * d + ks, beta[ks, a])
                 w2, dst, val = self._columns(v * d + a[w], cv)
                 parts.append((keys[w[w2]], dst, val))
-                self._store(parts)
+                blocks.append(self._summed(parts))
+            self._append(blocks)
         self.built = end
 
     def _brackets(self, pairs: np.ndarray):
@@ -660,20 +716,32 @@ class _WordOperators:
         val = self.val[pos] if coef is None else self.val[pos] * coef[which]
         return which, self.dst[pos], val
 
-    def _store(self, parts) -> None:
-        # sum the (key, row, value) triples into columns and append them
+    def _summed(self, parts):
+        # the (key, row, value) triples of one batch summed into columns, in
+        # order of key and then row, zero sums dropped: (keys, counts, rows,
+        # values); a stable sort keeps each sum in input order
         keys, dst, val = (np.concatenate(x) for x in zip(*parts))
         n = len(self.words)
-        code, inv = np.unique(keys * n + dst, return_inverse=True)
-        val = _sum_into(inv, val, code.size)
+        code = keys * n + dst
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        heads = np.flatnonzero(np.diff(code, prepend=-1))
+        val = np.add.reduceat(val[order].astype(complex), heads)
         keep = val != 0
-        code, val = code[keep], val[keep]
-        keys, at, count = np.unique(code // n, return_index=True,
-                                    return_counts=True)
-        self.start[keys] = self.dst.size + at
-        self.count[keys] = count
-        self.dst = np.concatenate([self.dst, code % n])
-        self.val = np.concatenate([self.val, val])
+        code = code[heads][keep]
+        keys = code // n
+        heads = np.flatnonzero(np.diff(keys, prepend=-1))
+        return keys[heads], np.diff(heads, append=keys.size), code % n, val[keep]
+
+    def _append(self, batches) -> None:
+        # store summed batches, whose keys are disjoint, in one append
+        at = self.dst.size
+        for keys, count, dst, _ in batches:
+            self.start[keys] = at + np.cumsum(count) - count
+            self.count[keys] = count
+            at += dst.size
+        self.dst = np.concatenate([self.dst, *(b[2] for b in batches)])
+        self.val = np.concatenate([self.val, *(b[3] for b in batches)])
 
     def _operator(self, k: int, cols: int):
         # L_k on the first ``cols`` words, as (column, row, value) arrays
@@ -739,7 +807,6 @@ class _TableGram(_HeldGram, _PairedGram):
         self.words = psi._words
         self.words.grow(samples.level)
         self.m = self.words.k[:len(samples), :len(samples)]
-        self.eigs, self.scale = _spectrum(self.m)
 
     @functools.cached_property
     def u(self) -> np.ndarray:
@@ -794,19 +861,20 @@ def _sample_columns(psi: PDFunction, samples: SampleSet) -> np.ndarray:
     return np.hstack(blocks)
 
 
-class _FactoredGram(_PairedGram):
+class _FactoredGram(_Gram, _PairedGram):
     """Operator route: the sample Gram in factored form.
 
     M = W^H W with W = R U, where U holds the sample columns op(s) v and R is
     the Cholesky factor of the space Gram, so W is d x n.  Every step over
     the samples costs O(n d^2) and forms no n x n matrix: U comes from
-    ``_sample_columns``; ``eigs`` are sigma(W)^2 padded with exact zeros to
-    length n, from a thin SVD of W; a sector's eigenpairs come from a thin
-    SVD of its columns of W.  For ``_PairedGram`` a monoid element acts
-    through ``reps._act``, which never forms op(s), the columns pair in the
-    space Gram G, and the dual vector is G v.  Only ``dense()`` forms M.
-    The monoid product (Carmeli, Cassinelli, Toigo and Varadarajan, CMP 263
-    (2006)) checks eight entries of W^H W in ``route_gap``.
+    ``_sample_columns``; the rank rule reads the lengths of the columns of W
+    and of their CGS2 residuals; ``eigs`` are sigma(W)^2 padded with exact
+    zeros to length n, from a thin SVD of W on first use.  For
+    ``_PairedGram`` a monoid element acts through ``reps._act``, which never
+    forms op(s), the columns pair in the space Gram G, and the dual vector
+    is G v.  Only ``dense()`` forms M.  The monoid product (Carmeli,
+    Cassinelli, Toigo and Varadarajan, CMP 263 (2006)) checks eight entries
+    of W^H W in ``route_gap``.
     """
 
     psd_detail = "singular values of W, verified on sample set"
@@ -817,15 +885,29 @@ class _FactoredGram(_PairedGram):
         self.u = _sample_columns(psi, samples)
         self.gram = psi.rep.inner.gram_dense()
         self.dual = self.gram @ psi.vector
-        self.eigs, self.scale = None, 1.0
         # the space Gram is finite and positive definite (GammaInnerSpace)
         self.w = np.linalg.cholesky(self.gram).conj().T @ self.u
-        if np.isfinite(self.w).all():
-            sv = np.linalg.svd(self.w, compute_uv=False)
-            self.eigs = np.zeros(self.w.shape[1])
-            self.eigs[self.eigs.size - sv.size:] = np.sort(sv) ** 2
-            # ||M||_2 = sigma_max(W)^2, the last of the ascending eigenvalues
-            self.scale = max(1.0, float(self.eigs[-1]))
+        self.finite = bool(np.isfinite(self.w).all())
+
+    def _eigenvalues(self) -> np.ndarray:
+        sv = np.linalg.svd(self.w, compute_uv=False)
+        eigs = np.zeros(self.w.shape[1])
+        eigs[eigs.size - sv.size:] = np.sort(sv) ** 2
+        return eigs
+
+    def sizes(self, idx) -> np.ndarray:
+        return np.linalg.norm(self.w[:, idx], axis=0)
+
+    def residuals(self, sector: _Sector, kept, cands) -> np.ndarray:
+        # the columns after two classical Gram-Schmidt passes (CGS2; Giraud,
+        # Langou and Rozloznik, Comput. Math. Appl. 50 (2005))
+        q = self.w[:, :0] if sector.q is None else sector.q
+        x, sector.h = self.w[:, cands], 0.0
+        for _ in range(2):
+            c = q.conj().T @ x
+            x, sector.h = x - q @ c, sector.h + c
+        sector.q, sector.x, sector.sigma = q, x, np.linalg.norm(x, axis=0)
+        return sector.sigma
 
     def dense(self) -> np.ndarray:
         return self.w.conj().T @ self.w
@@ -850,16 +932,6 @@ class _FactoredGram(_PairedGram):
 
     def block(self, rows, cols) -> np.ndarray:
         return self.w[:, rows].conj().T @ self.w[:, cols]
-
-    def times(self, x: np.ndarray) -> np.ndarray:
-        return self.w.conj().T @ (self.w @ x)
-
-    def sector(self, idx):
-        # W_a = Q S V^H gives M_a = V S^2 V^H
-        _, sv, vh = np.linalg.svd(self.w[:, idx], full_matrices=False)
-        lam = np.zeros(len(idx))
-        lam[lam.size - sv.size:] = sv[::-1] ** 2
-        return lam, vh[::-1].conj().T
 
     def _act(self, m: MonoidElement, x: np.ndarray) -> np.ndarray:
         return _act(self.psi.rep, m.env, x, m.group)
@@ -961,18 +1033,60 @@ class GNSResult:
                 f"level_used={self.level_used}, samples={self.sample_count})")
 
 
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """The columns times unit phases that make a leading entry real positive.
+class _Pivots:
+    """The samples that the nested rank rule keeps, grown level by level.
 
-    The leading entry of a column is its first of at least half the largest
-    modulus, a choice that rounding does not move unless two moduli sit at
-    that threshold.  Eigenvectors from ``eigh`` and singular vectors from
-    ``svd`` then agree wherever the eigenvalue is simple.
+    Level L visits its new samples, those whose word has length L, in order
+    of sample index.  A sample is kept when its own size is more than tol
+    times the largest own size among the samples of its word length, and
+    its residual, after the kept samples of its sector (degree code) are
+    projected out, is more than tol times its own size.  Each route reads
+    its own quantities (``sizes`` and ``residuals``, see ``_gram_of``):
+    column lengths of W, or the diagonals of M and of its Schur complement,
+    which are squared lengths.  Shorter words were visited at lower levels,
+    and their samples do not change with the level, so the kept set only
+    grows and the rank never falls.  ``sectors`` maps each degree code to
+    its ``_Sector``, and ``ranks`` holds the rank after each level.
     """
-    mod = np.abs(vecs)
-    lead = np.argmax(mod >= 0.5 * mod.max(axis=0), axis=0)
-    phase = vecs[lead, np.arange(vecs.shape[1])]
-    return vecs * (np.abs(phase) / phase)
+
+    def __init__(self):
+        self.sectors = {}
+        self.ranks = []
+
+    def grow(self, gram, tol: float) -> None:
+        samples = gram.samples
+        nw = len(samples.words)
+        lo = int(samples.index.counts[samples.level - 1]) if samples.level else 0
+        new = (np.arange(len(samples.groups))[:, None] * nw
+               + np.arange(lo, nw)).ravel()
+        sizes, codes = gram.sizes(new), samples.codes[new]
+        top = float(np.max(sizes, initial=0.0))
+        big = sizes > tol * top           # so sizes > 0 where big
+        share = sizes / top if top > 0 else np.zeros(sizes.size)
+        for code in sorted(set(codes.tolist())):
+            sector = self.sectors.setdefault(code, _Sector())
+            at = codes == code
+            # a small sample fails on its share of the top size, any other
+            # on its residual over its own size
+            sector.lost += zip((new[at & ~big] % nw).tolist(),
+                               share[at & ~big].tolist())
+            cands, own = new[at & big], sizes[at & big]
+            while cands.size:
+                fit = gram.residuals(sector, sector.rows(nw), cands) / own
+                hit = np.flatnonzero(fit > tol)
+                stop = int(hit[0]) if hit.size else cands.size
+                sector.lost += zip((cands[:stop] % nw).tolist(),
+                                   fit[:stop].tolist())
+                if not hit.size:
+                    break
+                sector.keep(stop, divmod(int(cands[stop]), nw))
+                cands, own = cands[stop + 1:], own[stop + 1:]
+        self.ranks.append(sum(len(x.kept) for x in self.sectors.values()))
+
+
+def _ranks_note(ranks: list[int]) -> str:
+    """The rank at each level sampled, for a refusal."""
+    return f"rank {', '.join(map(str, ranks))} at levels 0 to {len(ranks) - 1}"
 
 
 def _truncation_note(psi: PDFunction, level: int) -> str:
@@ -992,32 +1106,32 @@ def gns_construct(psi: PDFunction, group_samples=None,
                   tol: float = _GNS_TOL) -> GNSResult:
     """Build the cyclic representation generated by a positive definite function.
 
-    Sample sets grow level by level until the Gram rank stops moving; the
-    quotient by the kernel is taken sector by sector, and left translation by
-    each generator and group sample is expressed on the retained basis.  The
-    reconstruction is validated before it is returned.
-
-    Each level's sample Gram is built once and reused by the positivity
-    certificate.  For representation-backed functions it is kept as
-    M = W^H W, so Hermitian symmetry and positivity hold by construction
-    (see ``_FactoredGram``); for tables it is a leading block of one word
-    Gram (see ``_TableGram``).  Both fast routes translate and pair through
-    one code path (``_PairedGram``), with one evidence model: the monoid
-    product is the independent side on a fixed number of pairs, whatever
-    the sample count, namely ``_WITNESS`` entries of each reproducing row
-    (see ``_witness_gap``), and on the operator route eight Gram entries in
-    each route agreement.  The report gives ``columns``, the word columns
-    held, on the operator route, and ``words`` and ``operator_entries`` on
-    the table route.  Picks and draws use the standard library's ``random``
-    with fixed seeds, so a run repeats exactly.
+    Sample sets grow level by level until a level keeps no new sample under
+    the nested rank rule (``_Pivots``): in order of word length and sample
+    index, a sample is kept when its own size is more than tol times the
+    largest own size among the samples of its word length, and its residual
+    after the kept samples of its sector are projected out is more than tol
+    times its own size.  The kept samples P of the level below are the
+    quotient basis: with M[P, P] = R^H R from the rule's own factorisation,
+    the basis is R^-1 on their rows, so no eigensolve runs in the level
+    loop.  ``gram_spectrum`` gives per degree the ``retained`` eigenvalues
+    of M on the sector through P, and as ``discarded`` the ratio each
+    sample not kept failed on, each at most tol.  Left translation by each
+    generator and group sample is expressed on the pivot basis, and the
+    reconstruction is validated, the monoid product witnessing a fixed
+    number of pairs (see ``_witness_gap``), before it is returned.  The
+    positivity certificate reads the Gram of the level that confirmed the
+    rank.  The report gives ``rank_history``, the rank at each level
+    sampled; ``columns``, the word columns held, on the operator route;
+    ``words`` and ``operator_entries`` on the table route.
 
     Raises StabilizationError when the rank is still growing at the cap, or
     is left unconfirmed by a cap of 0, when a level needs more normal words
-    than the budget allows, when a translate escapes the span the rank test
-    certified, or when the assembled operators fail validation.  Positivity
-    failures on the sample set raise PositivityError.  A function that vanishes on every sample has
-    nothing to reconstruct and raises ValueError, as does a negative
-    ``level_cap``.
+    than the budget allows (these carry ``rank_history``), when a translate
+    escapes the span the rank rule certified, or when the assembled
+    operators fail validation.  Positivity failures on the sample set raise
+    PositivityError.  A function that vanishes on every sample raises
+    ValueError, as does a negative ``level_cap``.
     """
     if level_cap < 0:
         raise ValueError(f"level cap must be at least 0, got {level_cap}")
@@ -1025,47 +1139,48 @@ def gns_construct(psi: PDFunction, group_samples=None,
     if group_samples is None:
         group_samples = [] if psi.rep is None else default_group_samples(psi.rep)
 
-    # grow until the retained rank repeats
-    prev_rank = None
-    history = {}
-    chosen = None
+    # grow until a level keeps no new sample (see ``_Pivots``)
+    pivots = _Pivots()
+    grams = []
     for level in range(level_cap + 1):
-        ss = build_sample_set(l, group_samples, level)
         try:
-            gram = _gram_of(psi, ss)
+            gram = _gram_of(psi, build_sample_set(l, group_samples, level))
         except StabilizationError as e:   # the level is over the word budget
             raise StabilizationError(
-                str(e) + _truncation_note(psi, level)) from None
-        if gram.eigs is None:
+                str(e) + _truncation_note(psi, level)
+                + (f"; {_ranks_note(pivots.ranks)}" if pivots.ranks else ""),
+                pivots.ranks) from None
+        if not gram.finite:
             raise PositivityError(
                 f"the sample Gram at level {level} is not finite")
-        rank = int(np.sum(gram.eigs > tol * gram.scale))
-        history[level] = gram
-        if prev_rank is not None and rank == prev_rank:
-            chosen = level - 1
+        pivots.grow(gram, tol)
+        grams = [*grams[-1:], gram]
+        if level and pivots.ranks[-1] == pivots.ranks[-2]:
             break
-        prev_rank = rank
-    if chosen is None and level_cap == 0:
-        raise StabilizationError(
-            f"a level cap of 0 samples level 0 only (rank {prev_rank}), which "
-            "leaves no second level to confirm the rank")
-    if chosen is None:
+    else:
+        if level_cap == 0:
+            raise StabilizationError(
+                f"a level cap of 0 samples level 0 only (rank {pivots.ranks[0]}), "
+                "which leaves no second level to confirm the rank", pivots.ranks)
         raise StabilizationError(
             f"gram rank still growing at level {level_cap} "
-            f"(rank {prev_rank}); the function is not of finite type "
-            "within the configured cap" + _truncation_note(psi, level_cap))
+            f"({_ranks_note(pivots.ranks)}); the function is not of finite "
+            "type within the configured cap" + _truncation_note(psi, level_cap),
+            pivots.ranks)
 
-    gram = history[chosen]
+    gram, confirm = grams
+    chosen = level - 1
     norm_scale = gram.scale
     samples = gram.samples
-    n = len(samples)
+    n, nw = len(samples), len(samples.words)
 
     report = Report("gns reconstruction",
-                    context={"level_used": chosen, "samples": n, "tol": tol})
+                    context={"level_used": chosen, "samples": n, "tol": tol,
+                             "rank_history": pivots.ranks})
 
     # certify positivity on the level that witnessed the rank repeat, not
     # just on the retained samples; it sees strictly more of the function
-    pd = _positivity_report(history[chosen + 1], tol)
+    pd = _positivity_report(confirm, tol)
     report.extend(pd, prefix="pd: ")
     if not pd.passed:
         raise PositivityError(
@@ -1089,44 +1204,40 @@ def gns_construct(psi: PDFunction, group_samples=None,
             "sample classes of distinct degrees fail to be orthogonal "
             f"(leakage {cross:.3e})")
 
-    # sector-by-sector spectral quotient: the eigenvalues ascend, so the
-    # retained ones are the last k, taken in descending order, each vector
-    # with its phase fixed (see ``_fix_phases``) so that routes agree
-    spectrum = {}
-    space_dims: dict[Degree, int] = {}
-    blocks = []
+    # the pivot quotient: the kept samples P of each sector are its basis,
+    # c_mat is R^-1 on their rows, and the retained spectrum is that of M on
+    # the sector through P, the eigenvalues of L^H L, L = M[sector, P] R^-1
+    spectrum, space_dims, kept = {}, {}, []
+    c_mat = np.zeros((n, pivots.ranks[-1]), dtype=complex)   # samples x dim
     for code, idx in sectors.items():
-        d = _degree_of(l.rank, code)
-        lam, vecs = gram.sector(idx)
-        keep = lam > tol * norm_scale
+        d, sector = _degree_of(l.rank, code), pivots.sectors[code]
+        rows = sector.rows(nw)
         spectrum[str(d)] = {
-            "retained": [float(x) for x in lam[keep]],
-            "discarded": [float(x) for x in lam[~keep]],
-        }
-        k = int(np.sum(keep))
-        if k == 0:
+            "retained": [],
+            "discarded": [x for w, x in sector.lost if w < nw]}
+        if not rows:
             continue
-        space_dims[d] = k
-        blocks.append((idx, _fix_phases(vecs[:, ::-1][:, :k])
-                       / np.sqrt(lam[::-1][:k])))
+        fit = gram.block(idx, rows) @ sector.t
+        spectrum[str(d)]["retained"] = np.linalg.eigvalsh(
+            fit.conj().T @ fit).tolist()
+        space_dims[d] = len(rows)
+        c_mat[rows, len(kept):len(kept) + len(rows)] = sector.t
+        kept += rows
     if not space_dims:
         raise ValueError(
             "the function vanishes on the sample set; nothing to reconstruct")
 
     space = GradedSpace(l.rank, space_dims)
-    total = space.total_dim
-    c_mat = np.zeros((n, total), dtype=complex)   # samples x dim
-    col = 0
-    for idx, b in blocks:
-        c_mat[idx, col:col + b.shape[1]] = b
-        col += b.shape[1]
     p_mat = c_mat.conj().T                    # coordinates = p_mat @ pairings
+    c_kept = c_mat[kept]                      # the rows of c_mat not zero
 
-    ortho = float(np.linalg.norm(p_mat @ gram.times(c_mat) - np.eye(total), 2))
+    ortho = float(np.linalg.norm(c_kept.conj().T @ gram.block(kept, kept)
+                                 @ c_kept - np.eye(len(kept)), 2))
     report.add("quotient basis orthonormal", ortho <= 1e-8, ortho, 1e-8)
 
-    # one escape budget for everything: discarded spectral mass bounds what an
-    # honest translate can lose, so the threshold scales with the sample count
+    # one escape budget for everything: the mass the rank rule discarded
+    # bounds what an honest translate can lose, so the threshold scales with
+    # the sample count
     escape_tol = n * max(tol, 1e-8) * norm_scale
     escapes = []   # the worst stray of each translate, as ``worst_entry`` picks it
 
@@ -1169,9 +1280,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
 
     # cyclic class of the identity sample (sample 0), cleaned of
     # cross-sector dust
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    v0 = p_mat @ gram.times(e0)
+    v0 = c_kept.conj().T @ gram.block(kept, [0])[:, 0]
     v0_clean = np.where(space.basis_codes == 0, v0, 0.0)
     dust = float(np.linalg.norm(v0 - v0_clean))
     dust_tol = block_tol * max(1.0, float(np.linalg.norm(v0)))
@@ -1192,13 +1301,16 @@ def gns_construct(psi: PDFunction, group_samples=None,
 
     # reproducing identity, on a handful of samples: pairing a basis class
     # against the kernel class at s must reproduce evaluation at s, whose
-    # row psi(s t) over the samples t comes with its witness gap
+    # row psi(s t) over the samples t comes with its witness gap; the gap is
+    # relative to max(1, the largest coordinate), as in ``_witness_gap``
     picks = {0, *random.Random(11).sample(range(n), min(4, n))}
 
     def reproducing_gaps(i: int):
         lhs = np.conj(p_mat @ gram.against(s_star(samples.element(i))))
         row, witness = gram.products(i)
-        return float(np.max(np.abs(lhs - row @ c_mat))), witness
+        rhs = row @ c_mat
+        return (float(np.max(np.abs(lhs - rhs)))
+                / max(1.0, float(np.max(np.abs(rhs)))), witness)
 
     worst_repr, _ = worst_residual((gap, None) for i in sorted(picks)
                                    for gap in reproducing_gaps(i))

@@ -181,8 +181,8 @@ def four_lines_values():
 def cut_four_lines_table():
     """``four_lines_values`` cut to the words of length at most 3.
 
-    Its Gram rank keeps growing with the level, up to level 4, which the
-    table route refuses as over its word budget.
+    The level-2 Gram reads zeros for the words of length 4, so it is
+    indefinite: the function is refused as not positive at level 2.
     """
     l, values = four_lines_values()
     return PDFunction.from_table(
@@ -217,6 +217,18 @@ def one_line_algebra():
     """Single even generator with zero bracket."""
     return ColorLieAlgebra(1, ["h"], [Degree((0,))], np.zeros((1, 1, 1)),
                            validate=True)
+
+
+def moment_table():
+    """The moments of the standard Gaussian on ``one_line_algebra``.
+
+    psi(h^k) = i^k E[t^k] on the words up to length 12.  The measure has
+    full support, so every Hankel slice adds rank: the Gram rank is L + 1 at
+    level L, and the function is not of finite type.
+    """
+    g = {0: 1.0, 2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0, 10: 945.0, 12: 10395.0}
+    return PDFunction.from_table(
+        one_line_algebra(), {(0,) * k: (1j) ** k * g[k] for k in range(0, 13, 2)})
 
 
 def three_cycle_rep():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import cut_four_lines_table, four_lines_values, spoiled_clifford
+from helpers import four_lines_values, moment_table, spoiled_clifford
 
 import colorrep
 from colorrep import cli, gns, reps
@@ -343,15 +343,33 @@ def test_a_level_cap_of_zero_says_no_second_level_confirms_the_rank(tmp_path, ca
         assert (check["passed"], check["detail"]) == (False, want)
 
 
-def test_a_table_over_the_word_budget_fails_reconstruction(tmp_path, capsys):
-    path = tmp_path / "cut.json"
-    save_table(path, cut_four_lines_table())
+def test_a_table_over_the_word_budget_fails_reconstruction(
+        tmp_path, capsys, monkeypatch):
+    # the moment table's rank grows by one per level; a budget of 6 words
+    # stands in for a level of millions and refuses level 3
+    monkeypatch.setattr(gns, "_WORD_BUDGET", 6)
+    path = tmp_path / "moments.json"
+    save_table(path, moment_table())
     code, doc, _ = run_json(capsys, "gns-construct", "--table", str(path))
     assert code == 1
     assert [(c["name"], c["passed"]) for c in doc["checks"]] == [
         ("reconstruction", False)]
     assert doc["checks"][0]["detail"].startswith(
-        "level 4 needs the 265729 normal words")
+        "level 3 needs the 7 normal words")
+    assert doc["context"]["rank_history"] == [1, 2, 3]
+
+
+def test_gns_construct_reports_the_rank_at_each_level(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    save_table(table, PDFunction.from_table(*four_lines_values()))
+    code, doc, _ = run_json(capsys, "gns-construct", "--table", str(table))
+    assert code == 0
+    assert doc["context"]["rank_history"] == [1, 4, 4]
+    path = tmp_path / "moments.json"
+    save_table(path, moment_table())
+    code, doc, _ = run_json(capsys, "gns-construct", "--table", str(path))
+    assert code == 1
+    assert doc["context"]["rank_history"] == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_check_pd_at_a_level_over_the_word_budget_is_input_error(tmp_path, capsys):

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (cut_four_lines_table, four_lines_square_values,
-                     one_line_algebra, spoiled_clifford, three_cycle_rep)
+                     moment_table, one_line_algebra, spoiled_clifford,
+                     three_cycle_rep)
 from helpers import four_lines_values as _four_lines_values
 
 from colorrep import enveloping, gns, reps
@@ -77,12 +78,21 @@ def test_from_table_rejects_non_normal_words():
         PDFunction.from_table(l, {(1, 0): 1.0})
 
 
-@pytest.mark.parametrize("key", [(99,), (-1,), (0, 2)])
+# a letter that is not an int is refused as it is given, never rounded
+@pytest.mark.parametrize("key", [(99,), (-1,), (0, 2), (1.7,), (1.0,), (True,),
+                                 ("1",), (0, np.float64(1.0)), (np.bool_(True),)])
 def test_from_table_rejects_letters_outside_the_algebra(key):
     l = clifford_algebra()          # letters 0 and 1
     with pytest.raises(ValueError) as err:
         PDFunction.from_table(l, {(): 1.0, key: 1.0})
     assert str(err.value) == f"table key {key} has a letter outside the algebra"
+
+
+def test_from_table_takes_numpy_integer_letters():
+    psi = PDFunction.from_table(clifford_algebra(),
+                                {(): 1.0, (np.int64(0), np.int32(1)): 0.5})
+    assert psi.table == {(): 1.0, (0, 1): 0.5}
+    assert all(type(k) is int for k in next(iter(psi.table.keys() - {()})))
 
 
 def test_table_function_rejects_group_parts():
@@ -806,11 +816,132 @@ def test_vanishing_function_has_nothing_to_reconstruct():
 
 def test_moment_table_of_infinite_type_never_stabilizes():
     # moments of a full-support measure: every Hankel slice adds rank
-    l = one_line_algebra()
-    g = {0: 1.0, 2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0, 10: 945.0, 12: 10395.0}
-    table = {(0,) * k: (1j) ** k * g[k] for k in range(0, 13, 2)}
-    with pytest.raises(StabilizationError, match="still growing"):
-        gns_construct(PDFunction.from_table(l, table))
+    with pytest.raises(StabilizationError, match="still growing") as err:
+        gns_construct(moment_table())
+    assert str(err.value).startswith(
+        "gram rank still growing at level 6 (rank 1, 2, 3, 4, 5, 6, 7 at "
+        "levels 0 to 6)")
+    assert err.value.rank_history == [1, 2, 3, 4, 5, 6, 7]
+
+
+def _rank_history(psi, groups, top):
+    """The rank after each of the levels 0 to top under the nested rank rule."""
+    pivots = gns._Pivots()
+    for level in range(top + 1):
+        samples = build_sample_set(psi.algebra, groups, level)
+        pivots.grow(gns._gram_of(psi, samples), gns._GNS_TOL)
+    return pivots.ranks
+
+
+def _e0(n):
+    v = np.zeros(n, dtype=complex)
+    v[0] = 1.0
+    return v
+
+
+@pytest.mark.parametrize("groups", ["none", "default"])
+@pytest.mark.parametrize("k", range(2, 9))
+def test_the_rank_never_falls_on_clifford_reps(k, groups):
+    # the norms of the samples grow about 500x per level, which a threshold
+    # relative to the whole Gram took for rank loss; the reference is the
+    # SVD rank of the level's sample columns, each scaled to unit length
+    r = clifford_rep(k)
+    psi = PDFunction.from_rep(r, _e0(2 * k))
+    samples = [] if groups == "none" else default_group_samples(r)
+    ranks = _rank_history(psi, samples, 8)
+    assert ranks == sorted(ranks) and ranks[-1] == 2 * k
+    want = []
+    for level in range(9):
+        w = gns._gram_of(psi, build_sample_set(r.algebra, samples, level)).w
+        want.append(int(np.linalg.matrix_rank(w / np.linalg.norm(w, axis=0))))
+    assert ranks == want
+    if groups == "none":       # the span of y^j v, j <= 2L, at level L
+        assert ranks == [min(2 * level + 1, 2 * k) for level in range(9)]
+
+
+def test_a_clifford_rep_without_group_samples_rebuilds_its_dimension():
+    # the rank test relative to the whole Gram read 1, 3, 5, 5 here, and the
+    # translate then escaped the certified span by 3.8e3
+    r = clifford_rep(3, seed=5)
+    res = gns_construct(PDFunction.from_rep(r, _e0(6)), group_samples=[])
+    assert (res.rep.space_dim, res.level_used) == (6, 3)
+    assert res.report.context["rank_history"] == [1, 3, 5, 6, 6]
+    unitary_equivalence(r, _e0(6), res.rep, res.cyclic)
+
+
+def clifford_coefficient_table(k, seed=5):
+    """The coefficient of e0 in clifford_rep(k, seed), on the normal words
+    up to length 2k + 2, which the level-(k + 1) Gram reads."""
+    r = clifford_rep(k, seed=seed)
+    psi = PDFunction.from_rep(r, _e0(2 * k))
+    l = r.algebra
+    return PDFunction.from_table(
+        l, {w: psi(MonoidElement.from_env(EnvElement(l, {w: 1.0})))
+            for w in normal_words(l, 2 * k + 2)})
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_clifford_tables_reach_their_rank(k):
+    ranks = _rank_history(clifford_coefficient_table(k), [], k + 1)
+    assert ranks == [min(2 * level + 1, 2 * k) for level in range(k + 2)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_clifford_tables_rebuild_their_rep(k):
+    res = gns_construct(clifford_coefficient_table(k))
+    assert (res.rep.space_dim, res.level_used) == (2 * k, k)
+    assert check_unitary_rep(res.rep).passed
+
+
+def test_the_level_loop_takes_no_eigensolve(monkeypatch):
+    # every eigensolve and SVD of gns_construct is made once, after the level
+    # loop: a table chosen at level 3 makes as many as one chosen at level 1.
+    # The cyclic hull of the rebuilt rep (``_hull``) grows with its depth, so
+    # its SVDs are not counted.
+    calls, hull = [], []
+    for name in ("eigvalsh", "eigh", "svd"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            if not hull:
+                calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    real_hull = gns._hull
+
+    def hull_call(*args):
+        hull.append(1)
+        try:
+            return real_hull(*args)
+        finally:
+            hull.pop()
+    monkeypatch.setattr(gns, "_hull", hull_call)
+    counts = {}
+    for k in (1, 3):
+        psi = clifford_coefficient_table(k)
+        calls.clear()
+        res = gns_construct(psi)
+        counts[res.level_used] = sorted(calls)
+    assert sorted(counts) == [1, 3]
+    assert counts[1] == counts[3]
+
+
+def test_the_spectrum_lists_each_unkept_sample_with_its_ratio():
+    # retained: the spectrum of M on each sector through the kept samples;
+    # discarded: one ratio per sample not kept, the one it failed on
+    psi = PDFunction.from_table(*_four_lines_values())
+    res = gns_construct(psi)
+    samples = build_sample_set(psi.algebra, [], res.level_used)
+    per_sector = {}
+    for c in samples.codes.tolist():
+        d = str(gns._degree_of(psi.algebra.rank, c))
+        per_sector[d] = per_sector.get(d, 0) + 1
+    assert sorted(res.gram_spectrum) == sorted(per_sector)
+    for d, spec in res.gram_spectrum.items():
+        assert len(spec["retained"]) + len(spec["discarded"]) == per_sector[d]
+        assert all(x <= gns._GNS_TOL for x in spec["discarded"])
+        assert all(x > 0 for x in spec["retained"])
+    assert sum(len(s["retained"]) for s in res.gram_spectrum.values()) == 4
 
 
 def clifford_table(max_len):
@@ -824,15 +955,20 @@ def clifford_table(max_len):
 
 
 @pytest.mark.parametrize("max_len, level_cap, error", [
-    (2, 2, StabilizationError),
+    (1, 1, StabilizationError),
+    # the level-2 Gram reads zeros for the words of length 3 and 4, so the
+    # diagonal entries of the length-2 samples vanish beside non-zero
+    # entries of their rows: it is indefinite, a refutation, not growth
+    (2, 2, PositivityError),
     (1, 2, PositivityError),
 ])
 def test_truncated_table_says_which_words_are_missing(max_len, level_cap, error):
     with pytest.raises(error) as err:
         gns_construct(clifford_table(max_len), level_cap=level_cap)
     assert str(err.value).endswith(
-        f"the longest tabulated word has length {max_len}, the level-2 Gram "
-        "reads words up to length 4, and missing words count as zero")
+        f"the longest tabulated word has length {max_len}, the level-"
+        f"{level_cap} Gram reads words up to length {2 * level_cap}, and "
+        "missing words count as zero")
 
 
 def test_a_genuine_level_cap_carries_no_truncation_note():
@@ -1074,19 +1210,34 @@ def test_word_count_closed_form_matches_the_enumeration(name):
         assert normal_word_count(l, m) == int(lengths[:m + 1].sum())
 
 
-def test_a_level_over_the_word_budget_is_refused():
-    # cut at length 3, the rank keeps growing; level 3 (40,081 words) is
-    # built, level 4 (265,729) is refused before it is allocated
-    assert normal_word_count(_four_lines_values()[0], 6) <= gns._WORD_BUDGET
-    psi = cut_four_lines_table()
+def test_a_level_over_the_word_budget_is_refused(monkeypatch):
+    # the rank grows by one per level; a budget of 6 words builds level 2
+    # (5 words up to length 4) and refuses level 3 (7 words up to length 6)
+    # before it is allocated, naming the rank at each level sampled
+    monkeypatch.setattr(gns, "_WORD_BUDGET", 6)
+    psi = moment_table()
     with pytest.raises(StabilizationError) as err:
         gns_construct(psi)
-    assert str(err.value).startswith(
-        "level 4 needs the 265729 normal words up to length 8, over the "
-        f"budget of {gns._WORD_BUDGET} words; the longest tabulated word has "
-        "length 3")
-    assert psi._words.top == 3
-    assert len(psi._words.words) == 40081
+    assert str(err.value) == (
+        "level 3 needs the 7 normal words up to length 6, over the budget of "
+        "6 words; rank 1, 2, 3 at levels 0 to 2")
+    assert err.value.rank_history == [1, 2, 3]
+    assert psi._words.top == 2
+    assert len(psi._words.words) == 5
+
+
+def test_a_table_cut_below_its_level_2_gram_is_refused_as_not_positive():
+    # cut at length 3, the level-2 Gram reads zeros for the words of length
+    # 4: its least eigenvalue is about -2.55 at norm 7.99, a refutation
+    psi = cut_four_lines_table()
+    with pytest.raises(PositivityError) as err:
+        gns_construct(psi)
+    assert str(err.value) == (
+        "the function fails positive definiteness on the sample set; the "
+        "longest tabulated word has length 3, the level-2 Gram reads words "
+        "up to length 4, and missing words count as zero")
+    pd = check_positive_definite(psi, build_sample_set(psi.algebra, [], 2))
+    assert pd.context["min_eigenvalue"] < -1.0
 
 
 def test_support_violation_raises_positivity_error():
