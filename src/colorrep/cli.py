@@ -180,6 +180,8 @@ def _do_gns_construct(args: argparse.Namespace) -> Report:
         out.add("reconstruction", False, detail=str(e))
         if getattr(e, "rank_history", None) is not None:
             out.context["rank_history"] = e.rank_history
+        if getattr(e, "report", None) is not None:   # the positivity certificate
+            out.extend(e.report, prefix="pd: ")
         return out
     except ValueError as e:
         # degenerate input, e.g. a function that vanishes on every sample

@@ -20,7 +20,15 @@ class AxiomError(ColorrepError):
 
 
 class PositivityError(ColorrepError):
-    """An inner product or Gram matrix fails Hermitian positivity."""
+    """An inner product or Gram matrix fails Hermitian positivity.
+
+    The ``report`` attribute, when set, holds the positivity certificate of
+    the sample Gram that the refusal read.
+    """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class LevelCapError(ColorrepError):

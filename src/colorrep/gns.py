@@ -56,7 +56,7 @@ class PDFunction:
     """
 
     __slots__ = ("algebra", "provenance", "rep", "vector", "table", "_eval",
-                 "_words", "_columns", "_images")
+                 "_words", "_columns", "_images", "_dual", "_factor")
 
     def __init__(self, algebra: ColorLieAlgebra, evaluator,
                  provenance: str = "custom"):
@@ -69,6 +69,7 @@ class PDFunction:
         self._words = None
         self._columns = None
         self._images = None
+        self._dual = self._factor = None
 
     def __call__(self, s: MonoidElement) -> complex:
         if s.env.algebra is not self.algebra:
@@ -80,20 +81,20 @@ class PDFunction:
         """Diagonal matrix coefficient psi(g, D) = (pi(g) rho(D) v, v).
 
         A value costs one matrix-vector product per word it has not seen.
-        The dual vector G v, G the space Gram, is computed once.  The images
-        rho(w) v are kept per word in ``_images``, each built from the image
-        of its suffix by one product with rho(x_k), at most ``_WORD_BUDGET``
-        of them; past that they are computed and not kept.  The value is
-        vdot(G v, pi(g) sum_w c_w rho(w) v) (see ``reps._act``), so no
-        operator is formed.  A group part that is not the identity and
+        The dual vector G v, G the space Gram, is computed once (``_dual``).
+        The images rho(w) v are kept per word in ``_images``, each built from
+        the image of its suffix by one product with rho(x_k), at most
+        ``_WORD_BUDGET`` of them; past that they are computed and not kept.
+        The value is vdot(G v, pi(g) sum_w c_w rho(w) v) (see ``reps._act``),
+        so no operator is formed.  A group part that is not the identity and
         carries no matrix is refused, as by ``monoid_operator``.
         """
         v = _vector_of(r, v)
-        dual = r.inner.gram_dense() @ v
-        out = cls(r.algebra, lambda s: np.vdot(dual, out._image(s)),
+        out = cls(r.algebra, lambda s: np.vdot(out._dual, out._image(s)),
                   provenance="diagonal coefficient")
         out.rep = r
         out.vector = v
+        out._dual = r.inner.gram_dense() @ v
         out._images = {(): v}
         return out
 
@@ -386,11 +387,11 @@ def _gram_of(psi: PDFunction, samples: SampleSet):
     ``residuals(sector, kept, cands)``, its own quantities for the rank rule
     that picks the pivot basis (``_Pivots``): lengths of the columns of W
     and of their CGS2 residuals on the operator route, the diagonals of M
-    and of its Schur complement on the other two; ``eigs``, the eigenvalues
-    of M (of its Hermitian part off the operator route) ascending, None when
-    the data are not finite, and ``scale``, max(1, max |eigs|) (1 when not
-    finite), both computed on first use; ``dense()``, M; ``hermitian()``,
-    residual and detail of the Hermitian check; ``route_gap()``, the sampled
+    and of its Schur complement on the other two; ``eigenvalues()``, those
+    of M (of its Hermitian part off the operator route) ascending, which
+    only the positivity certificate computes (``_positivity_report``), and
+    no route keeps; ``dense()``, M; ``hermitian()``, residual and detail of
+    the Hermitian check; ``route_gap()``, the sampled
     gap between the operator and monoid-product routes (None on the other
     two); ``products(i)``, psi(s_i t) for every sample t and the gap of its
     witness (0 where every entry is a monoid product); ``block(rows,
@@ -438,21 +439,7 @@ class _Sector:
         self.kept.append(sample)
 
 
-class _Gram:
-    """What every route shares: the spectrum, computed on first use."""
-
-    @functools.cached_property
-    def eigs(self):
-        return self._eigenvalues() if self.finite else None
-
-    @property
-    def scale(self) -> float:
-        # max(1, the top |eigenvalue|), at most max(1, ||M||_2); 1 if not finite
-        return 1.0 if self.eigs is None else max(
-            1.0, float(np.max(np.abs(self.eigs), initial=0.0)))
-
-
-class _HeldGram(_Gram):
+class _HeldGram:
     """A sample Gram held as its matrix ``m``: table and monoid products."""
 
     psd_detail = "verified on sample set"
@@ -461,7 +448,7 @@ class _HeldGram(_Gram):
     def finite(self) -> bool:
         return bool(np.isfinite(self.m).all())
 
-    def _eigenvalues(self) -> np.ndarray:
+    def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh((self.m + self.m.conj().T) / 2.0)
 
     def sizes(self, idx) -> np.ndarray:
@@ -861,18 +848,19 @@ def _sample_columns(psi: PDFunction, samples: SampleSet) -> np.ndarray:
     return np.hstack(blocks)
 
 
-class _FactoredGram(_Gram, _PairedGram):
+class _FactoredGram(_PairedGram):
     """Operator route: the sample Gram in factored form.
 
     M = W^H W with W = R U, where U holds the sample columns op(s) v and R is
     the Cholesky factor of the space Gram, so W is d x n.  Every step over
     the samples costs O(n d^2) and forms no n x n matrix: U comes from
     ``_sample_columns``; the rank rule reads the lengths of the columns of W
-    and of their CGS2 residuals; ``eigs`` are sigma(W)^2 padded with exact
-    zeros to length n, from a thin SVD of W on first use.  For
-    ``_PairedGram`` a monoid element acts through ``reps._act``, which never
-    forms op(s), the columns pair in the space Gram G, and the dual vector
-    is G v.  Only ``dense()`` forms M.  The monoid product (Carmeli,
+    and of their CGS2 residuals; the eigenvalues are sigma(W)^2 padded with
+    exact zeros to length n, from a thin SVD of W.  R and the dual vector
+    G v are computed once per function and kept on it (``_factor`` and
+    ``_dual``).  For ``_PairedGram`` a monoid element acts through
+    ``reps._act``, which never forms op(s), and the columns pair in the
+    space Gram G.  Only ``dense()`` forms M.  The monoid product (Carmeli,
     Cassinelli, Toigo and Varadarajan, CMP 263 (2006)) checks eight entries
     of W^H W in ``route_gap``.
     """
@@ -884,12 +872,15 @@ class _FactoredGram(_Gram, _PairedGram):
         self.samples = samples
         self.u = _sample_columns(psi, samples)
         self.gram = psi.rep.inner.gram_dense()
-        self.dual = self.gram @ psi.vector
-        # the space Gram is finite and positive definite (GammaInnerSpace)
-        self.w = np.linalg.cholesky(self.gram).conj().T @ self.u
+        if psi._factor is None:
+            # the space Gram is finite and positive definite (GammaInnerSpace)
+            psi._factor = np.linalg.cholesky(self.gram).conj().T
+        # G v, kept by ``from_rep``
+        self.dual = self.gram @ psi.vector if psi._dual is None else psi._dual
+        self.w = psi._factor @ self.u
         self.finite = bool(np.isfinite(self.w).all())
 
-    def _eigenvalues(self) -> np.ndarray:
+    def eigenvalues(self) -> np.ndarray:
         sv = np.linalg.svd(self.w, compute_uv=False)
         eigs = np.zeros(self.w.shape[1])
         eigs[eigs.size - sv.size:] = np.sort(sv) ** 2
@@ -974,6 +965,9 @@ def check_positive_definite(psi: PDFunction, samples: SampleSet,
 
 
 def _positivity_report(gram, tol: float) -> Report:
+    """The certificate above on a route's Gram, and the only reader of a
+    sample-Gram spectrum: one per call, none for non-finite data; the
+    Hermitian and eigenvalue floor is tol * max(1, ||M||_2)."""
     rep = Report("positive definiteness",
                  context={"samples": len(gram.samples), "tol": tol})
 
@@ -995,21 +989,21 @@ def _positivity_report(gram, tol: float) -> Report:
                 "operator route against monoid-product route, sampled "
                 "same-degree and diagonal entries")
 
-    floor = tol * gram.scale
-    if gram.eigs is None:
+    if not gram.finite:
         for name in ("gram hermitian", "gram positive semidefinite"):
-            rep.add(name, False, None, floor, "non-finite sample data")
-        rep.context["min_eigenvalue"] = None
-        rep.context["gram_norm"] = None
+            rep.add(name, False, None, tol, "non-finite sample data")
+        rep.context.update(min_eigenvalue=None, gram_norm=None)
         return rep
 
+    eigs = gram.eigenvalues()
+    scale = max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
+    floor = tol * scale
     herm, detail = gram.hermitian()
     rep.add("gram hermitian", herm <= floor, herm, floor, detail)
-    low = float(gram.eigs.min()) if gram.eigs.size else 0.0
+    low = float(eigs.min()) if eigs.size else 0.0
     rep.add("gram positive semidefinite", low >= -floor,
             max(0.0, -low), floor, gram.psd_detail)
-    rep.context["min_eigenvalue"] = low
-    rep.context["gram_norm"] = gram.scale
+    rep.context.update(min_eigenvalue=low, gram_norm=scale)
     return rep
 
 
@@ -1046,12 +1040,14 @@ class _Pivots:
     which are squared lengths.  Shorter words were visited at lower levels,
     and their samples do not change with the level, so the kept set only
     grows and the rank never falls.  ``sectors`` maps each degree code to
-    its ``_Sector``, and ``ranks`` holds the rank after each level.
+    its ``_Sector``, ``ranks`` holds the rank after each level, and
+    ``tops`` the largest own size among the new samples of each level.
     """
 
     def __init__(self):
         self.sectors = {}
         self.ranks = []
+        self.tops = []
 
     def grow(self, gram, tol: float) -> None:
         samples = gram.samples
@@ -1061,6 +1057,7 @@ class _Pivots:
                + np.arange(lo, nw)).ravel()
         sizes, codes = gram.sizes(new), samples.codes[new]
         top = float(np.max(sizes, initial=0.0))
+        self.tops.append(top)
         big = sizes > tol * top           # so sizes > 0 where big
         share = sizes / top if top > 0 else np.zeros(sizes.size)
         for code in sorted(set(codes.tolist())):
@@ -1120,8 +1117,10 @@ def gns_construct(psi: PDFunction, group_samples=None,
     generator and group sample is expressed on the pivot basis, and the
     reconstruction is validated, the monoid product witnessing a fixed
     number of pairs (see ``_witness_gap``), before it is returned.  The
-    positivity certificate reads the Gram of the level that confirmed the
-    rank.  The report gives ``rank_history``, the rank at each level
+    positivity certificate, the one sample-Gram spectrum computed, reads
+    the Gram of the level that confirmed the rank; the grading and escape
+    thresholds are tol and max(tol, 1e-8) times max(1, max_j M_jj) of the
+    chosen level.  The report gives ``rank_history``, the rank at each level
     sampled; ``columns``, the word columns held, on the operator route;
     ``words`` and ``operator_entries`` on the table route.
 
@@ -1129,8 +1128,9 @@ def gns_construct(psi: PDFunction, group_samples=None,
     is left unconfirmed by a cap of 0, when a level needs more normal words
     than the budget allows (these carry ``rank_history``), when a translate
     escapes the span the rank rule certified, or when the assembled
-    operators fail validation.  Positivity failures on the sample set raise
-    PositivityError.  A function that vanishes on every sample raises
+    operators fail validation.  A failed certificate, a non-finite Gram and
+    a grading leak raise PositivityError, with the certificate as
+    ``report``.  A function that vanishes on every sample raises
     ValueError, as does a negative ``level_cap``.
     """
     if level_cap < 0:
@@ -1152,7 +1152,8 @@ def gns_construct(psi: PDFunction, group_samples=None,
                 pivots.ranks) from None
         if not gram.finite:
             raise PositivityError(
-                f"the sample Gram at level {level} is not finite")
+                f"the sample Gram at level {level} is not finite",
+                _positivity_report(gram, tol))
         pivots.grow(gram, tol)
         grams = [*grams[-1:], gram]
         if level and pivots.ranks[-1] == pivots.ranks[-2]:
@@ -1170,7 +1171,10 @@ def gns_construct(psi: PDFunction, group_samples=None,
 
     gram, confirm = grams
     chosen = level - 1
-    norm_scale = gram.scale
+    # max(1, max_j M_jj) of the chosen level, a lower bound of ||M||_2, off
+    # the rule's sizes (column lengths of W on the operator route)
+    top = max(pivots.tops[:level])
+    scale = max(1.0, top ** 2 if isinstance(gram, _FactoredGram) else top)
     samples = gram.samples
     n, nw = len(samples), len(samples.words)
 
@@ -1185,7 +1189,7 @@ def gns_construct(psi: PDFunction, group_samples=None,
     if not pd.passed:
         raise PositivityError(
             "the function fails positive definiteness on the sample set"
-            + _truncation_note(psi, chosen + 1))
+            + _truncation_note(psi, chosen + 1), pd)
 
     # samples by degree code; codes sort as their degrees do (a plain set,
     # since np.unique imports numpy.ma on first use, 20 ms per process)
@@ -1197,12 +1201,11 @@ def gns_construct(psi: PDFunction, group_samples=None,
     cross = max((float(np.max(np.abs(gram.block(ia, ib))))
                  for a, ia in sectors.items()
                  for b, ib in sectors.items() if a != b), default=0.0)
-    report.add("gram respects the grading", cross <= tol * norm_scale,
-               cross, tol * norm_scale, "verified on sample set")
-    if cross > tol * norm_scale:
+    if not report.add("gram respects the grading", cross <= tol * scale,
+                      cross, tol * scale, "verified on sample set").passed:
         raise PositivityError(
             "sample classes of distinct degrees fail to be orthogonal "
-            f"(leakage {cross:.3e})")
+            f"(leakage {cross:.3e})", pd)
 
     # the pivot quotient: the kept samples P of each sector are its basis,
     # c_mat is R^-1 on their rows, and the retained spectrum is that of M on
@@ -1235,10 +1238,8 @@ def gns_construct(psi: PDFunction, group_samples=None,
                                  @ c_kept - np.eye(len(kept)), 2))
     report.add("quotient basis orthonormal", ortho <= 1e-8, ortho, 1e-8)
 
-    # one escape budget for everything: the mass the rank rule discarded
-    # bounds what an honest translate can lose, so the threshold scales with
-    # the sample count
-    escape_tol = n * max(tol, 1e-8) * norm_scale
+    # one escape budget for every translate, on the scale of the Gram
+    escape_tol = max(tol, 1e-8) * scale
     escapes = []   # the worst stray of each translate, as ``worst_entry`` picks it
 
     def translated_matrix(m_left: MonoidElement, what: str) -> np.ndarray:
@@ -1284,8 +1285,8 @@ def gns_construct(psi: PDFunction, group_samples=None,
     v0_clean = np.where(space.basis_codes == 0, v0, 0.0)
     dust = float(np.linalg.norm(v0 - v0_clean))
     dust_tol = block_tol * max(1.0, float(np.linalg.norm(v0)))
-    report.add("cyclic class homogeneous", dust <= dust_tol, dust, dust_tol)
-    if dust > dust_tol:
+    if not report.add("cyclic class homogeneous", dust <= dust_tol, dust,
+                      dust_tol).passed:
         raise StabilizationError(
             f"the identity class is not of degree zero (stray mass {dust:.3e})")
 
@@ -1495,7 +1496,9 @@ def gns_roundtrip(r: UnitaryRep, v0, level_cap: int = DEFAULT_LEVEL_CAP,
 
     Starting from a representation with a cyclic degree-zero vector, takes
     the diagonal coefficient function, rebuilds a representation from it, and
-    certifies the rebuilt one is unitarily equivalent to the original.
+    certifies the rebuilt one is unitarily equivalent to the original.  The
+    ``pd:`` checks are the construction's certificate, also on a refusal
+    that carries one; its samples include every level-1 sample.
     """
     rep = Report("gns roundtrip", context={"dimension": r.space_dim})
     base = check_unitary_rep(r)
@@ -1511,18 +1514,14 @@ def gns_roundtrip(r: UnitaryRep, v0, level_cap: int = DEFAULT_LEVEL_CAP,
         return rep
 
     psi = PDFunction.from_rep(r, v0)
-    pd_samples = build_sample_set(r.algebra, default_group_samples(r),
-                                  min(1, level_cap))
-    pd = check_positive_definite(psi, pd_samples, tol=max(tol, 1e-9))
-    rep.extend(pd, prefix="pd: ")
-    if not pd.passed:
-        return rep
-
     try:
         result = gns_construct(psi, level_cap=level_cap, tol=tol)
     except (PositivityError, StabilizationError, ValueError) as e:
+        if getattr(e, "report", None) is not None:
+            rep.extend(e.report, prefix="pd: ")
         rep.add("reconstruction", False, detail=str(e))
         return rep
+    rep.checks += [c for c in result.report.checks if c.name.startswith("pd: ")]
     rep.add("reconstruction", True,
             detail=f"dimension {result.rep.space_dim}, "
                    f"level {result.level_used}")

@@ -250,14 +250,18 @@ def _zero_sector_exps(r) -> list[tuple[int, GroupElement]]:
     return r._exps
 
 
-def _pi_checks(r, rep: Report, tol: float) -> None:
-    """Shared first axiom: bound group matrices unitary and degree-preserving."""
+def _pi_checks(r, rep: Report, tol: float) -> list[GroupElement]:
+    """Shared first axiom: bound group matrices unitary and degree-preserving.
+
+    Returns the generators whose matrix has the shape of the space, the ones
+    the equivariance checks read."""
     space = r.inner.space
     g_dense = r.inner.gram_dense()
     gens = r.pair.extra_generators
     if not gens:
         rep.add("group action present", True, detail="identity component only")
-        return
+        return []
+    bound = []
     for g in gens:
         if g.pi is None:
             rep.add(f"pi bound: {g.label}", False,
@@ -268,12 +272,14 @@ def _pi_checks(r, rep: Report, tol: float) -> None:
             rep.add(f"pi bound: {g.label}", False,
                     detail=f"matrix is {pi.shape}, space has {space.total_dim}")
             continue
+        bound.append(g)
         mask = ~_degree_pattern(space.basis_codes, Degree.zero(space.rank), space.basis_codes)
         off = float(np.max(np.abs(pi * mask))) if pi.size else 0.0
         rep.add(f"pi grading: {g.label}", off <= tol, off, tol)
         scale = max(1.0, float(np.linalg.norm(g_dense)))
         ures = float(np.linalg.norm(pi.conj().T @ g_dense @ pi - g_dense)) / scale
         rep.add(f"pi unitary: {g.label}", ures <= tol, ures, tol)
+    return bound
 
 
 # the Jacobi join's term budget, for the residuals here: a block of indices
@@ -441,7 +447,7 @@ def check_unitary_rep(r: UnitaryRep, tol: float = _REP_TOL,
     rep = Report("unitary representation check",
                  context={"algebra_dim": l.dim, "space_dim": r.space_dim,
                           "twisted": twist is not None and not twist.is_trivial})
-    _pi_checks(r, rep, tol)
+    bound = _pi_checks(r, rep, tol)
 
     res, detail = _bracket_residual(r, range(l.dim))
     rep.add("bracket property", res <= tol, res, tol, "" if res <= tol else detail)
@@ -455,9 +461,7 @@ def check_unitary_rep(r: UnitaryRep, tol: float = _REP_TOL,
     res, detail = _skew_residual(r, range(l.dim), twist)
     rep.add("graded skew-adjointness", res <= tol, res, tol, "" if res <= tol else detail)
 
-    for g in r.pair.extra_generators:
-        if g.pi is None:
-            continue
+    for g in bound:
         res, detail = _conjugation_residual(r, g, range(l.dim))
         rep.add(f"equivariance: {g.label}", res <= tol, res, tol, "" if res <= tol else detail)
     if zero_idx:
@@ -478,7 +482,7 @@ def check_pre_rep(p: PartialRep | UnitaryRep, tol: float = _REP_TOL,
     rep = Report("pre-representation check",
                  context={"algebra_dim": l.dim, "space_dim": p.space_dim,
                           "defined": len(p.rho)})
-    _pi_checks(p, rep, tol)
+    bound = _pi_checks(p, rep, tol)
     rep.add("domain density", True, detail="automatic at finite dimension")
 
     zero_idx = l.sector(Degree.zero(l.rank))
@@ -502,9 +506,7 @@ def check_pre_rep(p: PartialRep | UnitaryRep, tol: float = _REP_TOL,
     res, detail = _skew_residual(p, sorted(p.rho), twist)
     rep.add("graded skew-adjointness", res <= tol, res, tol, "" if res <= tol else detail)
 
-    for g in p.pair.extra_generators:
-        if g.pi is None:
-            continue
+    for g in bound:
         res, detail = _conjugation_residual(p, g, sorted(p.rho))
         rep.add(f"equivariance: {g.label}", res <= tol, res, tol, "" if res <= tol else detail)
     return rep

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import four_lines_values, moment_table, spoiled_clifford
+from helpers import (cut_four_lines_table, four_lines_values, moment_table,
+                     spoiled_clifford)
 
 import colorrep
 from colorrep import cli, gns, reps
@@ -357,6 +358,23 @@ def test_a_table_over_the_word_budget_fails_reconstruction(
     assert doc["checks"][0]["detail"].startswith(
         "level 3 needs the 7 normal words")
     assert doc["context"]["rank_history"] == [1, 2, 3]
+
+
+def test_a_table_refused_as_not_positive_shows_its_certificate(tmp_path, capsys):
+    # cut at length 3, the level-2 Gram reads zeros for the words of length
+    # 4; the refusal lists the certificate's checks after the reconstruction
+    path = tmp_path / "cut.json"
+    save_table(path, cut_four_lines_table())
+    code, doc, _ = run_json(capsys, "gns-construct", "--table", str(path))
+    assert code == 1
+    checks = [(c["name"], c["passed"]) for c in doc["checks"]]
+    assert checks[0] == ("reconstruction", False)
+    assert doc["checks"][0]["detail"].startswith(
+        "the function fails positive definiteness on the sample set")
+    assert ("pd: gram positive semidefinite", False) in checks
+    assert [name for name, _ in checks[1:]] == [
+        "pd: support condition", "pd: gram hermitian",
+        "pd: gram positive semidefinite"]
 
 
 def test_gns_construct_reports_the_rank_at_each_level(tmp_path, capsys):

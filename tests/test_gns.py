@@ -620,7 +620,8 @@ def test_support_values_from_the_columns_are_psi(case):
     gram = gns._gram_of(psi, samples)
     values = gram.block([0], np.arange(len(samples)))[0]
     direct = np.array([psi(s) for s in samples])
-    assert np.max(np.abs(values - direct)) <= 1e-14 * gram.scale
+    scale = max(1.0, np.linalg.norm(gram.dense(), 2))
+    assert np.max(np.abs(values - direct)) <= 1e-14 * scale
 
 
 def test_sample_codes_are_the_word_degree_codes():
@@ -1006,7 +1007,7 @@ def test_table_and_monoid_product_grams_agree(name, level):
     dense = gns._gram_of(PDFunction(psi.algebra, psi), samples)
     assert isinstance(table, gns._TableGram)
     assert isinstance(dense, gns._DenseGram)
-    tol = 1e-12 * dense.scale
+    tol = 1e-12 * max(1.0, np.linalg.norm(dense.dense(), 2))
     assert np.max(np.abs(table.dense() - dense.dense())) <= tol
     x = s_star(samples.element(-1))
     assert np.max(np.abs(table.against(x) - dense.against(x))) <= tol
@@ -1027,10 +1028,11 @@ def test_table_and_monoid_product_translates_agree(name, level):
         assert np.max(np.abs(tp - dp)) <= 1e-12 * scale
         assert np.max(np.abs(tn - dn)) <= 1e-12 * scale
     # the reproducing rows psi(s_i t), read off L_{w_i} on the table route
+    scale = max(1.0, np.linalg.norm(dense.dense(), 2))
     for i in range(len(samples)):
         (t_row, gap), (d_row, _) = table.products(i), dense.products(i)
-        assert np.max(np.abs(t_row - d_row)) <= 1e-12 * dense.scale
-        assert gap <= 1e-12 * dense.scale
+        assert np.max(np.abs(t_row - d_row)) <= 1e-12 * scale
+        assert gap <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("name", sorted(_TABLES))
@@ -1238,6 +1240,75 @@ def test_a_table_cut_below_its_level_2_gram_is_refused_as_not_positive():
         "up to length 4, and missing words count as zero")
     pd = check_positive_definite(psi, build_sample_set(psi.algebra, [], 2))
     assert pd.context["min_eigenvalue"] < -1.0
+
+
+def test_classes_of_distinct_degrees_are_refused_on_the_diagonal_scale(monkeypatch):
+    # the level-1 four-lines Gram has largest diagonal entry 0.98 and norm
+    # 1.97: a leak of 1.5e-9 between sample 0 and an odd-like sample is
+    # over tol * max(1, 0.98), though under tol * 1.97
+    psi = four_lines_table()
+    assert gns_construct(psi).level_used == 1
+    real = gns._gram_of
+
+    def leaky_gram_of(psi, samples):
+        # level 2, which certifies positivity, is left alone
+        gram = real(psi, samples)
+        if samples.level == 1:
+            j = int(np.flatnonzero(samples.codes)[0])
+            gram.m = gram.m.copy()        # the table route's m is a view of K
+            gram.m[0, j] = gram.m[j, 0] = 1.5e-9
+        return gram
+
+    monkeypatch.setattr(gns, "_gram_of", leaky_gram_of)
+    with pytest.raises(PositivityError) as err:
+        gns_construct(psi)
+    assert str(err.value) == ("sample classes of distinct degrees fail to be "
+                              "orthogonal (leakage 1.500e-09)")
+    # the certificate holds and rides along
+    assert err.value.report.title == "positive definiteness"
+    assert err.value.report.passed
+
+
+def test_an_identity_class_off_degree_zero_is_refused():
+    # the odd sample y has length 1e-3, so a value of 4e-10 at y, inside the
+    # support and grading tolerances, puts 4e-7 of the identity class in the
+    # odd sector, over 100 tol
+    r = clifford_rep(1, b=[[1e-3]])
+    base = PDFunction.from_rep(r, np.array([1.0, 0.0], dtype=complex))
+    psi = PDFunction(r.algebra,
+                     lambda s: base(s) + 4e-10 * s.env.terms.get((1,), 0.0))
+    with pytest.raises(StabilizationError,
+                       match=r"the identity class is not of degree zero "
+                             r"\(stray mass 4\.000e-07\)"):
+        gns_construct(psi)
+
+
+def test_a_group_sample_without_a_matrix_is_refused_on_the_operator_route():
+    r, v0 = clifford_state()
+    parity = GroupElement("parity", np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="group element 'parity' carries no "
+                                         "action on the space"):
+        gns_construct(PDFunction.from_rep(r, v0), group_samples=[parity])
+
+
+@pytest.mark.parametrize("route", ["operator", "table"])
+def test_the_thresholds_read_the_largest_diagonal_entry(route):
+    # tol and max(tol, 1e-8) times max(1, max_j M_jj) of the chosen level,
+    # never more than the same times max(1, ||M||_2)
+    r, v0 = conjugated_four_lines_state()
+    psi = (PDFunction.from_rep(r, v0) if route == "operator"
+           else four_lines_table())
+    groups = default_group_samples(r) if route == "operator" else []
+    res = gns_construct(psi)
+    m = gns._gram_of(psi, build_sample_set(psi.algebra, groups,
+                                           res.level_used)).dense()
+    scale = max(1.0, float(np.max(np.diag(m).real)))
+    assert scale <= max(1.0, np.linalg.norm(m, 2)) * (1 + 1e-12)
+    checks = {c.name: c for c in res.report.checks}
+    assert checks["gram respects the grading"].tolerance == pytest.approx(
+        1e-9 * scale, rel=1e-12)
+    assert checks["translates stay in the span"].tolerance == pytest.approx(
+        1e-8 * scale, rel=1e-12)
 
 
 def test_support_violation_raises_positivity_error():
@@ -1549,6 +1620,53 @@ def test_roundtrip_reports_non_cyclic_vectors():
     rep = gns_roundtrip(r, v)
     assert not rep.passed
     assert "vector cyclic" in failing_names(rep)
+
+
+def _counted_spectra(monkeypatch) -> list:
+    # the route of every sample-Gram spectrum computed
+    calls = []
+    for route in (gns._HeldGram, gns._FactoredGram):
+        real = route.eigenvalues
+        monkeypatch.setattr(route, "eigenvalues",
+                            lambda self, real=real: calls.append(type(self))
+                            or real(self))
+    return calls
+
+
+def test_a_roundtrip_computes_one_sample_gram_spectrum(monkeypatch):
+    # the random-rep of seed 4242: the certificate on the confirming level
+    # is the one spectrum, and every sample set is one of the construction
+    r = conjugated_rep(skew_matrix_algebra(FOUR_LINES)[1], seed=4242)
+    v0 = np.zeros(4, dtype=complex)
+    v0[0] = 1.0
+    calls = _counted_spectra(monkeypatch)
+    levels = []
+    real = gns.build_sample_set
+    monkeypatch.setattr(gns, "build_sample_set",
+                        lambda l, groups, level: levels.append(level)
+                        or real(l, groups, level))
+    rep = gns_roundtrip(r, v0)
+    assert rep.passed, failing_names(rep)
+    assert calls == [gns._FactoredGram]
+    assert levels == list(range(rep.context["level_used"] + 2))
+    # its four pd: checks come before the reconstruction, as the
+    # construction's certificate
+    names = [c.name for c in rep.checks]
+    at = names.index("reconstruction")
+    assert names[at - 4:at] == [
+        "pd: support condition", "pd: assembly route agreement",
+        "pd: gram hermitian", "pd: gram positive semidefinite"]
+    calls.clear()
+    res = gns_construct(PDFunction.from_rep(r, v0))
+    assert calls == [gns._FactoredGram]
+    assert [c for c in res.report.checks if c.name.startswith("pd: ")] \
+        == rep.checks[at - 4:at]
+
+
+def test_a_table_construction_computes_one_sample_gram_spectrum(monkeypatch):
+    calls = _counted_spectra(monkeypatch)
+    assert gns_construct(four_lines_table()).report.passed
+    assert calls == [gns._TableGram]
 
 
 def test_roundtrip_rejects_inhomogeneous_vectors():

@@ -381,6 +381,25 @@ def test_pi_grading_flags_one_off_block_entry():
     assert [c.residual for c in rep.checks if c.name == "pi grading: leak"] == [0.5]
 
 
+@pytest.mark.parametrize("pi, detail", [
+    (None, "generator carries no matrix on the space"),
+    (np.eye(3), "matrix is (3, 3), space has 2"),
+], ids=["no-matrix", "wrong-shape"])
+def test_a_generator_not_bound_to_the_space_fails_pi_bound(pi, detail):
+    r = clifford_rep(1, b=[[1.0]])
+    g = GroupElement("parity", np.diag([1.0, -1.0]), pi)
+    unbound = UnitaryRep(HCPair(r.algebra, [g]), r.inner, r.rho)
+    for checker in (check_unitary_rep, check_pre_rep):
+        rep = checker(unbound)
+        assert not rep.passed
+        check = next(c for c in rep.checks if c.name == "pi bound: parity")
+        assert not check.passed
+        assert check.detail == detail
+        # nothing more is read of that generator's matrix
+        assert not [c for c in rep.checks if c.name.endswith(": parity")
+                    and c.name != "pi bound: parity"]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pi_grading_fails_a_nan_on_a_single_sector_space():
     # every entry is allowed on a (2|0) space, so only the NaN can fail it
